@@ -49,8 +49,8 @@ trace-smoke:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# The fast-path acceptance bench: warm-invocation speedup, batched-RMI
-# frame reduction, cache-off overhead. Writes BENCH_fastpath.json.
+# The fast-path acceptance bench: batched-RMI frame reduction,
+# cache-off overhead. Writes BENCH_fastpath.json.
 bench-fastpath:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_perf10_fastpath.py --benchmark-only -q
 
@@ -59,7 +59,7 @@ fastpath:
 	$(PYTHON) -m pytest -m fastpath tests/
 
 # The compile-tier acceptance bench: compiled-invocation speedup over
-# the memo tables, compile-off overhead, zero-copy migration scaling.
+# the interpreted path, zero-copy migration scaling.
 # Writes BENCH_compile.json.
 bench-compile:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_perf15_compile.py --benchmark-only -q

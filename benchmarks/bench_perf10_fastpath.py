@@ -1,11 +1,8 @@
-"""PERF-10: the fast-path layer — invocation cache and batched RMI.
+"""PERF-10: the fast-path layer — batched RMI and the cache-off guard.
 
-Three contracts, each enforced as an assertion and recorded in
+Two contracts, each enforced as an assertion and recorded in
 ``BENCH_fastpath.json`` at the repo root:
 
-* **warm speedup** — repeated invocation of one method by one caller
-  must run at least 2x faster with the invocation cache than without it
-  (the Lookup walk and the ACL scan collapse to two dict probes);
 * **frame reduction** — a 16-call batch must put at least 1.5x fewer
   frames on the wire than 16 individual remote invocations (it actually
   achieves 16x: 32 frames down to 2);
@@ -13,10 +10,8 @@ Three contracts, each enforced as an assertion and recorded in
   attribute read and an identity test per call; that guard, generously
   multiplied, must stay under 3% of a disabled-path invocation.
 
-The speedup workload guards its method with a 16-entry ACL — a modest
-policy by the paper's standards (HADAS shares items to named principals
-per collaborator), and deny-overrides means `permits` walks every entry
-on every call when the verdict is not memoized.
+The speed of compiled invocations over the interpreted path is gated
+in PERF-15 (``bench_perf15_compile.py``).
 """
 
 import gc
@@ -33,7 +28,6 @@ from .series import emit, time_per_call
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: enforced floors/ceilings (the PR's acceptance criteria)
-MIN_WARM_SPEEDUP = 2.0
 MIN_FRAME_REDUCTION = 1.5
 MAX_DISABLED_OVERHEAD = 0.03
 
@@ -52,17 +46,15 @@ def _best(fn, trials: int = TRIALS) -> float:
     return best
 
 
-def build_worker(fastpath: bool, acl_entries: int = ACL_ENTRIES) -> MROMObject:
+def build_uncached_worker(acl_entries: int = ACL_ENTRIES) -> MROMObject:
+    """A worker on the interpreted path; its 16-entry ACL is the modest
+    HADAS-style policy, not a strawman."""
     obj = MROMObject(
         guid="mrom:obj:perf10",
         domain="perf10",
         display_name="worker",
-        fastpath=fastpath,
+        fastpath=False,
     )
-    if fastpath:
-        # this benchmark measures the *memo-table* tier: the compiled
-        # tier sits above it and has its own suite (bench_perf15_compile)
-        obj.enable_fastpath(True, compiled=False)
     acl = AccessControlList()
     for index in range(acl_entries):
         acl.grant(f"mrom://perf10/member{index}", Permission.INVOKE)
@@ -76,7 +68,7 @@ def build_worker(fastpath: bool, acl_entries: int = ACL_ENTRIES) -> MROMObject:
 def _guard_cost() -> float:
     """Seconds per cache-off guard: an attribute read + identity test."""
     n = 100_000
-    obj = build_worker(False)
+    obj = build_uncached_worker()
 
     def guarded() -> None:
         for _ in range(n):
@@ -111,15 +103,10 @@ def _remote_world():
 
 
 def test_perf10_fastpath(benchmark):
-    # -- warm-invocation speedup ---------------------------------------
-    cached = build_worker(True)
-    uncached = build_worker(False)
-    warm = lambda: cached.invoke("work", [1], caller=CALLER)  # noqa: E731
+    # -- the disabled path the guard is measured against ----------------
+    uncached = build_uncached_worker()
     cold = lambda: uncached.invoke("work", [1], caller=CALLER)  # noqa: E731
-    warm()  # populate the cache before the first trial is believed
-    cached_time = _best(warm)
     uncached_time = _best(cold)
-    speedup = uncached_time / cached_time
 
     # -- transport-frame reduction for a 16-call batch ------------------
     network, client, server, remote = _remote_world()
@@ -150,22 +137,17 @@ def test_perf10_fastpath(benchmark):
     # -- counters through the MetricsRegistry ---------------------------
     with enabled(Telemetry()) as tel:
         for _ in range(100):
-            warm()
-        hits = tel.metrics.counter_value("fastpath.lookup.hits")
-        match_hits = tel.metrics.counter_value("fastpath.match.hits")
-        assert hits == 100 and match_hits == 100, (
-            "a warm cache must hit on every repeated invocation"
-        )
+            cold()
+        assert tel.metrics.counter_value("invocations") == 100
+        assert tel.metrics.counter_value("acl.checks") == 100
 
     emit(
         "perf10_fastpath",
-        "PERF-10: invocation cache + batched RMI"
+        "PERF-10: batched RMI + cache-off guard"
         f" (ACL {ACL_ENTRIES} entries, batch of {BATCH_CALLS})",
         ["metric", "value", "floor/ceiling"],
         [
-            ("cached us/call", cached_time * 1e6, "-"),
             ("uncached us/call", uncached_time * 1e6, "-"),
-            ("warm speedup", speedup, f">= {MIN_WARM_SPEEDUP}"),
             ("frames individual", individual_frames, "-"),
             ("frames batched", batched_frames, "-"),
             ("frame reduction", frame_reduction, f">= {MIN_FRAME_REDUCTION}"),
@@ -177,10 +159,7 @@ def test_perf10_fastpath(benchmark):
         tel.metrics,
         name="perf10_fastpath",
         extra={
-            "cached_us_per_call": round(cached_time * 1e6, 4),
             "uncached_us_per_call": round(uncached_time * 1e6, 4),
-            "warm_speedup": round(speedup, 4),
-            "min_warm_speedup": MIN_WARM_SPEEDUP,
             "individual_frames": individual_frames,
             "batched_frames": batched_frames,
             "frame_reduction": round(frame_reduction, 4),
@@ -193,10 +172,6 @@ def test_perf10_fastpath(benchmark):
         },
     )
 
-    assert speedup >= MIN_WARM_SPEEDUP, (
-        f"warm invocations sped up only {speedup:.2f}x "
-        f"(floor {MIN_WARM_SPEEDUP}x)"
-    )
     assert frame_reduction >= MIN_FRAME_REDUCTION, (
         f"batching reduced frames only {frame_reduction:.2f}x "
         f"(floor {MIN_FRAME_REDUCTION}x)"
@@ -205,7 +180,7 @@ def test_perf10_fastpath(benchmark):
         f"cache-off guard costs {guard_share:.2%} of an invocation "
         f"(ceiling {MAX_DISABLED_OVERHEAD:.0%})"
     )
-    benchmark(warm)
+    benchmark(cold)
 
 
 def test_perf10_batch_correctness_smoke(benchmark):

@@ -35,7 +35,7 @@ from .acl import (
 )
 from .code import CodeRole, MethodCode, NativeCode, PortableCode, as_code
 from .containers import ContainerSet, ItemContainer, MutationClock
-from .fastpath import CACHING_DEFAULT, InvocationCache, set_default as set_fastpath_default
+from .fastpath import InvocationCache
 from .errors import (
     AccessDeniedError,
     CoercionError,
@@ -101,8 +101,6 @@ __all__ = [
     "MutationClock",
     # fast path
     "InvocationCache",
-    "CACHING_DEFAULT",
-    "set_fastpath_default",
     # code carriers
     "CodeRole",
     "MethodCode",

@@ -283,9 +283,9 @@ def note_match(
 ) -> None:
     """Telemetry emission for one Match-phase verdict.
 
-    Shared by :meth:`AccessControlList.check` and the invocation cache's
-    hit path, so a memoized verdict is observably identical to a fresh
-    evaluation: same counters, same ``acl.check`` span event.
+    Shared by :meth:`AccessControlList.check` and the compiled
+    invocation closures, so a pinned verdict is observably identical to
+    a fresh evaluation: same counters, same ``acl.check`` span event.
     """
     tel = _telemetry.ACTIVE
     if tel is None:

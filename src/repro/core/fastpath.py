@@ -1,232 +1,129 @@
-"""Hot-path caching for the level-0 invocation primitive.
+"""Compiled invocations: the efficient form of the level-0 primitive.
 
 The paper makes level 0 deliberately *non-reflective* precisely so it
 "can be implemented in a more efficient way" (Section 3.1). This module
-is that efficiency: a per-object :class:`InvocationCache` memoizing the
-two phases of level-0 invocation that are pure functions of slowly
-changing structure —
+holds that efficiency's state: a per-object :class:`InvocationCache`
+mapping each (caller, method) pair to a specialized closure that
+inlines the whole Lookup→Match→Apply pipeline with the method handle
+and the ALLOW verdict pinned at compile time
+(:func:`repro.core.invocation.compile_invocation`).
 
-* **Lookup** (method name -> method handle + section), which otherwise
-  walks two of the four item containers on every call; and
-* **Match** (principal -> ACL verdict), which otherwise re-evaluates the
-  method's access control list entry by entry.
+The first *allowed* level-0 call of a pair builds its closure and runs
+through it; every later call goes straight to the closure. Denials,
+unknown names and meta-methods never compile: they take the
+interpreted path, which stays as the reference implementation the
+differential harness compares the closures against.
 
-Correctness rests on two invalidation channels, because a stale cache
-silently corrupts semantics in a *mutable* object model:
+Trust is versioned, never assumed. Each closure re-checks four pins on
+every call — the containers' mutation generation, the method's
+identity and item version, the ACL's identity and its edit version —
+and returns :data:`COMPILED_STALE` the moment any moved, at which point
+the dispatcher discards the entry and recompiles (or, if the verdict
+changed, takes the interpreted path). ACLs are standalone objects that
+may be shared across methods and objects, so an ACL edit cannot bump
+any one object's epoch; the ACL pins carry it instead. Closures are
+dropped by ``reset()`` (migration install, restart recovery), by
+``enable_fastpath(False)`` and by cap eviction, and are never packaged
+— a migrated object arrives cold.
 
-1. a monotonic **mutation generation** owned by the object's
-   :class:`~repro.core.containers.ContainerSet` and bumped by every
-   structural mutation (every meta-method that adds, deletes, renames or
-   replaces an item funnels into a container operation) — when the
-   generation moves, both tables are dropped wholesale;
-2. per-entry **version pins** for Match: a cached verdict names the
-   method instance, its item version, the ACL instance and the ACL's
-   edit version, so replacing a method's ACL (``setMethod``) *or*
-   editing one in place (``grant``/``revoke``) invalidates exactly the
-   affected verdicts without touching the generation.
-
-Only ALLOW verdicts are cached: a denial raises and is re-evaluated on
-every attempt, so a cached run can never convert a denial into access.
-A migrated object's caches arrive cold — ``unpack`` builds a fresh
-object, and :meth:`~repro.mobility.transfer.MobilityManager` resets the
-cache explicitly at install time for belt-and-braces.
-
-Above the memo tables sits a third tier: **compiled invocations**.
-Once a (caller, method) pair has proven itself warm — a Match-table hit,
-or a warm self-call — the invoker asks :func:`repro.lang.compiler.
-compile_invocation` for a specialized closure that inlines the whole
-Lookup→Match→Apply pipeline with the method handle and the ALLOW verdict
-pinned at compile time. A compiled entry is trusted only while the exact
-same pins the match table uses still hold (mutation generation, method
-identity+version, ACL identity+edit version); the closure re-checks them
-on every call and returns :data:`COMPILED_STALE` the moment any moved,
-at which point the entry is discarded and the call falls back to the
-interpreted path. Compiled entries are dropped by ``sync()`` (mutation),
-by ``reset()`` (migration install), by ``enable_fastpath(False)``, and
-are never packaged — a migrated object arrives cold on every tier.
-
-The cache is on by default (:data:`CACHING_DEFAULT`); per object it can
-be declined at construction (``MROMObject(fastpath=False)``) or toggled
-with :meth:`~repro.core.mobject.MROMObject.enable_fastpath`. When off,
-the invoker pays one attribute read and an identity test — the same
-O(1)-when-off contract the telemetry hooks keep. Hit/miss/invalidation
-counters surface through the active
-:class:`~repro.telemetry.metrics.MetricsRegistry` as ``fastpath.*``
-(the compile tier under ``fastpath.compiled.*``; see ``docs/PERF.md``)
-and are always mirrored in plain attributes for telemetry-free
-benchmarking.
+The cache is on by default; per object it can be declined at
+construction (``MROMObject(fastpath=False)``) or toggled with
+:meth:`~repro.core.mobject.MROMObject.enable_fastpath`. Counters live
+in plain attributes and, when the telemetry plane is on, in the
+``fastpath.*`` counters of the active
+:class:`~repro.telemetry.metrics.MetricsRegistry` (see
+``docs/PERF.md``); both are bumped at the same points, so they agree.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Callable
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .items import MROMMethod
+from ..telemetry import state as _telemetry
 
-__all__ = [
-    "InvocationCache",
-    "CACHING_DEFAULT",
-    "COMPILE_DEFAULT",
-    "COMPILED_STALE",
-    "set_default",
-    "set_compile_default",
-]
-
-#: Whether newly constructed objects get an invocation cache. Module
-#: state rather than a constant so test harnesses (and the differential
-#: suite's cache-off subjects) can flip the default for a scope.
-CACHING_DEFAULT = True
-
-#: Whether caches promote warm entries to compiled closures. Separate
-#: from CACHING_DEFAULT so the differential harness can run a
-#: cached-but-not-compiled tier, and so hosts can keep the memo tables
-#: while declining code specialization wholesale.
-COMPILE_DEFAULT = True
+__all__ = ["InvocationCache", "COMPILED_STALE"]
 
 #: Sentinel a compiled closure returns when one of its pins no longer
-#: holds: "this entry is stale — discard me and take the general path".
+#: holds: "this entry is stale — discard me and take the cold step".
 #: A private singleton, so no method body can forge it as a result.
 COMPILED_STALE = object()
 
 
-def set_default(enabled: bool) -> bool:
-    """Set the construction-time default; returns the previous value."""
-    global CACHING_DEFAULT
-    previous = CACHING_DEFAULT
-    CACHING_DEFAULT = bool(enabled)
-    return previous
-
-
-def set_compile_default(enabled: bool) -> bool:
-    """Set the compile-tier default; returns the previous value."""
-    global COMPILE_DEFAULT
-    previous = COMPILE_DEFAULT
-    COMPILE_DEFAULT = bool(enabled)
-    return previous
-
-
 class InvocationCache:
-    """Memo of one object's Lookup results and Match verdicts.
+    """One object's compiled (caller, method) closures and their counters.
 
-    ``lookup_table`` maps method name to ``(method, section)`` exactly as
-    :meth:`~repro.core.containers.ContainerSet.lookup_method` returns it.
-    ``match_table`` maps ``(caller_guid, caller_domain, method_name)`` to
-    the pinned tuple ``(method, method_version, acl, acl_version)``; an
-    entry is a valid ALLOW verdict only while every pin still holds.
-    ``compiled`` maps the same caller-qualified key to a specialized
-    closure that carries those pins inside itself and self-invalidates
-    by returning :data:`COMPILED_STALE`. Failures (unknown names,
-    denials) are never cached on any tier.
+    ``compiled`` maps ``(caller_guid, caller_domain, method_name)`` to a
+    closure that carries its pins inside itself and self-invalidates by
+    returning :data:`COMPILED_STALE`. Failures (unknown names, denials)
+    are never compiled.
+
+    Accounting is closed: every closure ever stored is either live or
+    counted in ``compiled_discards`` (``compiled_entries == compiles -
+    compiled_discards``). ``invalidations`` counts the times cached
+    state was found stale at dispatch or dropped wholesale by a reset.
     """
 
     __slots__ = (
-        "generation",
-        "lookup_table",
-        "match_table",
         "compiled",
-        "compile_enabled",
-        "lookup_hits",
-        "lookup_misses",
-        "match_hits",
-        "match_misses",
         "compiled_hits",
         "compiles",
         "compiled_discards",
         "invalidations",
     )
 
-    #: generation value no live ContainerSet can have: forces the first
-    #: sync() to start the cache cold
-    _COLD = -1
-
     #: upper bound on compiled closures per object — one entry per
     #: (caller, method) pair; past it the oldest entry is evicted, so a
     #: churning caller population cannot grow the table without bound
     COMPILED_CAP = 256
 
-    def __init__(self, compile_enabled: bool | None = None) -> None:
-        self.generation = self._COLD
-        self.lookup_table: dict[str, tuple["MROMMethod", str]] = {}
-        self.match_table: dict[tuple[str, str, str], tuple[Any, int, Any, int]] = {}
+    def __init__(self) -> None:
         self.compiled: dict[tuple[str, str, str], Callable] = {}
-        self.compile_enabled = (
-            COMPILE_DEFAULT if compile_enabled is None else bool(compile_enabled)
-        )
-        self.lookup_hits = 0
-        self.lookup_misses = 0
-        self.match_hits = 0
-        self.match_misses = 0
         self.compiled_hits = 0
         self.compiles = 0
         self.compiled_discards = 0
         self.invalidations = 0
 
-    def sync(self, generation: int) -> bool:
-        """Align with the containers' mutation generation.
-
-        Returns True when non-empty tables were actually dropped (the
-        structure moved *and* the cache had something to lose). The
-        initial cold sync — ``_COLD`` to the live generation on a fresh
-        or freshly migrated object — aligns silently: nothing was
-        cached, so nothing was invalidated, and ``invalidations`` (and
-        the ``fastpath.invalidations`` telemetry counter fed from it)
-        must not say otherwise.
-        """
-        if generation == self.generation:
-            return False
-        self.generation = generation
-        return self._drop_tables()
-
     def reset(self) -> bool:
-        """Forget everything and go cold (migration install, explicit
-        toggles). Counters survive — they describe the cache's history,
-        not its contents — and a drop of non-empty tables counts toward
-        ``invalidations`` exactly as a ``sync()`` drop does, so
-        migration-install resets are visible in :meth:`stats`."""
-        self.generation = self._COLD
-        return self._drop_tables()
-
-    def _drop_tables(self) -> bool:
-        """Clear all three tiers; count one invalidation if any entry
-        was actually dropped. Returns whether anything was dropped."""
-        dropped = bool(self.lookup_table or self.match_table or self.compiled)
-        if not dropped:
+        """Forget every closure and go cold (migration install, restart
+        recovery). Counters survive — they describe the cache's history,
+        not its contents. Returns whether anything was dropped; only a
+        drop of a non-empty table counts as an invalidation."""
+        table = self.compiled
+        if not table:
             return False
-        self.lookup_table.clear()
-        self.match_table.clear()
-        if self.compiled:
-            self.compiled_discards += len(self.compiled)
-            self.compiled.clear()
-        self.invalidations += 1
+        self._discarded(len(table))
+        table.clear()
+        self._invalidated()
         return True
-
-    # -- the compile tier ---------------------------------------------------
-
-    def set_compiled(self, enabled: bool) -> None:
-        """Toggle the compile tier for this cache; disabling discards
-        every compiled closure (the memo tables survive)."""
-        self.compile_enabled = bool(enabled)
-        if not enabled and self.compiled:
-            self.compiled_discards += len(self.compiled)
-            self.compiled.clear()
 
     def store_compiled(self, key: tuple[str, str, str], fn: Callable) -> None:
         table = self.compiled
         if len(table) >= self.COMPILED_CAP:
             table.pop(next(iter(table)))  # oldest-inserted first
-            self.compiled_discards += 1
+            self._discarded(1)
         table[key] = fn
         self.compiles += 1
+        tel = _telemetry.ACTIVE
+        if tel is not None:
+            tel.metrics.counter("fastpath.compiled.compiles").inc()
 
     def discard_compiled(self, key: tuple[str, str, str]) -> None:
         """Drop one stale closure (its guard failed at dispatch)."""
         if self.compiled.pop(key, None) is not None:
-            self.compiled_discards += 1
+            self._discarded(1)
+            self._invalidated()
 
-    @property
-    def entries(self) -> int:
-        return len(self.lookup_table) + len(self.match_table)
+    def _discarded(self, count: int) -> None:
+        self.compiled_discards += count
+        tel = _telemetry.ACTIVE
+        if tel is not None:
+            tel.metrics.counter("fastpath.compiled.discards").inc(count)
+
+    def _invalidated(self) -> None:
+        self.invalidations += 1
+        tel = _telemetry.ACTIVE
+        if tel is not None:
+            tel.metrics.counter("fastpath.invalidations").inc()
 
     @property
     def compiled_entries(self) -> int:
@@ -235,26 +132,17 @@ class InvocationCache:
     def stats(self) -> dict:
         """A plain-mapping snapshot (benchmarks, debugging)."""
         return {
-            "lookup_hits": self.lookup_hits,
-            "lookup_misses": self.lookup_misses,
-            "match_hits": self.match_hits,
-            "match_misses": self.match_misses,
             "compiled_hits": self.compiled_hits,
             "compiles": self.compiles,
             "compiled_discards": self.compiled_discards,
             "invalidations": self.invalidations,
-            "entries": self.entries,
             "compiled_entries": self.compiled_entries,
-            "generation": self.generation,
         }
 
     def __repr__(self) -> str:
         return (
-            f"InvocationCache({self.entries} entries, "
-            f"{self.compiled_entries} compiled, "
-            f"lookup {self.lookup_hits}h/{self.lookup_misses}m, "
-            f"match {self.match_hits}h/{self.match_misses}m, "
-            f"compiled {self.compiled_hits}h/{self.compiles}c/"
+            f"InvocationCache({self.compiled_entries} compiled, "
+            f"{self.compiled_hits}h/{self.compiles}c/"
             f"{self.compiled_discards}d, "
             f"{self.invalidations} invalidations)"
         )

@@ -33,10 +33,11 @@ from ..telemetry import state as _telemetry
 from .acl import Permission, Principal, note_match
 from .errors import (
     InvocationDepthError,
+    MethodNotFoundError,
     PostProcedureError,
     PreProcedureVeto,
 )
-from .fastpath import COMPILED_STALE
+from .fastpath import COMPILED_STALE, InvocationCache
 from .items import MROMMethod
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -48,6 +49,7 @@ __all__ = [
     "InvocationRecord",
     "InvocationContext",
     "Invoker",
+    "compile_invocation",
     "MAX_META_LEVELS",
 ]
 
@@ -188,27 +190,24 @@ class Invoker:
         """Invoke *method_name* with MROM semantics, entering the tower at
         its top level (or directly at level 0 when no tower exists)."""
         obj = self.obj
-        # Compiled tier: a warm (caller, method) pair may have been
-        # specialized into a closure that inlines the whole pipeline.
-        # Dispatch is gated on an empty meta tower — installing a
+        # Compiled dispatch is gated on an empty meta tower: installing a
         # meta-invoke level does not move the mutation clock, so the
         # generation pin alone could not keep a closure from bypassing a
-        # freshly stacked level — and the closure re-checks its own pins,
-        # answering COMPILED_STALE when any moved.
+        # freshly stacked level. A closure re-checks its own pins and
+        # answers COMPILED_STALE when any moved.
         cache = obj._fastpath
         if cache is not None and not obj._meta_invokes:
-            table = cache.compiled
-            if table:
-                key = (caller.guid, caller.domain, method_name)
-                fn = table.get(key)
-                if fn is not None:
-                    result = fn(caller, args)
-                    if result is not COMPILED_STALE:
-                        return result
-                    cache.discard_compiled(key)
-                    tel = _telemetry.ACTIVE
-                    if tel is not None:
-                        tel.metrics.counter("fastpath.compiled.discards").inc()
+            key = (caller.guid, caller.domain, method_name)
+            fn = cache.compiled.get(key)
+            if fn is not None:
+                result = fn(caller, args)
+                if result is not COMPILED_STALE:
+                    return result
+                cache.discard_compiled(key)
+            fn = self._compile(caller, method_name, cache)
+            if fn is not None:
+                cache.store_compiled(key, fn)
+                return fn(caller, args, hit=False)
         chain = obj.meta_invoke_chain()
         if len(chain) > MAX_META_LEVELS:
             raise InvocationDepthError(
@@ -307,49 +306,19 @@ class Invoker:
     ) -> Any:
         """The level-0 invocation mechanism: Lookup -> Match -> Apply.
 
-        With the object's invocation cache enabled (the default), the
-        Lookup phase is served from the cache when the containers'
-        mutation generation has not moved; the trace record, telemetry
-        and error behaviour are identical either way — the cache changes
-        *cost*, never observables (tests/core/test_fastpath_differential
-        holds it to that).
+        This is the interpreted reference path. It serves objects without
+        an invocation cache, the meta tower, and every call a closure may
+        not serve (denials, unknown names, meta-methods); compiled
+        closures are held to its observables by
+        tests/core/test_fastpath_differential.
         """
         if record is None:
             record = InvocationRecord(method=method_name, caller=caller.guid)
-        obj = self.obj
-        cache = obj._fastpath
-        warm = False
         # Phase 1: Lookup — locate and fetch the method's handle.
-        if cache is None:
-            method, section = obj.containers.lookup_method(method_name)
-        else:
-            invalidated = cache.sync(obj.containers.generation)
-            entry = cache.lookup_table.get(method_name)
-            if entry is None:
-                cache.lookup_misses += 1
-                # failures are not cached: an unknown name raises the
-                # same typed error on every call, cached or not
-                method, section = obj.containers.lookup_method(method_name)
-                cache.lookup_table[method_name] = (method, section)
-            else:
-                cache.lookup_hits += 1
-                method, section = entry
-                warm = True
-            tel = _telemetry.ACTIVE
-            if tel is not None:
-                metrics = tel.metrics
-                if invalidated:
-                    metrics.counter("fastpath.invalidations").inc()
-                metrics.counter(
-                    "fastpath.lookup.misses" if entry is None
-                    else "fastpath.lookup.hits"
-                ).inc()
+        method, section = self.obj.containers.lookup_method(method_name)
         record.log(0, Phase.LOOKUP, method_name, section)
         ctx = InvocationContext(self, caller, method_name, args, 0, record)
-        return self._apply_with_match(
-            method, caller, list(args), ctx, 0, cache,
-            section=section, warm=warm,
-        )
+        return self._apply_with_match(method, caller, list(args), ctx, 0)
 
     def _apply_with_match(
         self,
@@ -358,66 +327,23 @@ class Invoker:
         args: list,
         ctx: InvocationContext,
         level: int,
-        cache=None,
-        section: str = "",
-        warm: bool = False,
     ) -> Any:
         record = ctx.record
         # Phase 2: Match — match security information. An object always
         # trusts itself with itself (self-containment): its own principal
-        # bypasses the ACL, everyone else is checked. A cached ALLOW
-        # verdict is honoured only while its pins (method identity and
-        # version, ACL identity and edit version) all still hold, so ACL
-        # replacement *and* in-place ACL edits re-evaluate; denials are
-        # never cached.
+        # bypasses the ACL, everyone else is checked.
         if caller.guid != self.obj.guid:
-            if cache is None:
-                method.check(caller, Permission.INVOKE)
-            else:
-                acl = method.acl
-                key = (caller.guid, caller.domain, ctx.method_name)
-                entry = cache.match_table.get(key)
-                if (
-                    entry is not None
-                    and entry[0] is method
-                    and entry[1] == method.version
-                    and entry[2] is acl
-                    and entry[3] == acl.version
-                ):
-                    cache.match_hits += 1
-                    hit = True
-                    note_match(caller, method.name, Permission.INVOKE, True)
-                    # a repeated, pinned-valid ALLOW is the promotion
-                    # signal: this (caller, method) pair is warm enough
-                    # to be worth a specialized closure
-                    if cache.compile_enabled:
-                        self._maybe_compile(method, section, caller, ctx, cache)
-                else:
-                    cache.match_misses += 1
-                    hit = False
-                    method.check(caller, Permission.INVOKE)
-                    cache.match_table[key] = (
-                        method, method.version, acl, acl.version,
-                    )
-                tel = _telemetry.ACTIVE
-                if tel is not None:
-                    tel.metrics.counter(
-                        "fastpath.match.hits" if hit else "fastpath.match.misses"
-                    ).inc()
+            method.check(caller, Permission.INVOKE)
             record.log(level, Phase.MATCH, method.name, "checked")
         else:
-            # self-calls bypass Match; a warm Lookup plays the same
-            # promotion role the match hit plays for foreign callers
-            if cache is not None and warm and cache.compile_enabled:
-                self._maybe_compile(method, section, caller, ctx, cache)
             record.log(level, Phase.MATCH, method.name, "self")
 
         self_view = self.obj.self_view()
 
         # Phases 3.1-3.3 must stay in lockstep with the compiled mirror
-        # in repro.lang.compiler.compile_invocation: any change to the
-        # events, errors or telemetry here is an observable and must be
-        # replicated there (the differential harness will catch a drift).
+        # in compile_invocation below: any change to the events, errors
+        # or telemetry here is an observable and must be replicated
+        # there (the differential harness will catch a drift).
 
         # Phase 3.1: Pre-proc.
         if method.pre is not None:
@@ -439,36 +365,189 @@ class Invoker:
 
         return result
 
-    # -- the compile tier ---------------------------------------------------
+    # -- level 0: the cold step ------------------------------------------------
 
-    def _maybe_compile(
-        self,
-        method: MROMMethod,
-        section: str,
-        caller: Principal,
-        ctx: InvocationContext,
-        cache,
-    ) -> None:
-        """Promote a warm (caller, method) pair to a compiled closure.
+    def _compile(self, caller: Principal, method_name: str, cache: InvocationCache):
+        """Lookup and Match once, then specialize the (caller, method) pair.
 
-        Compilation happens at the Match phase, *after* the verdict is
-        known to be ALLOW under pins that currently hold — a closure can
-        therefore pin the verdict without ever being able to convert a
-        denial into access. Meta-methods are declined (the emitter
-        returns None): their bodies are the reflective machinery itself
-        and must stay interpreted.
+        Returns None when the call must take the general path instead: an
+        unknown name, a meta-method (its body is the reflective machinery
+        itself and stays interpreted) or a caller the ACL denies. The
+        general path then raises and audits exactly as an uncached object
+        does. Match is evaluated with ``permits``, which leaves no audit
+        trail; the closure emits the call's one ``acl.check`` when it
+        runs, so a closure can pin the verdict without ever converting a
+        denial into access, and a first call audits exactly once.
         """
-        key = (caller.guid, caller.domain, ctx.method_name)
-        if key in cache.compiled:
-            return
-        # local import: lang.compiler imports this module for the trace
-        # vocabulary, so the dependency must stay one-way at import time
-        from ..lang.compiler import compile_invocation
+        obj = self.obj
+        try:
+            method, section = obj.containers.lookup_method(method_name)
+        except MethodNotFoundError:
+            return None
+        if method.metadata.get("meta"):
+            return None
+        if caller.guid != obj.guid and not method.acl.permits(
+            caller, Permission.INVOKE
+        ):
+            return None
+        return compile_invocation(self, method, section, caller, cache)
 
-        fn = compile_invocation(self, method, section, caller, cache)
-        if fn is None:
-            return
-        cache.store_compiled(key, fn)
+
+# ---------------------------------------------------------------------------
+# invocation compilation: Lookup -> Match -> Apply as one specialized closure
+# ---------------------------------------------------------------------------
+
+
+def _uses_ctx(carrier) -> bool:
+    """Whether a method component can observe the InvocationContext.
+
+    Portable source that never names ``ctx`` cannot reach it (the
+    sandbox exposes no other route to the context), so the closure may
+    skip allocating one. Native code is opaque: assume it looks.
+    """
+    if carrier is None:
+        return False
+    source = getattr(carrier, "source", None)
+    if source is None:
+        return True  # native code: no visibility, assume the worst
+    return "ctx" in source
+
+
+def compile_invocation(
+    invoker: Invoker,
+    method: MROMMethod,
+    section: str,
+    caller: Principal,
+    cache: InvocationCache,
+):
+    """Emit a specialized closure for one allowed (caller, method) pair.
+
+    For one (object generation, method, caller) triple the method handle,
+    the section label, the ALLOW verdict and the trace events are all
+    pinned here, so a call is a guard check plus the Apply phase. The
+    returned ``fn(live_caller, args, hit=True)`` either performs the
+    complete invocation — record, telemetry, pre/body/post, outcome —
+    with observables identical to :meth:`Invoker.invoke` on an uncached
+    object, or returns :data:`~repro.core.fastpath.COMPILED_STALE`
+    untouched when a pin fails. *hit* is False only for the call that
+    built the closure, which is not counted as a compiled hit.
+
+    The caller must already have established that the verdict is ALLOW
+    and that *method* is not a meta-method.
+    """
+    obj = invoker.obj
+    clock = obj.containers.clock
+    generation = clock.value
+    acl = method.acl
+    method_version = method.version
+    acl_version = acl.version
+
+    name = method.name
+    obj_guid = obj.guid
+    caller_guid = caller.guid
+    is_self = caller_guid == obj_guid
+    self_view = obj.self_view()
+    note_invocation = obj.note_invocation
+
+    pre = method.pre
+    post = method.post
+    pre_call = pre.call_boolean if pre is not None else None
+    body_call = method.body.call
+    post_call = post.call_boolean if post is not None else None
+    needs_ctx = (
+        _uses_ctx(method.body) or _uses_ctx(pre) or _uses_ctx(post)
+    )
+
+    # the trace is known at compile time up to data-dependent branches:
+    # pin one frozen event per (phase, outcome) and append by reference
+    ev_lookup = TraceEvent(0, Phase.LOOKUP, name, section)
+    ev_match = TraceEvent(0, Phase.MATCH, name, "self" if is_self else "checked")
+    ev_body = TraceEvent(0, Phase.BODY, name)
+    ev_pre_ok = TraceEvent(0, Phase.PRE, name, "ok") if pre is not None else None
+    ev_pre_veto = TraceEvent(0, Phase.PRE, name, "veto") if pre is not None else None
+    ev_post_ok = TraceEvent(0, Phase.POST, name, "ok") if post is not None else None
+    ev_post_failed = (
+        TraceEvent(0, Phase.POST, name, "failed") if post is not None else None
+    )
+    permission_invoke = Permission.INVOKE
+
+    def compiled_invoke(live_caller, args, hit=True):
+        # -- guards: the four pins, re-checked every call
+        if (
+            clock.value != generation
+            or method.version != method_version
+            or method.acl is not acl
+            or acl.version != acl_version
+        ):
+            return COMPILED_STALE
+        if hit:
+            cache.compiled_hits += 1
+        record = InvocationRecord(method=name, caller=caller_guid)
         tel = _telemetry.ACTIVE
+        span = None
         if tel is not None:
-            tel.metrics.counter("fastpath.compiled.compiles").inc()
+            span = tel.begin_span(
+                "invoke",
+                attrs={
+                    "method": name,
+                    "object": obj_guid,
+                    "caller": caller_guid,
+                    "tower_depth": 0,
+                },
+            )
+            span.event("invocation.enter", tower_depth=0)
+            metrics = tel.metrics
+            metrics.counter("invocations").inc()
+            if hit:
+                metrics.counter("fastpath.compiled.hits").inc()
+        try:
+            events = record.events
+            events.append(ev_lookup)
+            if not is_self:
+                # the audit observable of the Match phase: same counters,
+                # same acl.check span event as a fresh ACL evaluation
+                note_match(live_caller, name, permission_invoke, True)
+            events.append(ev_match)
+            body_args = list(args)
+            ctx = (
+                InvocationContext(invoker, live_caller, name, args, 0, record)
+                if needs_ctx
+                else None
+            )
+            if pre_call is not None:
+                approved = pre_call(self_view, body_args, ctx)
+                events.append(ev_pre_ok if approved else ev_pre_veto)
+                if not approved:
+                    raise PreProcedureVeto(name)
+            result = body_call(self_view, body_args, ctx)
+            events.append(ev_body)
+            if post_call is not None:
+                accepted = post_call(self_view, body_args, result, ctx)
+                events.append(ev_post_ok if accepted else ev_post_failed)
+                if not accepted:
+                    raise PostProcedureError(name, result=result)
+        except PreProcedureVeto:
+            record.outcome = "veto"
+            note_invocation(record)
+            if span is not None:
+                span.event("invocation.exit", outcome="veto")
+                tel.end_span(span, status="veto")
+                tel.metrics.counter("invocations.vetoed").inc()
+            raise
+        except Exception as exc:
+            record.outcome = "error"
+            note_invocation(record)
+            if span is not None:
+                span.event("invocation.exit", outcome="error",
+                           error=type(exc).__name__)
+                tel.end_span(span, status="error")
+                tel.metrics.counter("invocations.failed").inc()
+            raise
+        record.outcome = "ok"
+        note_invocation(record)
+        if span is not None:
+            span.event("invocation.exit", outcome="ok")
+            tel.end_span(span)
+        return result
+
+    return compiled_invoke

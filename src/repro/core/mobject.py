@@ -47,7 +47,6 @@ from .acl import (
     owner_only,
 )
 from .containers import ContainerSet, EXTENSIBLE, FIXED
-from . import fastpath as _fastpath
 from .fastpath import InvocationCache
 from .errors import (
     FixedSectionError,
@@ -116,10 +115,9 @@ class MROMObject:
     environment:
         Initial host-provided bindings (the installation context).
     fastpath:
-        Whether the object carries an invocation cache memoizing level-0
-        Lookup and Match (see :mod:`repro.core.fastpath`). ``None`` (the
-        default) follows :data:`repro.core.fastpath.CACHING_DEFAULT`,
-        read at construction time.
+        Whether the object carries an invocation cache of compiled
+        level-0 closures (see :mod:`repro.core.fastpath`). On by
+        default; ``False`` keeps every call on the interpreted path.
     """
 
     def __init__(
@@ -131,7 +129,7 @@ class MROMObject:
         extensible_meta: bool = False,
         meta_acl: AccessControlList | None = None,
         environment: Mapping[str, Any] | None = None,
-        fastpath: bool | None = None,
+        fastpath: bool = True,
     ):
         self.guid = guid or _fresh_guid()
         self.principal = Principal(
@@ -148,8 +146,6 @@ class MROMObject:
         self._records: list[InvocationRecord] = []
         self.last_record: InvocationRecord | None = None
         self._meta_acl = meta_acl if meta_acl is not None else owner_only(self.owner)
-        if fastpath is None:
-            fastpath = _fastpath.CACHING_DEFAULT
         self._fastpath: InvocationCache | None = (
             InvocationCache() if fastpath else None
         )
@@ -255,7 +251,7 @@ class MROMObject:
         return caller if caller is not None else ANONYMOUS
 
     # ------------------------------------------------------------------
-    # the invocation cache (hot-path memoization of Lookup + Match)
+    # the invocation cache (compiled level-0 closures)
     # ------------------------------------------------------------------
 
     @property
@@ -263,29 +259,21 @@ class MROMObject:
         """The object's invocation cache, or None when caching is off."""
         return self._fastpath
 
-    def enable_fastpath(
-        self, enabled: bool = True, *, compiled: bool | None = None
-    ) -> None:
+    def enable_fastpath(self, enabled: bool = True) -> None:
         """Attach or detach the invocation cache at run time.
 
         Re-enabling always starts cold; disabling drops the cache — and
-        with it every compiled closure — and its counters. *compiled*
-        pins the compile tier explicitly (None follows
-        :data:`repro.core.fastpath.COMPILE_DEFAULT` for a new cache, or
-        leaves an existing cache's setting alone); the differential
-        harness uses it to run a cached-but-interpreted tier.
+        with it every compiled closure — and its counters.
         """
         if enabled:
             if self._fastpath is None:
-                self._fastpath = InvocationCache(compile_enabled=compiled)
-            elif compiled is not None:
-                self._fastpath.set_compiled(compiled)
+                self._fastpath = InvocationCache()
         else:
             self._fastpath = None
 
     def fastpath_reset(self) -> None:
-        """Drop cached entries on every tier, compiled closures included
-        (e.g. after a migration install — caches always arrive cold)."""
+        """Drop every compiled closure (e.g. after a migration install —
+        caches always arrive cold)."""
         if self._fastpath is not None:
             self._fastpath.reset()
 

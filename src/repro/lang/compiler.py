@@ -28,7 +28,6 @@ __all__ = [
     "compile_clause",
     "CompiledMethod",
     "compile_object_methods",
-    "compile_invocation",
 ]
 
 #: operations resolved directly against the SelfView facade
@@ -291,181 +290,3 @@ def compile_object_methods(decl: ast.ObjectDecl) -> list[CompiledMethod]:
         )
     return compiled
 
-
-# ---------------------------------------------------------------------------
-# invocation compilation: Lookup -> Match -> Apply as one specialized closure
-# ---------------------------------------------------------------------------
-#
-# The MPL compiler above turns *method bodies* into portable source; this
-# second back end turns a warm *invocation* into native control flow. The
-# paper keeps level 0 non-reflective exactly so it "can be implemented in
-# a more efficient way" (Section 3.1) — a compiled invocation is the
-# strongest form of that freedom: for one (object-generation, method,
-# caller) triple the method handle, the section label, the ALLOW verdict
-# and the trace events are all pinned at compile time, and a call is a
-# guard check plus the Apply phase.
-#
-# Trust is versioned, never assumed. Every closure opens with the same
-# pins the InvocationCache's match table uses — the containers' mutation
-# generation, the method's identity and item version, the ACL's identity
-# and edit version — and answers COMPILED_STALE the instant any of them
-# moved, at which point the dispatcher discards the entry and the call
-# falls back to the interpreted pipeline. Observables (return values,
-# typed errors, InvocationRecord streams, acl.* audit telemetry, the
-# invoke span dance) are byte-identical to the interpreted path; the
-# three-way differential harness holds it to that.
-
-
-def _uses_ctx(carrier) -> bool:
-    """Whether a method component can observe the InvocationContext.
-
-    Portable source that never names ``ctx`` cannot reach it (the
-    sandbox exposes no other route to the context), so the closure may
-    skip allocating one. Native code is opaque: assume it looks.
-    """
-    if carrier is None:
-        return False
-    source = getattr(carrier, "source", None)
-    if source is None:
-        return True  # native code: no visibility, assume the worst
-    return "ctx" in source
-
-
-def compile_invocation(invoker, method, section: str, caller, cache):
-    """Emit a specialized closure for one warm (caller, method) pair.
-
-    Returns a callable ``fn(live_caller, args)`` that either performs
-    the complete invocation — record, telemetry, pre/body/post, outcome
-    — or returns :data:`~repro.core.fastpath.COMPILED_STALE` untouched
-    when a pin fails. Returns None when the pair is not compilable
-    (meta-methods stay interpreted: their bodies are the reflective
-    machinery itself).
-    """
-    from ..core.acl import Permission, note_match
-    from ..core.fastpath import COMPILED_STALE
-    from ..core.errors import PostProcedureError, PreProcedureVeto
-    from ..core.invocation import (
-        InvocationContext,
-        InvocationRecord,
-        Phase,
-        TraceEvent,
-    )
-    from ..telemetry import state as _telemetry
-
-    if method.metadata.get("meta"):
-        return None
-
-    obj = invoker.obj
-    clock = obj.containers.clock
-    generation = clock.value
-    acl = method.acl
-    method_version = method.version
-    acl_version = acl.version
-
-    name = method.name
-    obj_guid = obj.guid
-    caller_guid = caller.guid
-    is_self = caller_guid == obj_guid
-    self_view = obj.self_view()
-    note_invocation = obj.note_invocation
-
-    pre = method.pre
-    post = method.post
-    pre_call = pre.call_boolean if pre is not None else None
-    body_call = method.body.call
-    post_call = post.call_boolean if post is not None else None
-    needs_ctx = (
-        _uses_ctx(method.body) or _uses_ctx(pre) or _uses_ctx(post)
-    )
-
-    # the trace is known at compile time up to data-dependent branches:
-    # pin one frozen event per (phase, outcome) and append by reference
-    ev_lookup = TraceEvent(0, Phase.LOOKUP, name, section)
-    ev_match = TraceEvent(0, Phase.MATCH, name, "self" if is_self else "checked")
-    ev_body = TraceEvent(0, Phase.BODY, name)
-    ev_pre_ok = TraceEvent(0, Phase.PRE, name, "ok") if pre is not None else None
-    ev_pre_veto = TraceEvent(0, Phase.PRE, name, "veto") if pre is not None else None
-    ev_post_ok = TraceEvent(0, Phase.POST, name, "ok") if post is not None else None
-    ev_post_failed = (
-        TraceEvent(0, Phase.POST, name, "failed") if post is not None else None
-    )
-    permission_invoke = Permission.INVOKE
-
-    def compiled_invoke(live_caller, args):
-        # -- guards: the pins of the match table, re-checked every call
-        if (
-            clock.value != generation
-            or method.version != method_version
-            or method.acl is not acl
-            or acl.version != acl_version
-        ):
-            return COMPILED_STALE
-        cache.compiled_hits += 1
-        record = InvocationRecord(method=name, caller=caller_guid)
-        tel = _telemetry.ACTIVE
-        span = None
-        if tel is not None:
-            span = tel.begin_span(
-                "invoke",
-                attrs={
-                    "method": name,
-                    "object": obj_guid,
-                    "caller": caller_guid,
-                    "tower_depth": 0,
-                },
-            )
-            span.event("invocation.enter", tower_depth=0)
-            metrics = tel.metrics
-            metrics.counter("invocations").inc()
-            metrics.counter("fastpath.compiled.hits").inc()
-        try:
-            events = record.events
-            events.append(ev_lookup)
-            if not is_self:
-                # the audit observable of the Match phase: same counters,
-                # same acl.check span event as a fresh ACL evaluation
-                note_match(live_caller, name, permission_invoke, True)
-            events.append(ev_match)
-            body_args = list(args)
-            ctx = (
-                InvocationContext(invoker, live_caller, name, args, 0, record)
-                if needs_ctx
-                else None
-            )
-            if pre_call is not None:
-                approved = pre_call(self_view, body_args, ctx)
-                events.append(ev_pre_ok if approved else ev_pre_veto)
-                if not approved:
-                    raise PreProcedureVeto(name)
-            result = body_call(self_view, body_args, ctx)
-            events.append(ev_body)
-            if post_call is not None:
-                accepted = post_call(self_view, body_args, result, ctx)
-                events.append(ev_post_ok if accepted else ev_post_failed)
-                if not accepted:
-                    raise PostProcedureError(name, result=result)
-        except PreProcedureVeto:
-            record.outcome = "veto"
-            note_invocation(record)
-            if span is not None:
-                span.event("invocation.exit", outcome="veto")
-                tel.end_span(span, status="veto")
-                tel.metrics.counter("invocations.vetoed").inc()
-            raise
-        except Exception as exc:
-            record.outcome = "error"
-            note_invocation(record)
-            if span is not None:
-                span.event("invocation.exit", outcome="error",
-                           error=type(exc).__name__)
-                tel.end_span(span, status="error")
-                tel.metrics.counter("invocations.failed").inc()
-            raise
-        record.outcome = "ok"
-        note_invocation(record)
-        if span is not None:
-            span.event("invocation.exit", outcome="ok")
-            tel.end_span(span)
-        return result
-
-    return compiled_invoke

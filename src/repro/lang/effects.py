@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 #: pseudo-item standing for the object's structure (the member tables the
-#: fast-path Lookup/Match caches pin by generation). Structural ops write
+#: compiled invocation closures pin by generation). Structural ops write
 #: it; every invocation implicitly reads it through the dispatch pins.
 STRUCTURE_ITEM = "##structure"
 

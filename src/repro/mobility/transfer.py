@@ -515,9 +515,8 @@ class MobilityManager:
         return report
 
     def _install(self, obj: MROMObject, install_args: Sequence[Any]) -> dict:
-        # a migrated object's caches arrive cold on every tier — memo
-        # tables and compiled closures alike. Compiled state is never
-        # packaged (a closure pins handles of the *sender's* live object
+        # a migrated object's compiled closures arrive cold. Compiled
+        # state is never packaged (a closure pins handles of the *sender's* live object
         # and would be meaningless, and dangerous, here); unpack builds a
         # fresh object, and this reset keeps the guarantee even if
         # pack/unpack ever learns to carry live state across.

@@ -1,17 +1,16 @@
 """Regression tests for :class:`InvocationCache` accounting.
 
-Two bugs fixed in the compile-tier PR are pinned here:
+The compiled table is bounded and its accounting is closed: every
+closure ever stored is live or counted in ``compiled_discards``. Pinned
+here:
 
-* ``sync()`` used to count the *cold* sync — aligning a fresh (or
-  freshly migrated) cache with the live generation — as an
-  invalidation, so every object was born with ``invalidations == 1``
-  and the ``fastpath.invalidations`` telemetry overcounted by one per
-  cache lifetime.
-* ``reset()`` dropped the tables without counting anything, so
-  migration-install resets were invisible in :meth:`stats`.
-
-Both now funnel through one accounting helper: an invalidation is
-counted exactly when non-empty tables were actually dropped.
+* ``reset()`` counts an invalidation exactly when it drops a non-empty
+  table, so migration-install resets are visible in :meth:`stats` and a
+  cold reset is silent;
+* the ``fastpath.compiled.discards`` telemetry counter used to be bumped
+  only at dispatch-time discards, so resets and cap evictions left it
+  behind ``compiled_discards``; both are now bumped at the cache's own
+  discard points.
 """
 
 from __future__ import annotations
@@ -20,69 +19,32 @@ import pytest
 
 from repro.core import MROMObject, Principal, allow_all
 from repro.core.fastpath import InvocationCache
+from repro.telemetry import Telemetry, enabled
 
 pytestmark = [pytest.mark.fastpath, pytest.mark.compile]
 
 OWNER = Principal("mrom://cache/owner", "cache", "owner")
 
 
-def warm(cache: InvocationCache) -> None:
-    cache.lookup_table["m"] = (object(), "fixed")
-    cache.match_table[("g", "d", "m")] = (object(), 1, object(), 1)
-
-
-class TestSyncAccounting:
-    def test_cold_sync_is_not_an_invalidation(self):
-        cache = InvocationCache()
-        assert not cache.sync(7), "cold sync drops nothing"
-        assert cache.invalidations == 0
-        assert cache.generation == 7
-
-    def test_sync_same_generation_is_a_noop(self):
-        cache = InvocationCache()
-        cache.sync(3)
-        warm(cache)
-        assert not cache.sync(3)
-        assert cache.entries == 2
-        assert cache.invalidations == 0
-
-    def test_sync_counts_only_drops_of_nonempty_tables(self):
-        cache = InvocationCache()
-        cache.sync(1)
-        warm(cache)
-        assert cache.sync(2), "a warm cache crossing a generation drops"
-        assert cache.invalidations == 1
-        assert cache.entries == 0
-        # the generation moving again over empty tables is silent
-        assert not cache.sync(3)
-        assert cache.invalidations == 1
-
-    def test_sync_drop_counts_compiled_discards(self):
-        cache = InvocationCache()
-        cache.sync(1)
-        warm(cache)
-        cache.store_compiled(("g", "d", "m"), lambda caller, args: None)
-        cache.sync(2)
-        assert cache.compiled_entries == 0
-        assert cache.compiled_discards == 1
-        assert cache.invalidations == 1
+def store(cache: InvocationCache, *names: str) -> None:
+    for name in names:
+        cache.store_compiled(("g", "d", name), lambda caller, args, hit=True: None)
 
 
 class TestResetAccounting:
-    def test_reset_counts_exactly_like_sync(self):
+    def test_reset_counts_only_nonempty_drops(self):
         cache = InvocationCache()
-        cache.sync(1)
-        warm(cache)
+        assert not cache.reset(), "a cold reset is silent"
+        assert cache.invalidations == 0
+        store(cache, "m")
         assert cache.reset(), "a warm reset drops and counts"
         assert cache.invalidations == 1
-        assert cache.generation == InvocationCache._COLD
-        assert not cache.reset(), "a cold reset is silent"
+        assert not cache.reset()
         assert cache.invalidations == 1
 
     def test_reset_discards_compiled_closures(self):
         cache = InvocationCache()
-        cache.sync(1)
-        cache.store_compiled(("g", "d", "m"), lambda caller, args: None)
+        store(cache, "m")
         assert cache.reset()
         assert cache.compiled_entries == 0
         assert cache.compiled_discards == 1
@@ -100,26 +62,18 @@ class TestCompiledTableBounds:
 
     def test_discard_is_idempotent(self):
         cache = InvocationCache()
-        cache.store_compiled(("g", "d", "m"), lambda c, a: None)
+        store(cache, "m")
         cache.discard_compiled(("g", "d", "m"))
         cache.discard_compiled(("g", "d", "m"))
-        assert cache.compiled_discards == 1
-
-    def test_disable_discards_and_counts(self):
-        cache = InvocationCache()
-        cache.store_compiled(("g", "d", "m"), lambda c, a: None)
-        cache.set_compiled(False)
-        assert not cache.compile_enabled
-        assert cache.compiled_entries == 0
         assert cache.compiled_discards == 1
 
     def test_accounting_stays_closed(self):
         """Every closure ever stored is live or counted discarded."""
         cache = InvocationCache()
-        for index in range(10):
-            cache.store_compiled(("g", "d", f"m{index}"), lambda c, a: None)
+        store(cache, *(f"m{index}" for index in range(10)))
         cache.discard_compiled(("g", "d", "m4"))
-        cache.sync(1)  # aligns cold; tables hold closures -> drop
+        assert cache.compiled_entries == cache.compiles - cache.compiled_discards
+        cache.reset()
         assert cache.compiled_entries == cache.compiles - cache.compiled_discards
 
 
@@ -135,18 +89,20 @@ def build_subject() -> MROMObject:
 
 class TestLiveObjectAccounting:
     def test_fresh_object_first_invoke_counts_no_invalidation(self):
-        """The headline regression: invoking a fresh object cold-syncs
-        the cache, which must not register as an invalidation."""
+        """The first call compiles from a cold cache: nothing was cached,
+        so nothing was invalidated."""
         obj = build_subject()
         assert obj.invoke("get_base", caller=OWNER) == 10
+        assert obj.fastpath.compiles == 1
         assert obj.fastpath.invalidations == 0
 
     def test_mutation_counts_exactly_one_invalidation(self):
         obj = build_subject()
-        obj.invoke("get_base", caller=OWNER)  # warm
+        obj.invoke("get_base", caller=OWNER)  # compiles
         obj.invoke("addDataItem", ["scratch", 1], caller=OWNER)
-        obj.invoke("get_base", caller=OWNER)  # drops at sync
+        obj.invoke("get_base", caller=OWNER)  # stale: discard, recompile
         assert obj.fastpath.invalidations == 1
+        assert obj.fastpath.compiles == 2
 
     def test_fastpath_reset_counts_when_warm_only(self):
         obj = build_subject()
@@ -155,3 +111,38 @@ class TestLiveObjectAccounting:
         obj.invoke("get_base", caller=OWNER)
         obj.fastpath_reset()
         assert obj.fastpath.invalidations == 1
+
+    def test_disable_drops_closures(self):
+        obj = build_subject()
+        obj.invoke("get_base", caller=OWNER)
+        obj.enable_fastpath(False)
+        assert obj.fastpath is None
+        assert obj.invoke("get_base", caller=OWNER) == 10
+        obj.enable_fastpath(True)
+        assert obj.fastpath.compiled_entries == obj.fastpath.compiles == 0
+
+    def test_discard_counter_matches_attribute(self):
+        """``fastpath.compiled.discards`` and ``compiled_discards`` agree
+        after a dispatch discard, a cap eviction and a reset."""
+        obj = build_subject()
+        cache = obj.fastpath
+        with enabled(Telemetry()) as tel:
+            def agree() -> None:
+                counter = tel.metrics.counter_value("fastpath.compiled.discards")
+                assert counter == cache.compiled_discards
+
+            obj.invoke("get_base", caller=OWNER)
+            obj.invoke("addDataItem", ["scratch", 1], caller=OWNER)
+            obj.invoke("get_base", caller=OWNER)  # dispatch discard
+            assert cache.compiled_discards == 1
+            agree()
+            store(cache, *(f"m{index}" for index in range(cache.COMPILED_CAP)))
+            assert cache.compiled_discards == 2  # cap eviction
+            agree()
+            obj.fastpath_reset()
+            assert cache.compiled_discards == 2 + cache.COMPILED_CAP
+            agree()
+            assert (
+                tel.metrics.counter_value("fastpath.invalidations")
+                == cache.invalidations == 2
+            )

