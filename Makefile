@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos lint lint-tests bench bench-fastpath fastpath bench-compile compile-tests load-smoke load-tests recover-smoke recovery-tests bench-recovery cluster-smoke cluster-tests bench-cluster examples series check all trace-smoke analyze sanitize-smoke bench-analysis
+.PHONY: install test chaos lint lint-tests bench bench-fastpath fastpath bench-compile compile-tests load-smoke load-tests recover-smoke recovery-tests bench-recovery cluster-smoke cluster-tests bench-cluster bench-e2e bench-compare codec-tests examples series check all trace-smoke analyze sanitize-smoke bench-analysis
 
 install:
 	$(PYTHON) setup.py develop || pip install -e .
@@ -108,6 +108,25 @@ cluster-tests:
 # BENCH_cluster.json.
 bench-cluster:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_perf14_cluster.py --benchmark-only -q
+
+# The end-to-end benchmark (BENCHMARK.json): every workload for seeds
+# SEED .. SEED+N-1, one report file per run under OUT.
+N ?= 10
+SEED ?= 1
+OUT ?= .bench/e2e
+bench-e2e:
+	PYTHONPATH=src $(PYTHON) -m benchmarks.e2e run --seconds 15 --seed $(SEED) --repeat $(N) --out-dir $(OUT)
+
+# Judge result set B against result set A (directories of report
+# files written by bench-e2e): medians, spreads, better/worse verdicts.
+bench-compare:
+	PYTHONPATH=src $(PYTHON) -m benchmarks.e2e compare $(A) $(B)
+
+# The wire codec: golden byte vectors, the decoder fuzz (marker: fuzz)
+# and the marshal round-trip/strictness suite.
+codec-tests:
+	PYTHONPATH=src $(PYTHON) -m pytest -q -m fuzz tests/
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/net/test_marshal.py tests/net/test_wire_vectors.py
 
 series: bench
 	@echo; for f in benchmarks/out/*.txt; do echo "--- $$f"; cat $$f; echo; done

@@ -33,8 +33,10 @@ decoder misbehave, only fail.
 
 from __future__ import annotations
 
+import itertools
 import struct
 import threading
+from collections.abc import Hashable
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..core.errors import MarshalError
@@ -107,13 +109,17 @@ MAX_COLLECTION = 1_000_000
 # encode/decode fast-paths
 #
 # None of these change a single wire byte — they trade memory for the
-# allocations that dominate marshalling cost on hot RMI paths:
+# allocations and Python calls that dominate marshalling cost on hot RMI
+# paths:
 #
+# * type dispatch in the encoder and tag dispatch in the decoder, with
+#   the common children of a collection (short text, small ints, null,
+#   booleans) written and read inline instead of by a recursive call;
 # * a small pool of output buffers, so marshal() stops allocating (and
-#   growing) a fresh bytearray per message — list pop/append are atomic,
-#   so the pool is safe under the threaded TCP gateway;
+#   growing) a fresh bytearray per message — one lock guards the pool
+#   and its running weight under the threaded TCP gateway;
 # * precomputed encodings for small integers (args, counts, lamport
-#   clocks are overwhelmingly small);
+#   clocks are overwhelmingly small) and for one-byte collection heads;
 # * an interning table for short strings and references (method names,
 #   payload keys and GUIDs recur endlessly), bounded and dropped
 #   wholesale on overflow so a hostile peer cannot grow it unboundedly;
@@ -132,8 +138,11 @@ _BUFFER_RETAIN = 1 << 16
 #: alone would let eight maximum-size frames pin 8x64KiB indefinitely
 _BUFFER_POOL_BYTES = 1 << 18
 
-#: serializes the (rare) eviction pass; pop/append stay lockless
+#: guards the pool list and its running weight together
 _POOL_LOCK = threading.Lock()
+#: total weight of the buffers in the pool, kept in step with every
+#: append and pop so a release never has to sum the pool
+_pool_weight = 0
 
 
 def _release_buffer(buf: bytearray) -> None:
@@ -145,30 +154,28 @@ def _release_buffer(buf: bytearray) -> None:
     worth keeping, and one burst of irregular large frames must not
     displace them or pin their capacity.
     """
+    global _pool_weight
     weight = len(buf)
     if weight > _BUFFER_RETAIN:
         return
     buf.clear()
     pool = _BUFFER_POOL
-    pool.append((weight, buf))  # atomic: safe under gateway threads
-    if len(pool) > _BUFFER_POOL_CAP or sum(w for w, _ in pool) > _BUFFER_POOL_BYTES:
-        with _POOL_LOCK:
-            try:
-                while pool and (
-                    len(pool) > _BUFFER_POOL_CAP
-                    or sum(w for w, _ in pool) > _BUFFER_POOL_BYTES
-                ):
-                    largest = max(range(len(pool)), key=lambda i: pool[i][0])
-                    pool.pop(largest)
-            except (IndexError, ValueError):  # pragma: no cover - races
-                pass  # a concurrent pop shrank the pool under us: bounded anyway
+    with _POOL_LOCK:  # the gateway marshals on several threads
+        pool.append((weight, buf))
+        _pool_weight += weight
+        while len(pool) > _BUFFER_POOL_CAP or _pool_weight > _BUFFER_POOL_BYTES:
+            largest = max(range(len(pool)), key=lambda i: pool[i][0])
+            _pool_weight -= pool.pop(largest)[0]
 
 
 def _checkout_buffer() -> bytearray:
-    try:
-        return _BUFFER_POOL.pop()[1]  # atomic: safe under gateway threads
-    except IndexError:
-        return bytearray()
+    global _pool_weight
+    with _POOL_LOCK:
+        if _BUFFER_POOL:
+            weight, buf = _BUFFER_POOL.pop()
+            _pool_weight -= weight
+            return buf
+    return bytearray()
 
 
 def _pool_snapshot() -> tuple[int, int]:
@@ -176,16 +183,11 @@ def _pool_snapshot() -> tuple[int, int]:
     entries = list(_BUFFER_POOL)
     return len(entries), sum(weight for weight, _ in entries)
 
+
 _INTERN_MAX_CHARS = 64
 _INTERN_CAP = 4096
 
-
-def _encode_int(value: int) -> bytes:
-    out = bytearray((_TAG_INT,))
-    _write_varint(out, _zigzag(value))
-    return bytes(out)
-
-
+#: the complete encodings of the ints -64..256
 _SMALL_INTS: dict[int, bytes] = {}
 _TEXT_INTERN: dict[str, bytes] = {}
 _REF_INTERN: dict[tuple[str, str], bytes] = {}
@@ -194,13 +196,16 @@ _DECODE_INTERN: dict[bytes, str] = {}
 
 def _reset_fastpath_state() -> None:
     """Drop all pooled buffers and interning tables (tests, tuning)."""
-    _BUFFER_POOL.clear()
+    global _pool_weight
+    with _POOL_LOCK:
+        _BUFFER_POOL.clear()
+        _pool_weight = 0
     _TEXT_INTERN.clear()
     _REF_INTERN.clear()
     _DECODE_INTERN.clear()
     _SMALL_INTS.clear()
     for n in range(-64, 257):
-        _SMALL_INTS[n] = _encode_int(n)
+        _SMALL_INTS[n] = _head(_TAG_INT, _zigzag(n))
 
 
 class Reference:
@@ -267,6 +272,14 @@ def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
             raise MarshalError("varint too long")
 
 
+def _head(tag: int, value: int) -> bytes:
+    """A tag byte followed by *value* as a varint (a length, a count or
+    a zig-zagged int)."""
+    out = bytearray((tag,))
+    _write_varint(out, value)
+    return bytes(out)
+
+
 def _zigzag(value: int) -> int:
     return (value << 1) ^ (value >> (value.bit_length() + 1)) if value < 0 else value << 1
 
@@ -283,10 +296,91 @@ _reset_fastpath_state()  # populate the small-int table
 # ---------------------------------------------------------------------------
 
 
+_REAL = struct.Struct(">d")
+#: a mapping's keys and values as one alternating stream
+_flatten = itertools.chain.from_iterable
+
+#: headers of collections whose count fits one varint byte
+_LIST_HEADS = tuple(bytes((_TAG_LIST, n)) for n in range(0x80))
+_MAPPING_HEADS = tuple(bytes((_TAG_MAPPING, n)) for n in range(0x80))
+
+
+def _text_bytes(value: str) -> bytes:
+    """The complete encoding of a plain str (tag, length, UTF-8),
+    remembered in the interning table when the text is short."""
+    raw = value.encode("utf-8")
+    encoded = _head(_TAG_TEXT, len(raw)) + raw
+    if len(value) <= _INTERN_MAX_CHARS:
+        if len(_TEXT_INTERN) >= _INTERN_CAP:
+            _TEXT_INTERN.clear()
+        _TEXT_INTERN[value] = encoded
+    return encoded
+
+
+def _reference_bytes(guid: Any, site: Any) -> bytes:
+    """The complete encoding of a reference, interned.
+
+    The payload is ``site|guid`` and the decoder splits it at the first
+    ``|``, so a site holding ``|`` or an empty guid would not come back
+    as the reference that was sent: both are refused here.
+    """
+    key = (guid, site)
+    cached = _REF_INTERN.get(key)
+    if cached is None:
+        site, guid = f"{site}", f"{guid}"
+        if not guid:
+            raise MarshalError(f"reference at site {site!r} has an empty guid")
+        if "|" in site:
+            raise MarshalError(f"reference site {site!r} contains '|'")
+        payload = f"{site}|{guid}".encode("utf-8")
+        cached = _head(_TAG_REFERENCE, len(payload)) + payload
+        if len(_REF_INTERN) >= _INTERN_CAP:
+            _REF_INTERN.clear()
+        _REF_INTERN[key] = cached
+    return cached
+
+
 def _encode(out: bytearray, value: Any, depth: int) -> None:
-    if depth > 64:
-        raise MarshalError("value nesting exceeds 64 levels")
-    if value is None:
+    """Append the encoding of *value* at nesting *depth* to *out*.
+
+    An exact ``dict``, ``list`` or ``tuple`` is written by one loop that
+    dispatches on each child's exact type: ``str``, ``int``, ``None``
+    and ``bool`` children are written inline, anything else recurses.
+    Everything that is not an exact collection — top-level scalars,
+    subclasses such as :class:`HtmlText` and ``IntEnum``, reals,
+    binary, references, objects with a ``guid`` — takes the general
+    branch, in the original ``isinstance`` order. A collection refuses
+    children deeper than 64 levels before writing any of them, which is
+    exactly where a per-value depth check would trip.
+    """
+    cls = type(value)
+    if cls is dict or cls is list or cls is tuple:
+        count = len(value)
+        if cls is dict:
+            out += _MAPPING_HEADS[count] if count < 0x80 else _head(_TAG_MAPPING, count)
+            items = _flatten(value.items())
+        else:
+            out += _LIST_HEADS[count] if count < 0x80 else _head(_TAG_LIST, count)
+            items = value
+        if count and depth >= 64:
+            raise MarshalError("value nesting exceeds 64 levels")
+        depth += 1
+        text_intern, small_ints = _TEXT_INTERN, _SMALL_INTS
+        for item in items:
+            kind = type(item)
+            if kind is str:
+                cached = text_intern.get(item)
+                out += cached if cached is not None else _text_bytes(item)
+            elif kind is int:
+                cached = small_ints.get(item)
+                out += cached if cached is not None else _head(_TAG_INT, _zigzag(item))
+            elif item is None:
+                out.append(_TAG_NULL)
+            elif kind is bool:
+                out.append(_TAG_TRUE if item else _TAG_FALSE)
+            else:
+                _encode(out, item, depth)
+    elif value is None:
         out.append(_TAG_NULL)
     elif value is True:
         out.append(_TAG_TRUE)
@@ -294,68 +388,31 @@ def _encode(out: bytearray, value: Any, depth: int) -> None:
         out.append(_TAG_FALSE)
     elif isinstance(value, int):
         cached = _SMALL_INTS.get(value)
-        if cached is not None:
-            out += cached
-        else:
-            out.append(_TAG_INT)
-            _write_varint(out, _zigzag(value))
+        out += cached if cached is not None else _head(_TAG_INT, _zigzag(value))
     elif isinstance(value, float):
         out.append(_TAG_REAL)
-        out.extend(struct.pack(">d", value))
+        out += _REAL.pack(value)
     elif isinstance(value, HtmlText):
         raw = str(value).encode("utf-8")
-        out.append(_TAG_HTML)
-        _write_varint(out, len(raw))
-        out.extend(raw)
+        out += _head(_TAG_HTML, len(raw))
+        out += raw
     elif isinstance(value, str):
-        if len(value) <= _INTERN_MAX_CHARS:
-            cached = _TEXT_INTERN.get(value)
-            if cached is None:
-                raw = value.encode("utf-8")
-                head = bytearray((_TAG_TEXT,))
-                _write_varint(head, len(raw))
-                cached = bytes(head) + raw
-                if len(_TEXT_INTERN) >= _INTERN_CAP:
-                    _TEXT_INTERN.clear()
-                _TEXT_INTERN[value] = cached
-            out += cached
-        else:
-            raw = value.encode("utf-8")
-            out.append(_TAG_TEXT)
-            _write_varint(out, len(raw))
-            out.extend(raw)
+        cached = _TEXT_INTERN.get(value)
+        out += cached if cached is not None else _text_bytes(value)
     elif isinstance(value, (bytes, bytearray, memoryview)):
         raw = bytes(value)
-        out.append(_TAG_BINARY)
-        _write_varint(out, len(raw))
-        out.extend(raw)
+        out += _head(_TAG_BINARY, len(raw))
+        out += raw
     elif isinstance(value, (list, tuple)):
-        out.append(_TAG_LIST)
-        _write_varint(out, len(value))
-        for element in value:
-            _encode(out, element, depth + 1)
+        _encode(out, list(value), depth)
     elif isinstance(value, dict):
-        out.append(_TAG_MAPPING)
-        _write_varint(out, len(value))
-        for key, val in value.items():
-            _encode(out, key, depth + 1)
-            _encode(out, val, depth + 1)
+        _encode(out, dict(value.items()), depth)
     elif isinstance(value, Reference):
-        key = (value.guid, value.site)
-        cached = _REF_INTERN.get(key)
-        if cached is None:
-            payload = f"{value.site}|{value.guid}".encode("utf-8")
-            head = bytearray((_TAG_REFERENCE,))
-            _write_varint(head, len(payload))
-            cached = bytes(head) + payload
-            if len(_REF_INTERN) >= _INTERN_CAP:
-                _REF_INTERN.clear()
-            _REF_INTERN[key] = cached
-        out += cached
+        out += _reference_bytes(value.guid, value.site)
     elif hasattr(value, "guid"):
         # an object: by-identity, tagged with its home site if it has one
         site = getattr(value, "site_id", "") or getattr(value, "site", "")
-        _encode(out, Reference(str(value.guid), str(site)), depth)
+        out += _reference_bytes(str(value.guid), str(site))
     else:
         raise MarshalError(
             f"value of type {type(value).__name__} has no wire representation"
@@ -435,79 +492,125 @@ def marshalled_size(value: Any) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: the value of every one-byte zig-zag varint
+_SMALL_UNZIGZAG = tuple(_unzigzag(byte) for byte in range(0x80))
+
+
+def _utf8(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MarshalError(f"invalid UTF-8 payload: {exc}") from exc
+
+
+def _intern_text(raw: bytes) -> str:
+    """Decode a short text payload and remember it by its bytes."""
+    text = _utf8(raw)
+    if len(_DECODE_INTERN) >= _INTERN_CAP:
+        _DECODE_INTERN.clear()
+    _DECODE_INTERN[raw] = text
+    return text
+
+
 def _decode(data: bytes, offset: int, depth: int) -> tuple[Any, int]:
-    if depth > 64:
-        raise MarshalError("value nesting exceeds 64 levels")
-    if offset >= len(data):
+    """Decode the value at *offset* (nesting *depth*) of *data*, which
+    must be ``bytes``; returns the value and the offset past it.
+
+    Dispatch is on the tag. A collection decodes its children in one
+    loop — a mapping as alternating keys and values — reading short
+    interned text, one-byte ints, booleans and null inline; other
+    children recurse. A collection refuses children deeper than 64
+    levels before reading any, as the encoder does.
+    """
+    end = len(data)
+    if offset >= end:
         raise MarshalError("truncated message")
     tag = data[offset]
     offset += 1
+    if tag == _TAG_MAPPING or tag == _TAG_LIST:
+        if offset < end and data[offset] < 0x80:
+            count = data[offset]
+            offset += 1
+        else:
+            count, offset = _read_varint(data, offset)
+        if count > MAX_COLLECTION:
+            kind = "mapping" if tag == _TAG_MAPPING else "list"
+            raise MarshalError(f"{kind} length {count} exceeds limit")
+        if count and depth >= 64:
+            raise MarshalError("value nesting exceeds 64 levels")
+        depth += 1
+        items: list = []
+        append = items.append
+        interned = _DECODE_INTERN
+        for _ in range(count * 2 if tag == _TAG_MAPPING else count):
+            if offset >= end:
+                raise MarshalError("truncated message")
+            child = data[offset]
+            if child == _TAG_TEXT and offset + 1 < end and data[offset + 1] <= _INTERN_MAX_CHARS:
+                start = offset + 2
+                offset = start + data[offset + 1]
+                if offset > end:
+                    raise MarshalError("truncated payload")
+                raw = data[start:offset]
+                text = interned.get(raw)
+                append(text if text is not None else _intern_text(raw))
+            elif child == _TAG_INT and offset + 1 < end and data[offset + 1] < 0x80:
+                append(_SMALL_UNZIGZAG[data[offset + 1]])
+                offset += 2
+            elif child == _TAG_TRUE:
+                append(True)
+                offset += 1
+            elif child == _TAG_FALSE:
+                append(False)
+                offset += 1
+            elif child == _TAG_NULL:
+                append(None)
+                offset += 1
+            else:
+                value, offset = _decode(data, offset, depth)
+                append(value)
+        if tag == _TAG_LIST:
+            return items, offset
+        pairs = iter(items)
+        try:
+            return dict(zip(pairs, pairs)), offset
+        except TypeError as exc:
+            # only a decoded list or mapping can be an unhashable key
+            key = next(key for key in items[::2] if not isinstance(key, Hashable))
+            raise MarshalError(f"unhashable mapping key {key!r}") from exc
+    if tag in (_TAG_TEXT, _TAG_HTML, _TAG_BINARY, _TAG_REFERENCE):
+        length, offset = _read_varint(data, offset)
+        if offset + length > end:
+            raise MarshalError("truncated payload")
+        raw = data[offset:offset + length]
+        offset += length
+        if tag == _TAG_TEXT:
+            if length <= _INTERN_MAX_CHARS:
+                text = _DECODE_INTERN.get(raw)
+                return (text if text is not None else _intern_text(raw)), offset
+            return _utf8(raw), offset
+        if tag == _TAG_BINARY:
+            return raw, offset
+        if tag == _TAG_HTML:
+            return HtmlText(_utf8(raw)), offset
+        text = _utf8(raw)
+        site, _sep, guid = text.partition("|")
+        if not guid:
+            raise MarshalError(f"malformed reference payload {text!r}")
+        return Reference(guid, site), offset
+    if tag == _TAG_INT:
+        raw, offset = _read_varint(data, offset)
+        return _unzigzag(raw), offset
     if tag == _TAG_NULL:
         return None, offset
     if tag == _TAG_TRUE:
         return True, offset
     if tag == _TAG_FALSE:
         return False, offset
-    if tag == _TAG_INT:
-        raw, offset = _read_varint(data, offset)
-        return _unzigzag(raw), offset
     if tag == _TAG_REAL:
-        if offset + 8 > len(data):
+        if offset + 8 > end:
             raise MarshalError("truncated real")
-        return struct.unpack(">d", data[offset:offset + 8])[0], offset + 8
-    if tag in (_TAG_TEXT, _TAG_HTML, _TAG_BINARY, _TAG_REFERENCE):
-        length, offset = _read_varint(data, offset)
-        if offset + length > len(data):
-            raise MarshalError("truncated payload")
-        raw = data[offset:offset + length]
-        offset += length
-        if tag == _TAG_BINARY:
-            return bytes(raw), offset
-        if type(raw) is not bytes:  # memoryview input (zero-copy frames)
-            raw = bytes(raw)
-        if tag == _TAG_TEXT and length <= _INTERN_MAX_CHARS:
-            interned = _DECODE_INTERN.get(raw)
-            if interned is not None:
-                return interned, offset
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MarshalError(f"invalid UTF-8 payload: {exc}") from exc
-        if tag == _TAG_TEXT and length <= _INTERN_MAX_CHARS:
-            if len(_DECODE_INTERN) >= _INTERN_CAP:
-                _DECODE_INTERN.clear()
-            _DECODE_INTERN[raw] = text
-            return text, offset
-        if tag == _TAG_HTML:
-            return HtmlText(text), offset
-        if tag == _TAG_REFERENCE:
-            site, _sep, guid = text.partition("|")
-            if not guid:
-                raise MarshalError(f"malformed reference payload {text!r}")
-            return Reference(guid, site), offset
-        return text, offset
-    if tag == _TAG_LIST:
-        count, offset = _read_varint(data, offset)
-        if count > MAX_COLLECTION:
-            raise MarshalError(f"list length {count} exceeds limit")
-        elements = []
-        for _ in range(count):
-            element, offset = _decode(data, offset, depth + 1)
-            elements.append(element)
-        return elements, offset
-    if tag == _TAG_MAPPING:
-        count, offset = _read_varint(data, offset)
-        if count > MAX_COLLECTION:
-            raise MarshalError(f"mapping length {count} exceeds limit")
-        mapping = {}
-        for _ in range(count):
-            key, offset = _decode(data, offset, depth + 1)
-            value, offset = _decode(data, offset, depth + 1)
-            try:
-                mapping[key] = value
-            except TypeError as exc:
-                raise MarshalError(f"unhashable mapping key {key!r}") from exc
-        return mapping, offset
+        return _REAL.unpack_from(data, offset)[0], offset + 8
     raise MarshalError(f"unknown tag byte 0x{tag:02x}")
 
 
@@ -515,10 +618,12 @@ def unmarshal(message: bytes | bytearray | memoryview) -> Any:
     """Decode a complete wire message; strict about framing.
 
     Accepts a :class:`memoryview` (e.g. a :class:`MarshalFrame` view)
-    as well as bytes, so zero-copy producers feed the decoder without
-    an intermediate copy.
+    or a ``bytearray`` as well as bytes; either is copied to ``bytes``
+    once up front, so the decoder slices and interns plain bytes.
     """
-    if bytes(message[: len(MAGIC)]) != MAGIC:
+    if type(message) is not bytes:
+        message = bytes(message)
+    if not message.startswith(MAGIC):
         raise MarshalError("bad magic: not an MRM1 message")
     value, offset = _decode(message, len(MAGIC), 0)
     if offset != len(message):
@@ -543,43 +648,65 @@ def unmarshal(message: bytes | bytearray | memoryview) -> Any:
 # eager path.
 
 
-def _skip(data, offset: int, depth: int) -> int:
-    """Advance past one encoded value, validating bounds only."""
-    if depth > 64:
-        raise MarshalError("value nesting exceeds 64 levels")
-    if offset >= len(data):
+def _skip(data: bytes, offset: int, depth: int) -> int:
+    """Advance past one encoded value, validating bounds only.
+
+    The same checks as :func:`_decode` except UTF-8 validity, which is
+    checked when a payload is first decoded: that is the lazy path's
+    one deliberate difference from the eager one. Inside a collection, null,
+    booleans, one-byte ints and text with a one-byte length are stepped
+    over inline.
+    """
+    end = len(data)
+    if offset >= end:
         raise MarshalError("truncated message")
     tag = data[offset]
     offset += 1
-    if tag in (_TAG_NULL, _TAG_TRUE, _TAG_FALSE):
+    if tag == _TAG_MAPPING or tag == _TAG_LIST:
+        count, offset = _read_varint(data, offset)
+        if count > MAX_COLLECTION:
+            kind = "mapping" if tag == _TAG_MAPPING else "list"
+            raise MarshalError(f"{kind} length {count} exceeds limit")
+        if count and depth >= 64:
+            raise MarshalError("value nesting exceeds 64 levels")
+        depth += 1
+        for _ in range(count * 2 if tag == _TAG_MAPPING else count):
+            if offset >= end:
+                raise MarshalError("truncated message")
+            child = data[offset]
+            if child == _TAG_NULL or child == _TAG_TRUE or child == _TAG_FALSE:
+                offset += 1
+            elif child == _TAG_INT and offset + 1 < end and data[offset + 1] < 0x80:
+                offset += 2
+            elif child == _TAG_TEXT and offset + 1 < end and data[offset + 1] < 0x80:
+                offset += 2 + data[offset + 1]
+                if offset > end:
+                    raise MarshalError("truncated payload")
+            else:
+                offset = _skip(data, offset, depth)
         return offset
+    if tag in (_TAG_TEXT, _TAG_HTML, _TAG_BINARY, _TAG_REFERENCE):
+        length, offset = _read_varint(data, offset)
+        stop = offset + length
+        if stop > end:
+            raise MarshalError("truncated payload")
+        if tag == _TAG_REFERENCE:
+            # the decoder's form check, on bytes: ``|`` never occurs
+            # inside a multi-byte UTF-8 sequence
+            bar = data.find(b"|", offset, stop)
+            if bar < 0 or bar == stop - 1:
+                text = data[offset:stop].decode("utf-8", "replace")
+                raise MarshalError(f"malformed reference payload {text!r}")
+        return stop
     if tag == _TAG_INT:
         _, offset = _read_varint(data, offset)
         return offset
+    if tag == _TAG_NULL or tag == _TAG_TRUE or tag == _TAG_FALSE:
+        return offset
     if tag == _TAG_REAL:
-        if offset + 8 > len(data):
+        if offset + 8 > end:
             raise MarshalError("truncated real")
         return offset + 8
-    if tag in (_TAG_TEXT, _TAG_HTML, _TAG_BINARY, _TAG_REFERENCE):
-        length, offset = _read_varint(data, offset)
-        if offset + length > len(data):
-            raise MarshalError("truncated payload")
-        return offset + length
-    if tag == _TAG_LIST:
-        count, offset = _read_varint(data, offset)
-        if count > MAX_COLLECTION:
-            raise MarshalError(f"list length {count} exceeds limit")
-        for _ in range(count):
-            offset = _skip(data, offset, depth + 1)
-        return offset
-    if tag == _TAG_MAPPING:
-        count, offset = _read_varint(data, offset)
-        if count > MAX_COLLECTION:
-            raise MarshalError(f"mapping length {count} exceeds limit")
-        for _ in range(count):
-            offset = _skip(data, offset, depth + 1)
-            offset = _skip(data, offset, depth + 1)
-        return offset
     raise MarshalError(f"unknown tag byte 0x{tag:02x}")
 
 

@@ -59,6 +59,9 @@ __all__ = ["Site"]
 
 Handler = Callable[[Message], Any]
 
+#: exact types that cross the site boundary unchanged
+_PLAIN = frozenset((str, int, float, bool, type(None), bytes))
+
 
 class Site:
     """One host: registry, naming, and the wire protocol."""
@@ -709,7 +712,25 @@ class Site:
     # ------------------------------------------------------------------
 
     def export_value(self, value: Any) -> Any:
-        """Turn local object identities into wire references (recursively)."""
+        """Turn local object identities into wire references (recursively).
+
+        Exact-type scalars return at once, and an exact ``dict``, ``list``
+        or ``tuple`` copies its plain children without a recursive call;
+        anything else takes the general walk below, with the same result.
+        """
+        cls = type(value)
+        if cls in _PLAIN:
+            return value
+        if cls is dict:
+            return {
+                key: val if type(val) in _PLAIN else self.export_value(val)
+                for key, val in value.items()
+            }
+        if cls is list or cls is tuple:
+            return [
+                element if type(element) in _PLAIN else self.export_value(element)
+                for element in value
+            ]
         if isinstance(value, MROMObject):
             site = self.site_id if value.guid in self._objects else ""
             return Reference(value.guid, site)
@@ -726,7 +747,24 @@ class Site:
         return value
 
     def import_value(self, value: Any) -> Any:
-        """Turn wire references into local objects or remote proxies."""
+        """Turn wire references into local objects or remote proxies.
+
+        The same fast paths as :meth:`export_value`; tuples are not wire
+        values and pass through untouched.
+        """
+        cls = type(value)
+        if cls in _PLAIN:
+            return value
+        if cls is dict:
+            return {
+                key: val if type(val) in _PLAIN else self.import_value(val)
+                for key, val in value.items()
+            }
+        if cls is list:
+            return [
+                element if type(element) in _PLAIN else self.import_value(element)
+                for element in value
+            ]
         if isinstance(value, Reference):
             if value.site == self.site_id and value.guid in self._objects:
                 return self._objects[value.guid]

@@ -305,3 +305,47 @@ class TestLazyDecoding:
         view = unmarshal_lazy(wire)
         wire[:] = b"\x00" * len(wire)  # corrupt the original afterwards
         assert view["k"] == "value"
+
+
+class TestBufferPoolThreads:
+    def test_running_weight_survives_concurrent_checkout_and_release(self):
+        # the gateway marshals on several threads: the pool's running
+        # weight must stay equal to the sum of its entries, which a
+        # lost read-modify-write would break
+        import sys
+        import threading
+
+        marshal_mod = importlib.import_module("repro.net.marshal")
+        marshal_mod._reset_fastpath_state()
+        # more threads than pooled buffers, and frames large enough that
+        # a few exceed the weight cap, so releases keep evicting
+        values = [{"k": list(range(n))} for n in (1, 50, 400)]
+        values += [{"blob": b"x" * n} for n in (40_000, 60_000)]
+        errors = []
+
+        def churn(seed):
+            try:
+                for i in range(100):
+                    value = values[(seed + i) % len(values)]
+                    with marshal_mod.marshal_frame(value) as frame:
+                        assert unmarshal(frame.view) == value
+                    marshal(value)
+            except Exception as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(n,)) for n in range(12)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        count, weight = marshal_mod._pool_snapshot()
+        assert weight == marshal_mod._pool_weight
+        assert count <= marshal_mod._BUFFER_POOL_CAP
+        assert weight <= marshal_mod._BUFFER_POOL_BYTES
