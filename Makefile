@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos lint lint-tests bench bench-fastpath fastpath bench-compile compile-tests load-smoke load-tests recover-smoke recovery-tests bench-recovery cluster-smoke cluster-tests bench-cluster bench-e2e bench-compare codec-tests examples series check all trace-smoke analyze sanitize-smoke bench-analysis
+.PHONY: install test chaos lint lint-tests bench bench-fastpath fastpath bench-compile compile-tests load-smoke load-tests recover-smoke recovery-tests bench-recovery cluster-smoke cluster-tests bench-cluster bench-e2e bench-compare seeded-outputs codec-tests examples series check all trace-smoke analyze sanitize-smoke bench-analysis
 
 install:
 	$(PYTHON) setup.py develop || pip install -e .
@@ -121,6 +121,16 @@ bench-e2e:
 # files written by bench-e2e): medians, spreads, better/worse verdicts.
 bench-compare:
 	PYTHONPATH=src $(PYTHON) -m benchmarks.e2e compare $(A) $(B)
+
+# The seeded chaos/load/cluster reports (seed 1), one file each under
+# OUT (default .bench/seeded). Run it in two checkouts and `cmp` the
+# files: a refactor must leave them byte-identical, or say why not.
+seeded-outputs: OUT = .bench/seeded
+seeded-outputs:
+	mkdir -p $(OUT)
+	for cmd in chaos load cluster; do \
+		PYTHONPATH=src $(PYTHON) -m repro $$cmd --seed 1 > $(OUT)/$$cmd.txt || exit 1; \
+	done
 
 # The wire codec: golden byte vectors, the decoder fuzz (marker: fuzz)
 # and the marshal round-trip/strictness suite.

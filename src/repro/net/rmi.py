@@ -6,13 +6,15 @@ simulator until the matching reply lands (synchronous semantics, like
 RMI), and returns the decoded result — or re-raises the remote failure
 as :class:`~repro.core.errors.RemoteInvocationError`.
 
-Remote calls may carry a :class:`RetryPolicy`: each attempt gets a
-per-request timeout (a scheduled simulator event, so timeouts are as
-deterministic as everything else), failed attempts back off
-exponentially, and every attempt of one logical request shares a single
-``request_id`` — the receiving site executes it at most once and replays
-the recorded reply to retries, which is what makes retrying
-non-idempotent operations safe (see ``docs/FAULTS.md``).
+Every request, blocking or not, is one :class:`AsyncCall`: the blocking
+:meth:`Site.request <repro.net.site.Site.request>` only waits on it. Each
+call mints one ``request_id`` that all its attempts share, so the
+receiving site executes it at most once and replays the recorded reply
+to retries and duplicates, which is what makes retrying non-idempotent
+operations safe (see ``docs/FAULTS.md``). Under a :class:`RetryPolicy`
+each attempt gets a timeout (a scheduled simulator event, so timeouts
+are as deterministic as everything else), and failed or shed attempts
+back off exponentially.
 
 Remote references are themselves weakly-typed *reference* values: they
 expose a ``guid``, so they classify as :data:`repro.core.values.Kind.REFERENCE`
@@ -23,10 +25,11 @@ references), and returned from methods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence, TYPE_CHECKING
+from typing import Any, Mapping, Sequence, TYPE_CHECKING
 
 from ..core.acl import Principal
 from ..core.errors import (
+    MROMError,
     NetworkError,
     OverloadError,
     RemoteInvocationError,
@@ -202,41 +205,54 @@ class RemoteRef:
         return f"RemoteRef({self.guid} @ {self.site}{label})"
 
 
-def remote_error_from(payload: dict) -> RemoteInvocationError:
-    """Rebuild a remote failure as a local exception."""
-    return RemoteInvocationError(
-        payload.get("message", "remote invocation failed"),
-        remote_type=payload.get("error", ""),
-    )
+#: refusals a server issues before executing anything; every client path
+#: keeps their type so the caller can back off or re-resolve and retry
+_REFUSALS = frozenset(("OverloadError", "StaleLeaseError"))
+
+
+def reply_error(body: Mapping, blocking: bool) -> MROMError:
+    """The failure an ``{ok: False, error, message}`` reply envelope carries.
+
+    A *blocking* caller gets :class:`~repro.core.errors.RemoteInvocationError`
+    with ``remote_type`` set, except for the two refusals in
+    :data:`_REFUSALS`; any other caller gets every known name rebuilt as
+    its own class (:func:`~repro.core.errors.error_for_name`).
+    """
+    name = str(body.get("error", ""))
+    message = str(body.get("message", "remote failure"))
+    if blocking and name not in _REFUSALS:
+        return RemoteInvocationError(message, remote_type=name)
+    return error_for_name(name, message)
 
 
 # ---------------------------------------------------------------------------
-# async RMI: futures resolved by the event loop, not by pumping per call
+# the client half of every request: futures resolved by the event loop
 # ---------------------------------------------------------------------------
 
 
 class AsyncCall:
-    """The client half of one non-blocking logical request.
+    """The client half of one logical request.
 
-    Where :meth:`Site.request` pumps the kernel to completion per call,
-    an async call is pure event-loop state: the request is sent, the
-    future is returned immediately, and the reply — whenever a pump
-    delivers it — settles the future. Timeouts and retries are ordinary
-    scheduled simulator events sharing one ``request_id`` (the receiver
-    still executes the logical request at most once), so a site can keep
-    an arbitrary window of requests in flight across the simulated WAN.
+    The request is sent and :attr:`future` returned at once; the reply,
+    whenever a pump delivers it, settles the future. Timeouts and retries
+    are ordinary scheduled simulator events sharing one ``request_id``
+    (the receiver executes the logical request at most once), so a site
+    can keep any number of requests in flight across the simulated WAN,
+    and a reply that lands while a retry is backing off settles the call
+    at once. A blocking :meth:`Site.request` is a wait on one of these.
 
-    Remote failures settle the future with the *typed* rebuilt error
-    (:func:`repro.core.errors.error_for_name`): a shed request fails as
-    :class:`~repro.core.errors.OverloadError`, a denial as
-    ``AccessDeniedError`` — the structured contract the load drivers and
-    admission tests rely on.
+    *blocking* selects the error contract (see :func:`reply_error`): the
+    blocking contract keeps ``RemoteInvocationError`` for remote failures,
+    the async one rebuilds every known name typed — the structured
+    contract the load drivers and admission tests rely on. A blocking
+    call also puts its ``rmi.timeout``/``rmi.retry`` events on the
+    caller's ``rmi.<kind>`` span, which is current when it starts.
     """
 
     __slots__ = (
         "site", "dst", "kind", "wire_payload", "policy", "future",
         "request_id", "issued_at", "attempt", "attempt_ids", "sent_any",
-        "_timer", "hb_clock",
+        "_timer", "hb_clock", "blocking", "span", "reply_id",
     )
 
     def __init__(
@@ -246,14 +262,14 @@ class AsyncCall:
         kind: str,
         wire_payload: Any,
         policy: "RetryPolicy | None",
-        future: BatchFuture,
+        blocking: bool = False,
     ):
         self.site = site
         self.dst = dst
         self.kind = kind
         self.wire_payload = wire_payload
         self.policy = policy
-        self.future = future
+        self.future = BatchFuture()
         self.request_id = site.mint_request_id()
         self.issued_at = site.network.now
         self.attempt = 0
@@ -261,6 +277,10 @@ class AsyncCall:
         self.sent_any = False
         self._timer = None
         self.hb_clock = None  # issuer's vector clock, when sanitizing
+        self.blocking = blocking
+        tel = _telemetry.ACTIVE
+        self.span = tel.current_span if blocking and tel is not None else None
+        self.reply_id: int | None = None  # the attempt the settling reply answered
 
     # -- sending ---------------------------------------------------------
 
@@ -295,12 +315,11 @@ class AsyncCall:
 
     def on_reply(self, message: "Message") -> None:
         """A reply to any attempt of this logical request landed."""
-        if self._timer is not None:
-            self.site.network.simulator.cancel(self._timer)
-            self._timer = None
+        self._cancel_timer()
         self._unregister()
         if self.future.done:  # pragma: no cover - defensive
             return
+        self.reply_id = message.reply_to
         san = _sanitizer.ACTIVE
         hb_task = None
         if san is not None:
@@ -317,10 +336,7 @@ class AsyncCall:
         try:
             body = message.payload
             if isinstance(body, dict) and body.get("ok") is False:
-                error = error_for_name(
-                    str(body.get("error", "")),
-                    str(body.get("message", "remote failure")),
-                )
+                error = reply_error(body, self.blocking)
                 if isinstance(error, OverloadError) and self.policy is not None:
                     # a shed is retryable: the refusal bypassed the served
                     # ledger, so a backed-off retry of the same request_id
@@ -341,6 +357,11 @@ class AsyncCall:
         tel = _telemetry.ACTIVE
         if tel is not None:
             tel.metrics.counter("rmi.timeouts").inc()
+            if self.span is not None:
+                self.span.event(
+                    "rmi.timeout", attempt=self.attempt + 1,
+                    sim_time=self.site.network.now,
+                )
         assert self.policy is not None
         self._attempt_failed(
             RequestTimeoutError(
@@ -384,7 +405,29 @@ class AsyncCall:
         tel = _telemetry.ACTIVE
         if tel is not None:
             tel.metrics.counter("rmi.retries").inc()
+            if self.span is not None:
+                self.span.event(
+                    "rmi.retry", attempt=self.attempt + 1,
+                    request_id=self.request_id, sim_time=self.site.network.now,
+                )
         self._send_attempt()
+
+    def abandon(self) -> None:
+        """The blocking caller stopped waiting (the simulation drained or
+        the pump raised): later replies count as stale, and a scheduled
+        retry finds the future failed and stands down."""
+        if self.future.done:
+            return
+        self._cancel_timer()
+        self._unregister()
+        self.future._fail(
+            NetworkError(f"request {self.kind!r} to {self.dst!r} abandoned")
+        )
+
+    def _cancel_timer(self) -> None:
+        if self._timer is not None:
+            self.site.network.simulator.cancel(self._timer)
+            self._timer = None
 
     def _unregister(self) -> None:
         for msg_id in self.attempt_ids:
@@ -471,11 +514,11 @@ class RequestBatch:
     individual call would carry, so the receiving site executes every
     logical request **at most once** and replays recorded replies to
     retried or duplicated frames — the frame itself additionally has its
-    own ``request_id`` (minted by :meth:`Site.request`'s retry machinery)
-    for whole-frame dedup. Retry/timeout semantics and ``~trace``
-    propagation are the frame's: one ``rmi.batch`` client span covers the
-    flush and the serving site nests one ``serve.<kind>`` span per inner
-    request under its ``serve.batch``.
+    own ``request_id`` (minted by the :class:`AsyncCall` that
+    :meth:`Site.request` waits on) for whole-frame dedup. Retry/timeout
+    semantics and ``~trace`` propagation are the frame's: one
+    ``rmi.batch`` client span covers the flush and the serving site nests
+    one ``serve.<kind>`` span per inner request under its ``serve.batch``.
 
     Usable as a context manager: a clean exit flushes.
     """
@@ -516,32 +559,16 @@ class RequestBatch:
         caller: Principal | None = None,
     ) -> BatchFuture:
         return self.add(
-            "invoke",
-            {
-                "target": guid,
-                "method": method,
-                "args": list(args),
-                "caller": self.site._caller_payload(caller),
-            },
+            "invoke", self.site._invoke_payload(guid, method, args, caller)
         )
 
     def get_data(
         self, guid: str, name: str, caller: Principal | None = None
     ) -> BatchFuture:
-        return self.add(
-            "get_data",
-            {
-                "target": guid,
-                "name": name,
-                "caller": self.site._caller_payload(caller),
-            },
-        )
+        return self.add("get_data", self.site._get_data_payload(guid, name, caller))
 
     def describe(self, guid: str, caller: Principal | None = None) -> BatchFuture:
-        return self.add(
-            "describe",
-            {"target": guid, "caller": self.site._caller_payload(caller)},
-        )
+        return self.add("describe", self.site._describe_payload(guid, caller))
 
     # -- flushing --------------------------------------------------------
 
@@ -550,7 +577,8 @@ class RequestBatch:
 
         A frame-level failure (timeout with all retries exhausted,
         partition) fails every pending future with it and re-raises;
-        per-request failures stay inside their futures.
+        per-request failures stay inside their futures, rebuilt under the
+        blocking error contract (:func:`reply_error`).
         """
         entries, futures = self._entries, self._futures
         if not entries:
@@ -578,7 +606,7 @@ class RequestBatch:
             raise error
         for future, envelope in zip(futures, envelopes):
             if isinstance(envelope, dict) and envelope.get("ok") is False:
-                future._fail(remote_error_from(envelope))
+                future._fail(reply_error(envelope, blocking=True))
             elif isinstance(envelope, dict) and "result" in envelope:
                 future._resolve(envelope["result"])
             else:

@@ -27,15 +27,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Mapping, Sequence
 
 from ..core.acl import Principal
-from ..core.errors import (
-    MROMError,
-    NamingError,
-    NetworkError,
-    OverloadError,
-    RemoteInvocationError,
-    RequestTimeoutError,
-    StaleLeaseError,
-)
+from ..core.errors import MROMError, NamingError, NetworkError, OverloadError
 from ..core.introspection import describe as describe_object
 from ..core.items import ItemHandle
 from ..core.mobject import MROMObject
@@ -63,6 +55,11 @@ Handler = Callable[[Message], Any]
 _PLAIN = frozenset((str, int, float, bool, type(None), bytes))
 
 
+def _failure(error: Exception) -> dict:
+    """The reply envelope of a request that failed with *error*."""
+    return {"ok": False, "error": type(error).__name__, "message": str(error)}
+
+
 class Site:
     """One host: registry, naming, and the wire protocol."""
 
@@ -84,10 +81,8 @@ class Site:
             "ping": self._handle_ping,
             "batch": self._handle_batch,
         }
-        self._pending: dict[int, Message] = {}
-        self._awaiting: set[int] = set()
-        #: in-flight async calls keyed by attempt msg_id; replies settle
-        #: the call's future instead of parking in ``_pending``
+        #: in-flight calls (blocking or not) keyed by attempt msg_id; a
+        #: reply settles its call's future, any other reply is stale
         self._async_calls: dict[int, AsyncCall] = {}
         self._served: OrderedDict[str, Any] = OrderedDict()
         self._served_cap = 1024
@@ -113,8 +108,8 @@ class Site:
         self.inflight = 0
         self.shed_requests = 0
         #: default timeout/retry schedule for outgoing requests; None
-        #: keeps the legacy fail-fast semantics (wait until the
-        #: simulation drains, partitions raise at send time)
+        #: sends once and waits until the reply lands or the simulation
+        #: drains (a partition still fails at send time)
         self.retry_policy: RetryPolicy | None = None
         self.stale_replies = 0
         self.replayed_requests = 0
@@ -212,13 +207,12 @@ class Site:
     def receive(self, message: Message) -> None:
         """Transport delivery entry point.
 
-        Replies are matched against the set of requests still awaited
-        (settling the future directly for async calls); a reply to a
-        request this site has abandoned (timed out, or a previous
-        incarnation's) is discarded rather than leaking into
-        ``_pending`` forever. Requests carrying a ``request_id`` are
-        executed **at most once**: the reply is recorded and replayed to
-        any retry or duplicate delivery of the same logical request.
+        Replies settle the call still awaiting them; a reply to a request
+        this site has abandoned (timed out, or a previous incarnation's)
+        is counted stale and discarded. Requests carrying a
+        ``request_id`` are executed **at most once**: the reply is
+        recorded and replayed to any retry or duplicate delivery of the
+        same logical request.
 
         Fresh requests pass admission first: with ``inflight_limit``
         set and the window full, the request is shed with a structured
@@ -230,36 +224,29 @@ class Site:
         """
         if message.kind == "reply":
             call = self._async_calls.get(message.reply_to)
-            if call is not None:
-                call.on_reply(message)
-                return
-            if message.reply_to in self._awaiting:
-                self._pending[message.reply_to] = message
-            else:
+            if call is None:
                 self.stale_replies += 1
+            else:
+                call.on_reply(message)
             return
-        tel = _telemetry.ACTIVE
-        if message.request_id and message.request_id in self._served:
-            self.replayed_requests += 1
-            if tel is not None:
-                tel.metrics.counter("rmi.dedup_hits").inc()
-                tel.events.emit(
-                    "rmi.replay", time=self.network.now, site=self.site_id,
-                    kind=message.kind, request_id=message.request_id,
-                )
-            self._send_reply(message, self._served[message.request_id])
+        replayed = self._replay(message.kind, message.request_id)
+        if replayed is not None:
+            self._send_reply(message, replayed)
             return
         if message.request_id and message.request_id in self._in_progress:
             # a duplicate of a request still in its service window: the
             # handler ran (or will run) exactly once for the original,
             # whose reply is already on its way — answer with silence
             self.inflight_duplicates += 1
+            tel = _telemetry.ACTIVE
             if tel is not None:
                 tel.metrics.counter("rmi.inflight_dups").inc()
             return
         handler = self._handlers.get(message.kind)
         if handler is None:
-            self._reply_error(message, NetworkError(f"unknown kind {message.kind!r}"))
+            envelope = _failure(NetworkError(f"unknown kind {message.kind!r}"))
+            self._record(message.kind, message.request_id, envelope, message.payload)
+            self._send_reply(message, envelope)
             return
         if not self.try_admit(message.kind, src=message.src):
             self._shed(message)
@@ -316,17 +303,93 @@ class Site:
         retry of the same logical request deserves a fresh admission
         decision instead of an eternally replayed refusal.
         """
-        self._send_reply(
-            message,
-            {
-                "ok": False,
-                "error": "OverloadError",
-                "message": str(self.overloaded_error()),
-            },
-        )
+        self._send_reply(message, _failure(self.overloaded_error()))
+
+    # -- serving: replay, execute, record ---------------------------------
+
+    def _replay(self, kind: str, request_id: str) -> dict | None:
+        """The recorded reply to an already-served request, or None.
+
+        A replay refreshes the entry's place in the ledger, so a request
+        that keeps being retried is the last to be evicted.
+        """
+        if not request_id or request_id not in self._served:
+            return None
+        self.replayed_requests += 1
+        tel = _telemetry.ACTIVE
+        if tel is not None:
+            tel.metrics.counter("rmi.dedup_hits").inc()
+            tel.events.emit(
+                "rmi.replay", time=self.network.now, site=self.site_id,
+                kind=kind, request_id=request_id,
+            )
+        self._served.move_to_end(request_id)
+        return self._served[request_id]
+
+    def _execute(
+        self, message: Message, handler: Handler, batched: bool = False
+    ) -> dict:
+        """Run *handler* under a ``serve.<kind>`` span; return the reply
+        envelope (a failure envelope for an :class:`MROMError`)."""
+        tel = _telemetry.ACTIVE
+        span = None
+        if tel is not None:
+            # re-activate the caller's wire context: the server span
+            # parents to the remote rmi span, stitching the trace across
+            # the site boundary (a batched request without a context of
+            # its own nests under the frame's serve.batch span)
+            attrs = {
+                "site": self.site_id,
+                "src": message.src,
+                "msg_id": message.msg_id,
+                "sim_time": self.network.now,
+            }
+            if batched:
+                attrs["batched"] = True
+            else:
+                attrs["verdict"] = message.verdict
+            span = tel.begin_span(
+                f"serve.{message.kind}", attrs=attrs,
+                parent=TraceContext.from_wire(extract_trace(message.payload)),
+            )
+            tel.metrics.counter("rmi.served").inc()
+        self.handling_depth += 1
+        error: BaseException | None = None
+        try:
+            return {"ok": True, "result": self.export_value(handler(message))}
+        except MROMError as exc:
+            error = exc
+            return _failure(exc)
+        except BaseException as exc:
+            error = exc
+            raise
+        finally:
+            self.handling_depth -= 1
+            if span is not None:
+                if error is not None:
+                    span.set(error=type(error).__name__)
+                tel.end_span(span, status="ok" if error is None else "error")
+
+    def _record(
+        self, kind: str, request_id: str, envelope: dict, payload: Any
+    ) -> None:
+        """Make a reply replayable before it can reach the wire.
+
+        Even if the reply is lost, a retry replays the same outcome
+        instead of re-executing the handler: from the served ledger, or,
+        on the next incarnation, from the journal, which also makes the
+        post-execution state durable (for a request without an id too).
+        """
+        if request_id:
+            self._served[request_id] = envelope
+            self._served.move_to_end(request_id)
+            while len(self._served) > self._served_cap:
+                self._served.popitem(last=False)
+        if self.journal is not None:
+            self.journal.note_served(kind, request_id, envelope, payload)
 
     def _serve(self, message: Message, handler: Handler) -> None:
-        """Execute one admitted request and send its reply."""
+        """Execute one admitted request, record its reply and send it."""
         san = _sanitizer.ACTIVE
         hb_task = None
         if san is not None:
@@ -336,72 +399,16 @@ class Site:
             hb_task = san.begin_serve(
                 message.msg_id, label=f"serve.{message.kind}@{self.site_id}"
             )
-        tel = _telemetry.ACTIVE
-        span = None
-        if tel is not None:
-            # re-activate the caller's wire context: the server span
-            # parents to the remote rmi span, stitching the trace across
-            # the site boundary
-            remote_ctx = TraceContext.from_wire(extract_trace(message.payload))
-            span = tel.begin_span(
-                f"serve.{message.kind}",
-                attrs={
-                    "site": self.site_id,
-                    "src": message.src,
-                    "msg_id": message.msg_id,
-                    "sim_time": self.network.now,
-                    "verdict": message.verdict,
-                },
-                parent=remote_ctx,
-            )
-            tel.metrics.counter("rmi.served").inc()
-        self.handling_depth += 1
-        status = "ok"
         try:
-            try:
-                result = handler(message)
-            except MROMError as exc:
-                status = "error"
-                if span is not None:
-                    span.set(error=type(exc).__name__)
-                self._reply_error(message, exc)
-                return
-            self._reply(message, {"ok": True, "result": self.export_value(result)})
-        except BaseException as exc:
-            if status == "ok":
-                status = "error"
-                if span is not None:
-                    span.set(error=type(exc).__name__)
-            raise
+            envelope = self._execute(message, handler)
+            self._record(message.kind, message.request_id, envelope, message.payload)
+            self._send_reply(message, envelope)
         finally:
-            self.handling_depth -= 1
-            if span is not None:
-                tel.end_span(span, status=status)
             if san is not None:
                 san.end_serve(message.msg_id, hb_task)
             if message.request_id:
                 self._in_progress.discard(message.request_id)
             self.release()
-
-    def _reply(self, request: Message, payload: Any) -> None:
-        if request.request_id:
-            # record before sending: even if the reply is lost on the
-            # wire, a retry replays the same outcome instead of
-            # re-executing the handler
-            self._served[request.request_id] = payload
-            self._served.move_to_end(request.request_id)
-            while len(self._served) > self._served_cap:
-                self._served.popitem(last=False)
-        if self.journal is not None:
-            # reply and post-execution state become durable before the
-            # reply can reach the wire: a retry landing on the next
-            # incarnation replays this outcome (a request-id-less legacy
-            # request still journals the state it mutated)
-            self.journal.note_served(
-                request.kind, request.request_id or "", payload,
-                request.payload,
-            )
-        self._send_reply(request, payload)
 
     def _send_reply(self, request: Message, payload: Any) -> None:
         try:
@@ -419,15 +426,7 @@ class Site:
             # unwind an unrelated caller's simulation pump
             self.replies_unsendable += 1
 
-    def _reply_error(self, request: Message, error: Exception) -> None:
-        self._reply(
-            request,
-            {
-                "ok": False,
-                "error": type(error).__name__,
-                "message": str(error),
-            },
-        )
+    # -- the client half ----------------------------------------------------
 
     def request(
         self,
@@ -438,166 +437,61 @@ class Site:
     ) -> Any:
         """Send a request and pump the simulator until its reply arrives.
 
-        With a :class:`RetryPolicy` (per-call, or the site's default
-        ``retry_policy``), each attempt waits ``policy.timeout`` simulated
-        seconds and failed attempts back off exponentially; all attempts
-        share one ``request_id`` so the receiver executes the request at
-        most once. Without a policy: legacy semantics (pump until the
-        reply lands or the simulation drains).
+        A wait on one :class:`AsyncCall`, so a blocking request has the
+        same ``request_id`` (at-most-once execution), retry/timeout
+        schedule and shed retries as an async one: with a
+        :class:`RetryPolicy` (per-call, or the site's default
+        ``retry_policy``) each attempt waits ``policy.timeout`` simulated
+        seconds and failed attempts back off exponentially; without one
+        the request is sent once and waited for until the reply lands or
+        the simulation drains. Remote failures raise
+        :class:`~repro.core.errors.RemoteInvocationError` with
+        ``remote_type`` set, except the pre-execution refusals
+        :class:`~repro.core.errors.OverloadError` and
+        :class:`~repro.core.errors.StaleLeaseError`, which keep their type.
 
         With telemetry enabled, the whole logical request is one client
         span (``rmi.<kind>``) and the span's trace context is stamped
         into the request envelope (:data:`~repro.net.marshal.TRACE_FIELD`)
         so the serving site joins the same trace; every retry carries the
-        identical context.
+        identical context, and its ``rmi.retry``/``rmi.timeout`` events
+        land on the span.
         """
-        san = _sanitizer.ACTIVE
-        if san is not None:
-            # the pump parks this site on dst until the reply lands — a
-            # sync-wait edge; outstanding edges forming a ring is the
-            # dynamic witness the cycle.* rules must have predicted
-            san.wait_begin(self.site_id, dst)
-            try:
-                return self._request_traced(dst, kind, payload, policy)
-            finally:
-                san.wait_end(self.site_id, dst)
-        return self._request_traced(dst, kind, payload, policy)
-
-    def _request_traced(
-        self,
-        dst: str,
-        kind: str,
-        payload: Any,
-        policy: RetryPolicy | None = None,
-    ) -> Any:
         tel = _telemetry.ACTIVE
-        if tel is None:
-            return self._request(dst, kind, payload, policy)
-        span = tel.begin_span(
-            f"rmi.{kind}",
-            attrs={"src": self.site_id, "dst": dst, "sim_time": self.network.now},
-        )
-        tel.metrics.counter("rmi.requests").inc()
-        payload = attach_trace(payload, tel.context_of(span).to_wire())
-        try:
-            result = self._request(dst, kind, payload, policy)
-        except BaseException as exc:
-            span.set(error=type(exc).__name__)
-            tel.end_span(span, status="error")
-            raise
-        span.set(sim_time_done=self.network.now)
-        tel.end_span(span)
-        return result
-
-    def _request(
-        self,
-        dst: str,
-        kind: str,
-        payload: Any,
-        policy: RetryPolicy | None = None,
-    ) -> Any:
-        policy = policy if policy is not None else self.retry_policy
-        wire_payload = self.export_value(payload)
-        if policy is None:
-            msg_id = self.network.send(
-                self.site_id, dst, kind, wire_payload, lamport=self.guids.tick()
+        span = None
+        if tel is not None:
+            span = tel.begin_span(
+                f"rmi.{kind}",
+                attrs={"src": self.site_id, "dst": dst, "sim_time": self.network.now},
             )
+            tel.metrics.counter("rmi.requests").inc()
+            payload = attach_trace(payload, tel.context_of(span).to_wire())
+        try:
+            call = self._call(dst, kind, payload, policy, blocking=True)
             san = _sanitizer.ACTIVE
             if san is not None:
-                san.note_sent(msg_id)
-            self._awaiting.add(msg_id)
+                # the pump parks this site on dst until the reply lands —
+                # a sync-wait edge; outstanding edges forming a ring is
+                # the dynamic witness the cycle.* rules must have predicted
+                san.wait_begin(self.site_id, dst)
             try:
-                self.network.run_while(lambda: msg_id not in self._pending)
+                result = self.wait(call.future)
             finally:
-                self._awaiting.discard(msg_id)
-            reply = self._pending.pop(msg_id, None)
-            if reply is None:
-                raise NetworkError(
-                    f"no reply for {kind!r} from {dst!r} (simulation drained)"
-                )
-            return self._decode_reply(reply)
-        request_id = self.mint_request_id()
-        simulator = self.network.simulator
-        attempt_ids: list[int] = []
-        sent_any = False
-        last_error: NetworkError | None = None
-        try:
-            for attempt in range(policy.attempts):
-                reply = self._claim_reply(attempt_ids)
-                if reply is not None:  # a late reply landed during backoff
-                    return self._decode_reply(reply)
-                if attempt:
-                    tel = _telemetry.ACTIVE
-                    if tel is not None:
-                        tel.metrics.counter("rmi.retries").inc()
-                        span = tel.current_span
-                        if span is not None:
-                            span.event(
-                                "rmi.retry",
-                                attempt=attempt + 1,
-                                request_id=request_id,
-                                sim_time=self.network.now,
-                            )
-                try:
-                    msg_id = self.network.send(
-                        self.site_id, dst, kind, wire_payload,
-                        lamport=self.guids.tick(), request_id=request_id,
-                    )
-                except NetworkError as exc:
-                    last_error = exc
-                else:
-                    sent_any = True
-                    san = _sanitizer.ACTIVE
-                    if san is not None:
-                        san.note_sent(msg_id)
-                    attempt_ids.append(msg_id)
-                    self._awaiting.add(msg_id)
-                    expired: dict[str, bool] = {}
-                    timer = simulator.schedule(
-                        policy.timeout,
-                        lambda expired=expired: expired.setdefault("fired", True),
-                        label=f"timeout {kind} {request_id}",
-                    )
-                    self.network.run_while(
-                        lambda: "fired" not in expired
-                        and not any(m in self._pending for m in attempt_ids)
-                    )
-                    simulator.cancel(timer)
-                    reply = self._claim_reply(attempt_ids)
-                    if reply is not None:
-                        return self._decode_reply(reply)
-                    last_error = RequestTimeoutError(
-                        f"no reply for {kind!r} from {dst!r} within "
-                        f"{policy.timeout}s (attempt {attempt + 1}/{policy.attempts})"
-                    )
-                    tel = _telemetry.ACTIVE
-                    if tel is not None:
-                        tel.metrics.counter("rmi.timeouts").inc()
-                        span = tel.current_span
-                        if span is not None:
-                            span.event(
-                                "rmi.timeout",
-                                attempt=attempt + 1,
-                                sim_time=self.network.now,
-                            )
-                if attempt + 1 < policy.attempts:
-                    self._sleep(policy.backoff_for(attempt))
-            reply = self._claim_reply(attempt_ids)
-            if reply is not None:
-                return self._decode_reply(reply)
-        finally:
-            for msg_id in attempt_ids:
-                self._awaiting.discard(msg_id)
-                self._pending.pop(msg_id, None)
-        assert last_error is not None
-        if sent_any and not isinstance(last_error, RequestTimeoutError):
-            # at least one attempt reached the wire: the outcome is
-            # ambiguous even though the last failure was at send time
-            raise RequestTimeoutError(
-                f"request {kind!r} to {dst!r} unresolved after "
-                f"{policy.attempts} attempts: {last_error}"
-            ) from last_error
-        raise last_error
+                call.abandon()  # no-op once settled
+                if san is not None:
+                    # join the serving task's published clock: everything
+                    # the handler did happens-before this caller's next step
+                    san.absorb_reply(call.reply_id)
+                    san.wait_end(self.site_id, dst)
+        except BaseException as exc:
+            if span is not None:
+                span.set(error=type(exc).__name__)
+                tel.end_span(span, status="error")
+            raise
+        if span is not None:
+            span.set(sim_time_done=self.network.now)
+            tel.end_span(span)
+        return result
 
     def request_async(
         self,
@@ -610,38 +504,44 @@ class Site:
 
         The future settles when the reply is delivered during *any*
         simulator pump — :meth:`wait`, a concurrent synchronous call, or
-        an explicit ``network.run()``. With a :class:`RetryPolicy`
-        (per-call, or the site's default), timeouts and retries are
-        scheduled simulator events sharing one ``request_id``, exactly as
-        deterministic as the blocking path. Remote failures settle the
-        future with the typed rebuilt error (an
-        :class:`~repro.core.errors.OverloadError` for shed requests).
+        an explicit ``network.run()``. Retries, timeouts and the
+        ``request_id`` are those of :meth:`request` (both are one
+        :class:`AsyncCall`). Remote failures settle the future with the
+        typed rebuilt error (:func:`~repro.core.errors.error_for_name`).
 
         With telemetry enabled the call is counted and the *current*
         trace context (if any) is stamped into the envelope; no client
         span is opened — an async call is not an interval on this
         site's context stack.
         """
-        policy = policy if policy is not None else self.retry_policy
         tel = _telemetry.ACTIVE
         if tel is not None:
             tel.metrics.counter("rmi.async.requests").inc()
             context = tel.current_context()
             if context is not None:
                 payload = attach_trace(payload, context.to_wire())
-        future: BatchFuture = BatchFuture()
+        return self._call(dst, kind, payload, policy).future
+
+    def _call(
+        self,
+        dst: str,
+        kind: str,
+        payload: Any,
+        policy: RetryPolicy | None,
+        blocking: bool = False,
+    ) -> AsyncCall:
         call = AsyncCall(
-            self, dst, kind, self.export_value(payload), policy, future
+            self, dst, kind, self.export_value(payload),
+            policy if policy is not None else self.retry_policy, blocking,
         )
         call.start()
-        return future
+        return call
 
     def wait(self, future: BatchFuture) -> Any:
         """Pump the simulator until *future* settles; return its result.
 
         Raises :class:`~repro.core.errors.NetworkError` if the
-        simulation drains without the reply (mirrors the policy-free
-        blocking path).
+        simulation drains without the reply.
         """
         self.network.run_while(lambda: not future.done)
         if not future.done:
@@ -662,50 +562,6 @@ class Site:
                 f"simulation drained with {unresolved} request(s) unresolved"
             )
         return [future.result() for future in futures]
-
-    def _claim_reply(self, attempt_ids: Sequence[int]) -> Message | None:
-        """Pop the reply to whichever attempt of a logical request landed."""
-        for msg_id in attempt_ids:
-            reply = self._pending.pop(msg_id, None)
-            if reply is not None:
-                return reply
-        return None
-
-    def _sleep(self, duration: float) -> None:
-        """Advance simulated time by *duration*, serving traffic meanwhile."""
-        woken: dict[str, bool] = {}
-        self.network.simulator.schedule(
-            duration,
-            lambda: woken.setdefault("fired", True),
-            label=f"backoff {self.site_id}",
-        )
-        self.network.run_while(lambda: "fired" not in woken)
-
-    def _decode_reply(self, reply: Message) -> Any:
-        san = _sanitizer.ACTIVE
-        if san is not None:
-            # join the serving task's published clock: everything the
-            # handler did happens-before this caller's next step
-            san.absorb_reply(reply.reply_to)
-        body = reply.payload
-        if isinstance(body, Mapping) and body.get("ok") is False:
-            if body.get("error") == "OverloadError":
-                # a shed is a structured refusal, not a remote crash:
-                # surface it under its own type so callers can back off
-                raise OverloadError(body.get("message", "remote overloaded"))
-            if body.get("error") == "StaleLeaseError":
-                # a stale directory lease is likewise a pre-execution
-                # refusal; the typed error carries the current placement
-                # generation (embedded in the message) so the caller can
-                # re-resolve and retry safely
-                raise StaleLeaseError(body.get("message", "stale directory lease"))
-            raise RemoteInvocationError(
-                body.get("message", "remote failure"),
-                remote_type=body.get("error", ""),
-            )
-        if isinstance(body, Mapping) and "result" in body:
-            return self.import_value(body["result"])
-        return self.import_value(body)
 
     # ------------------------------------------------------------------
     # value conversion at the boundary
@@ -787,6 +643,22 @@ class Site:
             "name": principal.display_name,
         }
 
+    def _invoke_payload(
+        self, guid: str, method: str, args: Sequence[Any], caller: Principal | None
+    ) -> dict:
+        return {
+            "target": guid,
+            "method": method,
+            "args": list(args),
+            "caller": self._caller_payload(caller),
+        }
+
+    def _get_data_payload(self, guid: str, name: str, caller: Principal | None) -> dict:
+        return {"target": guid, "name": name, "caller": self._caller_payload(caller)}
+
+    def _describe_payload(self, guid: str, caller: Principal | None) -> dict:
+        return {"target": guid, "caller": self._caller_payload(caller)}
+
     @staticmethod
     def _caller_from(payload: Any) -> Principal:
         if not isinstance(payload, Mapping):
@@ -811,15 +683,7 @@ class Site:
         policy: RetryPolicy | None = None,
     ) -> Any:
         return self.request(
-            dst,
-            "invoke",
-            {
-                "target": guid,
-                "method": method,
-                "args": list(args),
-                "caller": self._caller_payload(caller),
-            },
-            policy=policy,
+            dst, "invoke", self._invoke_payload(guid, method, args, caller), policy
         )
 
     def remote_get_data(
@@ -831,10 +695,7 @@ class Site:
         policy: RetryPolicy | None = None,
     ) -> Any:
         return self.request(
-            dst,
-            "get_data",
-            {"target": guid, "name": name, "caller": self._caller_payload(caller)},
-            policy=policy,
+            dst, "get_data", self._get_data_payload(guid, name, caller), policy
         )
 
     def remote_describe(
@@ -845,10 +706,7 @@ class Site:
         policy: RetryPolicy | None = None,
     ) -> dict:
         return self.request(
-            dst,
-            "describe",
-            {"target": guid, "caller": self._caller_payload(caller)},
-            policy=policy,
+            dst, "describe", self._describe_payload(guid, caller), policy
         )
 
     def remote_invoke_async(
@@ -861,15 +719,7 @@ class Site:
         policy: RetryPolicy | None = None,
     ) -> BatchFuture:
         return self.request_async(
-            dst,
-            "invoke",
-            {
-                "target": guid,
-                "method": method,
-                "args": list(args),
-                "caller": self._caller_payload(caller),
-            },
-            policy=policy,
+            dst, "invoke", self._invoke_payload(guid, method, args, caller), policy
         )
 
     def remote_get_data_async(
@@ -881,10 +731,7 @@ class Site:
         policy: RetryPolicy | None = None,
     ) -> BatchFuture:
         return self.request_async(
-            dst,
-            "get_data",
-            {"target": guid, "name": name, "caller": self._caller_payload(caller)},
-            policy=policy,
+            dst, "get_data", self._get_data_payload(guid, name, caller), policy
         )
 
     def remote_describe_async(
@@ -895,10 +742,7 @@ class Site:
         policy: RetryPolicy | None = None,
     ) -> BatchFuture:
         return self.request_async(
-            dst,
-            "describe",
-            {"target": guid, "caller": self._caller_payload(caller)},
-            policy=policy,
+            dst, "describe", self._describe_payload(guid, caller), policy
         )
 
     def batch(self, dst: str, policy: RetryPolicy | None = None) -> RequestBatch:
@@ -992,31 +836,15 @@ class Site:
     def _serve_batched(self, frame: Message, entry: Any) -> dict:
         """Execute (or replay) one logical request of a batch frame."""
         if not isinstance(entry, Mapping):
-            return {
-                "ok": False,
-                "error": "NetworkError",
-                "message": f"malformed batch entry {entry!r}",
-            }
+            return _failure(NetworkError(f"malformed batch entry {entry!r}"))
         kind = str(entry.get("kind", ""))
         request_id = str(entry.get("request_id", ""))
-        tel = _telemetry.ACTIVE
-        if request_id and request_id in self._served:
-            self.replayed_requests += 1
-            if tel is not None:
-                tel.metrics.counter("rmi.dedup_hits").inc()
-                tel.events.emit(
-                    "rmi.replay", time=self.network.now, site=self.site_id,
-                    kind=kind, request_id=request_id,
-                )
-            self._served.move_to_end(request_id)
-            return self._served[request_id]
+        replayed = self._replay(kind, request_id)
+        if replayed is not None:
+            return replayed
         handler = self._handlers.get(kind)
         if handler is None or kind == "batch":  # no nested frames
-            envelope: dict = {
-                "ok": False,
-                "error": "NetworkError",
-                "message": f"unknown kind {kind!r}",
-            }
+            envelope = _failure(NetworkError(f"unknown kind {kind!r}"))
         else:
             inner = Message(
                 kind=kind,
@@ -1030,52 +858,8 @@ class Site:
                 request_id=request_id,
                 verdict=frame.verdict,
             )
-            span = None
-            if tel is not None:
-                # nests under the frame's serve.batch span (begin_span
-                # falls back to the current context), keeping the per-
-                # request server spans the unbatched path would produce
-                span = tel.begin_span(
-                    f"serve.{kind}",
-                    attrs={
-                        "site": self.site_id,
-                        "src": frame.src,
-                        "msg_id": frame.msg_id,
-                        "sim_time": self.network.now,
-                        "batched": True,
-                    },
-                    parent=TraceContext.from_wire(extract_trace(inner.payload)),
-                )
-                tel.metrics.counter("rmi.served").inc()
-            self.handling_depth += 1
-            status = "ok"
-            try:
-                result = handler(inner)
-                envelope = {"ok": True, "result": self.export_value(result)}
-            except MROMError as exc:
-                status = "error"
-                if span is not None:
-                    span.set(error=type(exc).__name__)
-                envelope = {
-                    "ok": False,
-                    "error": type(exc).__name__,
-                    "message": str(exc),
-                }
-            finally:
-                self.handling_depth -= 1
-                if span is not None:
-                    tel.end_span(span, status=status)
-        if request_id:
-            # same record-before-reply discipline as _reply: a lost frame
-            # reply must replay outcomes, not re-execute
-            self._served[request_id] = envelope
-            self._served.move_to_end(request_id)
-            while len(self._served) > self._served_cap:
-                self._served.popitem(last=False)
-            if self.journal is not None:
-                self.journal.note_served(
-                    kind, request_id, envelope, entry.get("payload")
-                )
+            envelope = self._execute(inner, handler, batched=True)
+        self._record(kind, request_id, envelope, entry.get("payload"))
         return envelope
 
     def __repr__(self) -> str:

@@ -9,7 +9,7 @@ from repro.core.errors import (
     PartitionError,
     RequestTimeoutError,
 )
-from repro.faults import DropInjector, FaultPlane
+from repro.faults import DropInjector, DuplicateInjector, FaultPlane
 from repro.net import RetryPolicy
 
 from ..conftest import build_counter
@@ -82,10 +82,33 @@ class TestRetries:
             sites["a"].remote_invoke(
                 "b", counter.guid, "increment", [1], policy=FAST
             )
-        # bookkeeping fully unwound: nothing awaited, nothing pending
-        assert sites["a"]._awaiting == set()
-        assert sites["a"]._pending == {}
+        # bookkeeping fully unwound: no attempt still awaits a reply
+        assert sites["a"]._async_calls == {}
         assert counter.get_data("count", caller=counter.owner) == 0
+
+    def test_drained_wait_unwinds_the_call(self):
+        network, sites, counter = counter_world()
+        FaultPlane(network, seed=1).add(
+            DropInjector(rate=1.0, only_kinds=["invoke"])
+        )
+        with pytest.raises(NetworkError, match="drained"):
+            sites["a"].remote_invoke("b", counter.guid, "increment", [1])
+        assert sites["a"]._async_calls == {}
+
+    def test_pump_exception_abandons_the_call(self):
+        network, sites, counter = counter_world()
+
+        def broken(message):
+            raise RuntimeError("handler bug")
+
+        sites["b"].add_handler("broken", broken)
+        with pytest.raises(RuntimeError):
+            sites["a"].request("b", "broken", {}, policy=FAST)
+        sent = network.messages_sent
+        network.run()
+        # the abandoned call's timer and retries stand down
+        assert network.messages_sent == sent
+        assert sites["a"]._async_calls == {}
 
     def test_late_reply_after_timeout_is_stale(self):
         network, sites, counter = counter_world()
@@ -98,7 +121,7 @@ class TestRetries:
             )
         network.run()  # the reply lands after the caller gave up
         assert sites["a"].stale_replies == 1
-        assert sites["a"]._pending == {}
+        assert sites["a"]._async_calls == {}
         # ...but the remote side did execute (at-least-once ambiguity)
         assert counter.get_data("count", caller=counter.owner) == 1
 
@@ -112,6 +135,59 @@ class TestRetries:
             sites["a"].remote_invoke("b", counter.guid, "increment", [1]) == 1
         )
 
+    def test_duplicated_request_without_policy_executes_once(self):
+        network, sites, counter = counter_world()
+        FaultPlane(network, seed=1).add(
+            DuplicateInjector(rate=1.0, only_kinds=["invoke"])
+        )
+        assert sites["a"].remote_invoke("b", counter.guid, "increment", [1]) == 1
+        network.run()  # the trailing copy lands after the reply
+        # every blocking request carries a request id, policy or not: the
+        # copy is answered from the served ledger, not executed again
+        assert counter.get_data("count", caller=counter.owner) == 1
+        assert sites["b"].replayed_requests == 1
+
+    def test_reply_landing_during_backoff_settles_the_call(self):
+        network, sites, counter = counter_world()
+        start = network.now
+        sites["a"].remote_invoke("b", counter.guid, "increment", [1])
+        rtt = network.now - start
+        # the first attempt times out just before its reply lands; the
+        # reply arrives while the retry is backing off and ends the wait
+        patient = RetryPolicy(attempts=2, timeout=0.75 * rtt, backoff=10 * rtt)
+        start = network.now
+        result = sites["a"].remote_invoke(
+            "b", counter.guid, "increment", [1], policy=patient
+        )
+        assert result == 2
+        assert network.now - start < 2 * rtt
+        network.run()  # the scheduled retry finds the call settled
+        assert counter.get_data("count", caller=counter.owner) == 2
+        assert sites["a"]._async_calls == {}
+        assert sites["a"].stale_replies == 0
+
+
+class TestServedLedger:
+    def test_replay_moves_the_entry_to_most_recent(self):
+        network, sites, counter = counter_world()
+        server = sites["b"]
+        server._served_cap = 4
+        for _ in range(server._served_cap):
+            sites["a"].remote_invoke(
+                "b", counter.guid, "increment", [1], policy=FAST
+            )
+        oldest = next(iter(server._served))
+        # a late duplicate of the oldest request is replayed...
+        network.send("a", "b", "invoke", {}, request_id=oldest)
+        network.run()
+        assert server.replayed_requests == 1
+        # ...which makes it the most recently used entry: the next
+        # request evicts the second-oldest instead
+        sites["a"].remote_invoke("b", counter.guid, "increment", [1], policy=FAST)
+        assert oldest in server._served
+        assert len(server._served) == server._served_cap
+        assert counter.get_data("count", caller=counter.owner) == 5
+
 
 class TestPartitionSemantics:
     def test_legacy_no_policy_path_raises_immediately(self):
@@ -119,8 +195,7 @@ class TestPartitionSemantics:
         network.topology.set_link_state("a", "b", False)
         with pytest.raises(PartitionError):
             sites["a"].remote_invoke("b", counter.guid, "increment", [1])
-        assert sites["a"]._awaiting == set()
-        assert sites["a"]._pending == {}
+        assert sites["a"]._async_calls == {}
 
     def test_policy_with_nothing_sent_stays_atomic(self):
         network, sites, counter = counter_world()

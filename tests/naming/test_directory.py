@@ -201,6 +201,27 @@ class TestDirectoryClient:
             )
         assert not isinstance(caught.value, RemoteInvocationError)
 
+    def test_batched_stale_keeps_its_type(self):
+        network, sites, ring, managers, clients = cluster_world()
+        name = "apps/k0"
+        home = ring.owner(name)
+        publish_counter(managers[home], name)
+        dst = next(s for s in managers if s != home)
+        managers[home].migrate(name, dst)
+        network.run()
+        # a batched entry refused under the dead generation decodes like
+        # the blocking call: typed, not an opaque RemoteInvocationError
+        batch = sites["c0"].batch(home)
+        future = batch.add(
+            "cluster.invoke",
+            {"name": name, "generation": 1, "method": "peek",
+             "args": [], "caller": {}},
+        )
+        batch.flush()
+        with pytest.raises(StaleLeaseError):
+            future.result()
+        assert not isinstance(future.error(), RemoteInvocationError)
+
     def test_redirect_budget_exhausts_with_the_typed_error(self):
         _network, _sites, ring, managers, clients = cluster_world()
         name = "apps/k0"

@@ -257,6 +257,25 @@ class TestAdmissionControl:
         assert counter.get_data("count", caller=counter.owner) == 2
         assert sites["b"].shed_requests >= 1
 
+    def test_shed_blocking_call_retries_once_the_window_drains(self):
+        """The blocking path retries a shed under a policy, exactly as
+        the async path does."""
+        network, sites, counter = counter_world()
+        sites["b"].inflight_limit = 1
+        sites["b"].service_delay = 0.05
+        blocker = sites["a"].remote_invoke_async(
+            "b", counter.guid, "increment", [1]
+        )
+        result = sites["a"].remote_invoke(
+            "b", counter.guid, "increment", [1],
+            policy=RetryPolicy(attempts=3, timeout=0.02, backoff=0.2),
+        )
+        network.run()
+        assert result in (1, 2)
+        assert blocker.result() in (1, 2)
+        assert counter.get_data("count", caller=counter.owner) == 2
+        assert sites["b"].shed_requests >= 1
+
     def test_unlimited_window_never_sheds(self):
         network, sites, counter = counter_world()
         sites["b"].service_delay = 0.01
