@@ -29,8 +29,9 @@ Clock plumbing follows the kernel's own edges:
 
 Like the telemetry plane, the sanitizer is a module-level ``ACTIVE``
 switch: every hook is one attribute read plus an identity test when it
-is off, and ``bench_perf13_analysis.py`` holds that to the same <2%
-budget telemetry lives under.
+is off. Those guards run inside the ``rmi_sim`` end-to-end workload,
+and ``tests/analysis/test_sanitizer.py`` checks that :func:`disable`
+leaves no hook live.
 """
 
 from __future__ import annotations

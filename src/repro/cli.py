@@ -475,11 +475,19 @@ def _load_config(args) -> "object":
     return LoadConfig(**kwargs)
 
 
+#: sustain-pass floors for ``load --smoke`` (simulated time, seeded)
+LOAD_SMOKE_MIN_THROUGHPUT = 500.0   # ok-ops per simulated second
+LOAD_SMOKE_MAX_P99 = 0.050          # seconds (LAN world, no faults)
+#: ceiling on any one in-soak recovery for ``recover --selftest``
+SELFTEST_MAX_RECOVERY_SECONDS = 1.0  # wall clock
+
+
 def _load_smoke(args) -> int:
     """The acceptance pair: a sustain pass (every request settles, no
-    lost updates, populated percentiles) and an overload pass (the
-    admission window below offered load sheds structured OverloadErrors
-    while every non-shed request completes)."""
+    lost updates, populated percentiles, simulated throughput and p99
+    within their floors) and an overload pass (the admission window
+    below offered load sheds structured OverloadErrors while every
+    non-shed request completes)."""
     from .load import LoadConfig, OpProfile, run_load_scenario
 
     problems: list[str] = []
@@ -508,6 +516,16 @@ def _load_smoke(args) -> int:
         problems.append("sustain: percentiles not populated")
     if sustain.migrations < 1:
         problems.append("sustain: no migration happened under load")
+    if sustain.throughput < LOAD_SMOKE_MIN_THROUGHPUT:
+        problems.append(
+            f"sustain: {sustain.throughput:.1f} ok-ops/s simulated "
+            f"(floor {LOAD_SMOKE_MIN_THROUGHPUT:.0f})"
+        )
+    if sustain.latency.get("p99", 0) > LOAD_SMOKE_MAX_P99:
+        problems.append(
+            f"sustain: p99 {sustain.latency['p99'] * 1e3:.2f}ms "
+            f"(ceiling {LOAD_SMOKE_MAX_P99 * 1e3:.0f}ms)"
+        )
 
     overload = run_load_scenario(LoadConfig(
         sites=max(4, args.sites), clients=max(4, args.clients),
@@ -686,7 +704,8 @@ def _recover_selftest(args) -> int:
     """The crash-recovery acceptance round: a durable soak with whole
     sites killed and WAL-recovered mid-run. Every closed-form invariant
     from the non-crashing soak must still hold, plus exactly-once
-    ownership after the restarts."""
+    ownership after the restarts, and no single recovery may take longer
+    than ``SELFTEST_MAX_RECOVERY_SECONDS`` of wall clock."""
     from .load import LoadConfig, run_soak_scenario
 
     cycles = max(3, args.crash_cycles or 0)
@@ -732,6 +751,15 @@ def _recover_selftest(args) -> int:
         problems.append(
             f"ownership not exactly-once after recovery: "
             f"{report.durable.get('ownership')}"
+        )
+    slowest = max(
+        (recovery.replay_seconds for recovery in report.recovery_reports),
+        default=0.0,
+    )
+    if slowest > SELFTEST_MAX_RECOVERY_SECONDS:
+        problems.append(
+            f"slowest recovery took {slowest:.3f}s "
+            f"(ceiling {SELFTEST_MAX_RECOVERY_SECONDS:.1f}s)"
         )
     print(f"recover selftest: {'OK' if not problems else 'VIOLATED'}")
     for problem in problems:
@@ -972,7 +1000,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument(
         "--metrics", metavar="FILE", default=None,
-        help="write a BENCH_*.json-compatible metrics snapshot ('-' = stdout)",
+        help="write a JSON metrics snapshot ('-' = stdout)",
     )
     trace_parser.add_argument(
         "--smoke", action="store_true",

@@ -11,7 +11,8 @@ trips land around a millisecond, retry/backoff tails reach seconds.
 When the telemetry plane is active every sample is mirrored into the
 shared :class:`~repro.telemetry.metrics.MetricsRegistry` histogram of
 the same name, so load percentiles ride the same export path
-(``write_bench_json``, snapshots) as every other metric.
+(:func:`~repro.telemetry.exporters.metrics_snapshot`) as every other
+metric.
 """
 
 from __future__ import annotations

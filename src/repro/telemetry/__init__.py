@@ -17,7 +17,7 @@ Enable with :func:`enable` (or ``with enabled() as tel:``); when
 disabled — the default — every instrumentation site reduces to a single
 ``ACTIVE is None`` test, so the untraced hot path stays O(1) and
 allocation-free. Exporters render captures as JSON-lines spans, a
-human-readable trace tree, or a ``BENCH_*.json`` metrics snapshot; the
+human-readable trace tree, or a JSON metrics snapshot; the
 ``repro trace`` CLI drives all three. See ``docs/TELEMETRY.md``.
 """
 

@@ -5,9 +5,9 @@
   :mod:`repro.telemetry.schema`, validated by ``make trace-smoke``);
 * :func:`render_tree` — a human-readable trace tree, one trace per
   block, children indented under parents;
-* :func:`metrics_snapshot` / :func:`write_bench_json` — a
-  ``BENCH_*.json``-compatible metrics snapshot, the format the perf
-  trajectory is tracked in.
+* :func:`metrics_snapshot` / :func:`write_bench_json` — a JSON
+  metrics snapshot (schema ``mrom-bench/1``), what
+  ``repro trace --metrics`` writes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ __all__ = [
     "BENCH_SCHEMA",
 ]
 
-#: Schema tag stamped into every BENCH_*.json snapshot.
+#: Schema tag stamped into every metrics snapshot.
 BENCH_SCHEMA = "mrom-bench/1"
 
 
@@ -109,7 +109,7 @@ def render_tree(spans: Iterable[Span]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# BENCH_*.json metrics snapshots
+# metrics snapshots
 # ---------------------------------------------------------------------------
 
 
@@ -118,7 +118,7 @@ def metrics_snapshot(
     name: str,
     extra: Mapping[str, Any] | None = None,
 ) -> dict:
-    """The BENCH-compatible snapshot mapping for *registry*."""
+    """The metrics snapshot mapping for *registry*."""
     snapshot = {
         "schema": BENCH_SCHEMA,
         "bench": name,
@@ -135,7 +135,7 @@ def write_bench_json(
     name: str,
     extra: Mapping[str, Any] | None = None,
 ) -> dict:
-    """Write ``BENCH_<name>.json``-style output; returns the snapshot."""
+    """Write the metrics snapshot as JSON to *path*; returns it."""
     snapshot = metrics_snapshot(registry, name, extra)
     Path(path).write_text(
         json.dumps(snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -6,7 +6,7 @@ coercions, migrations, retries, dedup hits, admission refusals, ...),
 set gauges, and observe histogram samples. Instruments are get-or-create
 by name, so call sites never need registration ceremony, and the whole
 registry renders to one flat mapping via :meth:`MetricsRegistry.snapshot`
-— the form the ``BENCH_*.json`` exporter writes.
+— the form the metrics-snapshot exporter writes.
 
 Histograms use *fixed* bucket boundaries chosen at creation (defaults
 span 1µs to 10s), so two runs of the same workload produce structurally

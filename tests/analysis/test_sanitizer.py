@@ -186,3 +186,39 @@ class TestActiveObjectIntegration:
         assert hb.ACTIVE is san
         assert hb.disable() is san
         assert hb.ACTIVE is None
+
+    def test_released_sanitizer_observes_nothing_more(self):
+        """After ``hb.disable()`` every RMI hook (wait edges, send/serve
+        clocks, the invoke access expansion) is unhooked for real: a
+        sync remote invoke leaves the released sanitizer's counts as
+        they were."""
+        from repro.core import allow_all
+        from repro.net import LAN, Network, Site
+        from repro.sim import Simulator
+
+        network = Network(Simulator())
+        client = Site(network, "client", "hb.client")
+        server = Site(network, "server", "hb.server")
+        network.topology.connect("client", "server", *LAN)
+        obj = server.create_object(display_name="hb-counter")
+        obj.define_fixed_data("n", 0)
+        obj.define_fixed_method("bump", RMW_BODY, acl=allow_all())
+        obj.seal()
+        server.register_object(obj)
+        san = hb.enable()
+        # the caller stays a current task across the disable, so a send
+        # hook left live would find a clock to stamp
+        san.push(san.fork("caller", parent=None))
+        try:
+            assert client.remote_invoke("server", obj.guid, "bump", []) == 1
+        finally:
+            assert hb.disable() is san
+
+        def counts():
+            return san.tasks_created, san.access_count, san.send_count
+
+        before = counts()
+        assert all(before), f"the enabled call must be observed: {before}"
+        assert client.remote_invoke("server", obj.guid, "bump", []) == 2
+        san.pop()
+        assert counts() == before

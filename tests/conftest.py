@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import time
+from typing import Callable
+
 import pytest
 
 from repro.core import (
@@ -121,4 +125,30 @@ def site_world():
     return make_site_world
 
 
-__all__ = ["build_counter", "make_site_world"]
+def best_time_per_call(
+    fn: Callable[[], object], trials: int = 3, min_time: float = 0.1
+) -> float:
+    """Best-of-*trials* mean seconds per call of *fn*.
+
+    Each trial collects garbage first, then calls *fn* for at least
+    *min_time* seconds (and at least five times). The minimum sheds the
+    scheduler noise of a shared machine; the timing floors that use it
+    sit several times below their measured ratios.
+    """
+    fn()  # warm-up: compile portable code, populate caches
+    best = float("inf")
+    for _ in range(trials):
+        gc.collect()
+        calls = 0
+        start = time.perf_counter()
+        while True:
+            fn()
+            calls += 1
+            elapsed = time.perf_counter() - start
+            if elapsed >= min_time and calls >= 5:
+                break
+        best = min(best, elapsed / calls)
+    return best
+
+
+__all__ = ["best_time_per_call", "build_counter", "make_site_world"]

@@ -40,6 +40,36 @@ class TestAccounting:
         assert network_big.bytes_sent > small_bytes
         assert network_big.now > small_time
 
+    def test_one_batch_frame_pair_replaces_sixteen_request_pairs(self, wired):
+        """Frames are counted, not timed: 16 blocking invokes put 32
+        frames on the wire; one flushed 16-call batch puts 2."""
+        from repro.core import allow_all
+
+        network, a, b = wired
+        obj = b.create_object(display_name="counter")
+        obj.define_fixed_data("total", 0)
+        obj.define_fixed_method(
+            "bump",
+            "n = self.get('total') + 1\nself.set('total', n)\nreturn n",
+            acl=allow_all(),
+        )
+        obj.seal()
+        b.register_object(obj)
+        ref = a.ref_to(obj.guid, site="b")
+        before = network.messages_sent
+        for _ in range(16):
+            ref.invoke("bump", [], caller=a.principal)
+        assert network.messages_sent - before == 32
+        before = network.messages_sent
+        batch = a.batch("b")
+        futures = [
+            batch.invoke(obj.guid, "bump", [], caller=a.principal)
+            for _ in range(16)
+        ]
+        batch.flush()
+        assert network.messages_sent - before == 2
+        assert [f.result() for f in futures] == list(range(17, 33))
+
     def test_send_to_unknown_site(self, wired):
         network, _a, _b = wired
         with pytest.raises(NetworkError):

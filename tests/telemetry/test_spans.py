@@ -17,9 +17,12 @@ from repro.telemetry import (
     validate_span_mapping,
     write_spans_jsonl,
 )
+from repro.core import MROMObject, Principal, allow_all
 from repro.telemetry import state
 
 pytestmark = pytest.mark.telemetry
+
+OWNER = Principal("mrom://tower/1.1", "tower", "owner")
 
 
 def fake_clock():
@@ -119,6 +122,34 @@ class TestGlobalSwitch:
         with enabled() as tel:
             tel.end_span(tel.begin_span("kept"))
         assert [s.name for s in tel.recorder] == ["kept"]
+
+    def test_released_plane_records_nothing_more(self):
+        """Once its block exits, a plane is unhooked for real: the fig-1
+        tower workload (two pass-through meta-invoke levels) adds no
+        span and moves no counter, gauge or histogram of it."""
+        obj = MROMObject(display_name="tower", owner=OWNER, extensible_meta=True)
+        obj.define_fixed_method("Mfoo", "return args[0] + 1")
+        obj.seal()
+        for _ in range(2):
+            obj.invoke(
+                "addMethod",
+                ["invoke", "return ctx.proceed()",
+                 {"acl": allow_all().describe()}],
+                caller=OWNER,
+            )
+        workload = lambda: obj.invoke("Mfoo", [1], caller=OWNER)  # noqa: E731
+        with enabled(Telemetry()) as tel:
+            for _ in range(10):
+                workload()
+        assert tel.metrics.counter_value("invocations") > 0
+        spans = [span.span_id for span in tel.recorder]
+        assert spans, "the enabled block must have recorded the workload"
+        metrics = tel.metrics.snapshot()
+        for _ in range(10):
+            assert workload() == 2
+        assert [span.span_id for span in tel.recorder] == spans
+        assert tel.metrics.snapshot() == metrics
+        assert tel.open_spans == 0
 
 
 class TestExporters:
