@@ -83,7 +83,8 @@ bench-e2e:
 bench-compare:
 	$(PYTHON) -m benchmarks.e2e compare $(A) $(B)
 
-# The seeded chaos/load/cluster reports (seed 1), one file each under
+# The seeded chaos/load/cluster reports, their load and cluster soak
+# variants and the recover selftest (seed 1), one file each under
 # OUT (default .bench/seeded). tests/integration/test_seeded_reports.py
 # pins them against tests/golden/seeded/; after a deliberate change,
 # re-record with `make seeded-outputs OUT=tests/golden/seeded`.
@@ -93,6 +94,9 @@ seeded-outputs:
 	for cmd in chaos load cluster; do \
 		$(PYTHON) -m repro $$cmd --seed 1 > $(OUT)/$$cmd.txt || exit 1; \
 	done
+	$(PYTHON) -m repro load --soak --seed 1 > $(OUT)/load-soak.txt
+	$(PYTHON) -m repro cluster --soak --seed 1 > $(OUT)/cluster-soak.txt
+	$(PYTHON) -m repro recover --selftest --seed 1 > $(OUT)/recover-selftest.txt
 
 series: bench
 	@echo; for f in benchmarks/out/*.txt; do echo "--- $$f"; cat $$f; echo; done

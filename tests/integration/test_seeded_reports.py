@@ -2,7 +2,10 @@
 
 Each report is a pure function of its seed: the chaos trace digest,
 the load and cluster accounting, the simulated times and percentiles.
-A refactor must leave all three byte-identical; a deliberate change
+The soak variants (``load --soak``, ``cluster --soak``) and the
+crash-recovery soak (``recover --selftest``) are pinned too, since they
+run the fault, retry and WAL-recovery paths the clean reports never
+reach. A refactor must leave all six byte-identical; a deliberate change
 re-records them with ``make seeded-outputs OUT=tests/golden/seeded`` and
 shows up as a reviewed diff of the golden files, like the WAL corpus
 and the wire vectors.
@@ -21,20 +24,32 @@ ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = ROOT / "tests" / "golden" / "seeded"
 
 
-@pytest.mark.parametrize("command", ["chaos", "load", "cluster"])
-def test_seed_one_report_matches_golden(command):
+#: golden file stem -> the command line it pins (``--seed 1`` appended)
+REPORTS = {
+    "chaos": ["chaos"],
+    "load": ["load"],
+    "cluster": ["cluster"],
+    "load-soak": ["load", "--soak"],
+    "cluster-soak": ["cluster", "--soak"],
+    "recover-selftest": ["recover", "--selftest"],
+}
+
+
+@pytest.mark.parametrize("report", list(REPORTS))
+def test_seed_one_report_matches_golden(report):
+    command = REPORTS[report]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     completed = subprocess.run(
-        [sys.executable, "-m", "repro", command, "--seed", "1"],
+        [sys.executable, "-m", "repro", *command, "--seed", "1"],
         capture_output=True, text=True, cwd=ROOT, env=env, timeout=120,
     )
     assert completed.returncode == 0, completed.stdout + completed.stderr
-    golden = (GOLDEN / f"{command}.txt").read_text(encoding="utf-8")
+    golden = (GOLDEN / f"{report}.txt").read_text(encoding="utf-8")
     assert completed.stdout == golden, (
-        f"`repro {command} --seed 1` moved from tests/golden/seeded/"
-        f"{command}.txt; if the change is deliberate, re-record with "
+        f"`repro {' '.join(command)} --seed 1` moved from tests/golden/"
+        f"seeded/{report}.txt; if the change is deliberate, re-record with "
         "`make seeded-outputs OUT=tests/golden/seeded`"
     )
