@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .core.errors import MROMError
@@ -480,6 +481,46 @@ LOAD_SMOKE_MIN_THROUGHPUT = 500.0   # ok-ops per simulated second
 LOAD_SMOKE_MAX_P99 = 0.050          # seconds (LAN world, no faults)
 #: ceiling on any one in-soak recovery for ``recover --selftest``
 SELFTEST_MAX_RECOVERY_SECONDS = 1.0  # wall clock
+#: the only terminal failure a cluster soak admits: a typed stale lease
+#: whose redirect budget ran out (never an untyped error)
+CLUSTER_SOAK_FAILURES = ("StaleLeaseError",)
+
+
+def _problems(report, label: str, admissible=None) -> list[str]:
+    """The closed-form invariants of a load or cluster report (see
+    ``violations()``), plus a failure policy: when ``admissible`` is
+    given, a terminal failure of any other type is a violation too."""
+    problems = [f"{label}: {text}" for text in report.violations().values()]
+    if admissible is not None:
+        other = report.failed - sum(report.errors.get(name, 0) for name in admissible)
+        if other:
+            problems.append(
+                f"{label}: {other} request(s) failed terminally ({report.errors})"
+            )
+    return problems
+
+
+def _print_report(report, as_json: bool = False) -> None:
+    import json
+
+    if as_json:
+        print(json.dumps(report.to_mapping(), indent=2, sort_keys=True))
+    else:
+        print("\n".join(report.to_lines()))
+
+
+def _smoke_pass(label: str, report, admissible=()) -> list[str]:
+    """Print one pass of a smoke pair; return its violations."""
+    print(f"--- {label} pass ---")
+    _print_report(report)
+    return _problems(report, label, admissible)
+
+
+def _verdict(title: str, problems: list[str]) -> int:
+    print(f"{title}: {'OK' if not problems else 'VIOLATED'}")
+    for problem in problems:
+        print(f"VIOLATION: {problem}")
+    return 1 if problems else 0
 
 
 def _load_smoke(args) -> int:
@@ -490,26 +531,14 @@ def _load_smoke(args) -> int:
     non-shed request completes)."""
     from .load import LoadConfig, OpProfile, run_load_scenario
 
-    problems: list[str] = []
-    sustain = run_load_scenario(LoadConfig(
+    config = LoadConfig(
         sites=max(4, args.sites), clients=max(4, args.clients),
         requests=max(10_000, args.requests), mode="closed", seed=args.seed,
-    ))
-    print("--- sustain pass ---")
-    for line in sustain.to_lines():
-        print(line)
-    if sustain.unresolved:
-        problems.append(f"sustain: {sustain.unresolved} request(s) never settled")
-    if sustain.shed or sustain.failed:
-        problems.append(
-            f"sustain: unconstrained run shed {sustain.shed} / "
-            f"failed {sustain.failed} request(s)"
-        )
-    if not sustain.consistent:
-        problems.append(
-            f"sustain: lost updates (counters {sustain.counter_total} != "
-            f"ok increments {sustain.invoke_ok})"
-        )
+    )
+    sustain = run_load_scenario(config)
+    problems = _smoke_pass("sustain", sustain)
+    if sustain.shed:
+        problems.append(f"sustain: unconstrained run shed {sustain.shed} request(s)")
     if sustain.latency.get("count", 0) < sustain.ok:
         problems.append("sustain: latency histogram missed samples")
     if not all(sustain.latency.get(p, 0) > 0 for p in ("p50", "p95", "p99")):
@@ -527,86 +556,26 @@ def _load_smoke(args) -> int:
             f"(ceiling {LOAD_SMOKE_MAX_P99 * 1e3:.0f}ms)"
         )
 
-    overload = run_load_scenario(LoadConfig(
-        sites=max(4, args.sites), clients=max(4, args.clients),
-        requests=max(2_000, args.requests // 5), mode="open", rate=2_000.0,
-        inflight_limit=2, service_delay=0.002, seed=args.seed,
+    overload = run_load_scenario(replace(
+        config, requests=max(2_000, args.requests // 5), mode="open",
+        rate=2_000.0, inflight_limit=2, service_delay=0.002,
         profile=OpProfile(invoke=1.0, get_data=0, describe=0, migrate=0),
     ))
-    print("--- overload pass ---")
-    for line in overload.to_lines():
-        print(line)
-    if overload.unresolved:
-        problems.append(f"overload: {overload.unresolved} request(s) never settled")
+    problems += _smoke_pass("overload", overload)
     if not overload.shed:
         problems.append("overload: window below offered load never shed")
-    if overload.failed:
-        problems.append(
-            f"overload: {overload.failed} non-shed request(s) failed "
-            f"({overload.errors})"
-        )
-    if overload.ok + overload.shed != overload.issued:
-        problems.append("overload: outcome accounting does not add up")
-    if not overload.consistent:
-        problems.append("overload: lost updates on the non-shed path")
-
-    print(f"load smoke: {'OK' if not problems else 'VIOLATED'}")
-    for problem in problems:
-        print(f"VIOLATION: {problem}")
-    return 1 if problems else 0
+    return _verdict("load smoke", problems)
 
 
 def _cmd_load(args: argparse.Namespace) -> int:
-    import json
-
     from .load import run_load_scenario, run_soak_scenario
 
     if args.smoke:
         return _load_smoke(args)
-    config = _load_config(args)
     runner = run_soak_scenario if args.soak else run_load_scenario
-    report = runner(config)
-    if args.json:
-        print(json.dumps(report.to_mapping(), indent=2, sort_keys=True))
-    else:
-        for line in report.to_lines():
-            print(line)
-    clean = (
-        report.unresolved == 0 and report.consistent and report.exactly_once
-    )
-    return 0 if clean else 1
-
-
-def _cluster_problems(report, label: str, soak: bool) -> list[str]:
-    """Closed-form cluster invariants; returns human-readable violations."""
-    problems: list[str] = []
-    if report.unresolved:
-        problems.append(f"{label}: {report.unresolved} request(s) never settled")
-    if not report.consistent:
-        problems.append(
-            f"{label}: lost updates (counters {report.counter_total} != "
-            f"ok increments {report.invoke_ok})"
-        )
-    if not report.single_owner or report.owner_violations:
-        problems.append(
-            f"{label}: a name had two live owners ({report.owner_violations})"
-        )
-    if not report.converged:
-        problems.append(f"{label}: directory never converged after the run")
-    if not soak and report.failed:
-        problems.append(
-            f"{label}: clean run failed {report.failed} request(s) "
-            f"({report.errors})"
-        )
-    if soak:
-        typed = report.errors.get("StaleLeaseError", 0)
-        untyped = report.failed - typed
-        if untyped:
-            problems.append(
-                f"{label}: {untyped} failure(s) not typed StaleLeaseError "
-                f"({report.errors})"
-            )
-    return problems
+    report = runner(_load_config(args))
+    _print_report(report, args.json)
+    return 1 if _problems(report, "load") else 0
 
 
 def _cluster_smoke(args) -> int:
@@ -616,35 +585,21 @@ def _cluster_smoke(args) -> int:
     failure is a typed stale lease whose redirect budget ran out)."""
     from .load import ClusterConfig, run_cluster_scenario, run_cluster_soak
 
-    problems: list[str] = []
-    sustain = run_cluster_scenario(ClusterConfig(
+    config = ClusterConfig(
         sites=max(4, args.sites), clients=max(8, args.clients),
         requests=max(1_200, args.requests), seed=args.seed,
         service_delay=0.002,
-    ))
-    print("--- sustain pass ---")
-    for line in sustain.to_lines():
-        print(line)
-    problems += _cluster_problems(sustain, "sustain", soak=False)
+    )
+    sustain = run_cluster_scenario(config)
+    problems = _smoke_pass("sustain", sustain)
     if sustain.stale_client < 1:
         problems.append("sustain: no stale-lease redirect was exercised")
     if sustain.migrations < 1:
         problems.append("sustain: no ring-mediated migration happened")
 
-    soak = run_cluster_soak(ClusterConfig(
-        sites=max(4, args.sites), clients=max(8, args.clients),
-        requests=max(800, args.requests // 2), seed=args.seed,
-        service_delay=0.002,
-    ))
-    print("--- soak pass ---")
-    for line in soak.to_lines():
-        print(line)
-    problems += _cluster_problems(soak, "soak", soak=True)
-
-    print(f"cluster smoke: {'OK' if not problems else 'VIOLATED'}")
-    for problem in problems:
-        print(f"VIOLATION: {problem}")
-    return 1 if problems else 0
+    soak = run_cluster_soak(replace(config, requests=max(800, args.requests // 2)))
+    problems += _smoke_pass("soak", soak, CLUSTER_SOAK_FAILURES)
+    return _verdict("cluster smoke", problems)
 
 
 def _cluster_procs(args) -> int:
@@ -676,8 +631,6 @@ def _cluster_procs(args) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    import json
-
     from .load import ClusterConfig, run_cluster_scenario, run_cluster_soak
 
     if args.smoke:
@@ -691,13 +644,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     )
     runner = run_cluster_soak if args.soak else run_cluster_scenario
     report = runner(config)
-    if args.json:
-        print(json.dumps(report.to_mapping(), indent=2, sort_keys=True))
-    else:
-        for line in report.to_lines():
-            print(line)
-    problems = _cluster_problems(report, "cluster", soak=args.soak)
-    return 0 if not problems else 1
+    _print_report(report, args.json)
+    admissible = CLUSTER_SOAK_FAILURES if args.soak else ()
+    return 1 if _problems(report, "cluster", admissible) else 0
 
 
 def _recover_selftest(args) -> int:
@@ -719,8 +668,7 @@ def _recover_selftest(args) -> int:
         crash_cycles=cycles,
     )
     report = run_soak_scenario(config)
-    for line in report.to_lines():
-        print(line)
+    _print_report(report)
     for recovery in report.durable.get("recoveries", []):
         print(
             "  recovery  site={site_id} records={records_replayed} "
@@ -729,28 +677,11 @@ def _recover_selftest(args) -> int:
                 **recovery
             )
         )
-    problems: list[str] = []
-    if report.unresolved:
-        problems.append(f"{report.unresolved} request(s) never settled")
-    if report.ok + report.shed + report.failed != report.issued:
-        problems.append("outcome accounting does not add up")
-    if report.failed:
-        problems.append(
-            f"{report.failed} request(s) failed terminally ({report.errors})"
-        )
-    if not report.consistent:
-        problems.append(
-            f"lost updates across restarts (counters {report.counter_total} "
-            f"!= ok increments {report.invoke_ok})"
-        )
+    problems = _problems(report, "selftest", admissible=())
     if report.restarts < cycles:
         problems.append(
-            f"only {report.restarts}/{cycles} crash-restart cycles completed"
-        )
-    if not report.exactly_once:
-        problems.append(
-            f"ownership not exactly-once after recovery: "
-            f"{report.durable.get('ownership')}"
+            f"selftest: only {report.restarts}/{cycles} crash-restart "
+            "cycles completed"
         )
     slowest = max(
         (recovery.replay_seconds for recovery in report.recovery_reports),
@@ -758,13 +689,10 @@ def _recover_selftest(args) -> int:
     )
     if slowest > SELFTEST_MAX_RECOVERY_SECONDS:
         problems.append(
-            f"slowest recovery took {slowest:.3f}s "
+            f"selftest: slowest recovery took {slowest:.3f}s "
             f"(ceiling {SELFTEST_MAX_RECOVERY_SECONDS:.1f}s)"
         )
-    print(f"recover selftest: {'OK' if not problems else 'VIOLATED'}")
-    for problem in problems:
-        print(f"VIOLATION: {problem}")
-    return 1 if problems else 0
+    return _verdict("recover selftest", problems)
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
@@ -1116,7 +1044,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_parser.add_argument("--moves", type=int, default=None,
                                 metavar="N",
                                 help="procs mode: mid-run directory "
-                                     "rebalances (default sites//2)")
+                                     "rebalances (default: one per site)")
     cluster_parser.add_argument("--seed", type=int, default=0)
     cluster_parser.add_argument("--json", action="store_true",
                                 help="machine-readable JSON report")

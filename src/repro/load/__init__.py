@@ -8,8 +8,12 @@ does *not* slow down when the servers back up, the shape that exposes
 overload) — issue mixed protocol operations (invoke / get_data /
 describe / migrate) against a multi-site simulated world, record
 latencies into fixed buckets, and report interpolated p50/p95/p99
-percentiles plus shed/failure accounting. The soak scenario layers the
-fault plane (drops, duplicates, jitter) with retry policies on top.
+percentiles plus shed/failure accounting. Two worlds share one harness
+(:mod:`.harness`: world build, driver loop and drain, report core and
+invariant check): the load world (:mod:`.scenario`) adds nomad hops and
+crash/WAL recovery, the cluster world (:mod:`.cluster`) a ring, shards
+and leases. Their soak variants layer the fault plane (drops,
+duplicates, jitter) with retry policies on top.
 
 Everything runs in simulated time on seeded randomness: a load run is a
 deterministic program, so a throughput or tail-latency regression is

@@ -27,19 +27,20 @@ and at drain. The soak variant arms the fault plane on top.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
-from ..core.errors import MROMError, StaleLeaseError, TransferUnresolvedError
-from ..faults import DropInjector, DuplicateInjector, FaultPlane, JitterInjector
+from ..core.errors import MROMError
+from ..faults import FaultPlane
 from ..naming import ClusterManager, DirectoryClient, HashRing
-from ..net import LAN, Network, RetryPolicy, Site
-from ..net.rmi import BatchFuture
-from ..sim import Simulator
-from ..telemetry import state as _telemetry
-from .drivers import ClosedLoopDriver, DriverStats, OpenLoopDriver
-from .latency import LatencyRecorder
+from ..net import Network, Site
+from .harness import (
+    ScenarioConfig,
+    ScenarioReport,
+    World,
+    make_counter,
+    run_scenario,
+)
 from .profile import CLUSTER_PROFILE, OpProfile
-from .scenario import SOAK_RETRY
 
 __all__ = [
     "ClusterConfig",
@@ -50,58 +51,30 @@ __all__ = [
 
 
 @dataclass
-class ClusterConfig:
+class ClusterConfig(ScenarioConfig):
     """Knobs for one sim-mode cluster run; defaults are the smoke shape."""
 
-    sites: int = 4              # serving sites on the ring
     clients: int = 8            # client sites (one driver + lease cache each)
     requests: int = 2_000       # total logical requests across all drivers
+    profile: OpProfile = field(default_factory=lambda: CLUSTER_PROFILE)
     keys_per_site: int = 4      # published names ~= sites * keys_per_site
     vnodes: int = 64            # ring virtual nodes per site
-    mode: str = "closed"        # "closed" or "open"
-    rate: float = 500.0         # open loop: per-client arrivals / sim second
-    think_time: float = 0.0     # closed loop: gap after each completion
-    seed: int = 0
-    inflight_limit: int | None = None   # per-server admission window
-    service_delay: float = 0.0          # per-request service time at servers
-    max_redirects: int = 6              # stale-lease redirects per op
-    profile: OpProfile = field(default_factory=lambda: CLUSTER_PROFILE)
-    retry: RetryPolicy | None = None
+    max_redirects: int = 6      # stale-lease redirects per op
 
     def __post_init__(self) -> None:
-        if self.sites < 1 or self.clients < 1 or self.requests < 1:
-            raise ValueError("sites, clients and requests must be positive")
+        super().__post_init__()
         if self.keys_per_site < 1 or self.vnodes < 1:
             raise ValueError("keys_per_site and vnodes must be positive")
-        if self.mode not in ("closed", "open"):
-            raise ValueError(f"mode must be 'closed' or 'open', not {self.mode!r}")
-        if self.rate <= 0 or self.think_time < 0 or self.service_delay < 0:
-            raise ValueError("rate must be positive; delays cannot be negative")
         if self.max_redirects < 1:
             raise ValueError("max_redirects must be positive")
 
 
 @dataclass
-class ClusterReport:
+class ClusterReport(ScenarioReport):
     """Everything a cluster run learned, in one flat record."""
 
-    sites: int
-    clients: int
-    requests: int
     keys: int
-    seed: int
-    soak: bool
-    issued: int
-    completed: int
-    ok: int
-    shed: int
-    failed: int
-    unresolved: int
-    errors: dict
-    migrations: int
     moves_deferred: int
-    invoke_ok: int
-    counter_total: int
     #: client-side stale-lease redirects followed (across all clients)
     stale_client: int
     #: server-side stale refusals issued (across all serving sites)
@@ -117,52 +90,36 @@ class ClusterReport:
     #: every name ends with exactly one active placement, the shard entry
     #: agrees with it, and a fresh (cache-less) client can reach it
     converged: bool
-    duration: float
-    throughput: float
-    latency: dict
-    profile: dict
-    faults: dict = field(default_factory=dict)
 
-    @property
-    def consistent(self) -> bool:
-        """No lost updates through any redirect chain."""
-        return self.counter_total == self.invoke_ok
+    derived = ("consistent", "stale_rate")
+    event_fields = (
+        "sites", "issued", "ok", "stale_client", "stale_served", "migrations",
+        "throughput", "converged", "single_owner",
+    )
 
     @property
     def stale_rate(self) -> float:
         """Client stale-redirects per completed op."""
         return self.stale_client / self.completed if self.completed else 0.0
 
-    def to_mapping(self) -> dict:
-        return {
-            **{name: getattr(self, name) for name in (
-                "sites", "clients", "requests", "keys", "seed", "soak",
-                "issued", "completed", "ok", "shed", "failed", "unresolved",
-                "errors", "migrations", "moves_deferred", "invoke_ok",
-                "counter_total", "stale_client", "stale_served", "directory",
-                "placements", "single_owner", "owner_violations", "converged",
-                "duration", "throughput", "profile", "faults",
-            )},
-            "consistent": self.consistent,
-            "stale_rate": self.stale_rate,
-            "latency": self.latency,
-        }
+    def violations(self) -> dict[str, str]:
+        found = super().violations()
+        if not self.single_owner or self.owner_violations:
+            found["single-owner"] = (
+                f"a name had two live owners ({self.owner_violations})"
+            )
+        if not self.converged:
+            found["converged"] = "directory never converged after the run"
+        return found
 
-    def to_lines(self) -> list[str]:
-        def ms(value: Any) -> str:
-            return "-" if value is None else f"{value * 1e3:.3f}ms"
-
-        lat = self.latency
-        lines = [
+    def title(self) -> str:
+        return (
             f"cluster report: {self.sites} sites x {self.clients} clients, "
             f"{self.keys} names, seed {self.seed}"
-            + (", soak (faults armed)" if self.soak else ""),
-            f"  requests  issued={self.issued} completed={self.completed} "
-            f"ok={self.ok} shed={self.shed} failed={self.failed} "
-            f"unresolved={self.unresolved}",
-            f"  integrity counters={self.counter_total} "
-            f"increments_ok={self.invoke_ok} "
-            + ("(no lost updates)" if self.consistent else "LOST UPDATES"),
+        )
+
+    def detail_lines(self) -> list[str]:
+        return [
             f"  directory stale_client={self.stale_client} "
             f"stale_served={self.stale_served} "
             f"rate={self.stale_rate:.4f}/op",
@@ -174,40 +131,20 @@ class ClusterReport:
             + " ".join(f"{site}={count}"
                        for site, count in sorted(self.placements.items()))
             + (" (converged)" if self.converged else " NOT CONVERGED"),
-            f"  time      {self.duration:.3f}s simulated, "
-            f"throughput {self.throughput:.1f} ok-ops/s",
-            f"  latency   p50={ms(lat.get('p50'))} p95={ms(lat.get('p95'))} "
-            f"p99={ms(lat.get('p99'))} (n={lat.get('count', 0)})",
         ]
-        if self.errors:
-            pairs = ", ".join(f"{k}={v}" for k, v in sorted(self.errors.items()))
-            lines.append(f"  failures  {pairs}")
-        if self.faults:
-            pairs = ", ".join(f"{k}={v}" for k, v in sorted(self.faults.items()))
-            lines.append(f"  faults    {pairs}")
-        return lines
 
 
-class _ClusterWorld:
-    """Ring + shards + placements + directory clients, fully meshed."""
+class _ClusterWorld(World):
+    """Ring + shards + placements + directory clients."""
 
-    def __init__(self, config: ClusterConfig):
-        self.config = config
-        self.network = Network(Simulator(config.seed))
-        self.server_ids = [f"s{i}" for i in range(config.sites)]
-        self.servers = {
-            name: Site(self.network, name, f"cluster.{name}")
-            for name in self.server_ids
-        }
-        self.clients = [
-            Site(self.network, f"c{i}", f"cluster.c{i}")
-            for i in range(config.clients)
-        ]
-        everyone = self.server_ids + [client.site_id for client in self.clients]
-        for left in everyone:
-            for right in everyone:
-                if left < right:
-                    self.network.topology.connect(left, right, *LAN)
+    domain = "cluster"
+    report_type = ClusterReport
+    # drain-time settlement: every ambiguous handoff gets its verdict,
+    # every committed move finishes its adopt + directory update
+    drain_rounds = 12
+
+    def __init__(self, config: ClusterConfig, soak: bool):
+        super().__init__(config, soak)
         #: one ring instance shared by every manager and client — in the
         #: multi-process driver each process derives the identical ring
         #: from (sites, vnodes, seed) instead
@@ -217,41 +154,25 @@ class _ClusterWorld:
             name: ClusterManager(site, self.ring, retry_policy=config.retry)
             for name, site in self.servers.items()
         }
-        for site in self.servers.values():
-            site.inflight_limit = config.inflight_limit
-            site.service_delay = config.service_delay
         self.names = [
             f"apps/k{i}" for i in range(config.sites * config.keys_per_site)
         ]
+        self.targets = self.names
         for name in self.names:
             home = self.ring.owner(name)
-            self.managers[home].publish(self._make_counter(self.servers[home]), name)
+            counter = make_counter(self.servers[home], f"counter@{home}", peek=True)
+            self.managers[home].publish(counter, name)
         self.directory_clients = {
-            client.site_id: DirectoryClient(
-                client, self.ring,
-                retry_policy=config.retry,
-                max_redirects=config.max_redirects,
-            )
+            client.site_id: self._directory_client(client)
             for client in self.clients
         }
-        self.migrations = 0
-        self.moves_deferred = 0
         self.owner_violations = 0
-        self.invoke_ok = 0
-        self._move_inflight = False
 
-    @staticmethod
-    def _make_counter(site: Site):
-        counter = site.create_object(display_name=f"counter@{site.site_id}")
-        counter.define_fixed_data("count", 0)
-        counter.define_fixed_method(
-            "increment",
-            "self.set('count', self.get('count') + (args[0] if args else 1))\n"
-            "return self.get('count')",
+    def _directory_client(self, client: Site) -> DirectoryClient:
+        return DirectoryClient(
+            client, self.ring, retry_policy=self.config.retry,
+            max_redirects=self.config.max_redirects,
         )
-        counter.define_fixed_method("peek", "return self.get('count')")
-        counter.seal()
-        return counter
 
     # -- invariants ----------------------------------------------------------
 
@@ -261,13 +182,11 @@ class _ClusterWorld:
             if manager.placements.get(name, {}).get("state") == "active"
         ]
 
-    def check_single_owner(self) -> int:
-        """Names with two live active placements right now (must be 0)."""
-        violations = sum(
+    def check_single_owner(self) -> None:
+        """Count the names with two live active placements right now."""
+        self.owner_violations += sum(
             1 for name in self.names if len(self.active_homes(name)) > 1
         )
-        self.owner_violations += violations
-        return violations
 
     def counter_total(self) -> int:
         total = 0
@@ -281,10 +200,7 @@ class _ClusterWorld:
     def converged(self) -> bool:
         """One active home per name, the shard agrees, and a cache-less
         client can reach it."""
-        probe = DirectoryClient(
-            self.clients[0], self.ring, retry_policy=self.config.retry,
-            max_redirects=self.config.max_redirects,
-        )
+        probe = self._directory_client(self.clients[0])
         for name in self.names:
             homes = self.active_homes(name)
             if len(homes) != 1:
@@ -327,221 +243,87 @@ class _ClusterWorld:
             "refreshes": sum(dc.refreshes for dc in dcs),
         }
 
+    def drained(self) -> bool:
+        return all(manager.quiescent for manager in self.managers.values())
+
+    def settle(self) -> None:
+        for manager in self.managers.values():
+            manager.settle()
+
+    def report_fields(self) -> dict:
+        self.check_single_owner()
+        return dict(
+            keys=len(self.names),
+            moves_deferred=self.moves_deferred,
+            stale_client=sum(
+                dc.stale for dc in self.directory_clients.values()
+            ),
+            stale_served=sum(
+                manager.stale_served for manager in self.managers.values()
+            ),
+            directory=self.directory_counters(),
+            placements=self.placements_by_site(),
+            single_owner=self.owner_violations == 0,
+            owner_violations=self.owner_violations,
+            converged=self.converged(),
+        )
+
     # -- the op implementations ----------------------------------------------
 
-    def issue_for(self, client: Site, rng) -> Callable[[], BatchFuture]:
-        config = self.config
+    def weather(self) -> bool:
+        """Under the fault plane a failed move (a dead or shedding
+        destination) restored the placement; clients were never at risk,
+        so the move is just tried again later."""
+        return self.soak
+
+    def client_ops(self, client: Site) -> dict:
         directory = self.directory_clients[client.site_id]
+        return {
+            "invoke": lambda name: directory.invoke_async(name, "increment", [1]),
+            "get_data": lambda name: directory.invoke_async(name, "peek"),
+            "describe": directory.refresh_async,
+        }
 
-        def issue() -> BatchFuture:
-            op = config.profile.pick(rng)
-            name = self.names[rng.randrange(len(self.names))]
-            if op == "invoke":
-                future = directory.invoke_async(name, "increment", [1])
-                future.when_done(self._count_increment)
-                return future
-            if op == "get_data":
-                return directory.invoke_async(name, "peek")
-            if op == "describe":
-                return directory.refresh_async(name)
-            return self._move(rng)
-
-        return issue
-
-    def _count_increment(self, future: BatchFuture) -> None:
-        try:
-            future.result()
-        except MROMError:
-            return
-        self.invoke_ok += 1
-
-    def _move(self, rng) -> BatchFuture:
-        """Hop one random placement to the next serving site.
-
-        Moves are serialized the way :mod:`.scenario` serializes nomad
-        hops: ``migrate`` pumps the simulator, and a second concurrent
-        move of the same placement (started by a driver event firing
-        inside the pump) would race the two-phase protocol.
-        """
-        future = BatchFuture()
-        if self._move_inflight:
-            self.moves_deferred += 1
-            future._resolve("deferred")
-            return future
-        self._move_inflight = True
-        try:
-            return self._move_once(future, rng)
-        finally:
-            self._move_inflight = False
-
-    def _move_once(self, future: BatchFuture, rng) -> BatchFuture:
+    def _move_once(self, rng) -> str:
+        """Hop one random placement to the next serving site."""
         name = self.names[rng.randrange(len(self.names))]
         # settle any committed-but-unfinished moves first: a placement
         # whose adopt is still pending must finish before a new hop of
         # the same name can even find its active home
-        for manager in self.managers.values():
-            if not manager.quiescent:
-                manager.settle()
+        self.settle()
         homes = self.active_homes(name)
         if len(homes) != 1:
-            self.moves_deferred += 1
-            future._resolve("deferred")
-            return future
+            return self._deferred()
         src = homes[0]
-        here = self.server_ids.index(src)
-        dst = self.server_ids[(here + 1) % len(self.server_ids)]
+        dst = self._next_site(src)
         if dst == src:  # single-site ring: nothing to move
-            future._resolve(dst)
-            return future
+            return dst
         if not self.network.is_live(dst) or not self.network.is_live(src):
-            self.moves_deferred += 1
-            future._resolve("deferred")
-            return future
-        try:
-            self.managers[src].migrate(name, dst)
-        except TransferUnresolvedError:
-            # ambiguous verdict: the placement stays "moving" (refusing
-            # clients with typed stale errors) until settle() resolves it
-            self.moves_deferred += 1
-            future._resolve("deferred")
-            return future
-        except MROMError as exc:
-            if self.soak_forgiving:
-                # environment weather under the fault plane (a dead or
-                # shedding destination): the placement was restored,
-                # clients were never at risk — just try again later
-                self.moves_deferred += 1
-                future._resolve("deferred")
-                return future
-            future._fail(exc)
-            return future
+            return self._deferred()
+        # an ambiguous verdict leaves the placement "moving" (refusing
+        # clients with typed stale errors) until settle() resolves it
+        self.managers[src].migrate(name, dst)
         self.migrations += 1
         self.check_single_owner()
-        future._resolve(dst)
-        return future
-
-    soak_forgiving = False
-
-
-def _run_cluster(
-    config: ClusterConfig, soak: bool, attach=None
-) -> ClusterReport:
-    world = _ClusterWorld(config)
-    world.soak_forgiving = soak
-    plane: FaultPlane | None = (
-        attach(world.network, world) if attach else None
-    )
-    stats = DriverStats()
-    recorder = LatencyRecorder()
-    budget = lambda: stats.issued < config.requests  # noqa: E731
-
-    drivers = []
-    for index, client in enumerate(world.clients):
-        rng = world.network.simulator.derive_rng(f"cluster.client.{index}")
-        issue = world.issue_for(client, rng)
-        if config.mode == "closed":
-            drivers.append(
-                ClosedLoopDriver(
-                    client, issue, budget, stats, recorder,
-                    think_time=config.think_time,
-                )
-            )
-        else:
-            drivers.append(
-                OpenLoopDriver(
-                    client, issue, budget, stats, recorder,
-                    rate=config.rate, rng=rng,
-                )
-            )
-    for driver in drivers:
-        driver.start()
-    world.network.run()
-
-    # drain-time settlement: every ambiguous handoff gets its verdict,
-    # every committed move finishes its adopt + directory update
-    for _round in range(12):
-        if all(manager.quiescent for manager in world.managers.values()):
-            break
-        for manager in world.managers.values():
-            manager.settle()
-        world.network.run()
-    world.check_single_owner()
-
-    duration = world.network.now
-    report = ClusterReport(
-        sites=config.sites,
-        clients=config.clients,
-        requests=config.requests,
-        keys=len(world.names),
-        seed=config.seed,
-        soak=soak,
-        issued=stats.issued,
-        completed=stats.completed,
-        ok=stats.ok,
-        shed=stats.shed,
-        failed=stats.failed,
-        unresolved=stats.unresolved,
-        errors=dict(stats.errors),
-        migrations=world.migrations,
-        moves_deferred=world.moves_deferred,
-        invoke_ok=world.invoke_ok,
-        counter_total=world.counter_total(),
-        stale_client=sum(
-            dc.stale for dc in world.directory_clients.values()
-        ),
-        stale_served=sum(
-            manager.stale_served for manager in world.managers.values()
-        ),
-        directory=world.directory_counters(),
-        placements=world.placements_by_site(),
-        single_owner=world.owner_violations == 0,
-        owner_violations=world.owner_violations,
-        converged=world.converged(),
-        duration=duration,
-        throughput=stats.ok / duration if duration > 0 else 0.0,
-        latency=recorder.snapshot(),
-        profile=config.profile.to_mapping(),
-        faults=dict(plane.counts) if plane is not None else {},
-    )
-    tel = _telemetry.ACTIVE
-    if tel is not None:
-        tel.events.emit(
-            "cluster.report",
-            sites=report.sites, issued=report.issued, ok=report.ok,
-            stale_client=report.stale_client,
-            stale_served=report.stale_served,
-            migrations=report.migrations, throughput=report.throughput,
-            converged=report.converged, single_owner=report.single_owner,
-        )
-    return report
+        return dst
 
 
 def run_cluster_scenario(config: ClusterConfig | None = None) -> ClusterReport:
     """One clean (fault-free) cluster run; see :class:`ClusterConfig`."""
-    return _run_cluster(config or ClusterConfig(), soak=False)
+    return run_scenario(_ClusterWorld, config or ClusterConfig(), soak=False)
 
 
 def run_cluster_soak(
-    config: ClusterConfig | None = None, attach=None
+    config: ClusterConfig | None = None,
+    attach: Callable[[Network, _ClusterWorld], FaultPlane] | None = None,
 ) -> ClusterReport:
     """A cluster run with the fault plane armed.
 
-    The default plane mirrors the load soak (drops, duplicates, jitter
-    on all traffic — directory RPCs included); tests pass their own
+    The default plane is the load soak's (drops, duplicates, jitter on
+    all traffic — directory RPCs included); tests pass their own
     ``attach(network, world)`` to aim harsher schedules (directory-RPC
     drops, mid-migration site flaps) at the lease protocol.
     """
-    config = config or ClusterConfig()
-    if config.retry is None:
-        config = ClusterConfig(**{**config.__dict__, "retry": SOAK_RETRY})
-
-    if attach is None:
-        def attach(network: Network, world: _ClusterWorld) -> FaultPlane:
-            plane = FaultPlane(network, seed=config.seed,
-                               scenario="cluster-soak")
-            plane.add(DropInjector(rate=0.02))
-            plane.add(DuplicateInjector(rate=0.02))
-            plane.add(JitterInjector(max_jitter=0.005, rate=0.25))
-            return plane
-
-    return _run_cluster(config, soak=True, attach=attach)
+    return run_scenario(
+        _ClusterWorld, config or ClusterConfig(), soak=True, attach=attach
+    )

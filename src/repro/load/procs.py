@@ -64,6 +64,8 @@ class ClusterProcsConfig:
             raise ValueError("duration must be positive; sleep non-negative")
         if self.keys_per_site < 1 or self.vnodes < 1:
             raise ValueError("keys_per_site and vnodes must be positive")
+        if self.moves is not None and self.moves < 0:
+            raise ValueError("moves cannot be negative")
 
 
 def _site_names(config: ClusterProcsConfig) -> tuple[list[str], list[str]]:
@@ -88,6 +90,7 @@ def _site_main(
     from ..naming import ClusterManager, HashRing
     from ..net import Network, Site, TcpGateway
     from ..sim import Simulator
+    from .harness import make_counter
 
     site_id = site_ids[index]
     network = Network(Simulator(seed + index))
@@ -100,16 +103,7 @@ def _site_main(
         # stays site-local and needs no cross-process traffic
         if ring.owner(name) != site_id:
             continue
-        counter = site.create_object(display_name=f"counter@{name}")
-        counter.define_fixed_data("count", 0)
-        counter.define_fixed_method(
-            "increment",
-            "self.set('count', self.get('count') + (args[0] if args else 1))\n"
-            "return self.get('count')",
-        )
-        counter.define_fixed_method("peek", "return self.get('count')")
-        counter.seal()
-        manager.publish(counter, name)
+        manager.publish(make_counter(site, f"counter@{name}", peek=True), name)
     gateway = TcpGateway(site)
     conn.send(gateway.port)
     conn.recv()  # blocks until the parent closes the run

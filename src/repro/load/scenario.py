@@ -22,18 +22,10 @@ backpressure machinery holding under sustained adversarial load.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
-
-from ..core.errors import MROMError, TransferUnresolvedError
-from ..faults import (
-    DropInjector,
-    DuplicateInjector,
-    DurableCrashInjector,
-    FaultPlane,
-    JitterInjector,
-)
+from ..core.errors import MROMError
+from ..faults import DurableCrashInjector, FaultPlane
 from ..mobility import MobilityManager
-from ..net import LAN, Network, RetryPolicy, Site
+from ..net import Network, Site
 from ..persistence import (
     BACKENDS,
     WriteAheadLog,
@@ -41,31 +33,22 @@ from ..persistence import (
     make_store,
     recover_site,
 )
-from ..net.rmi import BatchFuture
-from ..sim import Simulator
-from ..telemetry import state as _telemetry
-from .drivers import ClosedLoopDriver, DriverStats, OpenLoopDriver
-from .latency import LatencyRecorder
-from .profile import DEFAULT_PROFILE, OpProfile
+from .harness import (  # SOAK_RETRY stays importable from here
+    SOAK_RETRY,
+    ScenarioConfig,
+    ScenarioReport,
+    World,
+    make_counter,
+    run_scenario,
+)
 
 __all__ = ["LoadConfig", "LoadReport", "run_load_scenario", "run_soak_scenario"]
 
 
 @dataclass
-class LoadConfig:
+class LoadConfig(ScenarioConfig):
     """Knobs for one load run; the defaults are the smoke shape."""
 
-    sites: int = 4             # serving sites
-    clients: int = 4           # client sites (one driver each)
-    requests: int = 10_000     # total logical requests across all drivers
-    mode: str = "closed"       # "closed" or "open"
-    rate: float = 500.0        # open loop: per-client arrivals / sim second
-    think_time: float = 0.0    # closed loop: gap after each completion
-    seed: int = 0
-    inflight_limit: int | None = None  # per-server admission window
-    service_delay: float = 0.0         # per-request service time at servers
-    profile: OpProfile = field(default_factory=lambda: DEFAULT_PROFILE)
-    retry: RetryPolicy | None = None
     #: durability plane: journal every serving site into a WAL
     durable: bool = False
     backend: str = "memory"        # WAL store backend (see persistence.BACKENDS)
@@ -79,12 +62,7 @@ class LoadConfig:
     crash_every: float = 1.2       # base spacing between a victim's cycles
 
     def __post_init__(self) -> None:
-        if self.sites < 1 or self.clients < 1 or self.requests < 1:
-            raise ValueError("sites, clients and requests must be positive")
-        if self.mode not in ("closed", "open"):
-            raise ValueError(f"mode must be 'closed' or 'open', not {self.mode!r}")
-        if self.rate <= 0 or self.think_time < 0 or self.service_delay < 0:
-            raise ValueError("rate must be positive; delays cannot be negative")
+        super().__post_init__()
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, not {self.backend!r}"
@@ -100,31 +78,11 @@ class LoadConfig:
 
 
 @dataclass
-class LoadReport:
+class LoadReport(ScenarioReport):
     """Everything a run learned, in one flat record."""
 
     mode: str
-    sites: int
-    clients: int
-    requests: int
-    seed: int
-    soak: bool
-    issued: int
-    completed: int
-    ok: int
-    shed: int
-    failed: int
-    unresolved: int
-    errors: dict
-    migrations: int
-    invoke_ok: int
-    counter_total: int
     server_sheds: dict
-    duration: float
-    throughput: float
-    latency: dict
-    profile: dict
-    faults: dict = field(default_factory=dict)
     #: durability summary (empty for non-durable runs): restarts,
     #: per-guid ownership counts after drain, per-recovery reports —
     #: deterministic values only, so seed-determinism holds over mappings
@@ -133,10 +91,12 @@ class LoadReport:
     #: here, deliberately outside to_mapping)
     recovery_reports: list = field(default_factory=list, repr=False)
 
-    @property
-    def consistent(self) -> bool:
-        """No lost updates: counters account for every ok increment."""
-        return self.counter_total == self.invoke_ok
+    derived = ("consistent", "exactly_once")
+    latency_keys = ("p50", "p95", "p99", "mean")
+    event_fields = (
+        "mode", "issued", "ok", "shed", "failed", "unresolved", "throughput",
+        "p50", "p99",
+    )
 
     @property
     def restarts(self) -> int:
@@ -150,53 +110,33 @@ class LoadReport:
             return True
         return all(count == 1 for count in ownership.values())
 
-    def to_mapping(self) -> dict:
-        return {
-            **{name: getattr(self, name) for name in (
-                "mode", "sites", "clients", "requests", "seed", "soak",
-                "issued", "completed", "ok", "shed", "failed", "unresolved",
-                "errors", "migrations", "invoke_ok", "counter_total",
-                "server_sheds", "duration", "throughput", "profile", "faults",
-                "durable",
-            )},
-            "consistent": self.consistent,
-            "exactly_once": self.exactly_once,
-            "latency": self.latency,
-        }
+    def violations(self) -> dict[str, str]:
+        found = super().violations()
+        if not self.exactly_once:
+            found["exactly-once"] = (
+                f"ownership not exactly-once: {self.durable.get('ownership')}"
+            )
+        return found
 
-    def to_lines(self) -> list[str]:
-        def ms(value: Any) -> str:
-            return "-" if value is None else f"{value * 1e3:.3f}ms"
-
-        lat = self.latency
-        lines = [
+    def title(self) -> str:
+        return (
             f"load report: {self.mode} loop, {self.sites} sites x "
             f"{self.clients} clients, seed {self.seed}"
-            + (", soak (faults armed)" if self.soak else ""),
-            f"  requests  issued={self.issued} completed={self.completed} "
-            f"ok={self.ok} shed={self.shed} failed={self.failed} "
-            f"unresolved={self.unresolved}",
-            f"  integrity counters={self.counter_total} "
-            f"increments_ok={self.invoke_ok} "
-            + ("(no lost updates)" if self.consistent else "LOST UPDATES"),
-            f"  mobility  {self.migrations} migration(s) under load",
-            f"  time      {self.duration:.3f}s simulated, "
-            f"throughput {self.throughput:.1f} ok-ops/s",
-            f"  latency   p50={ms(lat.get('p50'))} p95={ms(lat.get('p95'))} "
-            f"p99={ms(lat.get('p99'))} mean={ms(lat.get('mean'))} "
-            f"(n={lat.get('count', 0)})",
-        ]
-        if self.errors:
-            pairs = ", ".join(f"{k}={v}" for k, v in sorted(self.errors.items()))
-            lines.append(f"  failures  {pairs}")
-        if any(self.server_sheds.values()):
-            pairs = ", ".join(
-                f"{site}={count}" for site, count in self.server_sheds.items()
-            )
-            lines.append(f"  sheds     {pairs}")
-        if self.faults:
-            pairs = ", ".join(f"{k}={v}" for k, v in sorted(self.faults.items()))
-            lines.append(f"  faults    {pairs}")
+        )
+
+    def detail_lines(self) -> list[str]:
+        return [f"  mobility  {self.migrations} migration(s) under load"]
+
+    def tallies(self) -> list[tuple[str, list]]:
+        failures, faults = super().tallies()
+        sheds = (
+            list(self.server_sheds.items())
+            if any(self.server_sheds.values()) else []
+        )
+        return [failures, ("sheds", sheds), faults]
+
+    def to_lines(self) -> list[str]:
+        lines = super().to_lines()
         if self.durable:
             lines.append(
                 f"  durable   restarts={self.restarts} "
@@ -206,35 +146,22 @@ class LoadReport:
         return lines
 
 
-class _Workload:
+class _Workload(World):
     """The world plus the op implementations the drivers draw from."""
 
-    def __init__(self, config: LoadConfig):
-        self.config = config
-        self.network = Network(Simulator(config.seed))
-        self.server_ids = [f"s{i}" for i in range(config.sites)]
-        self.servers = {
-            name: Site(self.network, name, f"load.{name}")
-            for name in self.server_ids
-        }
-        self.clients = [
-            Site(self.network, f"c{i}", f"load.c{i}")
-            for i in range(config.clients)
-        ]
-        for client in self.clients:
-            for name in self.server_ids:
-                self.network.topology.connect(client.site_id, name, *LAN)
-        for left in self.server_ids:
-            for right in self.server_ids:
-                if left < right:
-                    self.network.topology.connect(left, right, *LAN)
+    domain = "load"
+    report_type = LoadReport
+
+    def __init__(self, config: LoadConfig, soak: bool):
+        super().__init__(config, soak)
         self.managers = {
             name: MobilityManager(site, retry_policy=config.retry)
             for name, site in self.servers.items()
         }
-        for site in self.servers.values():
-            site.inflight_limit = config.inflight_limit
-            site.service_delay = config.service_delay
+        # drain-time reconciliation gives every write-ahead intent a
+        # restart resurrected (and every timeout-flagged handoff) its
+        # verdict, so ownership is settled before accounting
+        self.drain_rounds = 10 if config.durable else 0
         # the durability plane attaches before any application object is
         # registered, so the initial registrations are already journaled
         self.wals: dict[str, WriteAheadLog] = {}
@@ -248,29 +175,14 @@ class _Workload:
                 )
                 self.wals[name] = wal
                 self.journals[name] = attach_journal(site, wal)
-        self.targets = [
-            (name, self._make_counter(site).guid)
-            for name, site in self.servers.items()
-        ]
+        self.targets = []
+        for name, site in self.servers.items():
+            counter = make_counter(site, f"counter@{name}")
+            site.register_object(counter, name="apps/counter")
+            self.targets.append((name, counter.guid))
         self.nomad = self._make_nomad(self.servers[self.server_ids[0]])
         self.nomad_home = self.server_ids[0]
         self.nomad_guid = self.nomad.guid
-        self.migrations = 0
-        self.invoke_ok = 0
-        self._hop_inflight = False
-
-    @staticmethod
-    def _make_counter(site: Site):
-        counter = site.create_object(display_name=f"counter@{site.site_id}")
-        counter.define_fixed_data("count", 0)
-        counter.define_fixed_method(
-            "increment",
-            "self.set('count', self.get('count') + (args[0] if args else 1))\n"
-            "return self.get('count')",
-        )
-        counter.seal()
-        site.register_object(counter, name="apps/counter")
-        return counter
 
     @staticmethod
     def _make_nomad(site: Site):
@@ -300,12 +212,40 @@ class _Workload:
             for guid in guids
         }
 
+    def report_fields(self) -> dict:
+        config = self.config
+        return dict(
+            mode=config.mode,
+            server_sheds={
+                name: site.shed_requests for name, site in self.servers.items()
+            },
+            durable=(
+                {
+                    "backend": config.backend,
+                    "restarts": self.restarts,
+                    "ownership": self.ownership(),
+                    "recoveries": [
+                        recovery.to_mapping()
+                        for recovery in self.recovery_reports
+                    ],
+                }
+                if config.durable else {}
+            ),
+            recovery_reports=list(self.recovery_reports),
+        )
+
     # -- the crash-and-restart plane ---------------------------------------
 
-    def arm_recovery(self, plane: FaultPlane) -> None:
+    def arm(self, plane: FaultPlane | None) -> FaultPlane | None:
         """Schedule ``config.crash_cycles`` whole-site kill/restart
         cycles, spread round-robin across the serving sites."""
         config = self.config
+        if not config.crash_cycles:
+            return plane
+        if plane is None:  # durable non-soak runs still need a plane to
+            plane = FaultPlane(  # carry the crash schedule
+                self.network, seed=config.seed, scenario="load-durable"
+            )
         share: dict[str, int] = {}
         for index in range(config.crash_cycles):
             victim = self.server_ids[index % len(self.server_ids)]
@@ -321,17 +261,16 @@ class _Workload:
                     every=config.crash_every * len(share),
                 )
             )
+        return plane
 
     def _recover(self, network: Network, site_id: str) -> None:
         """The restart procedure: a fresh incarnation from the WAL, host
         configuration re-applied, journal re-attached and compacted."""
-        config = self.config
         site, manager, report = recover_site(
             network, site_id, self.wals[site_id],
-            domain=f"load.{site_id}", retry_policy=config.retry,
+            domain=f"load.{site_id}", retry_policy=self.config.retry,
         )
-        site.inflight_limit = config.inflight_limit
-        site.service_delay = config.service_delay
+        self.admit(site)
         for name, guid in self.targets:
             if name == site_id and site.has_object(guid):
                 site.names.bind("apps/counter", guid)
@@ -345,61 +284,41 @@ class _Workload:
         self.restarts += 1
         self.recovery_reports.append(report)
 
-    def issue_for(self, client: Site, rng) -> Any:
-        """The per-client ``issue()`` callback: draw an op, fire it."""
-        config = self.config
+    def drained(self) -> bool:
+        return not any(manager.unresolved for manager in self.managers.values())
 
-        def issue() -> BatchFuture:
-            op = config.profile.pick(rng)
-            dst, guid = self.targets[rng.randrange(len(self.targets))]
-            if op == "invoke":
-                future = client.remote_invoke_async(
-                    dst, guid, "increment", [1], policy=config.retry
-                )
-                future.when_done(self._count_increment)
-                return future
-            if op == "get_data":
-                return client.remote_get_data_async(
-                    dst, guid, "count", policy=config.retry
-                )
-            if op == "describe":
-                return client.remote_describe_async(
-                    dst, guid, policy=config.retry
-                )
-            return self._hop()
+    def settle(self) -> None:
+        for manager in list(self.managers.values()):
+            try:
+                manager.reconcile()
+            except MROMError:
+                pass
 
-        return issue
+    def weather(self) -> bool:
+        """A failed hop that aborted cleanly under a crash schedule, with
+        the nomad still home, is environment weather, not a protocol
+        failure; the driver will hop again."""
+        return bool(self.config.crash_cycles) and self.servers[
+            self.nomad_home
+        ].has_object(self.nomad_guid)
 
-    def _count_increment(self, future: BatchFuture) -> None:
-        try:
-            future.result()
-        except MROMError:
-            return
-        self.invoke_ok += 1
+    def client_ops(self, client: Site) -> dict:
+        retry = self.config.retry
+        return {
+            "invoke": lambda target: client.remote_invoke_async(
+                *target, "increment", [1], policy=retry
+            ),
+            "get_data": lambda target: client.remote_get_data_async(
+                *target, "count", policy=retry
+            ),
+            "describe": lambda target: client.remote_describe_async(
+                *target, policy=retry
+            ),
+        }
 
-    def _hop(self) -> BatchFuture:
-        """Migrate the nomad one serving site onward (synchronously —
-        the transfer protocol pumps; the settled future keeps the
-        driver's accounting uniform).
-
-        Hops are serialized: ``migrate`` pumps the simulator, so while
-        one handoff is stretched out by faults (a crashed destination
-        keeps the retry window open for seconds of simulated time)
-        other drivers' events fire inside the pump and would otherwise
-        start a second, concurrent migration of the same object. A hop
-        that finds one already in flight defers instead.
-        """
-        future = BatchFuture()
-        if self._hop_inflight:
-            future._resolve("deferred")
-            return future
-        self._hop_inflight = True
-        try:
-            return self._hop_once(future)
-        finally:
-            self._hop_inflight = False
-
-    def _hop_once(self, future: BatchFuture) -> BatchFuture:
+    def _move_once(self, rng) -> str:
+        """Migrate the nomad one serving site onward (synchronously:
+        the transfer protocol pumps)."""
         manager = self.managers[self.nomad_home]
         if manager.unresolved:
             # a previous handoff's verdict is still pending (a restart
@@ -411,8 +330,7 @@ class _Workload:
             except MROMError:
                 pass
             if manager.unresolved:
-                future._resolve("deferred")
-                return future
+                return self._deferred()
             ring = [self.nomad_home] + [
                 name for name in self.server_ids if name != self.nomad_home
             ]
@@ -427,160 +345,23 @@ class _Workload:
                     self.nomad_home = name
                     break
             else:
-                future._resolve("deferred")
-                return future
-        here = self.server_ids.index(self.nomad_home)
-        dst = self.server_ids[(here + 1) % len(self.server_ids)]
+                return self._deferred()
+        dst = self._next_site(self.nomad_home)
         if dst == self.nomad_home:  # single-site world: nothing to do
-            future._resolve(dst)
-            return future
+            return dst
         if not self.network.is_live(dst):
             # never migrate toward a dead host; hop again once it is back
-            future._resolve("deferred")
-            return future
-        try:
-            ref = self.managers[self.nomad_home].migrate(self.nomad, dst)
-        except TransferUnresolvedError:
-            # ambiguous verdict (typically: the destination crashed
-            # mid-handshake): the write-ahead intent is journaled and the
-            # transfer sits in `unresolved` — the next hop's guard
-            # reconciles it, and ownership is never in doubt meanwhile
-            future._resolve("deferred")
-            return future
-        except MROMError as exc:
-            if (
-                self.config.crash_cycles
-                and self.servers[self.nomad_home].has_object(self.nomad_guid)
-            ):
-                # the handoff aborted cleanly under a crash schedule and
-                # the object never left — environment weather, not a
-                # protocol failure; the driver will hop again
-                future._resolve("deferred")
-                return future
-            future._fail(exc)
-            return future
+            return self._deferred()
+        ref = self.managers[self.nomad_home].migrate(self.nomad, dst)
         self.nomad = self.servers[dst].local_object(ref.guid)
         self.nomad_home = dst
         self.migrations += 1
-        future._resolve(dst)
-        return future
-
-
-def _run(config: LoadConfig, soak: bool, attach=None):
-    workload = _Workload(config)
-    # faults must attach after the world exists but before traffic starts
-    plane: FaultPlane | None = attach(workload.network) if attach else None
-    if config.durable and config.crash_cycles > 0:
-        if plane is None:  # durable non-soak runs still need a plane to
-            plane = FaultPlane(  # carry the crash schedule
-                workload.network, seed=config.seed, scenario="load-durable"
-            )
-        workload.arm_recovery(plane)
-    stats = DriverStats()
-    recorder = LatencyRecorder()
-    budget = lambda: stats.issued < config.requests  # noqa: E731
-
-    drivers = []
-    for index, client in enumerate(workload.clients):
-        rng = workload.network.simulator.derive_rng(f"load.client.{index}")
-        issue = workload.issue_for(client, rng)
-        if config.mode == "closed":
-            drivers.append(
-                ClosedLoopDriver(
-                    client, issue, budget, stats, recorder,
-                    think_time=config.think_time,
-                )
-            )
-        else:
-            drivers.append(
-                OpenLoopDriver(
-                    client, issue, budget, stats, recorder,
-                    rate=config.rate, rng=rng,
-                )
-            )
-    for driver in drivers:
-        driver.start()
-    workload.network.run()
-
-    if config.durable:
-        # drain-time reconciliation: every write-ahead intent a restart
-        # resurrected (and every timeout-flagged handoff) gets its
-        # verdict now, so ownership is settled before accounting
-        for _round in range(10):
-            if not any(
-                manager.unresolved for manager in workload.managers.values()
-            ):
-                break
-            for manager in list(workload.managers.values()):
-                try:
-                    manager.reconcile()
-                except MROMError:
-                    pass
-            workload.network.run()
-
-    duration = workload.network.now
-    report = LoadReport(
-        mode=config.mode,
-        sites=config.sites,
-        clients=config.clients,
-        requests=config.requests,
-        seed=config.seed,
-        soak=soak,
-        issued=stats.issued,
-        completed=stats.completed,
-        ok=stats.ok,
-        shed=stats.shed,
-        failed=stats.failed,
-        unresolved=stats.unresolved,
-        errors=dict(stats.errors),
-        migrations=workload.migrations,
-        invoke_ok=workload.invoke_ok,
-        counter_total=workload.counter_total(),
-        server_sheds={
-            name: site.shed_requests
-            for name, site in workload.servers.items()
-        },
-        duration=duration,
-        throughput=stats.ok / duration if duration > 0 else 0.0,
-        latency=recorder.snapshot(),
-        profile=config.profile.to_mapping(),
-        faults=dict(plane.counts) if plane is not None else {},
-        durable=(
-            {
-                "backend": config.backend,
-                "restarts": workload.restarts,
-                "ownership": workload.ownership(),
-                "recoveries": [
-                    recovery.to_mapping()
-                    for recovery in workload.recovery_reports
-                ],
-            }
-            if config.durable else {}
-        ),
-        recovery_reports=list(workload.recovery_reports),
-    )
-    tel = _telemetry.ACTIVE
-    if tel is not None:
-        tel.events.emit(
-            "load.report",
-            mode=report.mode, issued=report.issued, ok=report.ok,
-            shed=report.shed, failed=report.failed,
-            unresolved=report.unresolved, throughput=report.throughput,
-            p50=report.latency.get("p50"), p99=report.latency.get("p99"),
-        )
-    return report
+        return dst
 
 
 def run_load_scenario(config: LoadConfig | None = None) -> LoadReport:
     """One clean (fault-free) load run; see :class:`LoadConfig`."""
-    return _run(config or LoadConfig(), soak=False)
-
-
-#: Retry schedule armed for soak runs when the config does not bring one:
-#: generous attempts, short timeouts — tuned for the injected fault rates.
-SOAK_RETRY = RetryPolicy(
-    attempts=6, timeout=0.5, backoff=0.05, multiplier=2.0, max_backoff=1.0
-)
+    return run_scenario(_Workload, config or LoadConfig(), soak=False)
 
 
 def run_soak_scenario(config: LoadConfig | None = None) -> LoadReport:
@@ -588,15 +369,4 @@ def run_soak_scenario(config: LoadConfig | None = None) -> LoadReport:
     duplicated and jittered while the drivers sustain offered load, and
     retry policies (``SOAK_RETRY`` unless the config brings its own)
     carry every logical request to a settled outcome anyway."""
-    config = config or LoadConfig()
-    if config.retry is None:
-        config = LoadConfig(**{**config.__dict__, "retry": SOAK_RETRY})
-
-    def attach(network: Network) -> FaultPlane:
-        plane = FaultPlane(network, seed=config.seed, scenario="load-soak")
-        plane.add(DropInjector(rate=0.02))
-        plane.add(DuplicateInjector(rate=0.02))
-        plane.add(JitterInjector(max_jitter=0.005, rate=0.25))
-        return plane
-
-    return _run(config, soak=True, attach=attach)
+    return run_scenario(_Workload, config or LoadConfig(), soak=True)

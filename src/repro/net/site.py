@@ -60,6 +60,10 @@ def _failure(error: Exception) -> dict:
     return {"ok": False, "error": type(error).__name__, "message": str(error)}
 
 
+def _missing_request_id(kind: str) -> NetworkError:
+    return NetworkError(f"{kind!r} request carries no request_id")
+
+
 class Site:
     """One host: registry, naming, and the wire protocol."""
 
@@ -209,10 +213,12 @@ class Site:
 
         Replies settle the call still awaiting them; a reply to a request
         this site has abandoned (timed out, or a previous incarnation's)
-        is counted stale and discarded. Requests carrying a
-        ``request_id`` are executed **at most once**: the reply is
-        recorded and replayed to any retry or duplicate delivery of the
-        same logical request.
+        is counted stale and discarded. Every request must carry a
+        ``request_id`` (one without is refused with a typed
+        :class:`~repro.core.errors.NetworkError`, before any handler,
+        admission slot or ledger entry) and is executed **at most
+        once**: the reply is recorded and replayed to any retry or
+        duplicate delivery of the same logical request.
 
         Fresh requests pass admission first: with ``inflight_limit``
         set and the window full, the request is shed with a structured
@@ -229,11 +235,16 @@ class Site:
             else:
                 call.on_reply(message)
             return
+        if not message.request_id:
+            # every request path mints an id; an id-less request can only
+            # be hand-built, and without one no retry could be recognised
+            self._send_reply(message, _failure(_missing_request_id(message.kind)))
+            return
         replayed = self._replay(message.kind, message.request_id)
         if replayed is not None:
             self._send_reply(message, replayed)
             return
-        if message.request_id and message.request_id in self._in_progress:
+        if message.request_id in self._in_progress:
             # a duplicate of a request still in its service window: the
             # handler ran (or will run) exactly once for the original,
             # whose reply is already on its way — answer with silence
@@ -251,8 +262,7 @@ class Site:
         if not self.try_admit(message.kind, src=message.src):
             self._shed(message)
             return
-        if message.request_id:
-            self._in_progress.add(message.request_id)
+        self._in_progress.add(message.request_id)
         if self.service_delay > 0:
             self.network.simulator.schedule(
                 self.service_delay,
@@ -313,7 +323,7 @@ class Site:
         A replay refreshes the entry's place in the ledger, so a request
         that keeps being retried is the last to be evicted.
         """
-        if not request_id or request_id not in self._served:
+        if request_id not in self._served:
             return None
         self.replayed_requests += 1
         tel = _telemetry.ACTIVE
@@ -378,13 +388,12 @@ class Site:
         Even if the reply is lost, a retry replays the same outcome
         instead of re-executing the handler: from the served ledger, or,
         on the next incarnation, from the journal, which also makes the
-        post-execution state durable (for a request without an id too).
+        post-execution state durable.
         """
-        if request_id:
-            self._served[request_id] = envelope
-            self._served.move_to_end(request_id)
-            while len(self._served) > self._served_cap:
-                self._served.popitem(last=False)
+        self._served[request_id] = envelope
+        self._served.move_to_end(request_id)
+        while len(self._served) > self._served_cap:
+            self._served.popitem(last=False)
         if self.journal is not None:
             self.journal.note_served(kind, request_id, envelope, payload)
 
@@ -406,8 +415,7 @@ class Site:
         finally:
             if san is not None:
                 san.end_serve(message.msg_id, hb_task)
-            if message.request_id:
-                self._in_progress.discard(message.request_id)
+            self._in_progress.discard(message.request_id)
             self.release()
 
     def _send_reply(self, request: Message, payload: Any) -> None:
@@ -838,7 +846,9 @@ class Site:
         if not isinstance(entry, Mapping):
             return _failure(NetworkError(f"malformed batch entry {entry!r}"))
         kind = str(entry.get("kind", ""))
-        request_id = str(entry.get("request_id", ""))
+        request_id = entry.get("request_id")
+        if not isinstance(request_id, str) or not request_id:
+            return _failure(_missing_request_id(kind))
         replayed = self._replay(kind, request_id)
         if replayed is not None:
             return replayed

@@ -120,15 +120,6 @@ class SiteJournal:
                 if image is not None:
                     attrs["guid"] = guid
                     attrs["image"] = image
-        if not request_id:
-            # a legacy request (no retry policy, no dedup id): nothing to
-            # replay to a retry, but the mutated state is still durable
-            if "image" in attrs:
-                self._write(
-                    "object.image",
-                    {"guid": attrs["guid"], "package": attrs["image"]},
-                )
-            return
         self._write("served.reply", attrs)
 
     # -- transfer-side notes -----------------------------------------------

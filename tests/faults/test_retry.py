@@ -10,10 +10,11 @@ from repro.core.errors import (
     RequestTimeoutError,
 )
 from repro.faults import DropInjector, DuplicateInjector, FaultPlane
-from repro.net import RetryPolicy
+from repro.net import LAN, RetryPolicy
+from repro.persistence import WriteAheadLog, attach_journal, make_store
 
 from ..conftest import build_counter
-from .conftest import make_sites
+from .conftest import Recorder, make_sites
 
 FAST = RetryPolicy(attempts=4, timeout=0.5, backoff=0.05, multiplier=2.0)
 
@@ -187,6 +188,48 @@ class TestServedLedger:
         assert oldest in server._served
         assert len(server._served) == server._served_cap
         assert counter.get_data("count", caller=counter.owner) == 5
+
+
+class TestRequestIdRequired:
+    """Every request path mints a request_id; a hand-built request
+    without one is refused before it can run, be admitted or be
+    recorded (it could never be deduplicated)."""
+
+    def test_id_less_request_is_refused_untouched(self):
+        network, sites, counter = counter_world()
+        server = sites["b"]
+        wal = WriteAheadLog(make_store("memory", name="b"))
+        attach_journal(server, wal)
+        frames = len(wal.records())
+        server.inflight_limit = 0  # any admission attempt would shed
+        sender = Recorder(network, "r")
+        network.topology.connect("r", "b", *LAN)
+        payload = sites["a"]._invoke_payload(counter.guid, "increment", [1], None)
+        network.send("r", "b", "invoke", payload)
+        network.run()
+        (reply,) = sender.received
+        assert reply.payload["ok"] is False
+        assert reply.payload["error"] == "NetworkError"
+        assert "request_id" in reply.payload["message"]
+        assert counter.get_data("count", caller=counter.owner) == 0
+        assert server.shed_requests == 0 and server.inflight == 0
+        assert not server._served and not server._in_progress
+        assert len(wal.records()) == frames
+
+    def test_id_less_batch_entry_is_refused_alone(self):
+        network, sites, counter = counter_world()
+        client, server = sites["a"], sites["b"]
+        payload = client._invoke_payload(counter.guid, "increment", [1], None)
+        result = client.request("b", "batch", {"requests": [
+            {"kind": "invoke", "payload": payload},
+            {"kind": "invoke", "payload": payload, "request_id": "a:batched"},
+        ]})
+        refused, served = result["replies"]
+        assert refused["ok"] is False and refused["error"] == "NetworkError"
+        assert served == {"ok": True, "result": 1}
+        assert counter.get_data("count", caller=counter.owner) == 1
+        # the frame and its one well-formed entry; nothing for the refusal
+        assert len(server._served) == 2 and "a:batched" in server._served
 
 
 class TestPartitionSemantics:

@@ -87,7 +87,7 @@ class TestByValueDelivery:
 
         b.add_handler("capture", capture)
         original = {"rows": [1, 2, 3]}
-        network.send("a", "b", "capture", original)
+        network.send("a", "b", "capture", original, request_id="a:1")
         network.run()
         assert captured["payload"] == original
         assert captured["payload"] is not original
@@ -102,13 +102,16 @@ class TestByValueDelivery:
             return True
 
         b.add_handler("capture", capture)
-        msg_id = network.send("a", "b", "capture", {"x": 1}, lamport=7)
+        msg_id = network.send(
+            "a", "b", "capture", {"x": 1}, lamport=7, request_id="a:1"
+        )
         network.run()
         message = seen["message"]
         assert message.kind == "capture"
         assert (message.src, message.dst) == ("a", "b")
         assert message.msg_id == msg_id
         assert message.lamport == 7
+        assert message.request_id == "a:1"
         assert message.size > 0
 
 
