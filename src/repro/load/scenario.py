@@ -22,6 +22,7 @@ backpressure machinery holding under sustained adversarial load.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
 from ..core.errors import MROMError
 from ..faults import DurableCrashInjector, FaultPlane
 from ..mobility import MobilityManager
@@ -268,7 +269,7 @@ class _Workload(World):
         configuration re-applied, journal re-attached and compacted."""
         site, manager, report = recover_site(
             network, site_id, self.wals[site_id],
-            domain=f"load.{site_id}", retry_policy=self.config.retry,
+            domain=f"{self.domain}.{site_id}", retry_policy=self.config.retry,
         )
         self.admit(site)
         for name, guid in self.targets:
