@@ -151,4 +151,45 @@ def best_time_per_call(
     return best
 
 
-__all__ = ["best_time_per_call", "build_counter", "make_site_world"]
+def interleaved_speedup(
+    slow: Callable[[], object],
+    fast: Callable[[], object],
+    rounds: int = 100,
+    slow_batch: int = 100,
+    fast_batch: int = 500,
+) -> float:
+    """Per-call time of *slow* over that of *fast*, timed in alternation.
+
+    Each round times one batch of *slow* calls, then one batch of *fast*
+    calls, with the collector off; the ratio is of each side's fastest
+    batch. A shared machine whose speed changes during the measurement
+    slows both sides' batches alike, where two back-to-back best-of-N
+    timings could each see a different machine.
+    """
+    slow(), fast()  # warm-up: compile portable code, populate caches
+    clock = time.perf_counter
+    best_slow = best_fast = float("inf")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(rounds):
+            start = clock()
+            for _ in range(slow_batch):
+                slow()
+            middle = clock()
+            for _ in range(fast_batch):
+                fast()
+            end = clock()
+            best_slow = min(best_slow, (middle - start) / slow_batch)
+            best_fast = min(best_fast, (end - middle) / fast_batch)
+    finally:
+        gc.enable()
+    return best_slow / best_fast
+
+
+__all__ = [
+    "best_time_per_call",
+    "build_counter",
+    "interleaved_speedup",
+    "make_site_world",
+]
