@@ -1,9 +1,14 @@
 """PERF-3: the cost of the Match phase (security coupled with
 encapsulation, checked at every invocation).
 
-Series: self-invocation (Match bypassed), allow-all ACL, ACLs of growing
-length (the caller matching the last entry — worst case for the ordered
-scan), and a domain-pattern ACL.
+A warm call runs a compiled closure whose ALLOW verdict is pinned, so it
+never evaluates the ACL; Match runs cold — on the first call of a
+(caller, method) pair and again after every ACL edit. The series times
+that cold Match two ways: ``acl.permits`` alone, and an invoke right
+after an edit (the re-check plus the recompile it triggers). Variants:
+self-invocation (Match bypassed), allow-all, ACLs of growing length
+(the caller matching the last entry — worst case for the ordered scan)
+and a domain-pattern ACL.
 """
 
 import pytest
@@ -15,12 +20,16 @@ from repro.core import (
     Permission,
     Principal,
     allow_all,
+    domain_acl,
 )
 
 from .series import emit, time_per_call
 
 OWNER = Principal("mrom://bench/1.1", "bench.dom", "owner")
 CALLER = Principal("mrom://bench/2.2", "bench.dom.sub", "caller")
+#: removing a subject no entry names leaves the entries as they are but
+#: moves the ACL's version, which sends compiled closures cold
+ABSENT = "mrom://bench/absent"
 
 
 def build_service(acl: AccessControlList) -> MROMObject:
@@ -39,45 +48,55 @@ def acl_with_entries(count: int) -> AccessControlList:
     return AccessControlList(entries)
 
 
-def test_match_bypassed_for_self(benchmark):
-    obj = build_service(allow_all())
-    benchmark(lambda: obj.invoke("op", caller=obj.principal))
+def cold_invoke(obj: MROMObject, caller: Principal):
+    """An invoke right after an ACL edit (the edit is timed too)."""
+    acl = obj.containers.lookup_method("op")[0].acl
 
+    def call():
+        acl.remove_subject(ABSENT)
+        return obj.invoke("op", caller=caller)
 
-def test_match_allow_all(benchmark):
-    obj = build_service(allow_all())
-    benchmark(lambda: obj.invoke("op", caller=CALLER))
+    return call
 
 
 @pytest.mark.parametrize("entries", [1, 8, 64])
-def test_match_with_acl_entries(benchmark, entries):
-    obj = build_service(acl_with_entries(entries))
-    benchmark(lambda: obj.invoke("op", caller=CALLER))
+def test_permits_with_acl_entries(benchmark, entries):
+    acl = acl_with_entries(entries)
+    benchmark(lambda: acl.permits(CALLER, Permission.INVOKE))
+
+
+@pytest.mark.parametrize("entries", [1, 8, 64])
+def test_invoke_after_acl_edit(benchmark, entries):
+    benchmark(cold_invoke(build_service(acl_with_entries(entries)), CALLER))
 
 
 def test_perf3_series(benchmark):
-    from repro.core import domain_acl
-
     variants = [
-        ("self (match bypassed)", build_service(allow_all()), None),
-        ("allow-all", build_service(allow_all()), CALLER),
-        ("acl-1-entry", build_service(acl_with_entries(1)), CALLER),
-        ("acl-8-entries", build_service(acl_with_entries(8)), CALLER),
-        ("acl-64-entries", build_service(acl_with_entries(64)), CALLER),
-        ("domain-pattern", build_service(domain_acl("bench.dom")), CALLER),
+        ("self (match bypassed)", allow_all(), None),
+        ("allow-all", allow_all(), CALLER),
+        ("acl-1-entry", acl_with_entries(1), CALLER),
+        ("acl-8-entries", acl_with_entries(8), CALLER),
+        ("acl-64-entries", acl_with_entries(64), CALLER),
+        ("domain-pattern", domain_acl("bench.dom"), CALLER),
     ]
     rows = []
-    baseline = None
-    for label, obj, caller in variants:
+    for label, acl, caller in variants:
+        obj = build_service(acl)
         principal = caller if caller is not None else obj.principal
-        cost = time_per_call(lambda o=obj, p=principal: o.invoke("op", caller=p))
-        if baseline is None:
-            baseline = cost
-        rows.append((label, cost * 1e6, cost / baseline))
+        edit = time_per_call(lambda a=acl: a.remove_subject(ABSENT))
+        cold = time_per_call(cold_invoke(obj, principal)) - edit
+        warm = time_per_call(lambda o=obj, p=principal: o.invoke("op", caller=p))
+        permits = (
+            time_per_call(lambda a=acl, p=principal: a.permits(p, Permission.INVOKE)) * 1e6
+            if caller is not None
+            else "-"
+        )
+        rows.append((label, permits, cold * 1e6, warm * 1e6))
     emit(
         "perf3_security_match",
-        "PERF-3: Match-phase cost per invocation",
-        ["variant", "us/call", "vs_self"],
+        "PERF-3: cold Match-phase cost (us; cold invoke = invoke after an "
+        "ACL edit, the edit's own cost subtracted)",
+        ["variant", "permits", "cold_invoke", "warm_invoke"],
         rows,
     )
-    benchmark(lambda: variants[1][1].invoke("op", caller=CALLER))
+    benchmark(lambda: variants[4][1].permits(CALLER, Permission.INVOKE))

@@ -22,7 +22,7 @@ evaluated deny-overrides: any applicable DENY entry beats any ALLOW.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from ..telemetry import state as _telemetry
@@ -42,6 +42,7 @@ __all__ = [
     "domain_acl",
     "principals_acl",
     "note_match",
+    "remote_principal",
 ]
 
 
@@ -98,6 +99,20 @@ SYSTEM = Principal(guid="mrom:system", domain="", display_name="system")
 #: A caller that presented no identity; matches only ``EVERYONE`` entries.
 ANONYMOUS = Principal(guid="mrom:anonymous", domain="", display_name="anonymous")
 
+_SYSTEM_GUID = SYSTEM.guid
+
+
+def remote_principal(guid: str, domain: str = "", display_name: str = "") -> Principal:
+    """The principal a remote caller claims to be.
+
+    :data:`SYSTEM` is this runtime itself and passes every ACL, deny
+    entries included, so no peer may claim it: the claim is refused with
+    :class:`AccessDeniedError` before a handler touches any object.
+    """
+    if guid == _SYSTEM_GUID:
+        raise AccessDeniedError(guid, "remote caller identity", "SYSTEM")
+    return Principal(guid=guid, domain=domain, display_name=display_name)
+
 
 class Decision(enum.Enum):
     """Outcome contributed by a single ACL entry."""
@@ -106,13 +121,37 @@ class Decision(enum.Enum):
     DENY = "deny"
 
 
-class _SubjectKind(enum.Enum):
-    EVERYONE = "everyone"
-    DOMAIN = "domain"
-    PRINCIPAL = "principal"
+# Match runs on plain ints. ``Permission`` is the public type, but Flag
+# arithmetic costs a class lookup and a pseudo-member construction per
+# ``&``; every ACL entry carries its mask as an int (computed once, at
+# construction) and every evaluation below tests ints only.
+
+#: Permission bits as ints, for callers on the Match hot path.
+GET_BIT = Permission.GET._value_
+SET_BIT = Permission.SET._value_
+INVOKE_BIT = Permission.INVOKE._value_
+META_BIT = Permission.META._value_
+ALL_BITS = Permission.ALL._value_
+
+_SINGLE_PERMISSIONS = (Permission.GET, Permission.SET, Permission.INVOKE, Permission.META)
+
+#: mask -> the names of its single permissions, in declaration order
+#: (what :meth:`AccessControlList.describe` writes), one row per mask
+_NAMES_OF_MASK = tuple(
+    tuple(p.name for p in _SINGLE_PERMISSIONS if mask & p._value_)
+    for mask in range(ALL_BITS + 1)
+)
+#: mask -> its Permission, one row per mask
+_PERMISSION_OF_MASK = tuple(Permission(mask) for mask in range(ALL_BITS + 1))
+#: every member name, aliases included -> its mask
+_MASK_OF_NAME = {name: p._value_ for name, p in Permission.__members__.items()}
+_DENY = Decision.DENY
+
+# subject kinds, resolved once per entry
+_EVERYONE, _DOMAIN, _PRINCIPAL = 0, 1, 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AclEntry:
     """One rule: *subject* is allowed/denied *permissions*.
 
@@ -126,28 +165,52 @@ class AclEntry:
     subject: str
     permissions: Permission
     decision: Decision = Decision.ALLOW
+    # the evaluation form, set by __post_init__ and kept out of the
+    # constructor, equality, hash and repr: int mask, deny flag, decision
+    # string, subject kind and domain pattern, so Match never re-parses
+    # the subject or touches a Flag
+    _mask: int = field(init=False, repr=False, compare=False)
+    _deny: bool = field(init=False, repr=False, compare=False)
+    _decision_value: str = field(init=False, repr=False, compare=False)
+    _kind: int = field(init=False, repr=False, compare=False)
+    _domain: str = field(init=False, repr=False, compare=False)
+    _domain_prefix: str = field(init=False, repr=False, compare=False)
 
-    def _subject_kind(self) -> _SubjectKind:
-        if self.subject == "*":
-            return _SubjectKind.EVERYONE
-        if self.subject.startswith("domain:"):
-            return _SubjectKind.DOMAIN
-        return _SubjectKind.PRINCIPAL
+    def __post_init__(self) -> None:
+        subject = self.subject
+        domain = ""
+        if subject == "*":
+            kind = _EVERYONE
+        elif subject.startswith("domain:"):
+            kind = _DOMAIN
+            domain = subject[len("domain:"):]
+        else:
+            kind = _PRINCIPAL
+        init = object.__setattr__
+        init(self, "_mask", self.permissions._value_)
+        init(self, "_deny", self.decision is _DENY)
+        init(self, "_decision_value", self.decision._value_)
+        init(self, "_kind", kind)
+        # every domain starts with the empty pattern's prefix "", so
+        # "domain:" covers every non-anonymous principal
+        init(self, "_domain", domain)
+        init(self, "_domain_prefix", domain + "." if domain else "")
 
     def applies_to(self, principal: Principal) -> bool:
         """True when this entry's subject matches *principal*."""
-        kind = self._subject_kind()
-        if kind is _SubjectKind.EVERYONE:
+        kind = self._kind
+        if kind == _PRINCIPAL:
+            return principal.guid == self.subject
+        if kind == _EVERYONE:
             return True
-        if kind is _SubjectKind.DOMAIN:
-            if principal is ANONYMOUS:
-                return False
-            return principal.in_domain(self.subject[len("domain:"):])
-        return principal.guid == self.subject
+        if principal is ANONYMOUS:
+            return False
+        domain = principal.domain
+        return domain == self._domain or domain.startswith(self._domain_prefix)
 
     def covers(self, permission: Permission) -> bool:
         """True when this entry speaks about *permission*."""
-        return bool(self.permissions & permission)
+        return bool(self._mask & permission._value_)
 
 
 class AccessControlList:
@@ -222,24 +285,70 @@ class AccessControlList:
         return len(self._entries)
 
     def permits(self, principal: Principal, permission: Permission) -> bool:
-        """Evaluate the list for one (principal, permission) pair."""
-        if principal.guid == SYSTEM.guid:
+        """Evaluate the list for one (principal, permission) pair.
+
+        A composite *permission* is permitted when no applicable DENY
+        entry shares a bit with it and an applicable ALLOW entry (or the
+        default) does.
+        """
+        return self.allows(principal, permission._value_)
+
+    def allows(self, principal: Principal, bits: int) -> bool:
+        """:meth:`permits` for a permission given as an int mask."""
+        if principal.guid == _SYSTEM_GUID:
             return True
-        allowed = self._default_allow
+        allow, deny = self._masks(principal)
+        if deny & bits:
+            return False
+        return self._default_allow or bool(allow & bits)
+
+    def mask_for(self, principal: Principal) -> int:
+        """The int mask of the single permissions *principal* holds.
+
+        Bit by bit this is :meth:`permits` (deny-overrides, then the
+        default), in one pass over the list; :data:`SYSTEM` holds every
+        bit.
+        """
+        if principal.guid == _SYSTEM_GUID:
+            return ALL_BITS
+        allow, deny = self._masks(principal)
+        if self._default_allow:
+            allow = ALL_BITS
+        return allow & ~deny
+
+    def _masks(self, principal: Principal) -> tuple[int, int]:
+        """The union of the ALLOW and of the DENY masks of every entry
+        that applies to *principal* (:meth:`AclEntry.applies_to`,
+        inlined: this loop is the whole of a cold Match)."""
+        guid = principal.guid
+        domain = None
+        allow = deny = 0
         for entry in self._entries:
-            if not entry.covers(permission) or not entry.applies_to(principal):
-                continue
-            if entry.decision is Decision.DENY:
-                return False
-            allowed = True
-        return allowed
+            kind = entry._kind
+            if kind == _PRINCIPAL:
+                if entry.subject != guid:
+                    continue
+            elif kind == _DOMAIN:
+                if domain is None:
+                    if principal is ANONYMOUS:
+                        continue
+                    domain = principal.domain
+                if domain != entry._domain and not domain.startswith(
+                    entry._domain_prefix
+                ):
+                    continue
+            if entry._deny:
+                deny |= entry._mask
+            else:
+                allow |= entry._mask
+        return allow, deny
 
     def check(self, principal: Principal, permission: Permission, item: str) -> None:
         """Raise :class:`AccessDeniedError` unless access is permitted.
 
         This is the Match phase of level-0 invocation in callable form.
         """
-        allowed = self.permits(principal, permission)
+        allowed = self.allows(principal, permission._value_)
         note_match(principal, item, permission, allowed)
         if not allowed:
             raise AccessDeniedError(str(principal), item, permission.name or "NONE")
@@ -253,8 +362,8 @@ class AccessControlList:
             "entries": [
                 {
                     "subject": entry.subject,
-                    "permissions": _permission_names(entry.permissions),
-                    "decision": entry.decision.value,
+                    "permissions": list(_NAMES_OF_MASK[entry._mask]),
+                    "decision": entry._decision_value,
                 }
                 for entry in self._entries
             ],
@@ -304,19 +413,11 @@ def note_match(
         )
 
 
-def _permission_names(permissions: Permission) -> list[str]:
-    return [
-        flag.name
-        for flag in (Permission.GET, Permission.SET, Permission.INVOKE, Permission.META)
-        if flag.name and permissions & flag
-    ]
-
-
 def _permissions_from_names(names: Iterable[str]) -> Permission:
-    result = Permission.NONE
+    mask = 0
     for name in names:
-        result |= Permission[name]
-    return result
+        mask |= _MASK_OF_NAME[name]
+    return _PERMISSION_OF_MASK[mask]
 
 
 # ---------------------------------------------------------------------------

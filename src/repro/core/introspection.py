@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .acl import ANONYMOUS, Permission, Principal
+from .acl import ANONYMOUS, INVOKE_BIT, Principal
 from .items import ItemDescription
 from .mobject import META_METHOD_NAMES, MROMObject
 
@@ -123,7 +123,7 @@ def interrogate(obj: MROMObject, viewer: Principal = ANONYMOUS) -> dict:
     for item, category, _section in obj.containers.iter_with_sections():
         if category != "method":
             continue
-        if privileged or item.acl.permits(viewer, Permission.INVOKE):
+        if privileged or item.acl.allows(viewer, INVOKE_BIT):
             result[item.name] = signature_of(item.metadata)
     return result
 
@@ -136,7 +136,7 @@ def can_invoke(obj: MROMObject, viewer: Principal, name: str) -> bool:
     if not obj.containers.has_method(name):
         return False
     method, _section = obj.containers.lookup_method(name)
-    return method.acl.permits(viewer, Permission.INVOKE)
+    return method.acl.allows(viewer, INVOKE_BIT)
 
 
 def find_methods(

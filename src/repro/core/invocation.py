@@ -30,13 +30,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..telemetry import state as _telemetry
-from .acl import Permission, Principal, note_match
+from .acl import INVOKE_BIT, Permission, Principal, note_match
 from .errors import (
     InvocationDepthError,
     MethodNotFoundError,
     PostProcedureError,
     PreProcedureVeto,
 )
+from .code import PortableCode
 from .fastpath import COMPILED_STALE, InvocationCache
 from .items import MROMMethod
 
@@ -58,6 +59,9 @@ __all__ = [
 #: have not encountered yet practical situations that demanded more than
 #: two". We allow plenty, but bound it to fail fast on accidental cycles.
 MAX_META_LEVELS = 32
+
+# read once: every ``Permission.INVOKE`` lookup is a Python-level call
+_INVOKE = Permission.INVOKE
 
 
 class Phase(enum.Enum):
@@ -374,7 +378,7 @@ class Invoker:
         unknown name, a meta-method (its body is the reflective machinery
         itself and stays interpreted) or a caller the ACL denies. The
         general path then raises and audits exactly as an uncached object
-        does. Match is evaluated with ``permits``, which leaves no audit
+        does. Match is evaluated with ``acl.allows``, which leaves no audit
         trail; the closure emits the call's one ``acl.check`` when it
         runs, so a closure can pin the verdict without ever converting a
         denial into access, and a first call audits exactly once.
@@ -386,9 +390,7 @@ class Invoker:
             return None
         if method.metadata.get("meta"):
             return None
-        if caller.guid != obj.guid and not method.acl.permits(
-            caller, Permission.INVOKE
-        ):
+        if caller.guid != obj.guid and not method.acl.allows(caller, INVOKE_BIT):
             return None
         return compile_invocation(self, method, section, caller, cache)
 
@@ -432,6 +434,13 @@ def compile_invocation(
     untouched when a pin fails. *hit* is False only for the call that
     built the closure, which is not counted as a compiled hit.
 
+    A method without pre/post procedures whose body cannot see its
+    context, compiled while the telemetry plane is off and the object is
+    not tracing, gets the *lean* closure instead. It runs the body alone
+    and leaves its success trace for :attr:`MROMObject.last_record` to
+    build when read. Either switch turning on is one more pin: the
+    closure answers ``COMPILED_STALE`` and the next compile is full.
+
     The caller must already have established that the verdict is ALLOW
     and that *method* is not a meta-method.
     """
@@ -469,7 +478,51 @@ def compile_invocation(
     ev_post_failed = (
         TraceEvent(0, Phase.POST, name, "failed") if post is not None else None
     )
-    permission_invoke = Permission.INVOKE
+    if (
+        pre is None
+        and post is None
+        and not needs_ctx
+        and _telemetry.ACTIVE is None
+        and not obj._tracing
+    ):
+        # the lean shape: with telemetry off and the object not tracing,
+        # a call's only observables are its result or error, the hit
+        # counter and the record; its success record is pinned here as
+        # (method, caller, *events)
+        ok_trace = (name, caller_guid, ev_lookup, ev_match, ev_body)
+        portable = method.body if isinstance(method.body, PortableCode) else None
+
+        def lean_invoke(live_caller, args, hit=True):
+            if (
+                clock.value != generation
+                or method.version != method_version
+                or method.acl is not acl
+                or acl._version != acl_version
+                or _telemetry.ACTIVE is not None
+                or obj._tracing
+            ):
+                return COMPILED_STALE
+            if hit:
+                cache.compiled_hits += 1
+            try:
+                # a built portable body is called straight (read per
+                # call, so a rebind still holds)
+                built = portable._compiled if portable is not None else None
+                result = (built or body_call)(self_view, list(args), None)
+            except PreProcedureVeto:
+                note_invocation(
+                    InvocationRecord(name, caller_guid, [ev_lookup, ev_match], "veto")
+                )
+                raise
+            except Exception:
+                note_invocation(
+                    InvocationRecord(name, caller_guid, [ev_lookup, ev_match], "error")
+                )
+                raise
+            obj._last_record = ok_trace
+            return result
+
+        return lean_invoke
 
     def compiled_invoke(live_caller, args, hit=True):
         # -- guards: the four pins, re-checked every call
@@ -477,7 +530,7 @@ def compile_invocation(
             clock.value != generation
             or method.version != method_version
             or method.acl is not acl
-            or acl.version != acl_version
+            or acl._version != acl_version  # the slot: no property call per hit
         ):
             return COMPILED_STALE
         if hit:
@@ -506,7 +559,7 @@ def compile_invocation(
             if not is_self:
                 # the audit observable of the Match phase: same counters,
                 # same acl.check span event as a fresh ACL evaluation
-                note_match(live_caller, name, permission_invoke, True)
+                note_match(live_caller, name, _INVOKE, True)
             events.append(ev_match)
             body_args = list(args)
             ctx = (

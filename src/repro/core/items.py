@@ -25,7 +25,15 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .acl import AccessControlList, Permission, Principal, allow_all
+from .acl import (
+    GET_BIT,
+    INVOKE_BIT,
+    META_BIT,
+    AccessControlList,
+    Permission,
+    Principal,
+    allow_all,
+)
 from .code import CodeRole, MethodCode, as_code, code_from_description
 from .errors import KindError, StaleHandleError
 from .values import Kind, LazyCell, coerce, conforms
@@ -38,6 +46,14 @@ __all__ = [
 ]
 
 _serial = itertools.count(1)
+
+# enum members and values read once: every ``Permission.GET`` or
+# ``.value`` lookup is a Python-level call on the Match path
+_GET = Permission.GET
+_SET = Permission.SET
+#: an item is visible to whoever may read, invoke or meta-manipulate it
+_VISIBLE_BITS = GET_BIT | INVOKE_BIT | META_BIT
+_ANY_KIND = Kind.ANY.value
 
 
 @dataclass(frozen=True)
@@ -128,10 +144,7 @@ class _Item:
         """Encapsulation-as-security: an item a principal may neither read
         nor invoke nor meta-manipulate simply does not appear when that
         principal interrogates the object."""
-        return any(
-            self.acl.permits(principal, perm)
-            for perm in (Permission.GET, Permission.INVOKE, Permission.META)
-        )
+        return bool(self.acl.mask_for(principal) & _VISIBLE_BITS)
 
 
 class DataItem(_Item):
@@ -174,11 +187,11 @@ class DataItem(_Item):
     # -- value access (ordinary get/set, *not* the meta-operations) -------
 
     def get_value(self, caller: Principal) -> Any:
-        self.check(caller, Permission.GET)
+        self.check(caller, _GET)
         return self.peek()
 
     def set_value(self, caller: Principal, value: Any) -> None:
-        self.check(caller, Permission.SET)
+        self.check(caller, _SET)
         self._value = self._admit(value)
 
     def peek(self) -> Any:
@@ -219,7 +232,7 @@ class DataItem(_Item):
             name=self.name,
             category=self.category,
             section=section,
-            kind=self.kind.value,
+            kind=self.kind._value_,
             portable=self.portable,
             version=self.version,
             acl=self.acl.describe(),
@@ -301,7 +314,7 @@ class MROMMethod(_Item):
             name=self.name,
             category=self.category,
             section=section,
-            kind=Kind.ANY.value,
+            kind=_ANY_KIND,
             portable=self.portable,
             has_pre=self.pre is not None,
             has_post=self.post is not None,

@@ -144,7 +144,10 @@ class MROMObject:
         self._self_view: SelfView | None = None
         self._tracing = False
         self._records: list[InvocationRecord] = []
-        self.last_record: InvocationRecord | None = None
+        # the latest top-level record, or the pinned (method, caller,
+        # *events) a lean compiled call that ended "ok" left instead
+        # (see last_record)
+        self._last_record: InvocationRecord | tuple | None = None
         self._meta_acl = meta_acl if meta_acl is not None else owner_only(self.owner)
         self._fastpath: InvocationCache | None = (
             InvocationCache() if fastpath else None
@@ -318,8 +321,22 @@ class MROMObject:
         if not enabled:
             self._records.clear()
 
+    @property
+    def last_record(self) -> InvocationRecord | None:
+        """The record of the latest top-level invocation.
+
+        A lean compiled call (``compile_invocation``) that ends "ok"
+        leaves only its pinned trace; the record is built on first read,
+        so such a warm call allocates none.
+        """
+        last = self._last_record
+        if last.__class__ is tuple:
+            method, caller, *events = last
+            last = self._last_record = InvocationRecord(method, caller, events, "ok")
+        return last
+
     def note_invocation(self, record: InvocationRecord) -> None:
-        self.last_record = record
+        self._last_record = record
         if self._tracing:
             self._records.append(record)
 

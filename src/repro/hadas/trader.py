@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..core.acl import Principal
+from ..core.acl import Principal, remote_principal
 from ..core.errors import MROMError
 from ..core.introspection import interrogate
 from ..net.transport import Message
@@ -108,10 +108,10 @@ class Trader:
 
     def _handle_trade(self, message: Message) -> list:
         body = message.payload
-        requester = Principal(
-            guid=str(body.get("guid", "mrom:anonymous")),
-            domain=str(body.get("from_domain", "")),
-            display_name=str(body.get("from_site", message.src)),
+        requester = remote_principal(
+            str(body.get("guid", "mrom:anonymous")),
+            str(body.get("from_domain", "")),
+            str(body.get("from_site", message.src)),
         )
         tags = [str(tag) for tag in body.get("tags", [])]
         return [offer.to_mapping() for offer in self.local_offers(tags, requester)]

@@ -173,7 +173,7 @@ def _client_thread(
             name = names[at]
             at = (at + 1) % len(names)
             done = False
-            for _attempt in range(6):
+            for attempt in range(6):
                 try:
                     lease = leases.get(name) or resolve(name)
                     channels.call(
@@ -191,10 +191,13 @@ def _client_thread(
                     done = True
                     break
                 except StaleLeaseError:
-                    # the placement moved: drop the lease, re-resolve
+                    # the placement moved: drop the lease, re-resolve after
+                    # 2, 4 ... 32 ms, so a move that outlasts tens of ms of
+                    # wall time on a loaded machine cannot exhaust the op
                     local["stale"] += 1
                     leases.pop(name, None)
-                    time.sleep(0.001)
+                    if attempt < 5:
+                        time.sleep(0.002 * 2 ** attempt)
                 except OverloadError:
                     local["shed"] += 1
                     time.sleep(0.002)

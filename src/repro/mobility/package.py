@@ -89,7 +89,7 @@ def _pack_data(item: DataItem) -> dict:
     return {
         "name": item.name,
         "value": copy.deepcopy(item.peek()),
-        "kind": item.kind.value,
+        "kind": item.kind._value_,  # an attribute read; ``.value`` is a property call
         "acl": item.acl.describe(),
         "metadata": dict(item.metadata),
     }

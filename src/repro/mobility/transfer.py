@@ -554,8 +554,8 @@ class MobilityManager:
         body = message.payload
         guid = str(body.get("target", ""))
         dst = str(body.get("dst", ""))
-        obj = self.site.local_object(guid)
         caller = self.site._caller_from(body.get("caller"))
+        obj = self.site.local_object(guid)
         # only the object's owner (or this site itself) may bounce it on —
         # a hostile third party must not be able to teleport guests around
         if caller.guid not in (obj.owner.guid, self.site.principal.guid):

@@ -445,6 +445,7 @@ class ClusterManager:
         body = message.payload if isinstance(message.payload, Mapping) else {}
         name = str(body.get("name", ""))
         generation = int(body.get("generation", -1))
+        caller = self.site._caller_from(body.get("caller"))
         entry = self.placements.get(name)
         if entry is None or entry["state"] != "active":
             self._refuse(name, entry)
@@ -455,7 +456,6 @@ class ClusterManager:
         if self.service_sleep:
             time.sleep(self.service_sleep)
         obj = self.site.local_object(entry["guid"])
-        caller = self.site._caller_from(body.get("caller"))
         args = self.site.import_value(body.get("args", []))
         return obj.invoke(str(body.get("method", "")), args, caller=caller)
 

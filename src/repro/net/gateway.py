@@ -26,7 +26,7 @@ import struct
 import threading
 from typing import Any
 
-from ..core.acl import Principal
+from ..core.acl import Principal, remote_principal
 from ..core.errors import MROMError, NetworkError, error_for_name
 from ..core.introspection import describe as describe_object
 from .marshal import marshal_frame, unmarshal
@@ -206,10 +206,10 @@ class TcpGateway:
         raw = payload.get("caller", {}) if isinstance(payload, dict) else {}
         if not isinstance(raw, dict):
             raw = {}
-        return Principal(
-            guid=str(raw.get("guid", "mrom:gateway-client")),
-            domain=str(raw.get("domain", "external")),
-            display_name=str(raw.get("name", "gateway-client")),
+        return remote_principal(
+            str(raw.get("guid", "mrom:gateway-client")),
+            str(raw.get("domain", "external")),
+            str(raw.get("name", "gateway-client")),
         )
 
     def __repr__(self) -> str:

@@ -26,7 +26,7 @@ import itertools
 from collections import OrderedDict
 from typing import Any, Callable, Mapping, Sequence
 
-from ..core.acl import Principal
+from ..core.acl import Principal, remote_principal
 from ..core.errors import MROMError, NamingError, NetworkError, OverloadError
 from ..core.introspection import describe as describe_object
 from ..core.items import ItemHandle
@@ -671,10 +671,10 @@ class Site:
     def _caller_from(payload: Any) -> Principal:
         if not isinstance(payload, Mapping):
             return Principal(guid="mrom:anonymous")
-        return Principal(
-            guid=str(payload.get("guid", "mrom:anonymous")),
-            domain=str(payload.get("domain", "")),
-            display_name=str(payload.get("name", "")),
+        return remote_principal(
+            str(payload.get("guid", "mrom:anonymous")),
+            str(payload.get("domain", "")),
+            str(payload.get("name", "")),
         )
 
     # ------------------------------------------------------------------
@@ -785,8 +785,8 @@ class Site:
 
     def _handle_invoke(self, message: Message) -> Any:
         body = message.payload
-        obj = self.local_object(str(body["target"]))
         caller = self._caller_from(body.get("caller"))
+        obj = self.local_object(str(body["target"]))
         args = self.import_value(body.get("args", []))
         san = _sanitizer.ACTIVE
         if san is not None:
@@ -795,8 +795,8 @@ class Site:
 
     def _handle_get_data(self, message: Message) -> Any:
         body = message.payload
-        obj = self.local_object(str(body["target"]))
         caller = self._caller_from(body.get("caller"))
+        obj = self.local_object(str(body["target"]))
         san = _sanitizer.ACTIVE
         if san is not None:
             san.data_read(obj, str(body["name"]))
@@ -804,8 +804,8 @@ class Site:
 
     def _handle_describe(self, message: Message) -> dict:
         body = message.payload
-        obj = self.local_object(str(body["target"]))
         caller = self._caller_from(body.get("caller"))
+        obj = self.local_object(str(body["target"]))
         return describe_object(obj, viewer=caller).to_mapping()
 
     def _handle_resolve(self, message: Message) -> str:
