@@ -10,7 +10,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test chaos lint load-smoke recover-smoke cluster-smoke bench bench-e2e bench-compare seeded-outputs examples series check all trace-smoke analyze sanitize-smoke
+.PHONY: install test chaos lint load-smoke recover-smoke cluster-smoke bench bench-e2e bench-compare bench-pairs seeded-outputs examples series check all trace-smoke analyze sanitize-smoke
 
 install:
 	$(PYTHON) setup.py develop || pip install -e .
@@ -82,6 +82,27 @@ bench-e2e:
 # files written by bench-e2e): medians, spreads, better/worse verdicts.
 bench-compare:
 	$(PYTHON) -m benchmarks.e2e compare $(A) $(B)
+
+# Alternating A/B pairs against a base ref: BASE is checked out as a git
+# worktree under .bench/, and for each seed SEED .. SEED+N-1 the
+# BENCHMARK.json command measures WORKLOAD on the base and then on the
+# working tree. The two sets are judged with `compare` at the end, e.g.
+# `make bench-pairs BASE=HEAD~1 WORKLOAD=rmi_sim N=5 SEED=1`.
+WORKLOAD ?= rmi_sim
+PAIRS := .bench/pairs
+bench-pairs:
+	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<ref> [WORKLOAD=name N=n SEED=s]"; exit 2; }
+	git worktree remove --force $(PAIRS)/tree 2>/dev/null || true
+	rm -rf $(PAIRS)
+	git worktree add --force --detach $(PAIRS)/tree $(BASE)
+	for seed in $$(seq $(SEED) $$(($(SEED) + $(N) - 1))); do \
+		(cd $(PAIRS)/tree && $(PYTHON) benchmarks/e2e/run.py run --workload $(WORKLOAD) \
+			--seed $$seed --seconds 15 --trace 0 --out-dir ../base) || exit 1; \
+		$(PYTHON) benchmarks/e2e/run.py run --workload $(WORKLOAD) \
+			--seed $$seed --seconds 15 --trace 0 --out-dir $(PAIRS)/head || exit 1; \
+	done
+	git worktree remove --force $(PAIRS)/tree
+	$(PYTHON) -m benchmarks.e2e compare $(PAIRS)/base $(PAIRS)/head
 
 # The seeded chaos/load/cluster reports, their load and cluster soak
 # variants and the recover selftest (seed 1), one file each under

@@ -21,7 +21,7 @@ import copy
 from typing import Mapping
 
 from ..core.acl import AccessControlList, Principal
-from ..core.errors import MobilityError, NotPortableError
+from ..core.errors import MobilityError, MROMError, NotPortableError
 from ..core.items import DataItem, MROMMethod
 from ..core.mobject import MROMObject
 from ..core.values import Kind
@@ -237,7 +237,20 @@ def unpack(package: Mapping) -> MROMObject:
     Portable code is *not* executed here — it is verified and compiled
     lazily on first invocation (or eagerly by a host policy that calls
     :meth:`~repro.core.code.PortableCode.compile_now` during admission).
+    A package that arrived tampered with fails with a typed
+    :class:`MobilityError` (or the :class:`MROMError` a component raised
+    itself), never with a bare ``KeyError``, ``ValueError``,
+    ``TypeError`` or ``AttributeError`` (a field of the wrong type).
     """
+    try:
+        return _unpack(package)
+    except MROMError:
+        raise  # ItemNotFoundError is a KeyError too: keep its type
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise MobilityError(f"malformed package: {exc!r}") from exc
+
+
+def _unpack(package: Mapping) -> MROMObject:
     if package.get("format") != FORMAT:
         raise MobilityError(
             f"unknown package format {package.get('format')!r}"

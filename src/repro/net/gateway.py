@@ -29,8 +29,8 @@ from typing import Any
 from ..core.acl import Principal, remote_principal
 from ..core.errors import MROMError, NetworkError, error_for_name
 from ..core.introspection import describe as describe_object
-from .marshal import marshal_frame, unmarshal
-from .site import Site
+from .marshal import MarshalFrame, marshal_frame, unmarshal
+from .site import Site, _failure
 
 __all__ = ["TcpGateway", "TcpGatewayClient"]
 
@@ -38,11 +38,11 @@ _LENGTH = struct.Struct(">I")
 MAX_FRAME = 16 * 1024 * 1024
 
 
-def _send_frame(sock: socket.socket, value: Any) -> None:
+def _send_frame(sock: socket.socket, frame: MarshalFrame) -> None:
     # zero-copy: header and body leave in one scatter-gather syscall,
     # the body as a memoryview over the pooled buffer — no concatenated
     # bytes object, and no Nagle stall from a split write
-    with marshal_frame(value) as frame:
+    with frame:
         buffers = [memoryview(_LENGTH.pack(len(frame))), frame.view]
         while buffers:
             sent = sock.sendmsg(buffers)
@@ -129,20 +129,15 @@ class TcpGateway:
                 try:
                     request = _recv_frame(connection)
                 except MROMError as exc:
-                    _send_frame(
-                        connection,
-                        {"ok": False, "error": type(exc).__name__,
-                         "message": str(exc)},
-                    )
+                    _send_frame(connection, marshal_frame(_failure(exc)))
                     return
                 if request is None:
                     return
                 _send_frame(connection, self._respond(request))
 
-    def _respond(self, request: Any) -> dict:
+    def _respond(self, request: Any) -> MarshalFrame:
         if not isinstance(request, dict) or "kind" not in request:
-            return {"ok": False, "error": "NetworkError",
-                    "message": "malformed gateway request"}
+            return marshal_frame(_failure(NetworkError("malformed gateway request")))
         kind = str(request["kind"])
         payload = request.get("payload", {})
         with self._lock:  # the simulation kernel is single-threaded
@@ -150,18 +145,20 @@ class TcpGateway:
             # TCP-borne load honours the same backpressure contract as
             # simulation-borne load
             if not self.site.try_admit(kind, src="tcp"):
-                error = self.site.overloaded_error()
-                return {"ok": False, "error": type(error).__name__,
-                        "message": str(error)}
+                return marshal_frame(_failure(self.site.overloaded_error()))
             try:
-                result = self._dispatch(kind, payload)
+                # encoded under the lock: the result may be live state
+                # another request could change while the frame is written
+                reply = marshal_frame(
+                    {"ok": True, "result": self._dispatch(kind, payload)},
+                    self.site.export_value,
+                )
             except MROMError as exc:
-                return {"ok": False, "error": type(exc).__name__,
-                        "message": str(exc)}
+                return marshal_frame(_failure(exc))
             finally:
                 self.site.release()
             self.requests_served += 1
-            return {"ok": True, "result": self.site.export_value(result)}
+            return reply
 
     def _dispatch(self, kind: str, payload: Any) -> Any:
         if not isinstance(payload, dict):
@@ -237,7 +234,7 @@ class TcpGatewayClient:
         return self._call(kind, payload or {})
 
     def _call(self, kind: str, payload: dict) -> Any:
-        _send_frame(self._sock, {"kind": kind, "payload": payload})
+        _send_frame(self._sock, marshal_frame({"kind": kind, "payload": payload}))
         reply = _recv_frame(self._sock)
         if reply is None:
             raise NetworkError("gateway closed the connection")

@@ -37,7 +37,7 @@ import itertools
 import struct
 import threading
 from collections.abc import Hashable
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..core.errors import MarshalError
 from ..core.values import HtmlText, LazyCell
@@ -45,6 +45,8 @@ from ..core.values import HtmlText, LazyCell
 __all__ = [
     "marshal",
     "marshal_frame",
+    "encode",
+    "Encoded",
     "MarshalFrame",
     "unmarshal",
     "unmarshal_lazy",
@@ -340,7 +342,21 @@ def _reference_bytes(guid: Any, site: Any) -> bytes:
     return cached
 
 
-def _encode(out: bytearray, value: Any, depth: int) -> None:
+#: a sending site's per-object export hook (see :func:`_encode`) and a
+#: receiving site's reference resolver (see :func:`_decode`)
+Export = Callable[[Any], Any]
+Resolve = Callable[[str, str], Any]
+
+
+class Encoded(bytes):
+    """One value's encoding, without the ``MRM1`` magic. The encoder
+    splices it in verbatim, so one encoding can be a whole message, a
+    reply inside a batch reply or a WAL record, with the same bytes."""
+
+    __slots__ = ()
+
+
+def _encode(out: bytearray, value: Any, depth: int, export: Export | None = None) -> None:
     """Append the encoding of *value* at nesting *depth* to *out*.
 
     An exact ``dict``, ``list`` or ``tuple`` is written by one loop that
@@ -351,7 +367,9 @@ def _encode(out: bytearray, value: Any, depth: int) -> None:
     binary, references, objects with a ``guid`` — takes the general
     branch, in the original ``isinstance`` order. A collection refuses
     children deeper than 64 levels before writing any of them, which is
-    exactly where a per-value depth check would trip.
+    exactly where a per-value depth check would trip. An :class:`Encoded`
+    value is spliced in as is; a value with no encoding of its own goes
+    to *export* first, and what the hook returns is encoded instead.
     """
     cls = type(value)
     if cls is dict or cls is list or cls is tuple:
@@ -379,7 +397,9 @@ def _encode(out: bytearray, value: Any, depth: int) -> None:
             elif kind is bool:
                 out.append(_TAG_TRUE if item else _TAG_FALSE)
             else:
-                _encode(out, item, depth)
+                _encode(out, item, depth, export)
+    elif cls is Encoded:
+        out += value
     elif value is None:
         out.append(_TAG_NULL)
     elif value is True:
@@ -404,11 +424,13 @@ def _encode(out: bytearray, value: Any, depth: int) -> None:
         out += _head(_TAG_BINARY, len(raw))
         out += raw
     elif isinstance(value, (list, tuple)):
-        _encode(out, list(value), depth)
+        _encode(out, list(value), depth, export)
     elif isinstance(value, dict):
-        _encode(out, dict(value.items()), depth)
+        _encode(out, dict(value.items()), depth, export)
     elif isinstance(value, Reference):
         out += _reference_bytes(value.guid, value.site)
+    elif export is not None and (exported := export(value)) is not value:
+        _encode(out, exported, depth, export)
     elif hasattr(value, "guid"):
         # an object: by-identity, tagged with its home site if it has one
         site = getattr(value, "site_id", "") or getattr(value, "site", "")
@@ -419,15 +441,22 @@ def _encode(out: bytearray, value: Any, depth: int) -> None:
         )
 
 
-def marshal(value: Any) -> bytes:
-    """Encode one weakly-typed value as a complete wire message."""
+def encode(value: Any, export: Export | None = None) -> Encoded:
+    """Encode *value* once, for a message that may be sent, stored or
+    replayed many times."""
     out = _checkout_buffer()
     try:
-        out += MAGIC
-        _encode(out, value, 0)
-        return bytes(out)
+        _encode(out, value, 0, export)
+        return Encoded(out)
     finally:
         _release_buffer(out)
+
+
+def marshal(value: Any, export: Export | None = None) -> bytes:
+    """Encode one weakly-typed value as a complete wire message."""
+    if type(value) is not Encoded:
+        value = encode(value, export)
+    return MAGIC + value
 
 
 class MarshalFrame:
@@ -470,12 +499,12 @@ class MarshalFrame:
         self.release()
 
 
-def marshal_frame(value: Any) -> MarshalFrame:
+def marshal_frame(value: Any, export: Export | None = None) -> MarshalFrame:
     """Encode *value* into a pooled buffer without the final copy."""
     out = _checkout_buffer()
     try:
         out += MAGIC
-        _encode(out, value, 0)
+        _encode(out, value, 0, export)
     except BaseException:
         _release_buffer(out)
         raise
@@ -512,7 +541,9 @@ def _intern_text(raw: bytes) -> str:
     return text
 
 
-def _decode(data: bytes, offset: int, depth: int) -> tuple[Any, int]:
+def _decode(
+    data: bytes, offset: int, depth: int, resolve: Resolve | None = None
+) -> tuple[Any, int]:
     """Decode the value at *offset* (nesting *depth*) of *data*, which
     must be ``bytes``; returns the value and the offset past it.
 
@@ -520,7 +551,9 @@ def _decode(data: bytes, offset: int, depth: int) -> tuple[Any, int]:
     loop — a mapping as alternating keys and values — reading short
     interned text, one-byte ints, booleans and null inline; other
     children recurse. A collection refuses children deeper than 64
-    levels before reading any, as the encoder does.
+    levels before reading any, as the encoder does. A reference decodes
+    to ``resolve(guid, site)`` when a receiving site passes a resolver,
+    and to a :class:`Reference` otherwise.
     """
     end = len(data)
     if offset >= end:
@@ -567,7 +600,7 @@ def _decode(data: bytes, offset: int, depth: int) -> tuple[Any, int]:
                 append(None)
                 offset += 1
             else:
-                value, offset = _decode(data, offset, depth)
+                value, offset = _decode(data, offset, depth, resolve)
                 append(value)
         if tag == _TAG_LIST:
             return items, offset
@@ -597,6 +630,8 @@ def _decode(data: bytes, offset: int, depth: int) -> tuple[Any, int]:
         site, _sep, guid = text.partition("|")
         if not guid:
             raise MarshalError(f"malformed reference payload {text!r}")
+        if resolve is not None:
+            return resolve(guid, site), offset
         return Reference(guid, site), offset
     if tag == _TAG_INT:
         raw, offset = _read_varint(data, offset)
@@ -614,18 +649,19 @@ def _decode(data: bytes, offset: int, depth: int) -> tuple[Any, int]:
     raise MarshalError(f"unknown tag byte 0x{tag:02x}")
 
 
-def unmarshal(message: bytes | bytearray | memoryview) -> Any:
+def unmarshal(message: bytes | bytearray | memoryview, resolve: Resolve | None = None) -> Any:
     """Decode a complete wire message; strict about framing.
 
     Accepts a :class:`memoryview` (e.g. a :class:`MarshalFrame` view)
     or a ``bytearray`` as well as bytes; either is copied to ``bytes``
     once up front, so the decoder slices and interns plain bytes.
+    *resolve* is a receiving site's reference resolver (see :func:`_decode`).
     """
     if type(message) is not bytes:
         message = bytes(message)
     if not message.startswith(MAGIC):
         raise MarshalError("bad magic: not an MRM1 message")
-    value, offset = _decode(message, len(MAGIC), 0)
+    value, offset = _decode(message, len(MAGIC), 0, resolve)
     if offset != len(message):
         raise MarshalError(f"{len(message) - offset} bytes of trailing garbage")
     return value

@@ -38,6 +38,7 @@ from ..core.errors import (
 )
 from ..analysis import sanitizer as _sanitizer
 from ..telemetry import state as _telemetry
+from .marshal import encode
 
 if TYPE_CHECKING:  # pragma: no cover
     from .site import Site
@@ -247,6 +248,8 @@ class AsyncCall:
     contract the load drivers and admission tests rely on. A blocking
     call also puts its ``rmi.timeout``/``rmi.retry`` events on the
     caller's ``rmi.<kind>`` span, which is current when it starts.
+    The payload is encoded once, with the site's export hook; every
+    attempt resends those bytes, even if an object in it has moved.
     """
 
     __slots__ = (
@@ -260,17 +263,17 @@ class AsyncCall:
         site: "Site",
         dst: str,
         kind: str,
-        wire_payload: Any,
+        payload: Any,
         policy: "RetryPolicy | None",
         blocking: bool = False,
     ):
         self.site = site
         self.dst = dst
         self.kind = kind
-        self.wire_payload = wire_payload
         self.policy = policy
         self.future = BatchFuture()
         self.request_id = site.mint_request_id()
+        self.wire_payload = encode(payload, site.export_value)
         self.issued_at = site.network.now
         self.attempt = 0
         self.attempt_ids: list[int] = []
@@ -314,7 +317,8 @@ class AsyncCall:
     # -- outcomes --------------------------------------------------------
 
     def on_reply(self, message: "Message") -> None:
-        """A reply to any attempt of this logical request landed."""
+        """A reply to any attempt of this logical request landed (its
+        references resolved by the transport at delivery)."""
         self._cancel_timer()
         self._unregister()
         if self.future.done:  # pragma: no cover - defensive
@@ -347,7 +351,7 @@ class AsyncCall:
                 return
             if isinstance(body, dict) and "result" in body:
                 body = body["result"]
-            self.future._resolve(self.site.import_value(body))
+            self.future._resolve(body)
         finally:
             if san is not None:
                 san.pop()

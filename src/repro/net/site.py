@@ -35,7 +35,7 @@ from ..analysis import sanitizer as _sanitizer
 from ..naming import GuidFactory, NameService
 from ..telemetry import state as _telemetry
 from ..telemetry.context import TraceContext
-from .marshal import Reference, attach_trace, extract_trace
+from .marshal import Encoded, Reference, attach_trace, encode, extract_trace
 from .rmi import (
     AsyncCall,
     BatchFuture,
@@ -260,7 +260,9 @@ class Site:
             self._send_reply(message, envelope)
             return
         if not self.try_admit(message.kind, src=message.src):
-            self._shed(message)
+            # shed outside the served ledger: nothing executed, so a retry
+            # of the same request deserves a fresh admission decision
+            self._send_reply(message, _failure(self.overloaded_error()))
             return
         self._in_progress.add(message.request_id)
         if self.service_delay > 0:
@@ -306,22 +308,14 @@ class Site:
             f"({self.inflight}/{self.inflight_limit})"
         )
 
-    def _shed(self, message: Message) -> None:
-        """Refuse *message* with a structured overload reply.
-
-        Deliberately bypasses the served ledger: nothing executed, so a
-        retry of the same logical request deserves a fresh admission
-        decision instead of an eternally replayed refusal.
-        """
-        self._send_reply(message, _failure(self.overloaded_error()))
-
     # -- serving: replay, execute, record ---------------------------------
 
-    def _replay(self, kind: str, request_id: str) -> dict | None:
+    def _replay(self, kind: str, request_id: str) -> Encoded | dict | None:
         """The recorded reply to an already-served request, or None.
 
-        A replay refreshes the entry's place in the ledger, so a request
-        that keeps being retried is the last to be evicted.
+        It is the first reply's bytes (a plain envelope if restored from a
+        journal), and a replay refreshes its place in the ledger, so a
+        request that keeps being retried is the last to be evicted.
         """
         if request_id not in self._served:
             return None
@@ -338,9 +332,10 @@ class Site:
 
     def _execute(
         self, message: Message, handler: Handler, batched: bool = False
-    ) -> dict:
+    ) -> Encoded:
         """Run *handler* under a ``serve.<kind>`` span; return the reply
-        envelope (a failure envelope for an :class:`MROMError`)."""
+        envelope encoded with this site's export hook (a failure envelope
+        for an :class:`MROMError`, a result with no wire form included)."""
         tel = _telemetry.ACTIVE
         span = None
         if tel is not None:
@@ -366,10 +361,10 @@ class Site:
         self.handling_depth += 1
         error: BaseException | None = None
         try:
-            return {"ok": True, "result": self.export_value(handler(message))}
+            return encode({"ok": True, "result": handler(message)}, self.export_value)
         except MROMError as exc:
             error = exc
-            return _failure(exc)
+            return encode(_failure(exc))
         except BaseException as exc:
             error = exc
             raise
@@ -381,7 +376,7 @@ class Site:
                 tel.end_span(span, status="ok" if error is None else "error")
 
     def _record(
-        self, kind: str, request_id: str, envelope: dict, payload: Any
+        self, kind: str, request_id: str, envelope: Encoded | dict, payload: Any
     ) -> None:
         """Make a reply replayable before it can reach the wire.
 
@@ -539,7 +534,7 @@ class Site:
         blocking: bool = False,
     ) -> AsyncCall:
         call = AsyncCall(
-            self, dst, kind, self.export_value(payload),
+            self, dst, kind, payload,
             policy if policy is not None else self.retry_policy, blocking,
         )
         call.start()
@@ -576,67 +571,49 @@ class Site:
     # ------------------------------------------------------------------
 
     def export_value(self, value: Any) -> Any:
-        """Turn local object identities into wire references (recursively).
-
-        Exact-type scalars return at once, and an exact ``dict``, ``list``
-        or ``tuple`` copies its plain children without a recursive call;
-        anything else takes the general walk below, with the same result.
+        """The encoder's export hook: the wire form of a value the codec
+        has no encoding of its own for. A local object becomes a
+        reference (homed here if registered here), a proxy the reference
+        it stands for, an item handle (a process-local capability) the
+        token its owner re-validates on use; anything else is unchanged.
         """
-        cls = type(value)
-        if cls in _PLAIN:
-            return value
-        if cls is dict:
-            return {
-                key: val if type(val) in _PLAIN else self.export_value(val)
-                for key, val in value.items()
-            }
-        if cls is list or cls is tuple:
-            return [
-                element if type(element) in _PLAIN else self.export_value(element)
-                for element in value
-            ]
         if isinstance(value, MROMObject):
             site = self.site_id if value.guid in self._objects else ""
             return Reference(value.guid, site)
         if isinstance(value, RemoteRef):
             return Reference(value.guid, value.site)
         if isinstance(value, ItemHandle):
-            # handles are process-local capabilities; on the wire they
-            # become tokens the owning object re-validates on use
             return value.token()
-        if isinstance(value, (list, tuple)):
-            return [self.export_value(element) for element in value]
-        if isinstance(value, dict):
-            return {key: self.export_value(val) for key, val in value.items()}
         return value
 
-    def import_value(self, value: Any) -> Any:
-        """Turn wire references into local objects or remote proxies.
+    def resolve_reference(self, guid: str, site: str) -> Any:
+        """The decoder's resolver: the object a wire reference names if
+        it is registered here, otherwise a proxy for it."""
+        if site == self.site_id:
+            obj = self._objects.get(guid)
+            if obj is not None:
+                return obj
+        return RemoteRef(self, site or self.site_id, guid)
 
-        The same fast paths as :meth:`export_value`; tuples are not wire
-        values and pass through untouched.
-        """
-        cls = type(value)
-        if cls in _PLAIN:
+    def import_value(self, value: Any) -> Any:
+        """Resolve the wire references in a decoded request field: a
+        request decodes to inert references, and its handler resolves
+        the fields it uses when it runs (a reply is resolved by the
+        decoder at delivery). Mapping keys stay as they are."""
+        if type(value) in _PLAIN:
             return value
-        if cls is dict:
+        if isinstance(value, dict):
             return {
                 key: val if type(val) in _PLAIN else self.import_value(val)
                 for key, val in value.items()
             }
-        if cls is list:
+        if isinstance(value, list):
             return [
                 element if type(element) in _PLAIN else self.import_value(element)
                 for element in value
             ]
         if isinstance(value, Reference):
-            if value.site == self.site_id and value.guid in self._objects:
-                return self._objects[value.guid]
-            return RemoteRef(self, value.site or self.site_id, value.guid)
-        if isinstance(value, list):
-            return [self.import_value(element) for element in value]
-        if isinstance(value, dict):
-            return {key: self.import_value(val) for key, val in value.items()}
+            return self.resolve_reference(value.guid, value.site)
         return value
 
     # ------------------------------------------------------------------
@@ -857,16 +834,8 @@ class Site:
             envelope = _failure(NetworkError(f"unknown kind {kind!r}"))
         else:
             inner = Message(
-                kind=kind,
-                src=frame.src,
-                dst=frame.dst,
-                payload=entry.get("payload"),
-                msg_id=frame.msg_id,
-                reply_to=None,
-                lamport=frame.lamport,
-                size=0,
-                request_id=request_id,
-                verdict=frame.verdict,
+                kind, frame.src, frame.dst, entry.get("payload"), frame.msg_id,
+                None, frame.lamport, 0, request_id, frame.verdict,
             )
             envelope = self._execute(inner, handler, batched=True)
         self._record(kind, request_id, envelope, entry.get("payload"))

@@ -5,6 +5,8 @@ to the wire format at send time and unmarshalled at delivery, so no
 Python object identity ever crosses a site boundary — the same guarantee
 real serialization gives, and the property that makes the mobility layer
 honest (an object that "migrated" is a genuinely independent copy).
+A reply decodes with the receiving site's reference resolver; a request
+decodes to inert references, which its handler resolves when it runs.
 
 A :class:`Network` optionally carries a fault plane (see
 :mod:`repro.faults`): when attached, every send is submitted to it for a
@@ -156,19 +158,6 @@ class Network:
                 kind=kind, src=src, dst=dst, msg_id=msg_id,
                 size=size, base_delay=delay,
             )
-        decoded = unmarshal(wire)  # by-value: identity never crosses sites
-        message = Message(
-            kind=kind,
-            src=src,
-            dst=dst,
-            payload=decoded,
-            msg_id=msg_id,
-            reply_to=reply_to,
-            lamport=lamport,
-            size=size,
-            request_id=request_id,
-            verdict=verdict,
-        )
         self.messages_sent += 1
         self.bytes_sent += size
         if not delays:
@@ -193,8 +182,13 @@ class Network:
             if target is None:
                 self.messages_undeliverable += 1
                 return
-            target.witness_lamport(message.lamport)
-            target.receive(message)
+            resolve = getattr(target, "resolve_reference", None) if kind == "reply" else None
+            decoded = unmarshal(wire, resolve)  # each delivery its own copy
+            target.witness_lamport(lamport)
+            target.receive(Message(
+                kind, src, dst, decoded, msg_id, reply_to, lamport, size,
+                request_id, verdict,
+            ))
 
         for when in delays:
             self.simulator.schedule(when, deliver, label=f"{kind} {src}->{dst}")

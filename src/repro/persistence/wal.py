@@ -101,7 +101,8 @@ class WalRecord:
                 attrs=dict(mapping["attrs"]),
                 trace=mapping.get("trace"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: a real ``inf`` seq, or an int time past float range
             raise MarshalError(f"malformed WAL record: {exc}") from exc
 
     def __repr__(self) -> str:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.net.marshal import marshal
@@ -94,6 +96,27 @@ class TestDamage:
         frame = hashlib.sha256(body).digest()[:8] + body
         records, damage = decode_frames([frame])
         assert records == [] and damage == "torn"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seq", float("inf")), ("time", 2**1024)],
+        ids=["seq-inf", "time-past-float-range"],
+    )
+    def test_overflowing_record_field_is_torn(self, field, value):
+        # a checksum-valid frame whose field overflows int()/float() must
+        # read as damage, and opening the log must repair it, not crash
+        wal = filled_wal()
+        mapping = {"seq": 4, "kind": "served.reply", "time": 4.0,
+                   "site": "a", "attrs": {}}
+        mapping[field] = value
+        body = marshal(mapping)
+        wal.store.append(hashlib.sha256(body).digest()[:8] + body)
+        records, damage = decode_frames(wal.store.frames())
+        assert damage == "torn"
+        assert [record.seq for record in records] == [1, 2, 3]
+        reopened = WriteAheadLog(wal.store)
+        assert reopened.repaired == "torn"
+        assert reopened.next_seq == 4
 
     def test_store_truncation_reports_truncated(self):
         wal = filled_wal()
