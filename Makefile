@@ -83,25 +83,30 @@ bench-e2e:
 bench-compare:
 	$(PYTHON) -m benchmarks.e2e compare $(A) $(B)
 
-# Alternating A/B pairs against a base ref: BASE is checked out as a git
-# worktree under .bench/, and for each seed SEED .. SEED+N-1 the
-# BENCHMARK.json command measures WORKLOAD on the base and then on the
-# working tree. The two sets are judged with `compare` at the end, e.g.
-# `make bench-pairs BASE=HEAD~1 WORKLOAD=rmi_sim N=5 SEED=1`.
+# Alternating A/B pairs against a base ref: BASE is exported with `git
+# archive` under .bench/, and for each seed SEED .. SEED+N-1 the
+# BENCHMARK.json command measures every workload in WORKLOAD on the base
+# and on the working tree, base first on odd seeds and second on even
+# ones. The two sets are judged with one `compare` at the end, e.g.
+# `make bench-pairs BASE=HEAD~1 WORKLOAD="migrate_sim cluster_sim" N=5 SEED=1`.
 WORKLOAD ?= rmi_sim
 PAIRS := .bench/pairs
 bench-pairs:
-	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<ref> [WORKLOAD=name N=n SEED=s]"; exit 2; }
-	git worktree remove --force $(PAIRS)/tree 2>/dev/null || true
+	@test -n "$(BASE)" || { echo 'usage: make bench-pairs BASE=<ref> [WORKLOAD="name ..." N=n SEED=s]'; exit 2; }
 	rm -rf $(PAIRS)
-	git worktree add --force --detach $(PAIRS)/tree $(BASE)
+	mkdir -p $(PAIRS)/tree
+	git archive $(BASE) | tar -x -C $(PAIRS)/tree
 	for seed in $$(seq $(SEED) $$(($(SEED) + $(N) - 1))); do \
-		(cd $(PAIRS)/tree && $(PYTHON) benchmarks/e2e/run.py run --workload $(WORKLOAD) \
-			--seed $$seed --seconds 15 --trace 0 --out-dir ../base) || exit 1; \
-		$(PYTHON) benchmarks/e2e/run.py run --workload $(WORKLOAD) \
-			--seed $$seed --seconds 15 --trace 0 --out-dir $(PAIRS)/head || exit 1; \
+		if [ $$((seed % 2)) -eq 1 ]; then sides="base head"; else sides="head base"; fi; \
+		for workload in $(WORKLOAD); do \
+			for side in $$sides; do \
+				if [ $$side = base ]; then tree=$(PAIRS)/tree; else tree=.; fi; \
+				(cd $$tree && $(PYTHON) benchmarks/e2e/run.py run --workload $$workload \
+					--seed $$seed --seconds 15 --trace 0 --out-dir $(CURDIR)/$(PAIRS)/$$side) || exit 1; \
+			done; \
+		done; \
 	done
-	git worktree remove --force $(PAIRS)/tree
+	rm -rf $(PAIRS)/tree
 	$(PYTHON) -m benchmarks.e2e compare $(PAIRS)/base $(PAIRS)/head
 
 # The seeded chaos/load/cluster reports, their load and cluster soak

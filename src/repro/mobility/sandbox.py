@@ -28,6 +28,8 @@ What it may not do:
 from __future__ import annotations
 
 import ast
+import threading
+from types import CodeType
 from typing import Any, Iterable, Mapping
 
 from ..analysis.diagnostics import Diagnostic, Severity
@@ -408,10 +410,63 @@ def audit_function_body(
 _AUDIT_NAME = "portable"
 
 
-def compile_restricted(source: str, source_name: str = "<portable>"):
-    """Validate then compile mobile source text to a code object."""
+#: Verified code objects, keyed by (source text, source name). A code
+#: object is immutable and carries no globals, so one verification and
+#: one compile serve every later build of the same body; each build
+#: still executes it in a fresh namespace. Refusals are never stored:
+#: a hostile body is re-verified, and refused, every time. The cache is
+#: cleared when it would pass _VERIFIED_CAP entries or
+#: _VERIFIED_MAX_CHARS retained source characters; a source longer
+#: than _VERIFIED_BODY_MAX_CHARS is compiled but never retained.
+_VERIFIED_CAP = 1024
+_VERIFIED_MAX_CHARS = 1 << 20
+_VERIFIED_BODY_MAX_CHARS = 16 * 1024
+_VERIFIED: dict[tuple[str, str], CodeType] = {}
+_VERIFIED_LOCK = threading.Lock()
+_verified_chars = 0
+
+
+def _verified_snapshot() -> tuple[int, int]:
+    """(entries, retained source characters) — for the regression tests."""
+    with _VERIFIED_LOCK:
+        return len(_VERIFIED), _verified_chars
+
+
+def _reset_verified() -> None:
+    """Forget every verified code object (tests)."""
+    global _verified_chars
+    with _VERIFIED_LOCK:
+        _VERIFIED.clear()
+        _verified_chars = 0
+
+
+def compile_restricted(source: str, source_name: str = "<portable>") -> CodeType:
+    """Validate then compile mobile source text to a code object.
+
+    Each distinct (*source*, *source_name*) pair is verified and compiled
+    once per process; later calls return the same code object.
+    """
+    global _verified_chars
+    key = (source, source_name)
+    code = _VERIFIED.get(key)
+    if code is not None:
+        return code
     validate_source(source, source_name)
-    return compile(source, source_name, "exec")
+    code = compile(source, source_name, "exec")
+    size = len(source)
+    if size > _VERIFIED_BODY_MAX_CHARS:
+        return code
+    with _VERIFIED_LOCK:
+        if key not in _VERIFIED:
+            if (
+                len(_VERIFIED) >= _VERIFIED_CAP
+                or _verified_chars + size > _VERIFIED_MAX_CHARS
+            ):
+                _VERIFIED.clear()
+                _verified_chars = 0
+            _VERIFIED[key] = code
+            _verified_chars += size
+    return code
 
 
 def build_function(
@@ -428,7 +483,10 @@ def build_function(
     the runtime fixes (``self, args, ctx`` for bodies and pre-procedures,
     ``self, args, result, ctx`` for post-procedures). This function wraps
     the body in a ``def``, verifies it, executes the definition inside a
-    restricted namespace, and returns the resulting function object.
+    restricted namespace, and returns the resulting function object. The
+    verified code object is shared by every build of the same body under
+    the same *source_name* (see :func:`compile_restricted`); the
+    namespace, and so the function's globals, is new on every build.
 
     The returned function's globals contain *only* the whitelisted
     builtins plus *extra_bindings* supplied by the host (the installation

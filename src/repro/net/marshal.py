@@ -245,9 +245,16 @@ class Reference:
 # ---------------------------------------------------------------------------
 
 
+#: the widest varint _read_varint accepts: 147 bytes of 7 bits
+_VARINT_MAX_BITS = 1029
+
+
 def _write_varint(out: bytearray, value: int) -> None:
     if value < 0:
         raise MarshalError(f"varint cannot encode negative {value}")
+    if value >> _VARINT_MAX_BITS:
+        # the decoder would refuse it: refuse to write what cannot be read
+        raise MarshalError("varint too long")
     while True:
         byte = value & 0x7F
         value >>= 7
@@ -904,8 +911,29 @@ def unmarshal_lazy(message: bytes | bytearray | memoryview) -> Any:
     return view
 
 
+_PLAIN_SCALARS = frozenset((str, int, float, bool, type(None), bytes))
+
+
 def materialize_deep(value: Any) -> Any:
-    """Recursively force a (possibly lazy) decoded value to plain data."""
+    """Recursively force a (possibly lazy) decoded value to plain data.
+
+    Exact types are dispatched first: most values reaching this walk were
+    decoded eagerly, and a plain scalar, dict or list needs no probe of
+    the lazy ABCs.
+    """
+    kind = type(value)
+    if kind in _PLAIN_SCALARS:
+        return value
+    if kind is dict:
+        return {
+            key: val if type(val) in _PLAIN_SCALARS else materialize_deep(val)
+            for key, val in value.items()
+        }
+    if kind is list:
+        return [
+            element if type(element) in _PLAIN_SCALARS else materialize_deep(element)
+            for element in value
+        ]
     if isinstance(value, LazyCell):
         return materialize_deep(value.materialize())
     if isinstance(value, (LazyMapping, LazyList)):

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+from ..core.errors import MarshalError
+
 __all__ = ["TraceContext"]
 
 
@@ -56,23 +58,30 @@ class TraceContext:
     @classmethod
     def from_wire(cls, raw: Any) -> "TraceContext | None":
         """Decode a wire mapping; malformed input yields ``None`` (a
-        broken peer must never break the receiver's telemetry)."""
+        broken peer must never break the receiver's telemetry). Baggage
+        entries that do not map text to text are dropped."""
         if not isinstance(raw, Mapping):
             return None
-        trace_id = raw.get("trace_id")
-        span_id = raw.get("span_id")
+        try:
+            trace_id = raw.get("trace_id")
+            span_id = raw.get("span_id")
+            baggage = raw.get("baggage")
+            if isinstance(baggage, Mapping):
+                baggage = {
+                    str(key): str(value)
+                    for key, value in baggage.items()
+                    if isinstance(key, str) and isinstance(value, str)
+                }
+        except MarshalError:
+            return None  # a lazily decoded field that does not decode
         if not isinstance(trace_id, str) or not isinstance(span_id, str):
             return None
         if not trace_id or not span_id:
             return None
-        baggage = raw.get("baggage")
         if not isinstance(baggage, Mapping):
             baggage = None
-        else:
-            baggage = {
-                str(key): str(value) for key, value in baggage.items()
-            }
-        return cls(trace_id, span_id, baggage)
+        # str() turns a text subclass (HtmlText) into plain text
+        return cls(str(trace_id), str(span_id), baggage)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import SandboxViolation
+from repro.mobility import sandbox
 from repro.mobility.sandbox import (
     ALLOWED_BUILTINS,
     build_function,
@@ -153,3 +154,68 @@ def test_allowed_builtins_has_no_escape_hatches():
 def test_compile_restricted_returns_code_object():
     code = compile_restricted("x = 1")
     assert code.co_filename == "<portable>"
+
+
+PARAMS = ["self", "args", "ctx"]
+
+
+@pytest.mark.usefixtures("verified")
+class TestVerifiedCodeCache:
+    """compile_restricted verifies and compiles each distinct body once."""
+
+    def test_same_body_is_verified_once(self, verified):
+        first = build_function("return args[0] + 1", PARAMS)
+        second = build_function("return args[0] + 1", PARAMS)
+        assert len(verified) == 1
+        assert first.__code__ is second.__code__
+        assert second(None, [1], None) == 2
+
+    def test_refusals_are_never_cached(self, verified):
+        for _ in range(2):
+            with pytest.raises(SandboxViolation):
+                build_function("return open('/etc/passwd')", PARAMS)
+        assert len(verified) == 2
+        assert sandbox._verified_snapshot() == (0, 0)
+
+    def test_builds_of_one_body_share_no_globals(self):
+        body = "return rate * args[0]"
+        low = build_function(body, PARAMS, extra_bindings={"rate": 2})
+        high = build_function(body, PARAMS, extra_bindings={"rate": 10})
+        assert low.__code__ is high.__code__
+        assert low.__globals__ is not high.__globals__
+        assert low.__globals__["__builtins__"] is not high.__globals__["__builtins__"]
+        assert (low(None, [3], None), high(None, [3], None)) == (6, 30)
+        low.__globals__["rate"] = 5
+        assert high(None, [3], None) == 30
+
+    def test_flood_stays_within_entry_bound(self):
+        for n in range(sandbox._VERIFIED_CAP + 50):
+            build_function(f"return {n}", PARAMS)
+        entries, chars = sandbox._verified_snapshot()
+        assert 0 < entries <= sandbox._VERIFIED_CAP
+        assert chars <= sandbox._VERIFIED_MAX_CHARS
+
+    def test_flood_stays_within_character_bound(self):
+        # comments keep each body cheap to parse while near the size cap
+        filler = "# " + "x" * (sandbox._VERIFIED_BODY_MAX_CHARS - 200)
+        bodies = sandbox._VERIFIED_MAX_CHARS // len(filler) + 10
+        for n in range(bodies):
+            build_function(f"{filler}\nreturn {n}", PARAMS)
+            entries, chars = sandbox._verified_snapshot()
+            assert chars <= sandbox._VERIFIED_MAX_CHARS
+            assert entries <= sandbox._VERIFIED_CAP
+        assert build_function(f"{filler}\nreturn 7", PARAMS)(None, [], None) == 7
+
+    def test_oversized_body_builds_but_is_not_retained(self, verified):
+        body = "# " + "x" * sandbox._VERIFIED_BODY_MAX_CHARS + "\nreturn args[0] * 3"
+        for _ in range(2):
+            assert build_function(body, PARAMS)(None, [5], None) == 15
+        assert len(verified) == 2
+        assert sandbox._verified_snapshot() == (0, 0)
+
+    def test_code_names_its_own_label(self, verified):
+        first = build_function("return 1", PARAMS, source_name="alpha.install")
+        second = build_function("return 1", PARAMS, source_name="beta.install")
+        assert first.__code__.co_filename == "alpha.install"
+        assert second.__code__.co_filename == "beta.install"
+        assert len(verified) == 2

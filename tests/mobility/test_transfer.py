@@ -7,6 +7,7 @@ from repro.core.errors import (
     NotPortableError,
     PolicyViolationError,
     RemoteInvocationError,
+    SandboxViolation,
 )
 from repro.mobility import (
     AgentTour,
@@ -274,3 +275,47 @@ class TestAutonomousTour:
         # first decision says "alpha" (already there): tour ends
         assert [r.site for r in records] == ["alpha"]
         assert sites["home"].has_object(homebody.guid)
+
+
+class TestVerifyOncePerBody:
+    """Arrivals pay for sandbox verification once per distinct body."""
+
+    INSTALL = "self.set('hops', self.get('hops') + 1)\nreturn self.get('hops')"
+
+    def test_eight_hops_verify_install_body_once(self, verified):
+        network = Network(Simulator(7))
+        sites = [Site(network, f"s{i}", f"ring.s{i}") for i in range(4)]
+        for i, left in enumerate(sites):
+            for right in sites[i + 1:]:
+                network.topology.connect(left.site_id, right.site_id, *LAN)
+        managers = [MobilityManager(site) for site in sites]
+        owner = sites[0].principal
+        traveller = sites[0].create_object(display_name="ring", owner=owner)
+        traveller.define_fixed_data("hops", 0)
+        traveller.define_fixed_method("install", self.INSTALL)
+        traveller.self_view().add_method("greet", "return 'hello'")
+        traveller.seal()
+        sites[0].register_object(traveller)
+
+        home = 0
+        for hop in range(8):
+            dst = (home + 1) % len(sites)
+            ref = managers[home].migrate(traveller, sites[dst].site_id)
+            traveller = sites[dst].local_object(ref.guid)
+            home = dst
+            assert traveller.get_data("hops", caller=owner) == hop + 1
+        assert sum(self.INSTALL.splitlines()[0] in s for s in verified) == 1
+
+        # a body installed by setMethod is verified before it is installed
+        _description, handle = traveller.invoke("getMethod", ["greet"], caller=owner)
+        before = len(verified)
+        traveller.invoke("setMethod", [handle, {"body": "return 'bonjour'"}], caller=owner)
+        assert ["return 'bonjour'" in s for s in verified[before:]] == [True]
+        assert traveller.invoke("greet", caller=owner) == "bonjour"
+        assert len(verified) == before + 1
+        for _ in range(2):
+            with pytest.raises(SandboxViolation):
+                traveller.invoke(
+                    "setMethod", [handle, {"body": "import os"}], caller=owner
+                )
+        assert traveller.invoke("greet", caller=owner) == "bonjour"

@@ -150,6 +150,23 @@ class TestSize:
     def test_varint_compactness(self):
         assert marshalled_size(1) < marshalled_size(2**40)
 
+    @pytest.mark.parametrize(
+        "value", [2**1027, -(2**1027), 2**1028 - 1], ids=["2**1027", "-2**1027", "2**1028-1"]
+    )
+    def test_widest_decodable_int_round_trips(self, value):
+        assert round_trip(value) == value
+
+    @pytest.mark.parametrize(
+        "value",
+        [2**1028, -(2**1028) - 1, 10**5000, [1, 10**5000]],
+        ids=["2**1028", "-2**1028-1", "10**5000", "list"],
+    )
+    def test_int_the_decoder_would_refuse_is_refused_at_encode(self, value):
+        # found by fuzzing a trace context: the encoder wrote a varint
+        # unmarshal refused as "varint too long"
+        with pytest.raises(MarshalError, match="varint too long"):
+            marshal(value)
+
 
 # ---------------------------------------------------------------------------
 # zero-copy frames, the bounded buffer pool, lazy decoding
