@@ -174,7 +174,7 @@ class DataItem(_Item):
 
     def _admit(self, value: Any) -> Any:
         if isinstance(value, LazyCell):
-            # a lazily-unmarshalled wire slice: fully untyped items keep
+            # a deferred binary leaf of the message: fully untyped items keep
             # the cell (decode on first read); a concrete declared kind
             # needs the value now to coerce it
             if self.kind is Kind.ANY:

@@ -38,22 +38,23 @@ __all__ = [
 
 
 class LazyCell:
-    """A deferred value: decoded from its wire bytes on first touch.
+    """A deferred value, read from its wire bytes on first touch.
 
-    The zero-copy unmarshal path (:func:`repro.net.marshal.
-    unmarshal_lazy`) hands untouched payload items around as cells
-    backed by slices of the original message; a
+    The one cell is :class:`repro.net.marshal.BinaryCell`: a large
+    binary leaf left as a slice of its message when
+    :func:`~repro.mobility.package.unpack_bytes` decodes a package. It
+    may stay only as a whole data-item value: a
     :class:`~repro.core.items.DataItem` stores the cell as-is and
-    materializes it the first time anything reads the value. The base
-    class lives here, below both :mod:`repro.net` and
-    :mod:`repro.core.items`, so the item layer can recognize cells
-    without depending on the wire format.
+    materializes it the first time anything reads the value; every
+    other part of the package is plain data. The base class lives here,
+    below both :mod:`repro.net` and :mod:`repro.core.items`, so the item
+    layer can recognize cells without depending on the wire format.
     """
 
     __slots__ = ()
 
     def materialize(self):
-        """Decode and return the value (idempotent)."""
+        """Return the value (idempotent)."""
         raise NotImplementedError
 
 

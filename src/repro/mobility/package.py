@@ -24,15 +24,13 @@ from ..core.acl import AccessControlList, Principal
 from ..core.errors import MobilityError, MROMError, NotPortableError
 from ..core.items import DataItem, MROMMethod
 from ..core.mobject import MROMObject
-from ..core.values import Kind
+from ..core.values import Kind, LazyCell
 from ..net.marshal import (
-    LazyMapping,
     MarshalFrame,
     marshal,
     marshal_frame,
     materialize_deep,
     unmarshal,
-    unmarshal_lazy,
 )
 
 __all__ = [
@@ -198,19 +196,21 @@ def pack_bytes(
     )
 
 
+def _text(value) -> str:
+    """A package's text field; a deferred binary reads as its bytes."""
+    return str(materialize_deep(value))
+
+
 def _unpack_data(raw: Mapping) -> DataItem:
-    if isinstance(raw, LazyMapping) and "value" in raw:
-        # zero-copy unpack: hand the item its value as an undecoded wire
-        # slice — DataItem materializes it on first read, so an item the
-        # receiving site never touches is never decoded
-        value = raw.lazy("value")
-    else:
-        value = raw.get("value")
-    # everything except the value is structure: materialized now, so no
-    # lazy container can leak into ACLs or metadata (they must survive a
-    # later re-pack as plain data)
+    # a deferred binary may stay only as a whole item value: DataItem
+    # slices it on first read, so an item never touched is never copied.
+    # Anything else is materialized now, so no cell can leak into a
+    # nested value, an ACL or metadata (they must re-pack as plain data)
+    value = raw.get("value")
+    if not isinstance(value, LazyCell):
+        value = materialize_deep(value)
     return DataItem(
-        str(raw["name"]),
+        _text(raw["name"]),
         value,
         kind=Kind(raw.get("kind", "any")),
         acl=AccessControlList.from_description(
@@ -222,7 +222,7 @@ def _unpack_data(raw: Mapping) -> DataItem:
 
 def _unpack_method(raw: Mapping) -> MROMMethod:
     return MROMMethod.from_packed(
-        str(raw["name"]),
+        _text(raw["name"]),
         dict(materialize_deep(raw["components"])),
         acl=AccessControlList.from_description(
             dict(materialize_deep(raw.get("acl", {})))
@@ -257,14 +257,14 @@ def _unpack(package: Mapping) -> MROMObject:
         )
     owner_raw = package.get("owner", {})
     owner = Principal(
-        guid=str(owner_raw.get("guid", "mrom:anonymous")),
-        domain=str(owner_raw.get("domain", "")),
-        display_name=str(owner_raw.get("name", "")),
+        guid=_text(owner_raw.get("guid", "mrom:anonymous")),
+        domain=_text(owner_raw.get("domain", "")),
+        display_name=_text(owner_raw.get("name", "")),
     )
     obj = MROMObject(
-        guid=str(package["guid"]),
-        domain=str(package.get("domain", "")),
-        display_name=str(package.get("display_name", "")),
+        guid=_text(package["guid"]),
+        domain=_text(package.get("domain", "")),
+        display_name=_text(package.get("display_name", "")),
         owner=owner,
         extensible_meta=bool(package.get("extensible_meta", False)),
         meta_acl=AccessControlList.from_description(
@@ -308,19 +308,16 @@ def pack_frame(
     )
 
 
-def unpack_bytes(wire: bytes, lazy: bool = True) -> MROMObject:
+def unpack_bytes(wire: bytes) -> MROMObject:
     """Rebuild an object from its wire form.
 
-    With *lazy* (the default), the package is decoded by the skip-scan
-    path: structure (names, kinds, ACLs, code) is materialized — the
-    object must be whole and its code verifiable — but untouched data
-    *values* stay as undecoded slices of the message until first read,
-    so unpack cost scales with the state the receiver actually touches.
-    Framing is validated identically either way, and a fully-touched
-    lazy object is value-identical to an eager one (the package tests
-    hold both paths to the same bytes and the same values).
+    The whole message is decoded and validated now, text included, but
+    a large binary item value (see :data:`~repro.net.marshal.
+    DEFER_BINARY_MIN`) stays a cell over the message until first read,
+    so an object's bulk state costs nothing until the receiver touches
+    it. A touched object is value-identical to ``unpack(unmarshal(wire))``.
     """
-    package = unmarshal_lazy(wire) if lazy else unmarshal(wire)
+    package = unmarshal(wire, defer_binary=True)
     if not isinstance(package, Mapping):
         raise MobilityError("wire message is not an object package")
     return unpack(package)

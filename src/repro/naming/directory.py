@@ -108,8 +108,13 @@ class DirectoryShard:
         name = str(payload.get("name", ""))
         guid = str(payload.get("guid", ""))
         site_id = str(payload.get("site", ""))
-        generation = int(payload.get("generation", 0))
-        if not name or not guid or not site_id or generation < 1:
+        # a peer chose the generation: only an exact int names one, never
+        # a bool, a real or text to parse
+        generation = payload.get("generation")
+        if (
+            not name or not guid or not site_id
+            or type(generation) is not int or generation < 1
+        ):
             raise NamingError(f"malformed directory update for {name!r}")
         current = self.entries.get(name)
         if current is not None and generation < current["generation"]:

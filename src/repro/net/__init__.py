@@ -10,7 +10,6 @@ from .marshal import (
     marshalled_size,
     materialize_deep,
     unmarshal,
-    unmarshal_lazy,
 )
 from .rmi import (
     AsyncCall,
@@ -30,7 +29,6 @@ __all__ = [
     "marshal_frame",
     "MarshalFrame",
     "unmarshal",
-    "unmarshal_lazy",
     "materialize_deep",
     "marshalled_size",
     "Reference",

@@ -49,11 +49,9 @@ __all__ = [
     "Encoded",
     "MarshalFrame",
     "unmarshal",
-    "unmarshal_lazy",
     "materialize_deep",
-    "LazyValue",
-    "LazyList",
-    "LazyMapping",
+    "BinaryCell",
+    "DEFER_BINARY_MIN",
     "marshalled_size",
     "Reference",
     "MAGIC",
@@ -548,8 +546,39 @@ def _intern_text(raw: bytes) -> str:
     return text
 
 
+#: with ``defer_binary``, a binary leaf of at least this many bytes
+#: decodes to a :class:`BinaryCell` instead of a ``bytes`` copy
+DEFER_BINARY_MIN = 4096
+
+
+class BinaryCell(LazyCell):
+    """A deferred binary leaf: the slice ``message[start:stop]``, copied
+    out on first read. Until then the cell pins the whole message."""
+
+    __slots__ = ("_data", "_start", "_stop", "_value")
+
+    def __init__(self, data: bytes, start: int, stop: int):
+        self._data: bytes | None = data
+        self._start = start
+        self._stop = stop
+        self._value = b""
+
+    def materialize(self) -> bytes:
+        if self._data is not None:
+            self._value = self._data[self._start:self._stop]
+            self._data = None  # drop the message once sliced
+        return self._value
+
+    def __repr__(self) -> str:
+        return f"BinaryCell({self._stop - self._start} bytes)"
+
+
 def _decode(
-    data: bytes, offset: int, depth: int, resolve: Resolve | None = None
+    data: bytes,
+    offset: int,
+    depth: int,
+    resolve: Resolve | None = None,
+    defer: bool = False,
 ) -> tuple[Any, int]:
     """Decode the value at *offset* (nesting *depth*) of *data*, which
     must be ``bytes``; returns the value and the offset past it.
@@ -560,7 +589,10 @@ def _decode(
     children recurse. A collection refuses children deeper than 64
     levels before reading any, as the encoder does. A reference decodes
     to ``resolve(guid, site)`` when a receiving site passes a resolver,
-    and to a :class:`Reference` otherwise.
+    and to a :class:`Reference` otherwise. With *defer*, a binary leaf
+    of at least :data:`DEFER_BINARY_MIN` bytes that is not a mapping key
+    decodes to a :class:`BinaryCell`; everything else, text included,
+    decodes (and is validated) now.
     """
     end = len(data)
     if offset >= end:
@@ -607,7 +639,11 @@ def _decode(
                 append(None)
                 offset += 1
             else:
-                value, offset = _decode(data, offset, depth, resolve)
+                # a mapping key is never deferred: keys must hash by value
+                value, offset = _decode(
+                    data, offset, depth, resolve,
+                    defer and (tag == _TAG_LIST or len(items) & 1),
+                )
                 append(value)
         if tag == _TAG_LIST:
             return items, offset
@@ -619,18 +655,20 @@ def _decode(
             key = next(key for key in items[::2] if not isinstance(key, Hashable))
             raise MarshalError(f"unhashable mapping key {key!r}") from exc
     if tag in (_TAG_TEXT, _TAG_HTML, _TAG_BINARY, _TAG_REFERENCE):
-        length, offset = _read_varint(data, offset)
-        if offset + length > end:
+        length, start = _read_varint(data, offset)
+        offset = start + length
+        if offset > end:
             raise MarshalError("truncated payload")
-        raw = data[offset:offset + length]
-        offset += length
+        if tag == _TAG_BINARY:
+            if defer and length >= DEFER_BINARY_MIN:
+                return BinaryCell(data, start, offset), offset
+            return data[start:offset], offset
+        raw = data[start:offset]
         if tag == _TAG_TEXT:
             if length <= _INTERN_MAX_CHARS:
                 text = _DECODE_INTERN.get(raw)
                 return (text if text is not None else _intern_text(raw)), offset
             return _utf8(raw), offset
-        if tag == _TAG_BINARY:
-            return raw, offset
         if tag == _TAG_HTML:
             return HtmlText(_utf8(raw)), offset
         text = _utf8(raw)
@@ -656,259 +694,32 @@ def _decode(
     raise MarshalError(f"unknown tag byte 0x{tag:02x}")
 
 
-def unmarshal(message: bytes | bytearray | memoryview, resolve: Resolve | None = None) -> Any:
+def unmarshal(
+    message: bytes | bytearray | memoryview,
+    resolve: Resolve | None = None,
+    *,
+    defer_binary: bool = False,
+) -> Any:
     """Decode a complete wire message; strict about framing.
 
     Accepts a :class:`memoryview` (e.g. a :class:`MarshalFrame` view)
     or a ``bytearray`` as well as bytes; either is copied to ``bytes``
-    once up front, so the decoder slices and interns plain bytes.
+    once up front, so the decoder slices and interns plain bytes and a
+    :class:`BinaryCell` never sees a buffer change under it.
     *resolve* is a receiving site's reference resolver (see :func:`_decode`).
+    With *defer_binary*, large binary leaves decode to cells over the
+    message; only a caller that rebuilds objects from the value
+    (:func:`repro.mobility.package.unpack_bytes`) passes it, since a cell
+    must never reach a method argument or a reply.
     """
     if type(message) is not bytes:
         message = bytes(message)
     if not message.startswith(MAGIC):
         raise MarshalError("bad magic: not an MRM1 message")
-    value, offset = _decode(message, len(MAGIC), 0, resolve)
+    value, offset = _decode(message, len(MAGIC), 0, resolve, defer_binary)
     if offset != len(message):
         raise MarshalError(f"{len(message) - offset} bytes of trailing garbage")
     return value
-
-
-# ---------------------------------------------------------------------------
-# lazy decoding: skip-scan framing, decode on first touch
-# ---------------------------------------------------------------------------
-#
-# A migration package is a mapping of sections of items, and a receiving
-# site typically touches a handful of them before the object's first
-# call (or none: a checkpoint restore that is never read again). The
-# lazy path decodes structure on demand: containers become LazyList/
-# LazyMapping wrappers that know only the *offsets* of their children
-# (computed by a skip-scan that validates framing without building
-# objects), and an untouched item value stays a LazyValue slice of the
-# original message until something reads it. Unmarshal cost then scales
-# with the state actually touched, not the object's size — while the
-# wire bytes, and the values eventually produced, are identical to the
-# eager path.
-
-
-def _skip(data: bytes, offset: int, depth: int) -> int:
-    """Advance past one encoded value, validating bounds only.
-
-    The same checks as :func:`_decode` except UTF-8 validity, which is
-    checked when a payload is first decoded: that is the lazy path's
-    one deliberate difference from the eager one. Inside a collection, null,
-    booleans, one-byte ints and text with a one-byte length are stepped
-    over inline.
-    """
-    end = len(data)
-    if offset >= end:
-        raise MarshalError("truncated message")
-    tag = data[offset]
-    offset += 1
-    if tag == _TAG_MAPPING or tag == _TAG_LIST:
-        count, offset = _read_varint(data, offset)
-        if count > MAX_COLLECTION:
-            kind = "mapping" if tag == _TAG_MAPPING else "list"
-            raise MarshalError(f"{kind} length {count} exceeds limit")
-        if count and depth >= 64:
-            raise MarshalError("value nesting exceeds 64 levels")
-        depth += 1
-        for _ in range(count * 2 if tag == _TAG_MAPPING else count):
-            if offset >= end:
-                raise MarshalError("truncated message")
-            child = data[offset]
-            if child == _TAG_NULL or child == _TAG_TRUE or child == _TAG_FALSE:
-                offset += 1
-            elif child == _TAG_INT and offset + 1 < end and data[offset + 1] < 0x80:
-                offset += 2
-            elif child == _TAG_TEXT and offset + 1 < end and data[offset + 1] < 0x80:
-                offset += 2 + data[offset + 1]
-                if offset > end:
-                    raise MarshalError("truncated payload")
-            else:
-                offset = _skip(data, offset, depth)
-        return offset
-    if tag in (_TAG_TEXT, _TAG_HTML, _TAG_BINARY, _TAG_REFERENCE):
-        length, offset = _read_varint(data, offset)
-        stop = offset + length
-        if stop > end:
-            raise MarshalError("truncated payload")
-        if tag == _TAG_REFERENCE:
-            # the decoder's form check, on bytes: ``|`` never occurs
-            # inside a multi-byte UTF-8 sequence
-            bar = data.find(b"|", offset, stop)
-            if bar < 0 or bar == stop - 1:
-                text = data[offset:stop].decode("utf-8", "replace")
-                raise MarshalError(f"malformed reference payload {text!r}")
-        return stop
-    if tag == _TAG_INT:
-        _, offset = _read_varint(data, offset)
-        return offset
-    if tag == _TAG_NULL or tag == _TAG_TRUE or tag == _TAG_FALSE:
-        return offset
-    if tag == _TAG_REAL:
-        if offset + 8 > end:
-            raise MarshalError("truncated real")
-        return offset + 8
-    raise MarshalError(f"unknown tag byte 0x{tag:02x}")
-
-
-class LazyValue(LazyCell):
-    """One deferred value: a (message, offset) slice decoded on demand."""
-
-    __slots__ = ("_data", "_offset", "_value", "_materialized")
-
-    def __init__(self, data: bytes, offset: int):
-        self._data = data
-        self._offset = offset
-        self._value: Any = None
-        self._materialized = False
-
-    def materialize(self) -> Any:
-        if not self._materialized:
-            self._value, _ = _decode(self._data, self._offset, 0)
-            self._materialized = True
-            self._data = b""  # drop the message reference once decoded
-        return self._value
-
-    def __repr__(self) -> str:
-        if self._materialized:
-            return f"LazyValue({self._value!r})"
-        return f"LazyValue(<wire @{self._offset}>)"
-
-
-def _lazy_view(data: bytes, offset: int) -> Any:
-    """The value at *offset*: containers wrapped lazily, scalars decoded.
-
-    Building a container view skip-scans exactly its own subtree (so a
-    corrupt subtree raises here, not at first touch), recording where
-    each element starts; elements decode only when accessed.
-    """
-    tag = data[offset] if offset < len(data) else None
-    if tag == _TAG_LIST:
-        count, cursor = _read_varint(data, offset + 1)
-        if count > MAX_COLLECTION:
-            raise MarshalError(f"list length {count} exceeds limit")
-        offsets = []
-        for _ in range(count):
-            offsets.append(cursor)
-            cursor = _skip(data, cursor, 1)
-        return LazyList(data, offset, cursor, offsets)
-    if tag == _TAG_MAPPING:
-        count, cursor = _read_varint(data, offset + 1)
-        if count > MAX_COLLECTION:
-            raise MarshalError(f"mapping length {count} exceeds limit")
-        slots: dict[Any, int] = {}
-        for _ in range(count):
-            key, cursor = _decode(data, cursor, 1)  # keys decode eagerly
-            try:
-                slots[key] = cursor  # duplicate keys: later wins, as eager
-            except TypeError as exc:
-                raise MarshalError(f"unhashable mapping key {key!r}") from exc
-            cursor = _skip(data, cursor, 1)
-        return LazyMapping(data, offset, cursor, slots)
-    value, _ = _decode(data, offset, 0)
-    return value
-
-
-class LazyList(Sequence):
-    """A wire list whose elements decode on first access."""
-
-    __slots__ = ("_data", "_start", "_end", "_offsets", "_cache")
-
-    def __init__(self, data: bytes, start: int, end: int, offsets: list[int]):
-        self._data = data
-        self._start = start
-        self._end = end
-        self._offsets = offsets
-        self._cache: dict[int, Any] = {}
-
-    def __len__(self) -> int:
-        return len(self._offsets)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self._offsets)
-        if index in self._cache:
-            return self._cache[index]
-        value = _lazy_view(self._data, self._offsets[index])
-        self._cache[index] = value
-        return value
-
-    def __repr__(self) -> str:
-        return f"LazyList({len(self._offsets)} elements)"
-
-
-class LazyMapping(Mapping):
-    """A wire mapping: keys eager (they index), values decode on touch.
-
-    ``lazy(key)`` hands out the value as a :class:`LazyValue` cell
-    without decoding it at all — the hook the mobility layer uses to
-    keep untouched item values as undisturbed wire slices.
-    """
-
-    __slots__ = ("_data", "_start", "_end", "_slots", "_cache")
-
-    def __init__(self, data: bytes, start: int, end: int, slots: dict[Any, int]):
-        self._data = data
-        self._start = start
-        self._end = end
-        self._slots = slots
-        self._cache: dict[Any, Any] = {}
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def __iter__(self) -> Iterator:
-        return iter(self._slots)
-
-    def __getitem__(self, key):
-        if key in self._cache:
-            return self._cache[key]
-        value = _lazy_view(self._data, self._slots[key])
-        self._cache[key] = value
-        return value
-
-    def __contains__(self, key) -> bool:
-        # the Mapping default probes __getitem__, which would *decode*
-        # the value — membership must stay a pure slot lookup
-        return key in self._slots
-
-    def lazy(self, key) -> LazyValue:
-        """The value under *key* as an undecoded cell."""
-        return LazyValue(self._data, self._slots[key])
-
-    def __repr__(self) -> str:
-        return f"LazyMapping({list(self._slots)!r})"
-
-
-def unmarshal_lazy(message: bytes | bytearray | memoryview) -> Any:
-    """Decode a wire message lazily: framing validated now (same bounds
-    checks as the eager decoder, via the skip-scan), values on demand.
-
-    The message is snapshotted to immutable bytes if it arrived as a
-    mutable buffer — lazy slices must outlive any pooled buffer they
-    were read from.
-    """
-    if not isinstance(message, bytes):
-        message = bytes(message)
-    if not message.startswith(MAGIC):
-        raise MarshalError("bad magic: not an MRM1 message")
-    start = len(MAGIC)
-    if start >= len(message):
-        raise MarshalError("truncated message")
-    # one pass only: building a container view skip-validates its whole
-    # subtree, so the top-level view's end doubles as the framing check
-    if message[start] in (_TAG_LIST, _TAG_MAPPING):
-        view = _lazy_view(message, start)
-        end = view._end
-    else:
-        view, end = _decode(message, start, 0)
-    if end != len(message):
-        raise MarshalError(f"{len(message) - end} bytes of trailing garbage")
-    return view
 
 
 _PLAIN_SCALARS = frozenset((str, int, float, bool, type(None), bytes))
@@ -917,9 +728,9 @@ _PLAIN_SCALARS = frozenset((str, int, float, bool, type(None), bytes))
 def materialize_deep(value: Any) -> Any:
     """Recursively force a (possibly lazy) decoded value to plain data.
 
-    Exact types are dispatched first: most values reaching this walk were
-    decoded eagerly, and a plain scalar, dict or list needs no probe of
-    the lazy ABCs.
+    Exact types are dispatched first: a plain scalar, dict or list needs
+    no ``isinstance`` probe; a :class:`~repro.core.values.LazyCell`
+    (a deferred binary leaf) reads as the value it holds.
     """
     kind = type(value)
     if kind in _PLAIN_SCALARS:
@@ -936,11 +747,6 @@ def materialize_deep(value: Any) -> Any:
         ]
     if isinstance(value, LazyCell):
         return materialize_deep(value.materialize())
-    if isinstance(value, (LazyMapping, LazyList)):
-        # decode the whole subtree straight off the wire — one tight
-        # eager pass instead of element-by-element lazy dispatch
-        plain, _ = _decode(value._data, value._start, 0)
-        return plain
     if isinstance(value, dict):
         return {key: materialize_deep(val) for key, val in value.items()}
     if isinstance(value, list):

@@ -101,7 +101,7 @@ class Simulator:
         if event.seq in self._queued:
             self._cancelled.add(event.seq)
 
-    def _skip_cancelled(self) -> None:
+    def _pop_cancelled(self) -> None:
         """Pop cancelled events off the head of the queue."""
         while self._queue and self._queue[0].seq in self._cancelled:
             event = heapq.heappop(self._queue)
@@ -112,7 +112,7 @@ class Simulator:
 
     def step(self) -> bool:
         """Process the next event; returns False when the queue is empty."""
-        self._skip_cancelled()
+        self._pop_cancelled()
         if not self._queue:
             return False
         event = heapq.heappop(self._queue)
@@ -143,7 +143,7 @@ class Simulator:
         """
         fired = 0
         while True:
-            self._skip_cancelled()
+            self._pop_cancelled()
             if not self._queue or self._queue[0].time > time:
                 break
             if not self.step():

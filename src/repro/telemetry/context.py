@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from ..core.errors import MarshalError
-
 __all__ = ["TraceContext"]
 
 
@@ -62,18 +60,15 @@ class TraceContext:
         entries that do not map text to text are dropped."""
         if not isinstance(raw, Mapping):
             return None
-        try:
-            trace_id = raw.get("trace_id")
-            span_id = raw.get("span_id")
-            baggage = raw.get("baggage")
-            if isinstance(baggage, Mapping):
-                baggage = {
-                    str(key): str(value)
-                    for key, value in baggage.items()
-                    if isinstance(key, str) and isinstance(value, str)
-                }
-        except MarshalError:
-            return None  # a lazily decoded field that does not decode
+        trace_id = raw.get("trace_id")
+        span_id = raw.get("span_id")
+        baggage = raw.get("baggage")
+        if isinstance(baggage, Mapping):
+            baggage = {
+                str(key): str(value)
+                for key, value in baggage.items()
+                if isinstance(key, str) and isinstance(value, str)
+            }
         if not isinstance(trace_id, str) or not isinstance(span_id, str):
             return None
         if not trace_id or not span_id:

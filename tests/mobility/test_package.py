@@ -10,7 +10,8 @@ from repro.core import (
     allow_all,
     owner_only,
 )
-from repro.core.errors import MobilityError
+from repro.core.errors import MarshalError, MobilityError
+from repro.core.values import LazyCell
 from repro.mobility import (
     pack,
     pack_bytes,
@@ -18,6 +19,7 @@ from repro.mobility import (
     unpack,
     unpack_bytes,
 )
+from repro.net.marshal import DEFER_BINARY_MIN, marshal, unmarshal
 
 from ..conftest import best_time_per_call
 
@@ -170,10 +172,12 @@ class TestPortability:
             hostile.invoke("hello", caller=owner)
 
 
-#: eager over untouched-lazy unpack, best of 3 (measured ~17x on 2 vCPUs)
+#: eager over untouched-lazy unpack, best of 3 (measured ~30-50x on 2 vCPUs)
 MIN_LAZY_SPEEDUP = 1.5
 PACK_ITEMS = 8
 PACK_BLOB = b"\xa5" * (4 << 20)  # 4 MiB of bulk state per item
+#: one bulk binary value at the leaf rule's threshold
+PHOTO = b"\x5a" * DEFER_BINARY_MIN
 
 
 def make_heavy_traveller(owner):
@@ -191,6 +195,54 @@ def make_heavy_traveller(owner):
     return obj
 
 
+def make_blob_carrier(owner):
+    """A threshold-size blob in each place a package can hold one."""
+    obj = MROMObject(
+        guid="mrom://origin/2.3", domain="technion.ee",
+        display_name="carrier", owner=owner, environment={"icon": PHOTO},
+    )
+    obj.define_fixed_data("album", ["cover", PHOTO])
+    obj.define_fixed_data("tagged", 1, metadata={"thumb": PHOTO})
+    obj.define_fixed_data("photo", PHOTO)
+    obj.define_fixed_data("essay", "a" * DEFER_BINARY_MIN)
+    obj.seal()
+    return obj
+
+
+class TestCellsNeverLeak:
+    def test_only_a_whole_item_value_stays_a_cell(self, owner):
+        wire = pack_bytes(make_blob_carrier(owner))
+        obj = unpack_bytes(wire)
+        album, _section = obj.containers.lookup_data("album")
+        tagged, _section = obj.containers.lookup_data("tagged")
+        photo, _section = obj.containers.lookup_data("photo")
+        assert album._value == ["cover", PHOTO]
+        assert type(album._value[1]) is bytes
+        assert type(tagged.metadata["thumb"]) is bytes
+        assert type(obj.environment["icon"]) is bytes
+        assert isinstance(photo._value, LazyCell)
+        assert type(obj.get_data("album", caller=owner)[1]) is bytes
+        assert isinstance(photo._value, LazyCell), "until it is read"
+        assert pack_bytes(obj) == wire
+        assert obj.get_data("photo", caller=owner) == PHOTO
+
+    def test_a_blob_in_a_text_field_reads_as_it_does_eagerly(self, owner):
+        package = pack(make_blob_carrier(owner))
+        package["guid"] = package["fixed_data"][0]["name"] = PHOTO
+        wire = marshal(package)
+        arrived, eager = unpack_bytes(wire), unpack(unmarshal(wire))
+        assert arrived.guid == eager.guid == str(PHOTO)
+        assert [item.name for item in arrived.containers.fixed_data] == [
+            item.name for item in eager.containers.fixed_data
+        ]
+
+    def test_invalid_utf8_in_long_text_is_refused_at_decode(self, owner):
+        wire = bytearray(pack_bytes(make_blob_carrier(owner)))
+        wire[wire.index(b"a" * DEFER_BINARY_MIN) + DEFER_BINARY_MIN // 2] = 0xFF
+        with pytest.raises(MarshalError, match="invalid UTF-8"):
+            unpack_bytes(bytes(wire))
+
+
 class TestZeroCopyPackage:
     def test_pack_frame_bytes_identical_to_pack_bytes(self, owner):
         from repro.mobility import pack_frame
@@ -201,7 +253,7 @@ class TestZeroCopyPackage:
 
     def test_lazy_unpack_equals_eager_unpack(self, owner):
         wire = pack_bytes(make_portable(owner))
-        lazy, eager = unpack_bytes(wire, lazy=True), unpack_bytes(wire, lazy=False)
+        lazy, eager = unpack_bytes(wire), unpack(unmarshal(wire))
         assert lazy.guid == eager.guid
         for name in ("balance", "notes", "label"):
             assert lazy.get_data(name, caller=owner) == eager.get_data(
@@ -213,22 +265,24 @@ class TestZeroCopyPackage:
 
     def test_lazy_unpack_repacks_to_identical_bytes(self, owner):
         """A lazily unpacked object (touched or not) must re-pack: no
-        lazy container may leak into structure the encoder rejects."""
+        cell may leak into structure the encoder rejects."""
         wire = pack_bytes(make_portable(owner))
-        untouched = unpack_bytes(wire, lazy=True)
-        assert pack_bytes(untouched) == pack_bytes(unpack_bytes(wire, lazy=False))
+        untouched = unpack_bytes(wire)
+        assert pack_bytes(untouched) == pack_bytes(unpack(unmarshal(wire)))
 
     def test_untouched_values_stay_undecoded(self, owner):
-        from repro.core.values import LazyCell
-
-        wire = pack_bytes(make_portable(owner))
-        obj = unpack_bytes(wire, lazy=True)
-        # "notes" is fully untyped (Kind.ANY): its value arrives as an
-        # undecoded wire slice and stays one until somebody reads it
+        original = make_portable(owner)
+        original.self_view().add_data("photo", PHOTO)
+        obj = unpack_bytes(pack_bytes(original))
+        # "photo" is fully untyped (Kind.ANY) bulk binary: its value
+        # arrives as a slice of the message and stays one until read
+        photo, _section = obj.containers.lookup_data("photo")
+        assert isinstance(photo._value, LazyCell)
+        assert obj.get_data("photo", caller=owner) == PHOTO
+        assert not isinstance(photo._value, LazyCell), "reads materialize"
+        # a list is structure: it decodes with the message
         notes, _section = obj.containers.lookup_data("notes")
-        assert isinstance(notes._value, LazyCell)
-        assert obj.get_data("notes", caller=owner) == ["a", "b"]
-        assert not isinstance(notes._value, LazyCell), "reads materialize"
+        assert notes._value == ["a", "b"]
         # "balance" declares INTEGER: coercion needs the value at admit
         # time, so concretely-kinded items are never lazy
         balance, _section = obj.containers.lookup_data("balance")
@@ -236,14 +290,14 @@ class TestZeroCopyPackage:
 
     def test_untouched_lazy_unpack_beats_eager_by_the_floor(self, owner):
         wire = pack_bytes(make_heavy_traveller(owner))
-        eager = best_time_per_call(lambda: unpack_bytes(wire, lazy=False))
-        untouched = best_time_per_call(lambda: unpack_bytes(wire, lazy=True))
+        eager = best_time_per_call(lambda: unpack(unmarshal(wire)))
+        untouched = best_time_per_call(lambda: unpack_bytes(wire))
         speedup = eager / untouched
         assert speedup >= MIN_LAZY_SPEEDUP, (
             f"untouched lazy unpack only {speedup:.2f}x faster than eager "
             f"(floor {MIN_LAZY_SPEEDUP}x)"
         )
-        arrived = unpack_bytes(wire, lazy=True)
+        arrived = unpack_bytes(wire)
         last = f"item{PACK_ITEMS - 1}"
         assert arrived.get_data(last, caller=owner) == PACK_BLOB
 

@@ -3,9 +3,9 @@
 A host receiving a mobile object unpacks bytes a peer chose. Whatever
 those bytes are — a valid package with bytes flipped, cut short, or
 with one field of its structure replaced or removed — ``unpack_bytes``
-must either rebuild an object or fail with an ``MROMError``, eagerly and
-lazily, and touching every data value of a lazily rebuilt object must
-do the same. Any other exception is a crash a hostile peer could cause.
+must either rebuild an object or fail with an ``MROMError``, and
+touching every data value of the rebuilt object must do the same. Any
+other exception is a crash a hostile peer could cause.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -22,7 +22,7 @@ from repro.core.errors import MROMError
 from repro.core.items import DataItem
 from repro.core.mobject import MROMObject
 from repro.mobility.package import pack, unpack_bytes
-from repro.net.marshal import Reference, marshal
+from repro.net.marshal import DEFER_BINARY_MIN, Reference, marshal
 
 pytestmark = pytest.mark.fuzz
 
@@ -75,6 +75,7 @@ replacements = st.one_of(
     st.integers(min_value=-3, max_value=300),
     st.sampled_from(["", "bogus", "any", "allow", "deny", "GET", "python"]),
     st.binary(max_size=4),
+    st.just(b"\x00" * DEFER_BINARY_MIN),  # unpacks as a cell
     st.builds(Reference, st.sampled_from(["mrom://x/1.1"]), st.just("x")),
     st.lists(st.sampled_from([0, "x", None]), max_size=3),
     st.dictionaries(st.sampled_from(["name", "kind", "x"]),
@@ -96,20 +97,19 @@ def _mutate(path, replacement, delete):
     return package
 
 
-def _unpack_and_touch(wire: bytes, lazy: bool) -> None:
+def _unpack_and_touch(wire: bytes) -> None:
     try:
-        obj = unpack_bytes(wire, lazy=lazy)
+        obj = unpack_bytes(wire)
         for item, _category, _section in obj.containers.iter_with_sections():
             if isinstance(item, DataItem):
-                item.peek()  # a lazy value decodes here
+                item.peek()  # a deferred binary value is sliced here
     except MROMError:
         pass
 
 
 def test_the_untampered_package_unpacks():
-    for lazy in (False, True):
-        obj = unpack_bytes(WIRE, lazy=lazy)
-        assert obj.guid == PACKAGE["guid"]
+    obj = unpack_bytes(WIRE)
+    assert obj.guid == PACKAGE["guid"]
 
 
 @FUZZ
@@ -117,10 +117,9 @@ def test_the_untampered_package_unpacks():
     path=st.sampled_from(PATHS),
     replacement=replacements,
     delete=st.booleans(),
-    lazy=st.booleans(),
 )
-def test_a_tampered_field_fails_typed(path, replacement, delete, lazy):
-    _unpack_and_touch(marshal(_mutate(path, replacement, delete)), lazy)
+def test_a_tampered_field_fails_typed(path, replacement, delete):
+    _unpack_and_touch(marshal(_mutate(path, replacement, delete)))
 
 
 @FUZZ
@@ -131,10 +130,9 @@ def test_a_tampered_field_fails_typed(path, replacement, delete, lazy):
         min_size=1, max_size=4,
     ),
     cut=st.none() | st.integers(min_value=0, max_value=len(WIRE) - 1),
-    lazy=st.booleans(),
 )
-def test_flipped_or_cut_bytes_fail_typed(edits, cut, lazy):
+def test_flipped_or_cut_bytes_fail_typed(edits, cut):
     wire = bytearray(WIRE)
     for position, byte in edits:
         wire[position] = byte
-    _unpack_and_touch(bytes(wire[:cut]), lazy)
+    _unpack_and_touch(bytes(wire[:cut]))

@@ -124,6 +124,24 @@ class TestDirectoryShard:
             shard.apply_update({"name": "n", "guid": "g", "site": "s1",
                                 "generation": 0})
 
+    @pytest.mark.parametrize(
+        "generation",
+        ["x", None, [1], float("inf"), float("nan"), "9" * 5000, 2.5, True],
+        ids=["text", "null", "list", "inf", "nan", "5000-digits", "real", "bool"],
+    )
+    def test_a_generation_that_is_not_an_int_is_refused_typed(self, generation):
+        _network, sites, _ring, managers, _clients = cluster_world()
+        shard = managers["s0"].shard
+        update = {"name": "n", "guid": "g", "site": "s1", "generation": generation}
+        with pytest.raises(NamingError):
+            shard.apply_update(update)
+        assert "n" not in shard.entries
+        # over the wire the serving site replies with the failure
+        with pytest.raises(RemoteInvocationError) as caught:
+            sites["c0"].request("s0", "dir.update", update)
+        assert caught.value.remote_type == "NamingError"
+        assert "n" not in shard.entries and shard.updates == 0
+
     def test_forget_then_republish_rebuilds_the_soft_state(self):
         network, _sites, ring, managers, clients = cluster_world()
         name = "apps/k0"

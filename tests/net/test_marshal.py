@@ -275,53 +275,67 @@ class TestBufferPoolBounds:
 
 
 class TestLazyDecoding:
+    """The leaf rule: with ``defer_binary`` a large binary leaf stays a
+    cell over the message; everything else decodes at once."""
+
     @pytest.mark.parametrize("value", SHAPES)
     def test_lazy_materializes_to_the_eager_value(self, value):
-        from repro.net.marshal import materialize_deep, unmarshal_lazy
+        from repro.net.marshal import materialize_deep
 
         wire = marshal(value)
-        assert materialize_deep(unmarshal_lazy(wire)) == unmarshal(wire)
+        assert materialize_deep(unmarshal(wire, defer_binary=True)) == unmarshal(wire)
 
     def test_mapping_values_stay_undecoded_until_touched(self):
-        from repro.net.marshal import LazyMapping, LazyValue, unmarshal_lazy
+        from repro.net.marshal import DEFER_BINARY_MIN, BinaryCell
 
-        wire = marshal({"hot": 1, "cold": [1, 2, 3]})
-        view = unmarshal_lazy(wire)
-        assert isinstance(view, LazyMapping)
-        assert set(view) == {"hot", "cold"}, "keys decode eagerly"
-        cell = view.lazy("cold")
-        assert isinstance(cell, LazyValue)
-        assert cell.materialize() == [1, 2, 3]
-        assert view["hot"] == 1
+        blob = b"\xa5" * DEFER_BINARY_MIN
+        decoded = unmarshal(marshal({"hot": 1, "cold": blob}), defer_binary=True)
+        assert decoded["hot"] == 1
+        cell = decoded["cold"]
+        assert isinstance(cell, BinaryCell)
+        assert cell.materialize() == blob
+        assert cell.materialize() is cell.materialize(), "sliced once"
 
-    def test_lazy_list_indexing_and_slicing(self):
-        from repro.net.marshal import LazyList, unmarshal_lazy
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_only_binary_leaves_from_the_threshold_are_deferred(self, delta):
+        from repro.core.values import LazyCell
+        from repro.net.marshal import DEFER_BINARY_MIN
 
-        wire = marshal([10, "twenty", [30]])
-        view = unmarshal_lazy(wire)
-        assert isinstance(view, LazyList)
-        assert len(view) == 3
-        assert view[1] == "twenty"
-        assert list(view[0:2]) == [10, "twenty"]
+        size = DEFER_BINARY_MIN + delta
+        value = [b"x" * size, "t" * size, HtmlText("h" * size), {"k": b"y" * size}]
+        decoded = unmarshal(marshal(value), defer_binary=True)
+        cells = [isinstance(leaf, LazyCell) for leaf in (decoded[0], decoded[3]["k"])]
+        assert cells == [delta >= 0] * 2
+        assert type(decoded[1]) is str and type(decoded[2]) is HtmlText
+        assert type(unmarshal(marshal(value))[0]) is bytes, "off by default"
+
+    def test_mapping_keys_are_never_deferred(self):
+        from repro.net.marshal import DEFER_BINARY_MIN
+
+        key = b"k" * DEFER_BINARY_MIN
+        decoded = unmarshal(marshal({key: 1}), defer_binary=True)
+        assert decoded == {key: 1}
 
     def test_lazy_validates_framing_up_front(self):
-        from repro.net.marshal import unmarshal_lazy
+        from repro.net.marshal import DEFER_BINARY_MIN
 
-        wire = marshal({"k": [1, 2]})
+        wire = marshal({"k": [1, b"\x00" * DEFER_BINARY_MIN]})
         with pytest.raises(MarshalError):
-            unmarshal_lazy(wire + b"\x00")  # trailing garbage
+            unmarshal(wire + b"\x00", defer_binary=True)  # trailing garbage
+        with pytest.raises(MarshalError, match="truncated payload"):
+            unmarshal(wire[:-1], defer_binary=True)  # cut inside the blob
         with pytest.raises(MarshalError):
-            unmarshal_lazy(wire[:-1])  # truncated
-        with pytest.raises(MarshalError):
-            unmarshal_lazy(b"XXXX" + wire[4:])  # bad magic
+            unmarshal(b"XXXX" + wire[4:], defer_binary=True)  # bad magic
 
     def test_lazy_snapshots_mutable_input(self):
-        from repro.net.marshal import unmarshal_lazy
+        from repro.net.marshal import DEFER_BINARY_MIN
 
-        wire = bytearray(marshal({"k": "value"}))
-        view = unmarshal_lazy(wire)
+        blob = b"\x5a" * DEFER_BINARY_MIN
+        wire = bytearray(marshal({"k": "value", "blob": blob}))
+        decoded = unmarshal(wire, defer_binary=True)
         wire[:] = b"\x00" * len(wire)  # corrupt the original afterwards
-        assert view["k"] == "value"
+        assert decoded["k"] == "value"
+        assert decoded["blob"].materialize() == blob
 
 
 class TestBufferPoolThreads:

@@ -1,11 +1,12 @@
-"""Seeded differential fuzz of the MRM1 decoders.
+"""Seeded differential fuzz of the MRM1 decoder and its leaf rule.
 
-Two decoders read the same wire: the eager :func:`unmarshal` and the
-lazy :func:`unmarshal_lazy`, whose admission scan (``_skip``) validates
-framing without building values. On any input, valid or corrupt, they
-must agree: both return the same value (once the lazy one is fully
-materialized) or both raise :class:`MarshalError`. Any other exception
-type is a decoder bug a hostile peer could trigger.
+One decoder reads the wire. With ``defer_binary`` it leaves every binary
+leaf of at least :data:`DEFER_BINARY_MIN` bytes as a cell over the
+message instead of copying it out. On any input, valid or corrupt, the
+rule may change nothing else: ``unmarshal(w)`` and
+``materialize_deep(unmarshal(w, defer_binary=True))`` return the same
+value or raise the same :class:`MarshalError`. Any other exception type
+is a decoder bug a hostile peer could trigger.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -18,14 +19,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core import HtmlText
 from repro.core.errors import MarshalError
 from repro.net.marshal import (
+    DEFER_BINARY_MIN,
     MAGIC,
-    LazyMapping,
     Reference,
     marshal,
     marshal_frame,
     materialize_deep,
     unmarshal,
-    unmarshal_lazy,
 )
 
 pytestmark = pytest.mark.fuzz
@@ -52,6 +52,12 @@ scalars = st.one_of(
     st.floats(allow_nan=False),
     st.text(max_size=80),
     st.binary(max_size=40),
+    # either side of the leaf rule's threshold, so the rule fires
+    st.builds(
+        lambda size, fill: bytes((fill,)) * size,
+        st.sampled_from([DEFER_BINARY_MIN - 1, DEFER_BINARY_MIN, DEFER_BINARY_MIN + 1]),
+        st.integers(min_value=0, max_value=255),
+    ),
     st.builds(HtmlText, st.text(max_size=20)),
     references,
 )
@@ -120,28 +126,15 @@ def outcome(decode, wire):
     return ("ok", marshal(value))
 
 
-def assert_decoders_agree(wire):
-    """The eager decoder and the lazy one agree on *wire*.
+def deferred(wire):
+    return materialize_deep(unmarshal(wire, defer_binary=True))
 
-    Admission (``unmarshal_lazy``) checks everything the eager decoder
-    checks except the UTF-8 validity of values it skips; a message the
-    eager decoder refuses for any other reason must be refused at
-    admission, and an admitted one must materialize to the eager value
-    or be refused, on touch, for invalid UTF-8.
-    """
-    eager = outcome(unmarshal, wire)
-    try:
-        unmarshal_lazy(wire)
-        admitted = True
-    except MarshalError:
-        admitted = False
-    lazy = outcome(lambda w: materialize_deep(unmarshal_lazy(w)), wire)
-    if eager[0] == "ok":
-        assert admitted and lazy == eager
-    else:
-        assert lazy[0] == "refused"
-        if admitted:
-            assert "invalid UTF-8" in eager[1] and "invalid UTF-8" in lazy[1]
+
+def assert_decoders_agree(wire):
+    """Decoding *wire* under the leaf rule gives the eager value, or the
+    eager refusal with the same message: a cell is made only after every
+    bound the eager decoder checks has held."""
+    assert outcome(deferred, wire) == outcome(unmarshal, wire)
 
 
 @FUZZ
@@ -163,7 +156,7 @@ def test_valid_values_round_trip_through_every_encoder(value):
     with marshal_frame(value) as frame:
         assert frame.tobytes() == wire
     assert unmarshal(wire) == plain(value)
-    assert materialize_deep(unmarshal_lazy(wire)) == plain(value)
+    assert deferred(wire) == plain(value)
 
 
 @FUZZ
@@ -185,32 +178,27 @@ def test_malformed_reference_is_refused_at_admission(payload, container):
     with pytest.raises(MarshalError, match="malformed reference"):
         unmarshal(wire)
     with pytest.raises(MarshalError, match="malformed reference"):
-        unmarshal_lazy(wire)
+        unmarshal(wire, defer_binary=True)
 
 
-# -- the one intended asymmetry ---------------------------------------------
+# -- text is never deferred: no asymmetry ------------------------------------
 
 BAD_UTF8 = b"S\x02\xff\xfe"
+#: text of DEFER_BINARY_MIN + 1 bytes, invalid UTF-8 in its last byte
+BAD_LONG_UTF8 = b"S\x81\x20" + b"a" * DEFER_BINARY_MIN + b"\xff"
 
 
-def test_lazy_admits_untouched_invalid_utf8_and_refuses_it_on_touch():
+@pytest.mark.parametrize("bad", [BAD_UTF8, BAD_LONG_UTF8], ids=["short", "long"])
+def test_invalid_utf8_is_refused_when_the_message_is_decoded(bad):
     # {"k": <invalid UTF-8 text>, "ok": 1}
-    wire = MAGIC + b"M\x02" + b"S\x01k" + BAD_UTF8 + b"S\x02ok" + b"I\x02"
-    with pytest.raises(MarshalError, match="invalid UTF-8"):
-        unmarshal(wire)
-    view = unmarshal_lazy(wire)  # admission skips values: no UTF-8 check
-    assert isinstance(view, LazyMapping)
-    assert "k" in view and view["ok"] == 1
-    with pytest.raises(MarshalError, match="invalid UTF-8"):
-        view["k"]
-    with pytest.raises(MarshalError, match="invalid UTF-8"):
-        view.lazy("k").materialize()
-    with pytest.raises(MarshalError, match="invalid UTF-8"):
-        materialize_deep(view)
+    wire = MAGIC + b"M\x02" + b"S\x01k" + bad + b"S\x02ok" + b"I\x02"
+    for defer_binary in (False, True):
+        with pytest.raises(MarshalError, match="invalid UTF-8"):
+            unmarshal(wire, defer_binary=defer_binary)
 
 
 def test_lazy_checks_utf8_of_mapping_keys_at_admission():
-    # keys index the mapping, so they decode (and validate) eagerly
+    # keys index the mapping, so they decode (and validate) at once
     wire = MAGIC + b"M\x01" + BAD_UTF8 + b"I\x02"
     with pytest.raises(MarshalError, match="invalid UTF-8"):
-        unmarshal_lazy(wire)
+        unmarshal(wire, defer_binary=True)

@@ -29,7 +29,6 @@ from repro.net.marshal import (
     marshal_frame,
     materialize_deep,
     unmarshal,
-    unmarshal_lazy,
 )
 
 
@@ -230,7 +229,7 @@ def test_decoders_read_golden_bytes(wire_hex, decoded):
     assert eager == decoded
     assert type(eager) is type(decoded)
     assert unmarshal(memoryview(wire)) == decoded
-    assert materialize_deep(unmarshal_lazy(wire)) == decoded
+    assert materialize_deep(unmarshal(wire, defer_binary=True)) == decoded
 
 
 def test_decoded_scalar_types_are_exact():
@@ -261,9 +260,9 @@ def test_depth_65_is_refused_by_every_decoder(opener):
     with pytest.raises(MarshalError, match="nesting exceeds 64"):
         unmarshal(wire)
     with pytest.raises(MarshalError, match="nesting exceeds 64"):
-        unmarshal_lazy(wire)
+        unmarshal(wire, defer_binary=True)
     accepted = MAGIC + opener * 64 + b"I\x00"
-    assert materialize_deep(unmarshal_lazy(accepted)) == unmarshal(accepted)
+    assert materialize_deep(unmarshal(accepted, defer_binary=True)) == unmarshal(accepted)
 
 
 # -- references the decoder could not read back are refused at encode ------

@@ -2,10 +2,11 @@
 
 A receiving site reads the ``~trace`` field of a request, and the
 ``trace`` field of an arriving package, from bytes a peer chose. Whatever
-those fields hold — any decoded wire value, eager or lazy, intact or
-corrupt — ``from_wire`` must return ``None`` or a context whose ids are
-non-empty text and whose baggage maps text to text, and must never
-raise: a broken peer must not break the receiver's telemetry.
+those fields hold — any value the decoder accepts, from an intact or a
+corrupt wire — ``from_wire`` must return ``None`` or a context whose ids
+are non-empty text and whose baggage maps text to text, and must never
+raise: a broken peer must not break the receiver's telemetry. A corrupt
+wire the decoder refuses never reaches ``from_wire`` at all.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import HtmlText
 from repro.core.errors import MarshalError
-from repro.net.marshal import Reference, marshal, unmarshal, unmarshal_lazy
+from repro.net.marshal import Reference, marshal, unmarshal
 from repro.telemetry import TraceContext
 
 pytestmark = pytest.mark.fuzz
@@ -95,8 +96,8 @@ in_process_contexts = context_shaped(st.one_of(scalars, huge_ints))
 def corrupt_wires(draw):
     """A context's wire form with bytes flipped, poisoned, cut or inserted.
 
-    A poisoned byte (0xff) is never valid UTF-8: inside a value's text it
-    passes lazy admission and fails only when the value is touched.
+    A poisoned byte (0xff) is never valid UTF-8: inside any text the
+    decoder refuses the whole message.
     """
     wire = bytearray(marshal(draw(st.one_of(honest, contexts))))
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
@@ -135,34 +136,33 @@ def test_any_value_yields_none_or_a_context(raw):
 
 @FUZZ
 @given(contexts)
-def test_any_context_reads_the_same_eagerly_and_lazily(raw):
-    wire = marshal(raw)
-    assert_well_formed(unmarshal(wire))
-    assert_well_formed(unmarshal_lazy(wire))
-    eager = TraceContext.from_wire(unmarshal(wire))
-    assert TraceContext.from_wire(unmarshal_lazy(wire)) == eager
+def test_any_context_reads_the_same_off_the_wire(raw):
+    decoded = unmarshal(marshal(raw))
+    assert_well_formed(decoded)
+    assert TraceContext.from_wire(decoded) == TraceContext.from_wire(raw)
 
 
 @FUZZ
 @given(corrupt_wires())
-def test_corrupt_lazy_context_yields_none_or_a_context(wire):
+def test_corrupt_context_is_refused_or_yields_none_or_a_context(wire):
     try:
-        raw = unmarshal_lazy(wire)
+        raw = unmarshal(wire)
     except MarshalError:
-        return  # refused at admission: from_wire never sees it
+        return  # refused at decode: from_wire never sees it
     assert_well_formed(raw)
 
 
 @FUZZ
 @given(honest, st.sampled_from(["trace_id", "span_id"]), st.data())
-def test_undecodable_lazy_id_yields_none(raw, field, data):
+def test_undecodable_id_is_refused_at_decode(raw, field, data):
     wire = bytearray(marshal(raw))
     key = marshal(field)[len(b"MRM1"):]
     # the id's text payload starts after its key and its 2-byte head
     start = wire.index(key) + len(key) + 2
     size = len(raw[field].encode("utf-8"))
     wire[start + data.draw(st.integers(min_value=0, max_value=size - 1))] = 0xFF
-    assert TraceContext.from_wire(unmarshal_lazy(bytes(wire))) is None
+    with pytest.raises(MarshalError, match="invalid UTF-8"):
+        unmarshal(bytes(wire))
 
 
 # -- regressions: each finding of the fuzz above -------------------------------
@@ -188,20 +188,17 @@ def test_html_ids_become_plain_text():
     assert [(type(k), type(v)) for k, v in context.baggage.items()] == [(str, str)]
 
 
-def test_undecodable_lazy_field_yields_none():
-    # {"trace_id": <invalid UTF-8 text>, "span_id": "s"}: admitted lazily,
-    # refused by the decoder only when the field is touched
+def test_undecodable_field_is_refused_at_decode():
+    # {"trace_id": <invalid UTF-8 text>, "span_id": "s"}
     wire = (b"MRM1" + b"M\x02" + b"S\x08trace_id" + b"S\x02\xff\xfe"
             + b"S\x07span_id" + b"S\x01s")
-    raw = unmarshal_lazy(wire)
-    with pytest.raises(MarshalError):
-        raw["trace_id"]
-    assert TraceContext.from_wire(raw) is None
+    with pytest.raises(MarshalError, match="invalid UTF-8"):
+        unmarshal(wire)
 
 
-def test_undecodable_lazy_baggage_yields_none():
+def test_undecodable_baggage_is_refused_at_decode():
     wire = (b"MRM1" + b"M\x03" + b"S\x08trace_id" + b"S\x01t"
             + b"S\x07span_id" + b"S\x01s"
             + b"S\x07baggage" + b"M\x01" + b"S\x01k" + b"S\x02\xff\xfe")
-    raw = unmarshal_lazy(wire)
-    assert TraceContext.from_wire(raw) is None
+    with pytest.raises(MarshalError, match="invalid UTF-8"):
+        unmarshal(wire)
