@@ -109,11 +109,14 @@ bench-pairs:
 	rm -rf $(PAIRS)/tree
 	$(PYTHON) -m benchmarks.e2e compare $(PAIRS)/base $(PAIRS)/head
 
-# The seeded chaos/load/cluster reports, their load and cluster soak
-# variants and the recover selftest (seed 1), one file each under
-# OUT (default .bench/seeded). tests/integration/test_seeded_reports.py
-# pins them against tests/golden/seeded/; after a deliberate change,
-# re-record with `make seeded-outputs OUT=tests/golden/seeded`.
+# Every pinned seeded output, one file each under OUT (default
+# .bench/seeded): the chaos/load/cluster reports, their load and cluster
+# soak variants, the recover selftest, the sanitize smoke (all seed 1;
+# tests/integration/test_seeded_reports.py) and the telemetry capture
+# (traced scenario seeds 0 and 1 plus a traced soak, wall-clock fields
+# dropped; tests/telemetry/test_capture_golden.py). Both tests compare
+# against tests/golden/seeded/; after a deliberate change, re-record
+# with `make seeded-outputs OUT=tests/golden/seeded`.
 seeded-outputs: OUT = .bench/seeded
 seeded-outputs:
 	mkdir -p $(OUT)
@@ -123,6 +126,8 @@ seeded-outputs:
 	$(PYTHON) -m repro load --soak --seed 1 > $(OUT)/load-soak.txt
 	$(PYTHON) -m repro cluster --soak --seed 1 > $(OUT)/cluster-soak.txt
 	$(PYTHON) -m repro recover --selftest --seed 1 > $(OUT)/recover-selftest.txt
+	$(PYTHON) -m repro analyze --sanitize-smoke --seed 1 > $(OUT)/sanitize-smoke.txt
+	$(PYTHON) tests/telemetry/capture.py > $(OUT)/telemetry-capture.txt
 
 series: bench
 	@echo; for f in benchmarks/out/*.txt; do echo "--- $$f"; cat $$f; echo; done

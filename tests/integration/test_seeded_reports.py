@@ -2,13 +2,17 @@
 
 Each report is a pure function of its seed: the chaos trace digest,
 the load and cluster accounting, the simulated times and percentiles.
-The soak variants (``load --soak``, ``cluster --soak``) and the
-crash-recovery soak (``recover --selftest``) are pinned too, since they
-run the fault, retry and WAL-recovery paths the clean reports never
-reach. A refactor must leave all six byte-identical; a deliberate change
-re-records them with ``make seeded-outputs OUT=tests/golden/seeded`` and
-shows up as a reviewed diff of the golden files, like the WAL corpus
-and the wire vectors.
+The soak variants (``load --soak``, ``cluster --soak``), the
+crash-recovery soak (``recover --selftest``) and the happens-before
+sanitized soak (``analyze --sanitize-smoke``: its task, access, send
+and sync counts and its matched races) are pinned too, since they run
+the fault, retry, WAL-recovery and sanitizer paths the clean reports
+never reach. A refactor must leave all seven byte-identical; a
+deliberate change re-records them with ``make seeded-outputs
+OUT=tests/golden/seeded`` and shows up as a reviewed diff of the golden
+files, like the WAL corpus and the wire vectors. The same command also
+re-records the telemetry capture that
+``tests/telemetry/test_capture_golden.py`` pins.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ REPORTS = {
     "load-soak": ["load", "--soak"],
     "cluster-soak": ["cluster", "--soak"],
     "recover-selftest": ["recover", "--selftest"],
+    "sanitize-smoke": ["analyze", "--sanitize-smoke"],
 }
 
 
