@@ -13,25 +13,31 @@ observed sync-wait cycle to a ``cycle.*`` finding. An unmatched witness
 means the static analysis has a hole; that is a test failure, not a
 log line.
 
-Clock plumbing follows the kernel's own edges:
+The sanitizer is a :class:`repro.probes.Probe` on the same switch as
+telemetry; :func:`enable` attaches it. Each logical activity (a driver
+issuing a request, a site serving one, an ActiveObject worker) is a
+*task* with a vector clock, and the probe points are its edges:
 
-* each logical activity (a driver issuing a request, a site serving
-  one, an ActiveObject worker) is a *task* with a vector clock;
-* ``note_sent`` snapshots the sender's clock under the wire message id;
-  ``begin_serve`` forks the serving task from that snapshot (the
-  send→receive edge); ``end_serve`` publishes the serving clock under
-  the same id so the requester's ``absorb_reply`` can join it (the
-  reply edge);
+* ``sent`` snapshots the sender's clock (or the issuer's, kept at
+  ``request_begin``, for a retry fired from a scheduled event) under the
+  wire message id; ``serve_begin`` forks the serving task from it (the
+  send→receive edge) and ``serve_end`` publishes its clock;
+* ``reply_begin`` settles a call's future under a task joining the
+  issuer's and the server's clocks, so callback chains inherit both;
+  ``reply_absorb`` joins the server's clock into the task that waited,
+  once per wait, blocking or not (the reply edge);
+* a blocking request is a sync-wait edge from ``request_begin`` to
+  ``request_end``, and ``handle`` expands an invoke or get_data into its
+  modeled item accesses;
 * ActiveObject submissions carry the submitter's snapshot into the
   worker's clock; the worker task itself persists across items, which
   encodes mailbox serialization as a happens-before edge — exactly the
   ordering guarantee the wrapper exists to provide.
 
-Like the telemetry plane, the sanitizer is a module-level ``ACTIVE``
-switch: every hook is one attribute read plus an identity test when it
-is off. Those guards run inside the ``rmi_sim`` end-to-end workload,
-and ``tests/analysis/test_sanitizer.py`` checks that :func:`disable`
-leaves no hook live.
+With no plane on, each point is one attribute read plus an identity
+test; those guards run inside the ``rmi_sim`` end-to-end workload, and
+``tests/analysis/test_sanitizer.py`` checks that :func:`disable`
+leaves no point live.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ import itertools
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+
+from .. import probes
 
 __all__ = [
     "Sanitizer",
@@ -50,15 +58,18 @@ __all__ = [
     "disable",
 ]
 
-#: the installed sanitizer, or None (the common case: every hook is one
-#: module-attribute read + identity test when no sanitizer is active)
+#: the installed sanitizer, or None; the runtime reads only the probe
+#: switch (:data:`repro.probes.ACTIVE`), never this
 ACTIVE: "Sanitizer | None" = None
 
 
 def enable(sanitizer: "Sanitizer | None" = None) -> "Sanitizer":
     """Install (and return) a sanitizer as the process-wide ACTIVE one."""
     global ACTIVE
+    if ACTIVE is not None:
+        probes.detach(ACTIVE)
     ACTIVE = sanitizer if sanitizer is not None else Sanitizer()
+    probes.attach(ACTIVE)
     return ACTIVE
 
 
@@ -66,6 +77,8 @@ def disable() -> "Sanitizer | None":
     """Uninstall the active sanitizer and return it for inspection."""
     global ACTIVE
     sanitizer, ACTIVE = ACTIVE, None
+    if sanitizer is not None:
+        probes.detach(sanitizer)
     return sanitizer
 
 
@@ -100,7 +113,7 @@ class ObservedCycle:
 _UNSET = object()
 
 
-class Sanitizer:
+class Sanitizer(probes.Probe):
     """Vector-clock happens-before tracking over kernel activities."""
 
     def __init__(self, history: int = 32, stash_cap: int = 8192):
@@ -113,6 +126,9 @@ class Sanitizer:
         self._stash_cap = stash_cap
         self._sent: OrderedDict = OrderedDict()   # msg id -> clock snapshot
         self._done: OrderedDict = OrderedDict()   # msg id -> serve clock
+        self._issued: OrderedDict = OrderedDict() # request id -> issuer clock
+        self._submitted: OrderedDict = OrderedDict()  # future -> submitter clock
+        self._workers: dict = {}         # ActiveObject -> its worker task
         self._accesses: dict = {}        # (guid, item) -> deque of accesses
         self._effects_cache: dict = {}   # (guid, method) -> effects | None
         self._object_effects: dict = {}  # guid -> {method: effects}
@@ -185,7 +201,7 @@ class Sanitizer:
             self.sync_count += 1
 
     # ------------------------------------------------------------------
-    # message edges (wired from net/site.py and net/rmi.py)
+    # message edges
     # ------------------------------------------------------------------
 
     def _stash(self, table: OrderedDict, key, clock) -> None:
@@ -237,6 +253,83 @@ class Sanitizer:
         clock = self.reply_clock(msg_id)
         if clock:
             self.merge(task, clock)
+
+    # ------------------------------------------------------------------
+    # probe points (see the module docstring for the edge each one makes)
+    # ------------------------------------------------------------------
+
+    def request_begin(self, call, payload):
+        clock = self.snapshot()
+        if clock is not None:
+            self._stash(self._issued, call.request_id, clock)
+        if call.blocking:
+            self.wait_begin(call.site.site_id, call.dst)
+        return payload
+
+    def request_end(self, site, dst: str, error) -> None:
+        self.wait_end(site.site_id, dst)
+
+    def sent(self, call, msg_id) -> None:
+        with self._lock:
+            issued = self._issued.get(call.request_id)
+        self.note_sent(msg_id, fallback=issued)
+
+    def reply_begin(self, call, message) -> None:
+        task = self.fork(label=f"reply.{call.kind}", parent=None)
+        with self._lock:
+            issued = self._issued.get(call.request_id)
+        if issued:
+            self.merge(task, issued)
+        serve_clock = self.reply_clock(message.reply_to)
+        if serve_clock:
+            self.merge(task, serve_clock)
+        self.push(task)
+
+    def reply_end(self, call) -> None:
+        self.pop()
+
+    def reply_absorb(self, site, futures) -> None:
+        for future in futures:
+            if future.reply_id is not None:
+                self.absorb_reply(future.reply_id)
+
+    def serve_begin(self, site, message, batched: bool) -> None:
+        if not batched:
+            self.begin_serve(
+                message.msg_id, label=f"serve.{message.kind}@{site.site_id}"
+            )
+
+    def serve_end(self, site, message, batched: bool, error) -> None:
+        if not batched:
+            self.end_serve(message.msg_id, self.current())
+
+    def handle(self, site, kind: str, obj, name: str) -> None:
+        if kind == "invoke":
+            self.invoke(obj, name)
+        else:
+            self.data_read(obj, name)
+
+    def submit(self, active, future) -> None:
+        clock = self.snapshot()
+        if clock is not None:
+            self._stash(self._submitted, future, clock)
+
+    def work_begin(self, active, method: str, future) -> None:
+        # one persistent task per worker: item N's effects happen-before
+        # item N+1's, the actor guarantee itself
+        with self._lock:
+            clock = self._submitted.pop(future, None)
+            task = self._workers.get(active)
+        if task is None:
+            task = self.fork(label=f"active:{active.obj.guid}", parent=None)
+            with self._lock:
+                self._workers[active] = task
+        self.merge(task, clock)
+        self.push(task)
+        self.invoke(active.obj, method)
+
+    def work_end(self, active) -> None:
+        self.pop()
 
     # ------------------------------------------------------------------
     # data accesses

@@ -26,7 +26,7 @@ import threading
 from concurrent.futures import Future
 from typing import Any, Sequence
 
-from ..analysis import sanitizer as _sanitizer
+from .. import probes as _probes
 from ..core.acl import Principal
 from ..core.errors import ConcurrencyError
 from ..core.mobject import MROMObject
@@ -57,7 +57,6 @@ class ActiveObject:
         self._mailbox: "queue.Queue" = queue.Queue(maxsize=queue_limit)
         self._stopped = threading.Event()
         self._drain_lock = threading.Lock()
-        self._hb_task = None  # the worker's persistent sanitizer task
         self.processed = 0
         self.rejected = 0
         self._worker = threading.Thread(
@@ -81,9 +80,10 @@ class ActiveObject:
                 f"active object {self.obj.guid} is stopped"
             )
         future: "Future[Any]" = Future()
-        san = _sanitizer.ACTIVE
-        clock = san.snapshot() if san is not None else None
-        self._mailbox.put((method, list(args), caller, future, clock))
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.submit(self, future)
+        self._mailbox.put((method, list(args), caller, future))
         if self._stopped.is_set() and not self._worker.is_alive():
             # stop() raced this submit: the item may have landed after
             # the _STOP sentinel, with nobody left to serve it. Either
@@ -110,20 +110,12 @@ class ActiveObject:
             work = self._mailbox.get()
             if work is _STOP:
                 return
-            method, args, caller, future, clock = work
+            method, args, caller, future = work
             if not future.set_running_or_notify_cancel():
                 continue
-            san = _sanitizer.ACTIVE
-            if san is not None:
-                # one persistent task for the worker: item N's effects
-                # happen-before item N+1's, the actor guarantee itself
-                if self._hb_task is None:
-                    self._hb_task = san.fork(
-                        label=f"active:{self.obj.guid}", parent=None
-                    )
-                san.merge(self._hb_task, clock)
-                san.push(self._hb_task)
-                san.invoke(self.obj, method)
+            probe = _probes.ACTIVE
+            if probe is not None:
+                probe.work_begin(self, method, future)
             try:
                 result = self.obj.invoke(method, args, caller=caller)
             except BaseException as exc:  # noqa: BLE001 - delivered via future
@@ -131,8 +123,8 @@ class ActiveObject:
             else:
                 future.set_result(result)
             finally:
-                if san is not None:
-                    san.pop()
+                if probe is not None:
+                    probe.work_end(self)
                 self.processed += 1
 
     # -- lifecycle -------------------------------------------------------------
@@ -180,7 +172,7 @@ class ActiveObject:
                     return
                 if work is _STOP:  # a duplicate sentinel; nothing to fail
                     continue
-                _method, _args, _caller, future, _clock = work
+                _method, _args, _caller, future = work
                 self.rejected += 1
                 if future.set_running_or_notify_cancel():
                     future.set_exception(

@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from ..telemetry import state as _telemetry
+from .. import probes as _probes
 from .errors import AccessDeniedError
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "owner_only",
     "domain_acl",
     "principals_acl",
-    "note_match",
     "remote_principal",
 ]
 
@@ -349,7 +348,9 @@ class AccessControlList:
         This is the Match phase of level-0 invocation in callable form.
         """
         allowed = self.allows(principal, permission._value_)
-        note_match(principal, item, permission, allowed)
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.acl_check(principal, item, permission, allowed)
         if not allowed:
             raise AccessDeniedError(str(principal), item, permission.name or "NONE")
 
@@ -385,32 +386,6 @@ class AccessControlList:
     def __repr__(self) -> str:
         default = "allow" if self._default_allow else "deny"
         return f"AccessControlList({len(self._entries)} entries, default={default})"
-
-
-def note_match(
-    principal: Principal, item: str, permission: Permission, allowed: bool
-) -> None:
-    """Telemetry emission for one Match-phase verdict.
-
-    Shared by :meth:`AccessControlList.check` and the compiled
-    invocation closures, so a pinned verdict is observably identical to
-    a fresh evaluation: same counters, same ``acl.check`` span event.
-    """
-    tel = _telemetry.ACTIVE
-    if tel is None:
-        return
-    tel.metrics.counter("acl.checks").inc()
-    if not allowed:
-        tel.metrics.counter("acl.denials").inc()
-    span = tel.current_span
-    if span is not None:
-        span.event(
-            "acl.check",
-            outcome="allowed" if allowed else "denied",
-            principal=principal.guid,
-            item=item,
-            permission=permission.name or "NONE",
-        )
 
 
 def _permissions_from_names(names: Iterable[str]) -> Permission:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..telemetry import state as _telemetry
+from .. import probes as _probes
 
 __all__ = ["InvocationCache", "COMPILED_STALE"]
 
@@ -103,9 +103,9 @@ class InvocationCache:
             self._discarded(1)
         table[key] = fn
         self.compiles += 1
-        tel = _telemetry.ACTIVE
-        if tel is not None:
-            tel.metrics.counter("fastpath.compiled.compiles").inc()
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.count("fastpath.compiled.compiles")
 
     def discard_compiled(self, key: tuple[str, str, str]) -> None:
         """Drop one stale closure (its guard failed at dispatch)."""
@@ -115,15 +115,15 @@ class InvocationCache:
 
     def _discarded(self, count: int) -> None:
         self.compiled_discards += count
-        tel = _telemetry.ACTIVE
-        if tel is not None:
-            tel.metrics.counter("fastpath.compiled.discards").inc(count)
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.count("fastpath.compiled.discards", count)
 
     def _invalidated(self) -> None:
         self.invalidations += 1
-        tel = _telemetry.ACTIVE
-        if tel is not None:
-            tel.metrics.counter("fastpath.invalidations").inc()
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.count("fastpath.invalidations")
 
     @property
     def compiled_entries(self) -> int:

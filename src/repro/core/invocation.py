@@ -29,8 +29,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
-from ..telemetry import state as _telemetry
-from .acl import INVOKE_BIT, Permission, Principal, note_match
+from .. import probes as _probes
+from .acl import INVOKE_BIT, Permission, Principal
 from .errors import (
     InvocationDepthError,
     MethodNotFoundError,
@@ -219,20 +219,9 @@ class Invoker:
                 f"MAX_META_LEVELS={MAX_META_LEVELS}"
             )
         record = InvocationRecord(method=method_name, caller=caller.guid)
-        tel = _telemetry.ACTIVE
-        span = None
-        if tel is not None:
-            span = tel.begin_span(
-                "invoke",
-                attrs={
-                    "method": method_name,
-                    "object": self.obj.guid,
-                    "caller": caller.guid,
-                    "tower_depth": len(chain),
-                },
-            )
-            span.event("invocation.enter", tower_depth=len(chain))
-            tel.metrics.counter("invocations").inc()
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.invoke_begin(self.obj.guid, method_name, caller.guid, len(chain), False)
         try:
             if chain:
                 result = self._run_meta_level(
@@ -243,25 +232,19 @@ class Invoker:
         except PreProcedureVeto:
             record.outcome = "veto"
             self.obj.note_invocation(record)
-            if span is not None:
-                span.event("invocation.exit", outcome="veto")
-                tel.end_span(span, status="veto")
-                tel.metrics.counter("invocations.vetoed").inc()
+            if probe is not None:
+                probe.invoke_end("veto")
             raise
         except Exception as exc:
             record.outcome = "error"
             self.obj.note_invocation(record)
-            if span is not None:
-                span.event("invocation.exit", outcome="error",
-                           error=type(exc).__name__)
-                tel.end_span(span, status="error")
-                tel.metrics.counter("invocations.failed").inc()
+            if probe is not None:
+                probe.invoke_end("error", exc)
             raise
         record.outcome = "ok"
         self.obj.note_invocation(record)
-        if span is not None:
-            span.event("invocation.exit", outcome="ok")
-            tel.end_span(span)
+        if probe is not None:
+            probe.invoke_end("ok")
         return result
 
     # -- the meta tower -----------------------------------------------------
@@ -482,10 +465,10 @@ def compile_invocation(
         pre is None
         and post is None
         and not needs_ctx
-        and _telemetry.ACTIVE is None
+        and _probes.ACTIVE is None
         and not obj._tracing
     ):
-        # the lean shape: with telemetry off and the object not tracing,
+        # the lean shape: with every plane off and the object not tracing,
         # a call's only observables are its result or error, the hit
         # counter and the record; its success record is pinned here as
         # (method, caller, *events)
@@ -498,7 +481,7 @@ def compile_invocation(
                 or method.version != method_version
                 or method.acl is not acl
                 or acl._version != acl_version
-                or _telemetry.ACTIVE is not None
+                or _probes.ACTIVE is not None
                 or obj._tracing
             ):
                 return COMPILED_STALE
@@ -536,30 +519,16 @@ def compile_invocation(
         if hit:
             cache.compiled_hits += 1
         record = InvocationRecord(method=name, caller=caller_guid)
-        tel = _telemetry.ACTIVE
-        span = None
-        if tel is not None:
-            span = tel.begin_span(
-                "invoke",
-                attrs={
-                    "method": name,
-                    "object": obj_guid,
-                    "caller": caller_guid,
-                    "tower_depth": 0,
-                },
-            )
-            span.event("invocation.enter", tower_depth=0)
-            metrics = tel.metrics
-            metrics.counter("invocations").inc()
-            if hit:
-                metrics.counter("fastpath.compiled.hits").inc()
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.invoke_begin(obj_guid, name, caller_guid, 0, hit)
         try:
             events = record.events
             events.append(ev_lookup)
-            if not is_self:
-                # the audit observable of the Match phase: same counters,
-                # same acl.check span event as a fresh ACL evaluation
-                note_match(live_caller, name, _INVOKE, True)
+            if not is_self and probe is not None:
+                # the Match phase stays observable: the same point a
+                # fresh ACL evaluation fires
+                probe.acl_check(live_caller, name, _INVOKE, True)
             events.append(ev_match)
             body_args = list(args)
             ctx = (
@@ -582,25 +551,19 @@ def compile_invocation(
         except PreProcedureVeto:
             record.outcome = "veto"
             note_invocation(record)
-            if span is not None:
-                span.event("invocation.exit", outcome="veto")
-                tel.end_span(span, status="veto")
-                tel.metrics.counter("invocations.vetoed").inc()
+            if probe is not None:
+                probe.invoke_end("veto")
             raise
         except Exception as exc:
             record.outcome = "error"
             note_invocation(record)
-            if span is not None:
-                span.event("invocation.exit", outcome="error",
-                           error=type(exc).__name__)
-                tel.end_span(span, status="error")
-                tel.metrics.counter("invocations.failed").inc()
+            if probe is not None:
+                probe.invoke_end("error", exc)
             raise
         record.outcome = "ok"
         note_invocation(record)
-        if span is not None:
-            span.event("invocation.exit", outcome="ok")
-            tel.end_span(span)
+        if probe is not None:
+            probe.invoke_end("ok")
         return result
 
     return compiled_invoke

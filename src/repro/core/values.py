@@ -23,7 +23,7 @@ import math
 import re
 from typing import Any, Callable, Iterable
 
-from ..telemetry import state as _telemetry
+from .. import probes as _probes
 from .errors import CoercionError, KindError
 
 __all__ = [
@@ -345,9 +345,9 @@ def coerce(value: Any, kind: Kind) -> Any:
     coercer = _COERCERS.get(kind)
     if coercer is None:
         raise CoercionError(value, str(kind), "unknown target kind")
-    tel = _telemetry.ACTIVE
-    if tel is not None:
-        tel.metrics.counter("coercions").inc()
+    probe = _probes.ACTIVE
+    if probe is not None:
+        probe.count("coercions")
     return coercer(value)
 
 

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..telemetry import state as _telemetry
+from .. import probes as _probes
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..net.transport import Network
@@ -161,34 +161,17 @@ class FaultPlane:
         now = round(self.network.simulator.now, 9)
         self.trace.append((now, label, *details))
         self._injection_seq += 1
-        self.injections.append(
-            FaultRecord(
-                seq=self._injection_seq,
-                scenario=self.scenario,
-                label=label,
-                time=now,
-                details=tuple(details),
-            )
+        record = FaultRecord(
+            seq=self._injection_seq,
+            scenario=self.scenario,
+            label=label,
+            time=now,
+            details=tuple(details),
         )
-        tel = _telemetry.ACTIVE
-        if tel is not None:
-            tel.metrics.counter("faults.injected").inc()
-            current = tel.current_span
-            if current is not None:
-                current.event(
-                    "fault",
-                    label=label,
-                    scenario=self.scenario,
-                    seq=self._injection_seq,
-                    sim_time=now,
-                )
-            tel.events.emit(
-                "fault.injected",
-                time=now,
-                scenario=self.scenario,
-                seq=self._injection_seq,
-                label=label,
-            )
+        self.injections.append(record)
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.fault(record)
 
     def digest(self) -> str:
         """A stable fingerprint of the whole fault schedule."""

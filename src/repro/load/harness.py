@@ -19,7 +19,7 @@ from ..faults import DropInjector, DuplicateInjector, FaultPlane, JitterInjector
 from ..net import LAN, Network, RetryPolicy, Site
 from ..net.rmi import BatchFuture
 from ..sim import Simulator
-from ..telemetry import state as _telemetry
+from .. import probes as _probes
 from .drivers import ClosedLoopDriver, DriverStats, OpenLoopDriver
 from .latency import LatencyRecorder
 from .profile import DEFAULT_PROFILE, OpProfile
@@ -382,10 +382,10 @@ def run_scenario(
         faults=dict(plane.counts) if plane is not None else {},
         **extra,
     )
-    tel = _telemetry.ACTIVE
-    if tel is not None:
+    probe = _probes.ACTIVE
+    if probe is not None:
         values = {**report.latency, **vars(report)}
-        tel.events.emit(
+        probe.emit(
             f"{world.domain}.report",
             **{name: values.get(name) for name in report.event_fields},
         )

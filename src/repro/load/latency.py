@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 from typing import Sequence
 
-from ..telemetry import state as _telemetry
+from .. import probes as _probes
 
 __all__ = ["LOAD_BUCKETS", "LatencyRecorder"]
 
@@ -63,9 +63,9 @@ class LatencyRecorder:
         if self.max is None or seconds > self.max:
             self.max = seconds
         self.counts[bisect.bisect_left(self.boundaries, seconds)] += 1
-        tel = _telemetry.ACTIVE
-        if tel is not None:
-            tel.metrics.histogram(self.name, self.boundaries).observe(seconds)
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.observe(self.name, self.boundaries, seconds)
 
     @property
     def mean(self) -> float:

@@ -48,12 +48,12 @@ import itertools
 from collections import OrderedDict
 from typing import Any, Callable, Mapping, Sequence
 
+from .. import probes as _probes
 from ..core.acl import Principal
 from ..core.errors import (
     MobilityError,
     MROMError,
     PolicyViolationError,
-    RemoteInvocationError,
     RequestTimeoutError,
     TransferUnresolvedError,
 )
@@ -61,8 +61,6 @@ from ..core.mobject import MROMObject
 from ..net.rmi import RemoteRef, RetryPolicy
 from ..net.site import Site
 from ..net.transport import Message
-from ..telemetry import state as _telemetry
-from ..telemetry.context import TraceContext
 from .package import pack, unpack
 
 __all__ = ["MobilityManager", "InstallReport"]
@@ -195,25 +193,11 @@ class MobilityManager:
     def _handoff(
         self, obj: MROMObject, dst: str, install_args: Sequence[Any], mode: str
     ) -> Mapping:
-        tel = _telemetry.ACTIVE
-        span = None
-        trace_stamp = None
-        if tel is not None:
-            span = tel.begin_span(
-                "transfer.handoff",
-                attrs={
-                    "mode": mode,
-                    "guid": obj.guid,
-                    "src": self.site.site_id,
-                    "dst": dst,
-                    "sim_time": self.site.network.now,
-                },
-            )
-            # the package carries the handoff span's context: the object's
-            # journey stamp, readable by the receiving host
-            trace_stamp = tel.context_of(span).to_wire()
-        package = pack(obj, trace=trace_stamp)
+        package = pack(obj)
         transfer_id = self._mint_transfer_id()
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.transfer_prepare(self.site, transfer_id, obj, dst, mode, package)
         journal = self.site.journal
         if journal is not None:
             # write-ahead intent: if this incarnation dies between
@@ -222,10 +206,6 @@ class MobilityManager:
             journal.note_intent(
                 transfer_id, {"guid": obj.guid, "dst": dst, "mode": mode}
             )
-        if span is not None:
-            span.set(transfer_id=transfer_id)
-            span.event("PREPARE", transfer_id=transfer_id,
-                       sim_time=self.site.network.now)
         try:
             report = self.site.request(
                 dst,
@@ -237,45 +217,30 @@ class MobilityManager:
                 },
                 policy=self.retry_policy,
             )
-        except RemoteInvocationError as exc:
-            # the destination answered and refused: nothing settled there
-            if journal is not None:
-                journal.note_resolved(transfer_id, "aborted")
-            if span is not None:
-                span.event("ABORT", reason=type(exc).__name__,
-                           sim_time=self.site.network.now)
-                tel.end_span(span, status="aborted")
-                tel.metrics.counter("transfers.refused").inc()
-            self._notify(transfer_id, obj.guid, dst, mode, "aborted")
-            raise
         except RequestTimeoutError as exc:
             # ambiguous: the PREPARE may have settled; keep the original
             # and leave the verdict to reconcile()
             self.unresolved[transfer_id] = {
                 "guid": obj.guid, "dst": dst, "mode": mode,
             }
-            if span is not None:
-                span.event("UNRESOLVED", transfer_id=transfer_id,
-                           sim_time=self.site.network.now)
-                tel.end_span(span, status="unresolved")
-                tel.metrics.counter("transfers.unresolved").inc()
+            if probe is not None:
+                probe.transfer_unresolved(self.site, transfer_id)
             raise TransferUnresolvedError(transfer_id, obj.guid, dst) from exc
-        except BaseException:
-            # PartitionError before anything was sent propagates as-is:
-            # the failure is atomic, the object never left
+        except BaseException as exc:
+            # the destination answered and refused (RemoteInvocationError),
+            # or a PartitionError stopped the send: nothing settled there,
+            # the object never left
             if journal is not None:
                 journal.note_resolved(transfer_id, "aborted")
-            if span is not None:
-                span.event("ABORT", reason="send-failure",
-                           sim_time=self.site.network.now)
-                tel.end_span(span, status="error")
+            if probe is not None:
+                probe.transfer_abort(self.site, transfer_id, exc)
             self._notify(transfer_id, obj.guid, dst, mode, "aborted")
             raise
         if not isinstance(report, Mapping):
-            if span is not None:
-                span.event("ABORT", reason="malformed-report")
-                tel.end_span(span, status="error")
-            raise MobilityError(f"malformed transfer report from {dst!r}")
+            error = MobilityError(f"malformed transfer report from {dst!r}")
+            if probe is not None:
+                probe.transfer_abort(self.site, transfer_id, error)
+            raise error
         if mode == "move" and self.site.has_object(obj.guid):
             self.site.unregister_object(obj.guid)
         if journal is not None:
@@ -285,13 +250,8 @@ class MobilityManager:
         # placements and leases here, inside the same verdict
         self._notify(transfer_id, obj.guid, dst, mode, "committed")
         self.departures += 1
-        if span is not None:
-            span.event("COMMIT", transfer_id=transfer_id,
-                       sim_time=self.site.network.now)
-            tel.end_span(span)
-            tel.metrics.counter(
-                "migrations" if mode == "move" else "deploys"
-            ).inc()
+        if probe is not None:
+            probe.transfer_commit(self.site, transfer_id, mode)
         return report
 
     def reconcile(self) -> dict[str, str]:
@@ -304,16 +264,9 @@ class MobilityManager:
         unreachable destinations stay ``unreachable`` and keep their
         entry for a later reconcile.
         """
-        tel = _telemetry.ACTIVE
-        span = None
-        if tel is not None and self.unresolved:
-            span = tel.begin_span(
-                "transfer.reconcile",
-                attrs={
-                    "site": self.site.site_id,
-                    "pending": len(self.unresolved),
-                },
-            )
+        probe = _probes.ACTIVE if self.unresolved else None
+        if probe is not None:
+            probe.reconcile_begin(self.site, len(self.unresolved))
         outcomes: dict[str, str] = {}
         try:
             for transfer_id, entry in sorted(self.unresolved.items()):
@@ -326,10 +279,6 @@ class MobilityManager:
                     )
                 except MROMError:
                     outcomes[transfer_id] = "unreachable"
-                    if span is not None:
-                        span.event("reconcile.outcome",
-                                   transfer_id=transfer_id,
-                                   outcome="unreachable")
                     continue
                 state = (
                     status.get("state") if isinstance(status, Mapping) else None
@@ -347,17 +296,13 @@ class MobilityManager:
                     outcomes[transfer_id] = "aborted"
                     self._notify(transfer_id, entry["guid"], entry["dst"],
                                  entry["mode"], "aborted")
-                if span is not None:
-                    span.event("reconcile.outcome", transfer_id=transfer_id,
-                               outcome=outcomes[transfer_id])
-                    tel.metrics.counter("transfers.reconciled").inc()
                 journal = self.site.journal
                 if journal is not None:
                     journal.note_resolved(transfer_id, outcomes[transfer_id])
                 del self.unresolved[transfer_id]
         finally:
-            if span is not None:
-                tel.end_span(span)
+            if probe is not None:
+                probe.reconcile_end(self.site, outcomes)
         return outcomes
 
     def forward(
@@ -403,13 +348,9 @@ class MobilityManager:
 
     def _suppress_duplicate(self, transfer_id: str, cause: str) -> None:
         self.duplicates_suppressed += 1
-        tel = _telemetry.ACTIVE
-        if tel is not None:
-            tel.metrics.counter("transfer.dedup_hits").inc()
-            current = tel.current_span
-            if current is not None:
-                current.event("transfer.duplicate",
-                              transfer_id=transfer_id, cause=cause)
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.transfer_duplicate(self.site, transfer_id, cause)
 
     def _handle_prepare(self, message: Message) -> dict:
         body = message.payload
@@ -475,44 +416,27 @@ class MobilityManager:
         Wire references inside the package become live remote proxies
         before the object is rebuilt.
         """
-        tel = _telemetry.ACTIVE
+        probe = _probes.ACTIVE
         if self.policy is not None:
             try:
                 self.policy(package, src)
             except PolicyViolationError as exc:
                 self.rejections += 1
-                if tel is not None:
-                    tel.metrics.counter("admission.refusals").inc()
-                    current = tel.current_span
-                    if current is not None:
-                        current.event(
-                            "admission.refused",
-                            src=src,
-                            guid=str(package.get("guid", "")),
-                            reason=type(exc).__name__,
-                        )
+                if probe is not None:
+                    probe.admission_refused(self.site, package, src, exc)
                 raise
         obj = unpack(self.site.import_value(package))
-        if tel is None:
-            return self._install(obj, install_args)
-        # parent preference: the journey stamp the sender packed with the
-        # object; without one, nest under whatever span is serving this
-        # request (begin_span falls back to the current context)
-        span = tel.begin_span(
-            "transfer.install",
-            attrs={"site": self.site.site_id, "guid": obj.guid, "src": src,
-                   "sim_time": self.site.network.now},
-            parent=TraceContext.from_wire(package.get("trace")),
-        )
+        if probe is not None:
+            probe.install_begin(self.site, obj, src, package)
+        error = None
         try:
-            report = self._install(obj, install_args)
+            return self._install(obj, install_args)
         except BaseException as exc:
-            span.set(error=type(exc).__name__)
-            tel.end_span(span, status="error")
+            error = exc
             raise
-        tel.end_span(span)
-        tel.metrics.counter("installs").inc()
-        return report
+        finally:
+            if probe is not None:
+                probe.install_end(self.site, error)
 
     def _install(self, obj: MROMObject, install_args: Sequence[Any]) -> dict:
         # a migrated object's compiled closures arrive cold. Compiled

@@ -49,7 +49,7 @@ from ..core.errors import (
     StaleLeaseError,
     TransferUnresolvedError,
 )
-from ..telemetry import state as _telemetry
+from .. import probes as _probes
 from .ring import HashRing
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,10 +60,19 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["DirectoryShard", "DirectoryClient", "Lease", "ClusterManager"]
 
 
+def _generation(body: Mapping, name: str) -> int:
+    """The generation a peer sent for *name*: only an exact int >= 1
+    names one, never a bool, a real or text to parse."""
+    generation = body.get("generation")
+    if type(generation) is not int or generation < 1:
+        raise NamingError(f"malformed generation for {name!r}")
+    return generation
+
+
 def _count(name: str) -> None:
-    tel = _telemetry.ACTIVE
-    if tel is not None:
-        tel.metrics.counter(name).inc()
+    probe = _probes.ACTIVE
+    if probe is not None:
+        probe.count(name)
 
 
 class DirectoryShard:
@@ -108,14 +117,9 @@ class DirectoryShard:
         name = str(payload.get("name", ""))
         guid = str(payload.get("guid", ""))
         site_id = str(payload.get("site", ""))
-        # a peer chose the generation: only an exact int names one, never
-        # a bool, a real or text to parse
-        generation = payload.get("generation")
-        if (
-            not name or not guid or not site_id
-            or type(generation) is not int or generation < 1
-        ):
+        if not name or not guid or not site_id:
             raise NamingError(f"malformed directory update for {name!r}")
+        generation = _generation(payload, name)
         current = self.entries.get(name)
         if current is not None and generation < current["generation"]:
             # a replayed or out-of-order update from an older move: the
@@ -210,7 +214,7 @@ class DirectoryClient:
             name=name,
             guid=str(reply.get("guid", "")),
             site=str(reply.get("site", "")),
-            generation=int(reply.get("generation", 0)),
+            generation=_generation(reply, name),
         )
         cached = self.leases.get(name)
         if cached is None or lease.generation >= cached.generation:
@@ -449,7 +453,7 @@ class ClusterManager:
     def _handle_invoke(self, message: "Message"):
         body = message.payload if isinstance(message.payload, Mapping) else {}
         name = str(body.get("name", ""))
-        generation = int(body.get("generation", -1))
+        generation = _generation(body, name)
         caller = self.site._caller_from(body.get("caller"))
         entry = self.placements.get(name)
         if entry is None or entry["state"] != "active":
@@ -468,7 +472,7 @@ class ClusterManager:
         body = message.payload if isinstance(message.payload, Mapping) else {}
         name = str(body.get("name", ""))
         guid = str(body.get("guid", ""))
-        generation = int(body.get("generation", 0))
+        generation = _generation(body, name)
         current = self.placements.get(name)
         if current is not None and current["generation"] >= generation:
             # a replayed adopt from a move this site has already absorbed
@@ -508,7 +512,7 @@ class ClusterManager:
         """Coordinator-mediated move, receiver half."""
         body = message.payload if isinstance(message.payload, Mapping) else {}
         name = str(body.get("name", ""))
-        generation = int(body.get("generation", 0))
+        generation = _generation(body, name)
         package = body.get("package")
         current = self.placements.get(name)
         if current is not None and current["generation"] >= generation:

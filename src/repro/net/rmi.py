@@ -36,8 +36,7 @@ from ..core.errors import (
     RequestTimeoutError,
     error_for_name,
 )
-from ..analysis import sanitizer as _sanitizer
-from ..telemetry import state as _telemetry
+from .. import probes as _probes
 from .marshal import encode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -114,15 +113,11 @@ class RemoteRef:
         """Synchronously invoke *method* on the remote object.
 
         *policy* overrides the holder site's default retry policy for
-        this one call (None = use the site's default). With telemetry
-        enabled, the underlying request runs as an ``rmi.invoke`` client
-        span whose trace context travels in the request envelope (see
-        :data:`~repro.net.marshal.TRACE_FIELD`); this proxy layer only
-        accounts the call.
+        this one call (None = use the site's default).
         """
-        tel = _telemetry.ACTIVE
-        if tel is not None:
-            tel.metrics.counter("rmi.proxy_calls").inc()
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.count("rmi.proxy_calls")
         return self.holder.remote_invoke(
             self.site, self.guid, method, list(args), caller=caller, policy=policy
         )
@@ -245,17 +240,16 @@ class AsyncCall:
     *blocking* selects the error contract (see :func:`reply_error`): the
     blocking contract keeps ``RemoteInvocationError`` for remote failures,
     the async one rebuilds every known name typed — the structured
-    contract the load drivers and admission tests rely on. A blocking
-    call also puts its ``rmi.timeout``/``rmi.retry`` events on the
-    caller's ``rmi.<kind>`` span, which is current when it starts.
-    The payload is encoded once, with the site's export hook; every
-    attempt resends those bytes, even if an object in it has moved.
+    contract the load drivers and admission tests rely on. The payload
+    is encoded once, with the site's export hook, after the
+    ``request_begin`` probe point has seen it; every attempt resends
+    those bytes, even if an object in it has moved.
     """
 
     __slots__ = (
         "site", "dst", "kind", "wire_payload", "policy", "future",
         "request_id", "issued_at", "attempt", "attempt_ids", "sent_any",
-        "_timer", "hb_clock", "blocking", "span", "reply_id",
+        "_timer", "blocking",
     )
 
     def __init__(
@@ -273,17 +267,16 @@ class AsyncCall:
         self.policy = policy
         self.future = BatchFuture()
         self.request_id = site.mint_request_id()
+        self.blocking = blocking
+        probe = _probes.ACTIVE
+        if probe is not None:
+            payload = probe.request_begin(self, payload)
         self.wire_payload = encode(payload, site.export_value)
         self.issued_at = site.network.now
         self.attempt = 0
         self.attempt_ids: list[int] = []
         self.sent_any = False
         self._timer = None
-        self.hb_clock = None  # issuer's vector clock, when sanitizing
-        self.blocking = blocking
-        tel = _telemetry.ACTIVE
-        self.span = tel.current_span if blocking and tel is not None else None
-        self.reply_id: int | None = None  # the attempt the settling reply answered
 
     # -- sending ---------------------------------------------------------
 
@@ -300,11 +293,9 @@ class AsyncCall:
             self._attempt_failed(exc)
             return
         self.sent_any = True
-        san = _sanitizer.ACTIVE
-        if san is not None:
-            if self.hb_clock is None:
-                self.hb_clock = san.snapshot()
-            san.note_sent(msg_id, fallback=self.hb_clock)
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.sent(self, msg_id)
         self.attempt_ids.append(msg_id)
         self.site._async_calls[msg_id] = self
         if self.policy is not None:
@@ -323,20 +314,10 @@ class AsyncCall:
         self._unregister()
         if self.future.done:  # pragma: no cover - defensive
             return
-        self.reply_id = message.reply_to
-        san = _sanitizer.ACTIVE
-        hb_task = None
-        if san is not None:
-            # settle the future under a task that happens-after both the
-            # issue point and the serving activity, so callback chains
-            # (the load drivers' next request) inherit the full ordering
-            hb_task = san.fork(label=f"reply.{self.kind}", parent=None)
-            if self.hb_clock:
-                san.merge(hb_task, self.hb_clock)
-            serve_clock = san.reply_clock(message.reply_to)
-            if serve_clock:
-                san.merge(hb_task, serve_clock)
-            san.push(hb_task)
+        self.future.reply_id = message.reply_to
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.reply_begin(self, message)
         try:
             body = message.payload
             if isinstance(body, dict) and body.get("ok") is False:
@@ -353,19 +334,14 @@ class AsyncCall:
                 body = body["result"]
             self.future._resolve(body)
         finally:
-            if san is not None:
-                san.pop()
+            if probe is not None:
+                probe.reply_end(self)
 
     def _on_timeout(self) -> None:
         self._timer = None
-        tel = _telemetry.ACTIVE
-        if tel is not None:
-            tel.metrics.counter("rmi.timeouts").inc()
-            if self.span is not None:
-                self.span.event(
-                    "rmi.timeout", attempt=self.attempt + 1,
-                    sim_time=self.site.network.now,
-                )
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.timeout(self)
         assert self.policy is not None
         self._attempt_failed(
             RequestTimeoutError(
@@ -406,14 +382,9 @@ class AsyncCall:
     def _retry(self) -> None:
         if self.future.done:
             return
-        tel = _telemetry.ACTIVE
-        if tel is not None:
-            tel.metrics.counter("rmi.retries").inc()
-            if self.span is not None:
-                self.span.event(
-                    "rmi.retry", attempt=self.attempt + 1,
-                    request_id=self.request_id, sim_time=self.site.network.now,
-                )
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.retry(self)
         self._send_attempt()
 
     def abandon(self) -> None:
@@ -459,13 +430,15 @@ class BatchFuture:
     record latencies with.
     """
 
-    __slots__ = ("_done", "_value", "_error", "_callbacks")
+    __slots__ = ("_done", "_value", "_error", "_callbacks", "reply_id")
 
     def __init__(self) -> None:
         self._done = False
         self._value: Any = None
         self._error: Exception | None = None
         self._callbacks: list[Any] = []
+        #: msg id of the attempt whose reply settled this future, if one did
+        self.reply_id: int | None = None
 
     @property
     def done(self) -> bool:
@@ -548,9 +521,9 @@ class RequestBatch:
             }
         )
         self._futures.append(future)
-        tel = _telemetry.ACTIVE
-        if tel is not None:
-            tel.metrics.counter("rmi.batch.calls").inc()
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.count("rmi.batch.calls")
         return future
 
     # -- the protocol verbs, batched ------------------------------------
@@ -588,9 +561,9 @@ class RequestBatch:
         if not entries:
             return []
         self._entries, self._futures = [], []
-        tel = _telemetry.ACTIVE
-        if tel is not None:
-            tel.metrics.counter("rmi.batch.flushes").inc()
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.count("rmi.batch.flushes")
         try:
             reply = self.site.request(
                 self.dst, "batch", {"requests": entries}, policy=self.policy

@@ -31,11 +31,9 @@ from ..core.errors import MROMError, NamingError, NetworkError, OverloadError
 from ..core.introspection import describe as describe_object
 from ..core.items import ItemHandle
 from ..core.mobject import MROMObject
-from ..analysis import sanitizer as _sanitizer
+from .. import probes as _probes
 from ..naming import GuidFactory, NameService
-from ..telemetry import state as _telemetry
-from ..telemetry.context import TraceContext
-from .marshal import Encoded, Reference, attach_trace, encode, extract_trace
+from .marshal import Encoded, Reference, encode
 from .rmi import (
     AsyncCall,
     BatchFuture,
@@ -249,9 +247,9 @@ class Site:
             # handler ran (or will run) exactly once for the original,
             # whose reply is already on its way — answer with silence
             self.inflight_duplicates += 1
-            tel = _telemetry.ACTIVE
-            if tel is not None:
-                tel.metrics.counter("rmi.inflight_dups").inc()
+            probe = _probes.ACTIVE
+            if probe is not None:
+                probe.inflight_duplicate(self, message)
             return
         handler = self._handlers.get(message.kind)
         if handler is None:
@@ -286,14 +284,9 @@ class Site:
         """
         if self.inflight_limit is not None and self.inflight >= self.inflight_limit:
             self.shed_requests += 1
-            tel = _telemetry.ACTIVE
-            if tel is not None:
-                tel.metrics.counter("site.shed").inc()
-                tel.events.emit(
-                    "site.shed", time=self.network.now, site=self.site_id,
-                    kind=kind, src=src, inflight=self.inflight,
-                    limit=self.inflight_limit,
-                )
+            probe = _probes.ACTIVE
+            if probe is not None:
+                probe.shed(self, kind, src)
             return False
         self.inflight += 1
         return True
@@ -320,44 +313,21 @@ class Site:
         if request_id not in self._served:
             return None
         self.replayed_requests += 1
-        tel = _telemetry.ACTIVE
-        if tel is not None:
-            tel.metrics.counter("rmi.dedup_hits").inc()
-            tel.events.emit(
-                "rmi.replay", time=self.network.now, site=self.site_id,
-                kind=kind, request_id=request_id,
-            )
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.replay(self, kind, request_id)
         self._served.move_to_end(request_id)
         return self._served[request_id]
 
     def _execute(
         self, message: Message, handler: Handler, batched: bool = False
     ) -> Encoded:
-        """Run *handler* under a ``serve.<kind>`` span; return the reply
+        """Run *handler* between the serve probe points; return the reply
         envelope encoded with this site's export hook (a failure envelope
         for an :class:`MROMError`, a result with no wire form included)."""
-        tel = _telemetry.ACTIVE
-        span = None
-        if tel is not None:
-            # re-activate the caller's wire context: the server span
-            # parents to the remote rmi span, stitching the trace across
-            # the site boundary (a batched request without a context of
-            # its own nests under the frame's serve.batch span)
-            attrs = {
-                "site": self.site_id,
-                "src": message.src,
-                "msg_id": message.msg_id,
-                "sim_time": self.network.now,
-            }
-            if batched:
-                attrs["batched"] = True
-            else:
-                attrs["verdict"] = message.verdict
-            span = tel.begin_span(
-                f"serve.{message.kind}", attrs=attrs,
-                parent=TraceContext.from_wire(extract_trace(message.payload)),
-            )
-            tel.metrics.counter("rmi.served").inc()
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.serve_begin(self, message, batched)
         self.handling_depth += 1
         error: BaseException | None = None
         try:
@@ -370,10 +340,8 @@ class Site:
             raise
         finally:
             self.handling_depth -= 1
-            if span is not None:
-                if error is not None:
-                    span.set(error=type(error).__name__)
-                tel.end_span(span, status="ok" if error is None else "error")
+            if probe is not None:
+                probe.serve_end(self, message, batched, error)
 
     def _record(
         self, kind: str, request_id: str, envelope: Encoded | dict, payload: Any
@@ -394,22 +362,11 @@ class Site:
 
     def _serve(self, message: Message, handler: Handler) -> None:
         """Execute one admitted request, record its reply and send it."""
-        san = _sanitizer.ACTIVE
-        hb_task = None
-        if san is not None:
-            # the serving activity happens-after the send that carried
-            # the request; its final clock is published under the same
-            # msg id so the requester's reply absorption closes the loop
-            hb_task = san.begin_serve(
-                message.msg_id, label=f"serve.{message.kind}@{self.site_id}"
-            )
         try:
             envelope = self._execute(message, handler)
             self._record(message.kind, message.request_id, envelope, message.payload)
             self._send_reply(message, envelope)
         finally:
-            if san is not None:
-                san.end_serve(message.msg_id, hb_task)
             self._in_progress.discard(message.request_id)
             self.release()
 
@@ -453,48 +410,23 @@ class Site:
         :class:`~repro.core.errors.OverloadError` and
         :class:`~repro.core.errors.StaleLeaseError`, which keep their type.
 
-        With telemetry enabled, the whole logical request is one client
-        span (``rmi.<kind>``) and the span's trace context is stamped
-        into the request envelope (:data:`~repro.net.marshal.TRACE_FIELD`)
-        so the serving site joins the same trace; every retry carries the
-        identical context, and its ``rmi.retry``/``rmi.timeout`` events
-        land on the span.
+        The call's ``request_begin`` probe point opens the request; the
+        ``request_end`` point here closes it, with the error it raised.
         """
-        tel = _telemetry.ACTIVE
-        span = None
-        if tel is not None:
-            span = tel.begin_span(
-                f"rmi.{kind}",
-                attrs={"src": self.site_id, "dst": dst, "sim_time": self.network.now},
-            )
-            tel.metrics.counter("rmi.requests").inc()
-            payload = attach_trace(payload, tel.context_of(span).to_wire())
+        probe = _probes.ACTIVE
+        error = None
         try:
             call = self._call(dst, kind, payload, policy, blocking=True)
-            san = _sanitizer.ACTIVE
-            if san is not None:
-                # the pump parks this site on dst until the reply lands —
-                # a sync-wait edge; outstanding edges forming a ring is
-                # the dynamic witness the cycle.* rules must have predicted
-                san.wait_begin(self.site_id, dst)
             try:
-                result = self.wait(call.future)
+                return self.wait(call.future)
             finally:
                 call.abandon()  # no-op once settled
-                if san is not None:
-                    # join the serving task's published clock: everything
-                    # the handler did happens-before this caller's next step
-                    san.absorb_reply(call.reply_id)
-                    san.wait_end(self.site_id, dst)
         except BaseException as exc:
-            if span is not None:
-                span.set(error=type(exc).__name__)
-                tel.end_span(span, status="error")
+            error = exc
             raise
-        if span is not None:
-            span.set(sim_time_done=self.network.now)
-            tel.end_span(span)
-        return result
+        finally:
+            if probe is not None:
+                probe.request_end(self, dst, error)
 
     def request_async(
         self,
@@ -511,18 +443,7 @@ class Site:
         ``request_id`` are those of :meth:`request` (both are one
         :class:`AsyncCall`). Remote failures settle the future with the
         typed rebuilt error (:func:`~repro.core.errors.error_for_name`).
-
-        With telemetry enabled the call is counted and the *current*
-        trace context (if any) is stamped into the envelope; no client
-        span is opened — an async call is not an interval on this
-        site's context stack.
         """
-        tel = _telemetry.ACTIVE
-        if tel is not None:
-            tel.metrics.counter("rmi.async.requests").inc()
-            context = tel.current_context()
-            if context is not None:
-                payload = attach_trace(payload, context.to_wire())
         return self._call(dst, kind, payload, policy).future
 
     def _call(
@@ -547,6 +468,9 @@ class Site:
         simulation drains without the reply.
         """
         self.network.run_while(lambda: not future.done)
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.reply_absorb(self, (future,))
         if not future.done:
             raise NetworkError(
                 "simulation drained before the request resolved"
@@ -559,6 +483,9 @@ class Site:
         self.network.run_while(
             lambda: any(not future.done for future in futures)
         )
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.reply_absorb(self, futures)
         unresolved = sum(1 for future in futures if not future.done)
         if unresolved:
             raise NetworkError(
@@ -765,18 +692,18 @@ class Site:
         caller = self._caller_from(body.get("caller"))
         obj = self.local_object(str(body["target"]))
         args = self.import_value(body.get("args", []))
-        san = _sanitizer.ACTIVE
-        if san is not None:
-            san.invoke(obj, str(body["method"]))
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.handle(self, "invoke", obj, str(body["method"]))
         return obj.invoke(str(body["method"]), args, caller=caller)
 
     def _handle_get_data(self, message: Message) -> Any:
         body = message.payload
         caller = self._caller_from(body.get("caller"))
         obj = self.local_object(str(body["target"]))
-        san = _sanitizer.ACTIVE
-        if san is not None:
-            san.data_read(obj, str(body["name"]))
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.handle(self, "get_data", obj, str(body["name"]))
         return obj.get_data(str(body["name"]), caller=caller)
 
     def _handle_describe(self, message: Message) -> dict:
@@ -810,10 +737,10 @@ class Site:
         entries = body.get("requests") if isinstance(body, Mapping) else None
         if not isinstance(entries, list):
             raise NetworkError("batch payload must carry a 'requests' list")
-        tel = _telemetry.ACTIVE
-        if tel is not None:
-            tel.metrics.counter("rmi.batch.frames").inc()
-            tel.metrics.counter("rmi.batch.served").inc(len(entries))
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.count("rmi.batch.frames")
+            probe.count("rmi.batch.served", len(entries))
         return {
             "replies": [self._serve_batched(message, entry) for entry in entries]
         }

@@ -24,7 +24,7 @@ from typing import Any, Callable, Protocol, TYPE_CHECKING
 
 from ..core.errors import NetworkError
 from ..sim import Simulator
-from ..telemetry import state as _telemetry
+from .. import probes as _probes
 from .marshal import marshal, unmarshal
 from .topology import Topology
 
@@ -165,14 +165,9 @@ class Network:
             self.bytes_dropped += size
         elif len(delays) > 1:
             self.messages_duplicated += len(delays) - 1
-        tel = _telemetry.ACTIVE
-        if tel is not None:
-            tel.metrics.counter("net.messages").inc()
-            tel.metrics.counter("net.bytes").inc(size)
-            if not delays:
-                tel.metrics.counter("net.dropped").inc()
-            elif len(delays) > 1:
-                tel.metrics.counter("net.duplicated").inc(len(delays) - 1)
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.transmit(size, len(delays))
 
         def deliver() -> None:
             # resolved at delivery time: a site that crashed after the

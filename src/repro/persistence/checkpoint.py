@@ -21,7 +21,7 @@ from ..core.errors import NotPortableError, PersistenceError
 from ..core.items import DataItem
 from ..mobility.package import portability_report
 from ..net.site import Site
-from ..telemetry import state as _telemetry
+from .. import probes as _probes
 from .store import ObjectStore
 
 __all__ = [
@@ -48,40 +48,30 @@ class CheckpointReport:
 
 def checkpoint_site(site: Site, store: ObjectStore, keep: int = 3) -> CheckpointReport:
     """Persist every portable object registered at *site*."""
-    tel = _telemetry.ACTIVE
-    span = None
-    if tel is not None:
-        span = tel.begin_span(
-            "checkpoint",
-            attrs={"site": site.site_id, "sim_time": site.network.now},
-        )
-        tel.metrics.counter("checkpoints").inc()
+    probe = _probes.ACTIVE
+    if probe is not None:
+        probe.checkpoint_begin(site)
     report = CheckpointReport()
     try:
         for obj in site.objects():
             if portability_report(obj, ignore_wrappers=True):
                 report.skipped_native.append(obj.guid)
-                if span is not None:
-                    span.event("checkpoint.skip", guid=obj.guid,
-                               reason="native")
+                if probe is not None:
+                    probe.checkpoint_object(obj.guid, "skip")
                 continue
             try:
                 store.save(obj, keep=keep)
             except (PersistenceError, NotPortableError) as exc:
                 report.failed.append((obj.guid, str(exc)))
-                if span is not None:
-                    span.event("checkpoint.fail", guid=obj.guid,
-                               error=type(exc).__name__)
+                if probe is not None:
+                    probe.checkpoint_object(obj.guid, "fail", exc)
                 continue
             report.saved.append(obj.guid)
-            if span is not None:
-                span.event("checkpoint.write", guid=obj.guid)
-                tel.metrics.counter("checkpoint.objects").inc()
+            if probe is not None:
+                probe.checkpoint_object(obj.guid, "write")
     finally:
-        if span is not None:
-            span.set(saved=len(report.saved), skipped=len(report.skipped_native),
-                     failed=len(report.failed))
-            tel.end_span(span, status="ok" if report.clean else "error")
+        if probe is not None:
+            probe.checkpoint_end(report)
     return report
 
 

@@ -36,7 +36,7 @@ from typing import Any, Mapping
 from ..core.errors import MROMError
 from ..mobility.package import pack
 from ..net.site import Site
-from ..telemetry import state as _telemetry
+from .. import probes as _probes
 from .wal import WriteAheadLog
 
 __all__ = ["SiteJournal", "attach_journal"]
@@ -67,14 +67,9 @@ class SiteJournal:
         except MROMError as exc:
             # fail-safe: losing the disk must not lose the service
             self.failed = True
-            tel = _telemetry.ACTIVE
-            if tel is not None:
-                tel.metrics.counter("wal.failures").inc()
-                tel.events.emit(
-                    "wal.failed", time=self.site.network.now,
-                    site=self.site.site_id, kind=kind,
-                    error=type(exc).__name__,
-                )
+            probe = _probes.ACTIVE
+            if probe is not None:
+                probe.journal_failed(self.site, kind, exc)
         else:
             self.writes += 1
 
@@ -191,14 +186,9 @@ class SiteJournal:
                 if manager is not None else {}
             ),
         }
-        tel = _telemetry.ACTIVE
-        span = None
-        if tel is not None:
-            span = tel.begin_span(
-                "wal.checkpoint",
-                attrs={"site": site.site_id, "objects": len(objects),
-                       "compact": compact, "sim_time": site.network.now},
-            )
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.snapshot_begin(site, len(objects), compact)
         try:
             if compact:
                 record = self.wal.compact(
@@ -211,14 +201,11 @@ class SiteJournal:
                 )
         except MROMError as exc:
             self.failed = True
-            if tel is not None:
-                tel.metrics.counter("wal.failures").inc()
-                if span is not None:
-                    span.set(error=type(exc).__name__)
-                    tel.end_span(span, status="error")
+            if probe is not None:
+                probe.snapshot_end(exc)
             return None
-        if span is not None:
-            tel.end_span(span)
+        if probe is not None:
+            probe.snapshot_end(None)
         self.writes += 1
         return record
 

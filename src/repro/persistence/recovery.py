@@ -31,7 +31,7 @@ from ..mobility.transfer import MobilityManager
 from ..net.rmi import RetryPolicy
 from ..net.site import Site
 from ..net.transport import Network
-from ..telemetry import state as _telemetry
+from .. import probes as _probes
 from .wal import WalRecord, WriteAheadLog
 
 __all__ = ["ReplayState", "RecoveryReport", "replay_records", "recover_site"]
@@ -160,15 +160,9 @@ def recover_site(
         damage=wal.repaired if wal.repaired is not None else damage,
     )
 
-    tel = _telemetry.ACTIVE
-    span = None
-    if tel is not None:
-        span = tel.begin_span(
-            "recovery",
-            attrs={"site": site_id, "records": state.records_replayed,
-                   "sim_time": network.now},
-        )
-        tel.metrics.counter("recoveries").inc()
+    probe = _probes.ACTIVE
+    if probe is not None:
+        probe.recovery_begin(site, state.records_replayed)
 
     try:
         for guid, package in state.images.items():
@@ -183,8 +177,8 @@ def recover_site(
                 }
             except MROMError:
                 report.objects_failed += 1
-                if span is not None:
-                    span.event("recovery.image_failed", guid=guid)
+                if probe is not None:
+                    probe.recovery_image_failed(guid)
                 continue
             report.objects_restored += 1
 
@@ -202,11 +196,6 @@ def recover_site(
         report.unresolved_restored = len(manager.unresolved)
     finally:
         report.replay_seconds = _time.perf_counter() - started
-        if span is not None:
-            span.set(
-                objects=report.objects_restored,
-                served=report.served_restored,
-                unresolved=report.unresolved_restored,
-            )
-            tel.end_span(span)
+        if probe is not None:
+            probe.recovery_end(report)
     return site, manager, report

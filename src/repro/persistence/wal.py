@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Mapping
 
-from ..telemetry import state as _telemetry
+from .. import probes as _probes
 from ..core.errors import MarshalError, PersistenceError
 from ..net.marshal import marshal, unmarshal
 from .backends import Store
@@ -170,21 +170,18 @@ class WriteAheadLog:
         site: str = "",
         time: float = 0.0,
     ) -> WalRecord:
-        """Durably append one record; stamps the active span, if any."""
-        trace = None
-        tel = _telemetry.ACTIVE
-        if tel is not None:
-            span = tel.current_span
-            if span is not None:
-                trace = {"trace_id": span.trace_id, "span_id": span.span_id}
+        """Durably append one record (the ``wal_append`` probe point may
+        stamp it with a trace first)."""
         record = WalRecord(
-            seq=self._next_seq, kind=kind, time=time, site=site,
-            attrs=attrs, trace=trace,
+            seq=self._next_seq, kind=kind, time=time, site=site, attrs=attrs,
         )
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.wal_append(record)
         self.store.append(_frame(record))
         self._next_seq += 1
-        if tel is not None:
-            tel.metrics.counter("wal.appends").inc()
+        if probe is not None:
+            probe.count("wal.appends")
         return record
 
     # -- reading -----------------------------------------------------------
@@ -215,9 +212,9 @@ class WriteAheadLog:
         except PersistenceError:
             raise
         self._next_seq += 1
-        tel = _telemetry.ACTIVE
-        if tel is not None:
-            tel.metrics.counter("wal.compactions").inc()
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.count("wal.compactions")
         return record
 
     @property

@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable
 from ..core.errors import AccessDeniedError
 from ..core.invocation import InvocationRecord
 from ..core.mobject import MROMObject
-from ..telemetry import state as _telemetry
+from .. import probes as _probes
 from ..telemetry.events import EventLog, TelemetryEvent
 
 __all__ = ["AuditEvent", "AuditKind", "AuditLog", "audited_invoke"]
@@ -85,20 +85,14 @@ class AuditLog:
             time=self._clock(),
         )
         # the single emit path: the private stream is the record of truth,
-        # and an enabled telemetry plane sees the same event, tagged with
-        # this log's identity so multiple logs stay distinguishable
+        # and the audit probe point hands an enabled plane the same event
         self._stream.emit(
             f"audit.{kind.value}", time=event.time,
             subject=subject, actor=actor, detail=detail,
         )
-        tel = _telemetry.ACTIVE
-        if tel is not None:
-            tel.events.emit(
-                f"audit.{kind.value}", time=event.time,
-                log=f"audit:{id(self):x}",
-                subject=subject, actor=actor, detail=detail,
-            )
-            tel.metrics.counter("audit.records").inc()
+        probe = _probes.ACTIVE
+        if probe is not None:
+            probe.audit(self, event)
         for sink in self._sinks:
             sink(event)
         return event

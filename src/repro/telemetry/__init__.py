@@ -13,8 +13,9 @@ Three coordinated primitives, one switch:
 * **Events** — a flat :class:`EventLog` stream; the security audit log
   routes its records through it.
 
-Enable with :func:`enable` (or ``with enabled() as tel:``); when
-disabled — the default — every instrumentation site reduces to a single
+Enable with :func:`enable` (or ``with enabled() as tel:``), which
+attaches the plane to the runtime's probe points (:mod:`repro.probes`);
+when disabled — the default — every point reduces to a single
 ``ACTIVE is None`` test, so the untraced hot path stays O(1) and
 allocation-free. Exporters render captures as JSON-lines spans, a
 human-readable trace tree, or a JSON metrics snapshot; the

@@ -222,3 +222,66 @@ class TestActiveObjectIntegration:
         assert client.remote_invoke("server", obj.guid, "bump", []) == 2
         san.pop()
         assert counts() == before
+
+
+def rmi_world():
+    """A client and a server site over a LAN; the server holds a counter
+    whose ``bump`` is a read-modify-write of ``n``."""
+    from repro.core import allow_all
+    from repro.net import LAN, Network, Site
+    from repro.sim import Simulator
+
+    network = Network(Simulator())
+    client = Site(network, "client", "hb.client")
+    server = Site(network, "server", "hb.server")
+    network.topology.connect("client", "server", *LAN)
+    obj = server.create_object(display_name="hb-counter")
+    obj.define_fixed_data("n", 0)
+    obj.define_fixed_method("bump", RMW_BODY, acl=allow_all())
+    obj.seal()
+    server.register_object(obj)
+    return client, obj
+
+
+def bump(client, guid: str, style: str) -> None:
+    """One remote bump, waited for the way *style* names."""
+    if style == "blocking":
+        client.remote_invoke("server", guid, "bump", [])
+    elif style == "async-wait":
+        client.wait(client.remote_invoke_async("server", guid, "bump", []))
+    elif style == "wait-all":
+        client.wait_all([client.remote_invoke_async("server", guid, "bump", [])])
+    else:
+        with client.batch("server") as batch:
+            batch.invoke(guid, "bump")
+
+
+class TestReplyEdge:
+    """Through real sites, however a caller waits for a reply, what the
+    server did happens-before the caller's next step."""
+
+    @pytest.mark.parametrize("style", ["blocking", "async-wait", "wait-all", "batch"])
+    def test_one_issuer_in_sequence_is_ordered(self, style):
+        client, obj = rmi_world()
+        san = hb.enable()
+        san.push(san.fork("issuer", parent=None))
+        try:
+            bump(client, obj.guid, style)
+            bump(client, obj.guid, style)
+        finally:
+            san.pop()
+        assert san.races == []
+        # one attempt per request, each sent from the issuer's clock
+        assert san.send_count == 2
+
+    def test_two_issuers_race(self):
+        client, obj = rmi_world()
+        san = hb.enable()
+        for label in ("first", "second"):
+            san.push(san.fork(label, parent=None))
+            try:
+                bump(client, obj.guid, "async-wait")
+            finally:
+                san.pop()
+        assert len(san.races) == 1
+        assert san.send_count == 2

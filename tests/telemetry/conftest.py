@@ -6,7 +6,7 @@ import pytest
 
 from repro.net import LAN, Network, RetryPolicy, Site
 from repro.sim import Simulator
-from repro.telemetry import state
+from repro.telemetry import disable, enable
 
 #: quick enough for faulted tests, patient enough to ride one drop
 FAST = RetryPolicy(attempts=3, timeout=0.5, backoff=0.05, multiplier=2.0)
@@ -16,10 +16,11 @@ FAST = RetryPolicy(attempts=3, timeout=0.5, backoff=0.05, multiplier=2.0)
 def isolated_telemetry():
     """Every test starts and ends with the plane off — no capture leaks
     between tests, and no test depends on another having enabled it."""
-    previous = state.ACTIVE
-    state.ACTIVE = None
+    previous = disable()
     yield
-    state.ACTIVE = previous
+    disable()
+    if previous is not None:
+        enable(previous)
 
 
 def make_sites(

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.telemetry import span_lines, state, validate_span_lines
+from repro import probes
+from repro.telemetry import span_lines, validate_span_lines
 from repro.telemetry.scenario import run_traced_scenario
 
 pytestmark = pytest.mark.telemetry
@@ -44,7 +45,7 @@ class TestWorkload:
 
     def test_the_global_switch_is_restored(self, report):
         # enabled() is scoped: the scenario never leaks an active plane
-        assert state.ACTIVE is None
+        assert probes.ACTIVE is None
 
 
 class TestSingleTrace:

@@ -17,8 +17,8 @@ from repro.telemetry import (
     validate_span_mapping,
     write_spans_jsonl,
 )
+from repro import probes
 from repro.core import MROMObject, Principal, allow_all
-from repro.telemetry import state
 
 pytestmark = pytest.mark.telemetry
 
@@ -107,16 +107,16 @@ class TestGlobalSwitch:
     def test_enable_disable_round_trip(self):
         assert active() is None
         tel = enable()
-        assert state.ACTIVE is tel
+        assert probes.ACTIVE is tel
         assert enable() is tel  # idempotent
         assert disable() is tel
-        assert state.ACTIVE is None
+        assert probes.ACTIVE is None
         assert disable() is None
 
     def test_enabled_restores_previous_state(self):
         with enabled() as tel:
-            assert state.ACTIVE is tel
-        assert state.ACTIVE is None
+            assert probes.ACTIVE is tel
+        assert probes.ACTIVE is None
 
     def test_capture_stays_readable_after_disable(self):
         with enabled() as tel:
