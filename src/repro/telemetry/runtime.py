@@ -25,6 +25,7 @@ telemetry inherits the determinism of the simulator underneath it.
 from __future__ import annotations
 
 import itertools
+import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Mapping
@@ -38,6 +39,20 @@ from .metrics import MetricsRegistry
 from .spans import Span, SpanRecorder
 
 __all__ = ["Telemetry", "enable", "disable", "active", "enabled"]
+
+
+class _ThreadContext(threading.local):
+    """One thread's nesting state, so each thread's begin/end pairs stay
+    balanced on their own (the gateway server and active-object workers
+    run their own threads)."""
+
+    def __init__(self) -> None:
+        #: the context stack: TraceContext entries for remote parents,
+        #: Span entries for local parents (a Span *is* positional state)
+        self.stack: list[Span | TraceContext] = []
+        #: (request_id, span) of each blocking request in progress, so a
+        #: retry or timeout lands on its request's span
+        self.requests: list[tuple[str, Span]] = []
 
 
 class Telemetry(probes.Probe):
@@ -56,12 +71,7 @@ class Telemetry(probes.Probe):
         self.events = EventLog(cap=event_cap)
         self._ids = itertools.count(1)
         self._id_prefix = id_prefix
-        #: the context stack: TraceContext entries for remote parents,
-        #: Span entries for local parents (a Span *is* positional state)
-        self._stack: list[Span | TraceContext] = []
-        #: (request_id, span) of each blocking request in progress, so a
-        #: retry or timeout lands on its request's span
-        self._requests: list[tuple[str, Span]] = []
+        self._thread = _ThreadContext()
 
     # -- identifiers -------------------------------------------------------
 
@@ -73,16 +83,16 @@ class Telemetry(probes.Probe):
     @property
     def current_span(self) -> Span | None:
         """The innermost *local* open span, if any."""
-        for entry in reversed(self._stack):
+        for entry in reversed(self._thread.stack):
             if isinstance(entry, Span):
                 return entry
         return None
 
     def current_context(self) -> TraceContext | None:
         """The propagation context of the innermost stack entry."""
-        if not self._stack:
+        if not self._thread.stack:
             return None
-        top = self._stack[-1]
+        top = self._thread.stack[-1]
         if isinstance(top, TraceContext):
             return top
         return TraceContext(top.trace_id, top.span_id)
@@ -92,15 +102,15 @@ class Telemetry(probes.Probe):
 
     def activate(self, context: TraceContext) -> TraceContext:
         """Push a remote parent (a context that arrived on the wire)."""
-        self._stack.append(context)
+        self._thread.stack.append(context)
         return context
 
     def deactivate(self, context: TraceContext) -> None:
         """Pop a previously activated remote parent (LIFO discipline)."""
-        if self._stack and self._stack[-1] is context:
-            self._stack.pop()
-        elif context in self._stack:  # defensive: unbalanced nesting
-            self._stack.remove(context)
+        if self._thread.stack and self._thread.stack[-1] is context:
+            self._thread.stack.pop()
+        elif context in self._thread.stack:  # defensive: unbalanced nesting
+            self._thread.stack.remove(context)
 
     # -- span lifecycle ----------------------------------------------------
 
@@ -132,16 +142,16 @@ class Telemetry(probes.Probe):
             attrs=attrs,
             clock=self.clock,
         )
-        self._stack.append(span)
+        self._thread.stack.append(span)
         return span
 
     def end_span(self, span: Span, status: str = "ok") -> Span:
         """Close *span*, pop it from the stack, and record it."""
         span.end(status)
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
-        elif span in self._stack:  # defensive: unbalanced nesting
-            self._stack.remove(span)
+        if self._thread.stack and self._thread.stack[-1] is span:
+            self._thread.stack.pop()
+        elif span in self._thread.stack:  # defensive: unbalanced nesting
+            self._thread.stack.remove(span)
         self.recorder.record(span)
         return span
 
@@ -158,7 +168,7 @@ class Telemetry(probes.Probe):
 
     @property
     def open_spans(self) -> int:
-        return sum(1 for entry in self._stack if isinstance(entry, Span))
+        return sum(1 for entry in self._thread.stack if isinstance(entry, Span))
 
     # -- probe points: runtime facts in, spans/counters/events out --------
 
@@ -199,11 +209,11 @@ class Telemetry(probes.Probe):
         span = self.begin_span(f"rmi.{call.kind}", attrs={
             "src": site.site_id, "dst": call.dst, "sim_time": site.network.now})
         self.count("rmi.requests")
-        self._requests.append((call.request_id, span))
+        self._thread.requests.append((call.request_id, span))
         return attach_trace(payload, self.context_of(span).to_wire())
 
     def request_end(self, site, dst: str, error: BaseException | None) -> None:
-        _, span = self._requests.pop()
+        _, span = self._thread.requests.pop()
         if error is None:
             span.set(sim_time_done=site.network.now)
             self.end_span(span)
@@ -212,7 +222,7 @@ class Telemetry(probes.Probe):
             self.end_span(span, status="error")
 
     def _request_span(self, call) -> Span | None:
-        for request_id, span in self._requests:
+        for request_id, span in self._thread.requests:
             if request_id == call.request_id:
                 return span
         return None

@@ -103,6 +103,38 @@ class TestLifecycle:
         assert [s.name for s in tel.recorder] == ["s2", "s3", "s4"]
 
 
+class TestThreads:
+    def test_each_thread_closes_its_own_spans(self):
+        """An active object's worker invokes on its own thread while the
+        main thread invokes too: every invoke span must end with its own
+        call's outcome, never with the other thread's."""
+        from repro.concurrency import ActiveObject
+
+        def counter(name):
+            obj = MROMObject(display_name=name)
+            obj.define_fixed_data("n", 0)
+            obj.define_fixed_method("bump", "self.set('n', self.get('n') + 1)")
+            obj.define_fixed_method("fail", "raise ValueError('no')")
+            obj.seal()
+            return obj
+
+        worker_side, main_side = counter("worker"), counter("main")
+        with enabled() as tel:
+            with ActiveObject(worker_side) as active:
+                futures = []
+                for _ in range(1000):
+                    futures.append(active.invoke_async("bump"))
+                    with pytest.raises(Exception):
+                        main_side.invoke("fail")
+                for future in futures:
+                    future.result(timeout=10)
+        statuses = {
+            (span.attrs["object"], span.status) for span in tel.recorder
+        }
+        assert statuses == {(worker_side.guid, "ok"), (main_side.guid, "error")}
+        assert tel.open_spans == 0
+
+
 class TestGlobalSwitch:
     def test_enable_disable_round_trip(self):
         assert active() is None
