@@ -90,9 +90,10 @@ class Telemetry(probes.Probe):
 
     def current_context(self) -> TraceContext | None:
         """The propagation context of the innermost stack entry."""
-        if not self._thread.stack:
+        stack = self._thread.stack
+        if not stack:
             return None
-        top = self._thread.stack[-1]
+        top = stack[-1]
         if isinstance(top, TraceContext):
             return top
         return TraceContext(top.trace_id, top.span_id)
@@ -107,10 +108,11 @@ class Telemetry(probes.Probe):
 
     def deactivate(self, context: TraceContext) -> None:
         """Pop a previously activated remote parent (LIFO discipline)."""
-        if self._thread.stack and self._thread.stack[-1] is context:
-            self._thread.stack.pop()
-        elif context in self._thread.stack:  # defensive: unbalanced nesting
-            self._thread.stack.remove(context)
+        stack = self._thread.stack
+        if stack and stack[-1] is context:
+            stack.pop()
+        elif context in stack:  # defensive: unbalanced nesting
+            stack.remove(context)
 
     # -- span lifecycle ----------------------------------------------------
 
@@ -148,10 +150,11 @@ class Telemetry(probes.Probe):
     def end_span(self, span: Span, status: str = "ok") -> Span:
         """Close *span*, pop it from the stack, and record it."""
         span.end(status)
-        if self._thread.stack and self._thread.stack[-1] is span:
-            self._thread.stack.pop()
-        elif span in self._thread.stack:  # defensive: unbalanced nesting
-            self._thread.stack.remove(span)
+        stack = self._thread.stack
+        if stack and stack[-1] is span:
+            stack.pop()
+        elif span in stack:  # defensive: unbalanced nesting
+            stack.remove(span)
         self.recorder.record(span)
         return span
 
