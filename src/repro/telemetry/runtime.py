@@ -15,7 +15,8 @@ observation looks like lives in its probe-point methods: span names and
 attributes, the COMMIT/ABORT/UNRESOLVED status of a handoff, counter
 names, ``~trace`` stamping of requests, packages and WAL records. A
 closing point ends the innermost open span, which is the one its
-opening point pushed: every begin/end pair at a call site is balanced.
+opening point pushed: every begin/end pair at a call site is balanced,
+and each thread nests on its own stack.
 
 Span and trace identifiers are minted from a per-instance counter, not
 from entropy, so a seeded workload produces the *same ids* every run —
