@@ -53,30 +53,31 @@ __all__ = [
     "Sanitizer",
     "ObservedRace",
     "ObservedCycle",
-    "ACTIVE",
+    "active",
     "enable",
     "disable",
 ]
 
-#: the installed sanitizer, or None; the runtime reads only the probe
-#: switch (:data:`repro.probes.ACTIVE`), never this
-ACTIVE: "Sanitizer | None" = None
+
+def active() -> "Sanitizer | None":
+    """The attached sanitizer, or None."""
+    for plane in probes.planes():
+        if isinstance(plane, Sanitizer):
+            return plane
+    return None
 
 
 def enable(sanitizer: "Sanitizer | None" = None) -> "Sanitizer":
-    """Install (and return) a sanitizer as the process-wide ACTIVE one."""
-    global ACTIVE
-    if ACTIVE is not None:
-        probes.detach(ACTIVE)
-    ACTIVE = sanitizer if sanitizer is not None else Sanitizer()
-    probes.attach(ACTIVE)
-    return ACTIVE
+    """Attach (and return) a sanitizer, replacing any attached one."""
+    disable()
+    sanitizer = sanitizer if sanitizer is not None else Sanitizer()
+    probes.attach(sanitizer)
+    return sanitizer
 
 
 def disable() -> "Sanitizer | None":
-    """Uninstall the active sanitizer and return it for inspection."""
-    global ACTIVE
-    sanitizer, ACTIVE = ACTIVE, None
+    """Detach the attached sanitizer and return it for inspection."""
+    sanitizer = active()
     if sanitizer is not None:
         probes.detach(sanitizer)
     return sanitizer
@@ -127,7 +128,6 @@ class Sanitizer(probes.Probe):
         self._sent: OrderedDict = OrderedDict()   # msg id -> clock snapshot
         self._done: OrderedDict = OrderedDict()   # msg id -> serve clock
         self._issued: OrderedDict = OrderedDict() # request id -> issuer clock
-        self._submitted: OrderedDict = OrderedDict()  # future -> submitter clock
         self._workers: dict = {}         # ActiveObject -> its worker task
         self._accesses: dict = {}        # (guid, item) -> deque of accesses
         self._effects_cache: dict = {}   # (guid, method) -> effects | None
@@ -310,15 +310,15 @@ class Sanitizer(probes.Probe):
             self.data_read(obj, name)
 
     def submit(self, active, future) -> None:
-        clock = self.snapshot()
-        if clock is not None:
-            self._stash(self._submitted, future, clock)
+        # the submitter's clock travels with its work item, however long
+        # the mailbox grows
+        future.sanitizer_clock = self.snapshot()
 
     def work_begin(self, active, method: str, future) -> None:
+        clock = vars(future).pop("sanitizer_clock", None)
         # one persistent task per worker: item N's effects happen-before
         # item N+1's, the actor guarantee itself
         with self._lock:
-            clock = self._submitted.pop(future, None)
             task = self._workers.get(active)
         if task is None:
             task = self.fork(label=f"active:{active.obj.guid}", parent=None)

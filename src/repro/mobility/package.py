@@ -113,7 +113,6 @@ def pack(
     obj: MROMObject,
     include_environment: bool = True,
     strip_native_wrappers: bool = False,
-    trace: Mapping | None = None,
 ) -> dict:
     """The transferable description of *obj*.
 
@@ -123,13 +122,6 @@ def pack(
     With *strip_native_wrappers*, native pre-/post-procedures (host-side
     mediators and hooks) are silently dropped from the image instead of
     blocking it — used by site checkpointing.
-
-    *trace*, when given, is a wire-form telemetry trace context
-    (:meth:`~repro.telemetry.context.TraceContext.to_wire`) recorded
-    under the package's ``trace`` key: the journey stamp that lets a
-    receiving host tie its install span to the trace the object left
-    under. It is observability metadata only — :func:`unpack` ignores
-    it, and packages without it are identical to pre-telemetry ones.
     """
     offenders = portability_report(obj, ignore_wrappers=strip_native_wrappers)
     if offenders:
@@ -174,8 +166,6 @@ def pack(
         ],
         "environment": environment,
     }
-    if trace is not None:
-        package["trace"] = dict(trace)
     return package
 
 
@@ -183,7 +173,6 @@ def pack_bytes(
     obj: MROMObject,
     include_environment: bool = True,
     strip_native_wrappers: bool = False,
-    trace: Mapping | None = None,
 ) -> bytes:
     """Wire form of the package (this is what actually migrates)."""
     return marshal(
@@ -191,7 +180,6 @@ def pack_bytes(
             obj,
             include_environment=include_environment,
             strip_native_wrappers=strip_native_wrappers,
-            trace=trace,
         )
     )
 
@@ -290,7 +278,6 @@ def pack_frame(
     obj: MROMObject,
     include_environment: bool = True,
     strip_native_wrappers: bool = False,
-    trace: Mapping | None = None,
 ) -> MarshalFrame:
     """The wire form as a zero-copy frame over a pooled buffer.
 
@@ -303,7 +290,6 @@ def pack_frame(
             obj,
             include_environment=include_environment,
             strip_native_wrappers=strip_native_wrappers,
-            trace=trace,
         )
     )
 

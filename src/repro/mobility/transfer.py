@@ -199,14 +199,14 @@ class MobilityManager:
         if probe is not None:
             probe.transfer_prepare(self.site, transfer_id, obj, dst, mode, package)
         journal = self.site.journal
-        if journal is not None:
-            # write-ahead intent: if this incarnation dies between
-            # PREPARE and COMMIT, recovery re-raises the transfer as
-            # unresolved and reconcile() settles it via transfer.query
-            journal.note_intent(
-                transfer_id, {"guid": obj.guid, "dst": dst, "mode": mode}
-            )
         try:
+            if journal is not None:
+                # write-ahead intent: if this incarnation dies between
+                # PREPARE and COMMIT, recovery re-raises the transfer as
+                # unresolved and reconcile() settles it via transfer.query
+                journal.note_intent(
+                    transfer_id, {"guid": obj.guid, "dst": dst, "mode": mode}
+                )
             report = self.site.request(
                 dst,
                 "transfer.prepare",

@@ -189,6 +189,7 @@ class SiteJournal:
         probe = _probes.ACTIVE
         if probe is not None:
             probe.snapshot_begin(site, len(objects), compact)
+        error: BaseException | None = None
         try:
             if compact:
                 record = self.wal.compact(
@@ -200,12 +201,15 @@ class SiteJournal:
                     time=site.network.now,
                 )
         except MROMError as exc:
+            error = exc
             self.failed = True
-            if probe is not None:
-                probe.snapshot_end(exc)
             return None
-        if probe is not None:
-            probe.snapshot_end(None)
+        except BaseException as exc:
+            error = exc
+            raise
+        finally:
+            if probe is not None:
+                probe.snapshot_end(error)
         self.writes += 1
         return record
 

@@ -14,9 +14,10 @@ to the runtime's one probe switch. Every decision about what an
 observation looks like lives in its probe-point methods: span names and
 attributes, the COMMIT/ABORT/UNRESOLVED status of a handoff, counter
 names, ``~trace`` stamping of requests, packages and WAL records. A
-closing point ends the innermost open span, which is the one its
-opening point pushed: every begin/end pair at a call site is balanced,
-and each thread nests on its own stack.
+closing point ends the innermost open span of the name its opening
+point gave, so a begin that leaked leaves only its own span open; each
+thread nests on its own stack, and :attr:`Telemetry.open_spans` counts
+over all of them.
 
 Span and trace identifiers are minted from a per-instance counter, not
 from entropy, so a seeded workload produces the *same ids* every run —
@@ -47,13 +48,18 @@ class _ThreadContext(threading.local):
     balanced on their own (the gateway server and active-object workers
     run their own threads)."""
 
-    def __init__(self) -> None:
+    def __init__(self, stacks: list, lock: threading.Lock) -> None:
         #: the context stack: TraceContext entries for remote parents,
         #: Span entries for local parents (a Span *is* positional state)
         self.stack: list[Span | TraceContext] = []
-        #: (request_id, span) of each blocking request in progress, so a
-        #: retry or timeout lands on its request's span
-        self.requests: list[tuple[str, Span]] = []
+        #: request_id -> span of each blocking request in progress, in
+        #: nesting order, so a retry or timeout lands on its request's span
+        self.requests: dict[str, Span] = {}
+        with lock:
+            # every thread's stack, for open_spans; a finished thread
+            # that left nothing open is forgotten
+            stacks[:] = [(t, s) for t, s in stacks if s or t.is_alive()]
+            stacks.append((threading.current_thread(), self.stack))
 
 
 class Telemetry(probes.Probe):
@@ -72,7 +78,8 @@ class Telemetry(probes.Probe):
         self.events = EventLog(cap=event_cap)
         self._ids = itertools.count(1)
         self._id_prefix = id_prefix
-        self._thread = _ThreadContext()
+        self._stacks: list[tuple[threading.Thread, list]] = []
+        self._thread = _ThreadContext(self._stacks, threading.Lock())
 
     # -- identifiers -------------------------------------------------------
 
@@ -172,7 +179,11 @@ class Telemetry(probes.Probe):
 
     @property
     def open_spans(self) -> int:
-        return sum(1 for entry in self._thread.stack if isinstance(entry, Span))
+        """Spans begun and not yet ended, on every thread."""
+        return sum(
+            isinstance(entry, Span)
+            for _, stack in list(self._stacks) for entry in list(stack)
+        )
 
     # -- probe points: runtime facts in, spans/counters/events out --------
 
@@ -182,13 +193,22 @@ class Telemetry(probes.Probe):
         if span is not None:
             span.event(name, **attrs)
 
-    def _close(self, error: BaseException | None = None, status: str = "ok") -> Span:
-        """End the innermost open span: the one the matching begin opened."""
-        span = self.current_span
+    def _close(self, name: str, error: BaseException | None = None,
+               status: str = "ok", **attrs: Any) -> None:
+        """End the innermost open span called *name*, the one its begin
+        point opened (a begin that leaked leaves only its own span open);
+        nothing if there is none."""
+        for span in reversed(self._thread.stack):
+            if isinstance(span, Span) and span.name == name:
+                break
+        else:
+            return
+        if attrs:
+            span.set(**attrs)
         if error is not None:
             span.set(error=type(error).__name__)
             status = "error"
-        return self.end_span(span, status)
+        self.end_span(span, status)
 
     def count(self, name: str, amount: int = 1) -> None:
         self.metrics.counter(name).inc(amount)
@@ -213,11 +233,11 @@ class Telemetry(probes.Probe):
         span = self.begin_span(f"rmi.{call.kind}", attrs={
             "src": site.site_id, "dst": call.dst, "sim_time": site.network.now})
         self.count("rmi.requests")
-        self._thread.requests.append((call.request_id, span))
+        self._thread.requests[call.request_id] = span
         return attach_trace(payload, self.context_of(span).to_wire())
 
     def request_end(self, site, dst: str, error: BaseException | None) -> None:
-        _, span = self._thread.requests.pop()
+        _, span = self._thread.requests.popitem()  # the innermost
         if error is None:
             span.set(sim_time_done=site.network.now)
             self.end_span(span)
@@ -225,21 +245,15 @@ class Telemetry(probes.Probe):
             span.set(error=type(error).__name__)
             self.end_span(span, status="error")
 
-    def _request_span(self, call) -> Span | None:
-        for request_id, span in self._thread.requests:
-            if request_id == call.request_id:
-                return span
-        return None
-
     def timeout(self, call) -> None:
         self.count("rmi.timeouts")
-        span = self._request_span(call)
+        span = self._thread.requests.get(call.request_id)
         if span is not None:
             span.event("rmi.timeout", attempt=call.attempt + 1, sim_time=call.site.network.now)
 
     def retry(self, call) -> None:
         self.count("rmi.retries")
-        span = self._request_span(call)
+        span = self._thread.requests.get(call.request_id)
         if span is not None:
             span.event("rmi.retry", attempt=call.attempt + 1, request_id=call.request_id,
                        sim_time=call.site.network.now)
@@ -261,7 +275,7 @@ class Telemetry(probes.Probe):
         self.count("rmi.served")
 
     def serve_end(self, site, message, batched: bool, error) -> None:
-        self._close(error)
+        self._close(f"serve.{message.kind}", error)
 
     def replay(self, site, kind: str, request_id: str) -> None:
         self.count("rmi.dedup_hits")
@@ -298,7 +312,7 @@ class Telemetry(probes.Probe):
 
     def transfer_commit(self, site, transfer_id: str, mode: str) -> None:
         self._event("COMMIT", transfer_id=transfer_id, sim_time=site.network.now)
-        self._close()
+        self._close("transfer.handoff")
         self.count("migrations" if mode == "move" else "deploys")
 
     def transfer_abort(self, site, transfer_id: str, error: BaseException) -> None:
@@ -306,16 +320,16 @@ class Telemetry(probes.Probe):
         if isinstance(error, RemoteInvocationError):
             # the destination answered and refused
             self._event("ABORT", reason=type(error).__name__, sim_time=now)
-            self._close(status="aborted")
+            self._close("transfer.handoff", status="aborted")
             self.count("transfers.refused")
             return
         reason = "malformed-report" if isinstance(error, MobilityError) else "send-failure"
         self._event("ABORT", reason=reason, sim_time=now)
-        self._close(status="error")
+        self._close("transfer.handoff", status="error")
 
     def transfer_unresolved(self, site, transfer_id: str) -> None:
         self._event("UNRESOLVED", transfer_id=transfer_id, sim_time=site.network.now)
-        self._close(status="unresolved")
+        self._close("transfer.handoff", status="unresolved")
         self.count("transfers.unresolved")
 
     def transfer_duplicate(self, site, transfer_id: str, cause: str) -> None:
@@ -336,7 +350,7 @@ class Telemetry(probes.Probe):
         }, parent=TraceContext.from_wire(package.get("trace")))
 
     def install_end(self, site, error) -> None:
-        self._close(error)
+        self._close("transfer.install", error)
         if error is None:
             self.count("installs")
 
@@ -348,7 +362,7 @@ class Telemetry(probes.Probe):
             self._event("reconcile.outcome", transfer_id=transfer_id, outcome=outcome)
             if outcome != "unreachable":
                 self.count("transfers.reconciled")
-        self._close()
+        self._close("transfer.reconcile")
 
     # invocation: one invoke span per call, its status the outcome
 
@@ -366,7 +380,7 @@ class Telemetry(probes.Probe):
         if error is not None:
             attrs["error"] = type(error).__name__
         self._event("invocation.exit", **attrs)
-        self.end_span(self.current_span, outcome)
+        self._close("invoke", status=outcome)
         if outcome == "veto":
             self.count("invocations.vetoed")
         elif outcome == "error":
@@ -395,9 +409,9 @@ class Telemetry(probes.Probe):
             self._event("checkpoint.fail", guid=guid, error=type(error).__name__)
 
     def checkpoint_end(self, report) -> None:
-        self.current_span.set(saved=len(report.saved), skipped=len(report.skipped_native),
-                              failed=len(report.failed))
-        self._close(status="ok" if report.clean else "error")
+        self._close("checkpoint", status="ok" if report.clean else "error",
+                    saved=len(report.saved), skipped=len(report.skipped_native),
+                    failed=len(report.failed))
 
     def snapshot_begin(self, site, objects: int, compact: bool) -> None:
         self.begin_span("wal.checkpoint", attrs={
@@ -407,7 +421,7 @@ class Telemetry(probes.Probe):
     def snapshot_end(self, error) -> None:
         if error is not None:
             self.count("wal.failures")
-        self._close(error)
+        self._close("wal.checkpoint", error)
 
     def wal_append(self, record) -> None:
         span = self.current_span
@@ -428,10 +442,9 @@ class Telemetry(probes.Probe):
         self._event("recovery.image_failed", guid=guid)
 
     def recovery_end(self, report) -> None:
-        self.current_span.set(objects=report.objects_restored,
-                              served=report.served_restored,
-                              unresolved=report.unresolved_restored)
-        self._close()
+        self._close("recovery", objects=report.objects_restored,
+                    served=report.served_restored,
+                    unresolved=report.unresolved_restored)
 
     # the rest
 

@@ -1,5 +1,7 @@
 """The happens-before sanitizer: clocks, witnesses, and the oracle."""
 
+import threading
+
 import pytest
 
 from repro.analysis import sanitizer as hb
@@ -181,11 +183,37 @@ class TestActiveObjectIntegration:
         assert san.races == []
         assert san.access_count > 0
 
+    def test_a_backlog_past_the_stash_cap_keeps_every_submit_edge(self):
+        """The submitter's clock travels with each work item: a mailbox
+        backlog longer than ``stash_cap`` (queued while the worker is
+        held at its first item) still orders every item after what the
+        submitter did before submitting it."""
+        gate = threading.Event()
+
+        class HeldWorker(Sanitizer):
+            def work_begin(self, active, method, future):
+                gate.wait(timeout=10)
+                super().work_begin(active, method, future)
+
+        san = hb.enable(HeldWorker(stash_cap=4))
+        obj = make_counter("backlog")
+        with ActiveObject(obj) as active:
+            san.push(san.fork("submitter", parent=None))
+            san.invoke(obj, "bump")  # the submitter's own write first
+            futures = [active.invoke_async("bump") for _ in range(12)]
+            gate.set()
+            for future in futures:
+                future.result(timeout=10)
+            san.pop()
+        hb.disable()
+        assert san.races == []
+        assert san.access_count > 12
+
     def test_enable_installs_and_disable_returns(self):
         san = hb.enable()
-        assert hb.ACTIVE is san
+        assert hb.active() is san
         assert hb.disable() is san
-        assert hb.ACTIVE is None
+        assert hb.active() is None
 
     def test_released_sanitizer_observes_nothing_more(self):
         """After ``hb.disable()`` every RMI hook (wait edges, send/serve

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+from types import SimpleNamespace
+
 import pytest
 
 from repro.telemetry import (
@@ -133,6 +136,25 @@ class TestThreads:
         }
         assert statuses == {(worker_side.guid, "ok"), (main_side.guid, "error")}
         assert tel.open_spans == 0
+
+    def test_open_spans_counts_a_span_left_open_on_another_thread(self):
+        tel = Telemetry(clock=fake_clock())
+        worker = threading.Thread(target=tel.begin_span, args=("leaked",))
+        worker.start()
+        worker.join()
+        assert tel.open_spans == 1
+
+    def test_a_leaked_begin_leaves_only_its_own_span_open(self):
+        """A closing point ends the span its own begin point opened, even
+        with an inner span begun and never ended."""
+        tel = Telemetry(clock=fake_clock())
+        site = SimpleNamespace(site_id="s", network=SimpleNamespace(now=0.0))
+        tel.snapshot_begin(site, objects=0, compact=True)
+        tel.begin_span("leaked")
+        tel.snapshot_end(RuntimeError("disk"))
+        [closed] = tel.recorder
+        assert (closed.name, closed.status) == ("wal.checkpoint", "error")
+        assert tel.open_spans == 1
 
 
 class TestGlobalSwitch:
