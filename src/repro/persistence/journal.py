@@ -4,15 +4,17 @@ A :class:`SiteJournal` binds one :class:`~repro.net.site.Site` to one
 :class:`~.wal.WriteAheadLog` and translates the site's observable
 transitions into WAL records *before* their effects reach the wire:
 
-* ``object.image`` on registration (and inside every served mutating
-  invoke — the post-execution image rides in the same frame as the
-  recorded reply, so a replayed reply and the state that produced it
-  are durable together: zero lost updates);
+* ``object.image`` on registration;
 * ``object.remove`` on unregistration (a move's commit);
 * ``served.reply`` from the request-dedup ledger, upholding the
   record-before-reply discipline across restarts: a retry that lands on
   the next incarnation replays the recorded outcome instead of
-  re-executing the handler (zero lost replies);
+  re-executing the handler (zero lost replies). A served invoke's
+  record also carries the state the invoke produced, in the same frame
+  as the reply, so the two are durable together (zero lost updates):
+  a ``delta`` of the data values that differ from what the log last
+  holds for the target, or its whole ``image`` when a delta cannot say
+  what changed (see *Deltas* below);
 * ``transfer.intent`` *before* a PREPARE leaves the sender, and
   ``transfer.resolved`` once its verdict is known — the write-ahead
   half of crash-safe exactly-once migration (a dangling intent is
@@ -27,6 +29,29 @@ emits a ``wal.failed`` telemetry event, and goes quiet — the site keeps
 serving without durability rather than taking the service down with the
 disk. ``close()`` models the crash instant itself: a fail-stopped
 incarnation writes nothing more, ever.
+
+Deltas
+------
+
+An object's image is its description (structure, code, ACLs, tower,
+environment) plus its instance data; an invoke nearly always changes
+only the data. So the journal keeps, per guid, a *base*: a structural
+stamp of the object and the data values of the last record that imaged
+it. The stamp covers the containers' mutation clock, each item's
+identity and version, each item ACL's identity and edit version, the
+meta ACL, the tower and the packed environment. A served
+invoke logs ``delta: {name: value}`` — every data item whose value is
+not the base's (same type and ``==``, so ``1 -> 1.0`` or ``1 -> True``
+is a change) — and logs the whole image exactly as before when the
+stamp moved, when a data or environment value is not an immutable
+scalar (it could change in place, unseen), or when there is no base.
+A deferred binary cell is never a base value (packing reads it), so it
+is a change without being read. Every image record (registration, a
+settled transfer, every snapshot) resets its guid's base, a remove
+drops it, and a new incarnation starts with none.
+
+One edit is invisible to the stamp: writing into ``item.metadata`` in
+place instead of through ``update_metadata``, which bumps the version.
 """
 
 from __future__ import annotations
@@ -34,12 +59,59 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from ..core.errors import MROMError
-from ..mobility.package import pack
+from ..mobility.package import _HOST_ONLY_ENV, pack
 from ..net.site import Site
 from .. import probes as _probes
 from .wal import WriteAheadLog
 
 __all__ = ["SiteJournal", "attach_journal"]
+
+#: value types a delta carries: immutable, so a value the log holds can
+#: change only by rebinding the item, which the comparison sees
+_SCALARS = frozenset((type(None), bool, int, float, str, bytes))
+
+
+def _stamp(obj) -> list | None:
+    """Everything of *obj*'s image but its data values, as identities and
+    versions; None when the packed environment could change in place."""
+    environment = {
+        key: value for key, value in obj.environment.items()
+        if key not in _HOST_ONLY_ENV
+    }
+    for value in environment.values():
+        if type(value) not in _SCALARS:
+            return None
+    containers = obj.containers
+    meta_acl = obj._meta_acl
+    stamp = [containers.generation, meta_acl, meta_acl.version, environment]
+    for container in (
+        containers.fixed_data, containers.ext_data,
+        containers.fixed_methods, containers.ext_methods,
+    ):
+        for item in container:
+            acl = item.acl
+            stamp += (item, item.version, acl, acl.version)
+    for level in obj.meta_invoke_chain():
+        acl = level.acl
+        stamp += (level, level.version, acl, acl.version)
+    return stamp
+
+
+def _data_items(obj):
+    containers = obj.containers
+    yield from containers.fixed_data
+    yield from containers.ext_data
+
+
+def _same(value, old) -> bool:
+    """Same type and equal; floats bit for bit, so ``-0.0`` differs from
+    ``0.0`` and a NaN matches a NaN."""
+    kind = type(value)
+    if kind is not type(old):
+        return False
+    if kind is float:
+        return value.hex() == old.hex()
+    return value == old
 
 
 class SiteJournal:
@@ -52,6 +124,8 @@ class SiteJournal:
         self.closed = False
         self.writes = 0
         self.skipped_unportable = 0
+        #: guid -> (stamp, {item name: value}) of its last image record
+        self._bases: dict[str, tuple[list, dict]] = {}
         site.journal = self
 
     # -- plumbing ----------------------------------------------------------
@@ -74,11 +148,42 @@ class SiteJournal:
             self.writes += 1
 
     def _image(self, obj) -> dict | None:
+        """Pack *obj* for an image record, which becomes its base."""
+        self._bases.pop(obj.guid, None)
         try:
-            return pack(obj, strip_native_wrappers=True)
+            image = pack(obj, strip_native_wrappers=True)
         except MROMError:
             self.skipped_unportable += 1
             return None
+        stamp = _stamp(obj)
+        if stamp is not None:
+            # packing read every deferred cell, so the slots hold values
+            values = {item.name: item._value for item in _data_items(obj)}
+            if all(type(value) in _SCALARS for value in values.values()):
+                self._bases[obj.guid] = (stamp, values)
+        return image
+
+    def _delta(self, obj) -> dict | None:
+        """The data values of *obj* that differ from its base, or None
+        when only a whole image can say what changed (see module doc)."""
+        base = self._bases.get(obj.guid)
+        if base is None:
+            return None
+        stamp, values = base
+        if _stamp(obj) != stamp:
+            return None
+        delta = {}
+        for item in _data_items(obj):
+            value = item._value  # not peek(): that would read a deferred cell
+            old = values[item.name]
+            if value is old:
+                continue
+            if type(value) not in _SCALARS:
+                return None
+            if not _same(value, old):
+                delta[item.name] = value
+        values.update(delta)
+        return delta
 
     def close(self) -> None:
         """The crash instant: nothing after this reaches the log."""
@@ -95,6 +200,7 @@ class SiteJournal:
         self._write("object.image", {"guid": obj.guid, "package": image})
 
     def note_unregister(self, guid: str) -> None:
+        self._bases.pop(guid, None)
         self._write("object.remove", {"guid": guid})
 
     def note_served(
@@ -111,10 +217,16 @@ class SiteJournal:
             # the reply and the state it produced, durable in one frame
             guid = str(request_payload.get("target", ""))
             if guid and self.site.has_object(guid):
-                image = self._image(self.site.local_object(guid))
-                if image is not None:
+                obj = self.site.local_object(guid)
+                delta = self._delta(obj)
+                if delta is None:
+                    image = self._image(obj)
+                    if image is not None:
+                        attrs["guid"] = guid
+                        attrs["image"] = image
+                elif delta:
                     attrs["guid"] = guid
-                    attrs["image"] = image
+                    attrs["delta"] = delta
         self._write("served.reply", attrs)
 
     # -- transfer-side notes -----------------------------------------------
@@ -160,6 +272,7 @@ class SiteJournal:
         if self.closed or self.failed:
             return None
         objects: dict[str, dict] = {}
+        self._bases.clear()  # the snapshot is every guid's new base
         for obj in site.objects():
             image = self._image(obj)
             if image is not None:
@@ -203,6 +316,8 @@ class SiteJournal:
         except MROMError as exc:
             error = exc
             self.failed = True
+            if probe is not None:
+                probe.journal_failed(site, "snapshot", exc)
             return None
         except BaseException as exc:
             error = exc

@@ -2,7 +2,8 @@
 
 Replay is a fold over the record stream (snapshot first if one
 survived compaction, then everything after it): the latest durable
-image per object wins, removes erase, the served-reply ledger and the
+image per object wins, a served invoke's ``delta`` patches a copy of
+its object's latest image, removes erase, the served-reply ledger and the
 receiver-side transfer ledger are reconstructed in order, and every
 ``transfer.intent`` without a matching ``transfer.resolved`` comes back
 as an *unresolved* transfer on the new
@@ -16,6 +17,12 @@ Restoring an image deliberately does **not** re-invoke ``install``
 the install already ran, so running it again would double-apply its
 effects. The environment gets a fresh ``install_context`` marked
 ``recovered`` instead.
+
+A delta that fits no image — its guid has none, or it names a data
+item the image lacks — is damage the frames cannot show: the fold
+reports it as ``"torn"``, drops that object (its later state is
+unknowable) and does not fold the record's reply, then goes on with the
+rest of the log, so a later image of the object restores it.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import time as _time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Mapping
 
 from ..core.errors import MROMError
 from ..mobility.package import unpack
@@ -48,6 +55,43 @@ class ReplayState:
     snapshot_used: bool = False
     records_replayed: int = 0
     unknown_kinds: int = 0
+    #: ``"torn"`` once a delta fit no image (see module doc)
+    damage: str | None = None
+
+
+def _patched(image: Any, delta: Any) -> dict | None:
+    """A copy of *image* carrying *delta*'s item values, or None when
+    the delta does not fit it. *image* itself is never changed."""
+    if not isinstance(image, Mapping) or not isinstance(delta, Mapping):
+        return None
+    pending = dict(delta)
+    if not all(type(name) is str for name in pending):
+        return None
+    patched = dict(image)
+    for section in ("fixed_data", "ext_data"):
+        entries = image.get(section)
+        if not isinstance(entries, list):
+            continue
+        copied = []
+        for entry in entries:
+            if isinstance(entry, Mapping):
+                name = entry.get("name")
+                if type(name) is str and name in pending:
+                    entry = {**entry, "value": pending.pop(name)}
+            copied.append(entry)
+        patched[section] = copied
+    return None if pending else patched
+
+
+def _fold_delta(state: ReplayState, guid: str, delta: Any) -> bool:
+    patched = _patched(state.images.get(guid), delta)
+    if patched is None:
+        state.images.pop(guid, None)
+        if state.damage is None:
+            state.damage = "torn"
+        return False
+    state.images[guid] = patched
+    return True
 
 
 def replay_records(records: list[WalRecord]) -> ReplayState:
@@ -76,7 +120,10 @@ def replay_records(records: list[WalRecord]) -> ReplayState:
         elif kind == "object.remove":
             state.images.pop(str(attrs["guid"]), None)
         elif kind == "served.reply":
-            state.served[str(attrs["request_id"])] = attrs["reply"]
+            if "delta" not in attrs or _fold_delta(
+                state, str(attrs.get("guid", "")), attrs["delta"]
+            ):
+                state.served[str(attrs["request_id"])] = attrs["reply"]
             image = attrs.get("image")
             if image is not None:
                 state.images[str(attrs["guid"])] = image
@@ -157,7 +204,7 @@ def recover_site(
         site_id=site_id,
         records_replayed=state.records_replayed,
         snapshot_used=state.snapshot_used,
-        damage=wal.repaired if wal.repaired is not None else damage,
+        damage=wal.repaired or damage or state.damage,
     )
 
     probe = _probes.ACTIVE

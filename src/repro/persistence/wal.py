@@ -47,7 +47,7 @@ __all__ = ["WalRecord", "WriteAheadLog", "RECORD_KINDS", "decode_frames"]
 RECORD_KINDS = (
     "object.image",         # latest durable image of one object
     "object.remove",        # the object left this site (move commit)
-    "served.reply",         # request-id -> reply, + post-execution image
+    "served.reply",         # request-id -> reply, + post-execution image or delta
     "transfer.intent",      # sender-side write-ahead: PREPARE is about to go out
     "transfer.ledger",      # receiver-side settle/abort ledger entry
     "transfer.resolved",    # a pending intent settled (commit/abort known)

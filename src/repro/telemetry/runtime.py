@@ -419,8 +419,6 @@ class Telemetry(probes.Probe):
             "sim_time": site.network.now})
 
     def snapshot_end(self, error) -> None:
-        if error is not None:
-            self.count("wal.failures")
         self._close("wal.checkpoint", error)
 
     def wal_append(self, record) -> None:

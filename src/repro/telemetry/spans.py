@@ -15,6 +15,7 @@ time base.
 from __future__ import annotations
 
 import time
+from collections import deque
 from typing import Any, Callable, Mapping
 
 __all__ = ["Span", "SpanEvent", "SpanRecorder"]
@@ -143,26 +144,21 @@ class SpanRecorder:
 
     def __init__(self, cap: int = 100_000):
         self.cap = cap
-        self.spans: list[Span] = []
+        # a full deque drops its oldest entry on append in O(1)
+        self.spans: deque[Span] = deque(maxlen=cap)
         self.dropped = 0
 
     def record(self, span: Span) -> None:
+        if len(self.spans) == self.cap:
+            self.dropped += 1
         self.spans.append(span)
-        if len(self.spans) > self.cap:
-            overflow = len(self.spans) - self.cap
-            del self.spans[:overflow]
-            self.dropped += overflow
 
     def by_trace(self, trace_id: str) -> list[Span]:
         return [span for span in self.spans if span.trace_id == trace_id]
 
     def trace_ids(self) -> list[str]:
         """Distinct trace ids in first-seen order."""
-        seen: list[str] = []
-        for span in self.spans:
-            if span.trace_id not in seen:
-                seen.append(span.trace_id)
-        return seen
+        return list(dict.fromkeys(span.trace_id for span in self.spans))
 
     def __len__(self) -> int:
         return len(self.spans)

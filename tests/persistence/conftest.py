@@ -4,6 +4,7 @@ recovered from their write-ahead logs."""
 
 from __future__ import annotations
 
+from repro.core import MROMObject, allow_all
 from repro.mobility import MobilityManager
 from repro.net import RetryPolicy
 from repro.persistence import (
@@ -16,6 +17,28 @@ from repro.persistence import (
 from tests.conftest import make_site_world
 
 FAST = RetryPolicy(attempts=4, timeout=0.5, backoff=0.05, multiplier=2.0)
+
+
+def build_cell() -> MROMObject:
+    """A counter any site may write, append to in place and restructure:
+    fixed ``count`` and 1 KiB of ``notes``, an open meta ACL."""
+    obj = MROMObject(display_name="cell", meta_acl=allow_all())
+    obj.define_fixed_data("count", 0)
+    obj.define_fixed_data("notes", "n" * 1024)
+    obj.define_fixed_method(
+        "increment",
+        "step = args[0] if args else 1\n"
+        "self.set('count', self.get('count') + step)\n"
+        "return self.get('count')",
+    )
+    obj.define_fixed_method("peek", "return self.get('count')")
+    obj.define_fixed_method("put", "self.set(args[0], args[1])\nreturn args[1]")
+    obj.define_fixed_method(
+        "push",
+        "self.get(args[0]).append(args[1])\nreturn len(self.get(args[0]))",
+    )
+    obj.seal()
+    return obj
 
 
 class DurableWorld:

@@ -42,6 +42,15 @@ IMAGE = {
     "payload": {"count": 7},
 }
 
+#: an image shaped like a real package's data sections, for deltas
+CELL = {
+    "format": "mrom-object/1",
+    "guid": "mrom://a/5.1",
+    "fixed_data": [{"name": "count", "value": 0},
+                   {"name": "notes", "value": "golden notes"}],
+    "ext_data": [{"name": "tag", "value": 1}],
+}
+
 
 def fresh_wal(path: Path) -> WriteAheadLog:
     if path.exists():
@@ -49,7 +58,22 @@ def fresh_wal(path: Path) -> WriteAheadLog:
     return WriteAheadLog(FileStore(path))
 
 
-def write_expectation(path: Path, store: FileStore) -> None:
+def data_values(images: dict) -> dict:
+    """guid -> {item: value} over every image's data sections."""
+    return {
+        guid: {
+            entry["name"]: entry["value"]
+            for section in ("fixed_data", "ext_data")
+            for entry in image.get(section, [])
+        }
+        for guid, image in images.items()
+    }
+
+
+def write_expectation(path: Path, store: FileStore, values: bool = False) -> None:
+    """Write the sidecar; the fold's damage and (with *values*) each
+    folded image's data values are pinned only by the delta samples, so
+    the older sidecars keep their bytes."""
     records, damage = decode_frames(store.frames(), store.truncated)
     state = replay_records(records)
     expectation = {
@@ -65,6 +89,10 @@ def write_expectation(path: Path, store: FileStore) -> None:
             "unknown_kinds": state.unknown_kinds,
         },
     }
+    if state.damage is not None:
+        expectation["state"]["damage"] = state.damage
+    if values:
+        expectation["state"]["values"] = data_values(state.images)
     path.write_text(
         json.dumps(expectation, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
@@ -191,6 +219,60 @@ def sample_torn_write() -> None:
     write_expectation(path.with_suffix(".json"), FileStore(path))
 
 
+def delta_reply(seq: int, delta: dict, guid: str = CELL["guid"]) -> tuple:
+    return ("served.reply",
+            {"kind": "invoke", "request_id": f"req-{seq}",
+             "reply": {"ok": True, "result": seq},
+             "guid": guid, "delta": delta})
+
+
+def sample_delta_updates() -> None:
+    """Image, deltas, a compacting snapshot, more deltas: each delta
+    patches the latest image, the snapshot's included."""
+    path = CORPUS / "delta_updates.wal"
+    wal = fresh_wal(path)
+    wal.append("object.image", {"guid": CELL["guid"], "package": CELL},
+               site="a", time=1.0)
+    for kind, attrs in (delta_reply(1, {"count": 1}),
+                        delta_reply(2, {"count": 2, "tag": 1.0})):
+        wal.append(kind, attrs, site="a", time=2.0)
+    snapshot = {
+        **CELL,
+        "fixed_data": [{"name": "count", "value": 2},
+                       {"name": "notes", "value": "golden notes"}],
+        "ext_data": [{"name": "tag", "value": 1.0}],
+    }
+    wal.compact(
+        {"objects": {CELL["guid"]: snapshot},
+         "served": [["req-2", {"ok": True, "result": 2}]],
+         "ledger": [], "unresolved": {}},
+        site="a", time=3.0,
+    )
+    for kind, attrs in (delta_reply(3, {"count": 3, "tag": True}),
+                        delta_reply(4, {"notes": "edited"})):
+        wal.append(kind, attrs, site="a", time=4.0)
+    write_expectation(path.with_suffix(".json"), wal.store, values=True)
+
+
+def sample_orphan_delta() -> None:
+    """A delta whose guid has no image: every frame is intact, the fold
+    reports ``torn``, and a later image of that guid restores it."""
+    path = CORPUS / "orphan_delta.wal"
+    wal = fresh_wal(path)
+    wal.append("object.image", {"guid": IMAGE["guid"], "package": IMAGE},
+               site="a", time=1.0)
+    for seq, (kind, attrs) in enumerate((
+        delta_reply(1, {"count": 9}),
+        delta_reply(2, {"count": 10}),
+    ), start=2):
+        wal.append(kind, attrs, site="a", time=float(seq))
+    wal.append("object.image", {"guid": CELL["guid"], "package": CELL},
+               site="a", time=4.0)
+    kind, attrs = delta_reply(3, {"count": 1})
+    wal.append(kind, attrs, site="a", time=5.0)
+    write_expectation(path.with_suffix(".json"), wal.store, values=True)
+
+
 def main() -> None:
     sample_every_kind()
     sample_snapshot_then_updates()
@@ -198,6 +280,8 @@ def main() -> None:
     sample_empty()
     sample_truncated_tail()
     sample_torn_write()
+    sample_delta_updates()
+    sample_orphan_delta()
     print(f"regenerated {len(list(CORPUS.glob('*.wal')))} samples "
           f"under {CORPUS}")
 

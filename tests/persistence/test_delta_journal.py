@@ -1,0 +1,203 @@
+"""The delta journal: a served invoke logs the data values it changed,
+and falls back to the whole image whenever a delta could not say what
+changed. Replay patches a copy of the latest image and reports a delta
+that fits no image as typed damage."""
+
+from __future__ import annotations
+
+import copy
+
+import pytest
+
+from repro.core import Permission
+from repro.persistence import (
+    SiteJournal,
+    SqliteStore,
+    WalRecord,
+    WriteAheadLog,
+    replay_records,
+)
+from repro.telemetry import Telemetry, enabled
+
+from .conftest import FAST, DurableWorld, build_cell
+
+pytestmark = pytest.mark.recovery
+
+
+@pytest.fixture
+def world():
+    world = DurableWorld(names=("a", "b"))
+    cell = build_cell()
+    world.sites["a"].register_object(cell)
+    world.cell = cell
+    return world
+
+
+def call(world, method: str, *args):
+    return world.sites["b"].remote_invoke(
+        "a", world.cell.guid, method, list(args), policy=FAST
+    )
+
+
+def served(world) -> list[WalRecord]:
+    return [r for r in world.wals["a"].records() if r.kind == "served.reply"]
+
+
+def recovered_values(world) -> dict:
+    world.crash_restart("a")
+    obj = world.sites["a"].local_object(world.cell.guid)
+    return {
+        item.name: (type(item.peek()), repr(item.peek()))
+        for item in (*obj.containers.fixed_data, *obj.containers.ext_data)
+    }
+
+
+class TestDeltaRecords:
+    def test_increment_logs_the_changed_value_only(self, world):
+        for _ in range(3):
+            call(world, "increment")
+        records = served(world)
+        assert [r.attrs.get("delta") for r in records] == [
+            {"count": 1}, {"count": 2}, {"count": 3},
+        ]
+        assert not any("image" in r.attrs for r in records)
+        frames = world.wals["a"].store.frames()
+        assert len(frames[-1]) * 4 < len(frames[0])  # delta vs first image
+        assert recovered_values(world)["count"] == (int, "3")
+
+    def test_an_invoke_that_changes_nothing_logs_no_state(self, world):
+        call(world, "peek")
+        (record,) = served(world)
+        assert sorted(record.attrs) == ["kind", "reply", "request_id"]
+
+    @pytest.mark.parametrize("before, after", [
+        (1, 1.0), (1, True), (0, False), (0.0, -0.0), (1.0, 1),
+    ])
+    def test_a_type_or_sign_change_is_a_change(self, world, before, after):
+        call(world, "put", "count", before)
+        call(world, "put", "count", after)
+        assert served(world)[-1].attrs["delta"] == {"count": after}
+        assert recovered_values(world)["count"] == (type(after), repr(after))
+
+    def test_a_local_write_rides_in_the_next_delta(self, world):
+        world.journals["a"].checkpoint(compact=True)
+        world.cell.set_data("notes", "edited", caller=world.cell.owner)
+        call(world, "increment")
+        assert served(world)[-1].attrs["delta"] == {
+            "count": 1, "notes": "edited",
+        }
+        assert recovered_values(world)["notes"] == (str, "'edited'")
+
+
+class TestImageFallbacks:
+    def test_structural_change_logs_an_image_then_deltas_resume(self, world):
+        call(world, "addDataItem", "extra", 5)
+        call(world, "increment")
+        first, second = served(world)
+        assert "image" in first.attrs and "delta" not in first.attrs
+        assert second.attrs["delta"] == {"count": 1}
+        assert recovered_values(world)["extra"] == (int, "5")
+
+    def test_a_kind_change_logs_an_image(self, world):
+        call(world, "addDataItem", "tag", 1)
+        _description, handle = call(world, "getDataItem", "tag")
+        call(world, "setDataItem", handle, {"kind": "real"})
+        assert "image" in served(world)[-1].attrs
+        world.crash_restart("a")
+        obj = world.sites["a"].local_object(world.cell.guid)
+        item, _section = obj.containers.lookup_data("tag")
+        assert (item.kind.value, repr(item.peek())) == ("real", "1.0")
+
+    def test_an_in_place_acl_grant_logs_an_image(self, world):
+        item, _section = world.cell.containers.lookup_data("count")
+        item.acl.grant("mrom:obj:grantee", Permission.GET)
+        call(world, "increment")
+        assert "image" in served(world)[-1].attrs
+        world.crash_restart("a")
+        obj = world.sites["a"].local_object(world.cell.guid)
+        item, _section = obj.containers.lookup_data("count")
+        assert "mrom:obj:grantee" in repr(item.acl.describe())
+
+    def test_a_list_value_is_always_imaged(self, world):
+        call(world, "addDataItem", "log", [])
+        call(world, "push", "log", 7)
+        call(world, "push", "log", 8)
+        assert all("image" in r.attrs for r in served(world))
+        assert recovered_values(world)["log"] == (list, "[7, 8]")
+
+    def test_a_fresh_journal_starts_without_bases(self, world):
+        call(world, "increment")
+        world.journals["a"].close()
+        SiteJournal(world.sites["a"], world.wals["a"])  # no registrations
+        call(world, "increment")
+        assert "image" in served(world)[-1].attrs
+
+
+IMAGE = {
+    "guid": "mrom://a/1.1",
+    "fixed_data": [{"name": "count", "value": 0}, {"name": "notes", "value": "n"}],
+    "ext_data": [{"name": "tag", "value": 1}],
+}
+
+
+def image_record(seq: int) -> WalRecord:
+    return WalRecord(seq, "object.image", float(seq), "a",
+                     {"guid": IMAGE["guid"], "package": IMAGE})
+
+
+def reply(seq: int, delta) -> WalRecord:
+    return WalRecord(seq, "served.reply", float(seq), "a", {
+        "kind": "invoke", "request_id": f"r{seq}", "reply": {"ok": True},
+        "guid": IMAGE["guid"], "delta": delta,
+    })
+
+
+class TestReplay:
+    def test_deltas_patch_a_copy_and_leave_the_records_alone(self):
+        records = [
+            image_record(1), reply(2, {"count": 1}),
+            reply(3, {"count": 2, "tag": True}),
+        ]
+        before = copy.deepcopy([r.to_mapping() for r in records])
+        state = replay_records(records)
+        assert [r.to_mapping() for r in records] == before
+        image = state.images[IMAGE["guid"]]
+        assert image["fixed_data"][0] == {"name": "count", "value": 2}
+        assert image["ext_data"][0]["value"] is True
+        assert state.damage is None and list(state.served) == ["r2", "r3"]
+        assert replay_records(records).images == state.images
+
+    def test_a_delta_without_a_base_image_is_torn(self):
+        state = replay_records([reply(1, {"count": 1})])
+        assert state.damage == "torn"
+        assert not state.images and not state.served
+
+    def test_a_delta_naming_an_item_the_image_lacks_is_torn(self):
+        state = replay_records([image_record(1), reply(2, {"missing": 1})])
+        assert state.damage == "torn"
+        assert not state.images and not state.served
+
+    def test_a_later_image_restores_a_torn_object(self):
+        state = replay_records([
+            reply(1, {"count": 1}), image_record(2), reply(3, {"count": 4}),
+        ])
+        assert state.damage == "torn"
+        assert state.images[IMAGE["guid"]]["fixed_data"][0]["value"] == 4
+        assert list(state.served) == ["r3"]
+
+
+class TestCheckpointFailure:
+    @pytest.mark.parametrize("compact", [True, False])
+    def test_a_refused_snapshot_emits_wal_failed_once(self, tmp_path, compact):
+        with enabled(Telemetry()) as tel:
+            world = DurableWorld(names=("a", "b"))
+            store = SqliteStore(tmp_path / "a.db")
+            world.journals["a"] = SiteJournal(world.sites["a"], WriteAheadLog(store))
+            store.close()
+            assert world.journals["a"].checkpoint(compact=compact) is None
+        assert world.journals["a"].failed
+        events = tel.events.events("wal.failed")
+        assert [(e.attrs["site"], e.attrs["kind"]) for e in events] == [
+            ("a", "snapshot"),
+        ]
+        assert tel.metrics.counter_value("wal.failures") == 1

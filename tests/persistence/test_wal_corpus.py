@@ -11,7 +11,9 @@ accompanied by a deliberate corpus regeneration
 The corpus includes damaged samples — a physically cut tail
 (``truncated_tail``) and a checksum-failing frame (``torn_write``) —
 which must decode to the intact prefix and be repaired exactly once on
-open.
+open. Two samples pin the delta fold: ``delta_updates`` (deltas on an
+image and on a compacting snapshot) and ``orphan_delta`` (intact frames
+whose delta fits no image, which the fold reports as ``torn``).
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from repro.persistence import (
     replay_records,
 )
 from repro.persistence.wal import _frame
+
+from .corpus._generate import data_values
 
 pytestmark = pytest.mark.recovery
 
@@ -70,6 +74,10 @@ class TestExactMatchReplay:
         assert state.snapshot_used == expected["snapshot_used"]
         assert state.records_replayed == expected["records_replayed"]
         assert state.unknown_kinds == expected["unknown_kinds"]
+        # pinned by the delta samples only (see corpus/_generate.py)
+        assert state.damage == expected.get("damage")
+        if "values" in expected:
+            assert data_values(state.images) == expected["values"]
 
     @pytest.mark.parametrize("path", SAMPLES, ids=lambda p: p.stem)
     def test_encoder_reproduces_the_golden_frames(self, path):

@@ -6,6 +6,12 @@ one of them holds a record mapping with a field replaced, removed or
 added. ``decode_frames`` must never raise: it returns every record
 before that frame intact, and either reads the frame as a record or
 stops there as ``"torn"``. Opening the log must repair the same tail.
+A mapping the marshal cannot encode is never written, so it is no case.
+
+A served reply's ``delta`` gets the same treatment one level down: a
+hostile one (not a mapping, naming an item the image lacks, keyed by
+non-strings, or for a guid already removed) must end in a refused frame
+or in the fold's typed ``"torn"`` damage, never in an exception.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -15,10 +21,20 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
+from repro.core.errors import MarshalError
+from repro.net import Network
 from repro.net.marshal import Reference, marshal
-from repro.persistence import MemoryStore, WalRecord, WriteAheadLog, decode_frames
+from repro.persistence import (
+    MemoryStore,
+    WalRecord,
+    WriteAheadLog,
+    decode_frames,
+    recover_site,
+    replay_records,
+)
+from repro.sim import Simulator
 
 pytestmark = pytest.mark.fuzz
 
@@ -56,7 +72,10 @@ values = st.one_of(
 
 
 def _framed(mapping) -> bytes:
-    body = marshal(mapping)
+    try:
+        body = marshal(mapping)
+    except MarshalError:
+        reject()  # e.g. an int past the widest varint: never written
     return hashlib.sha256(body).digest()[:8] + body
 
 
@@ -89,3 +108,57 @@ def test_a_mutated_record_never_crashes_replay(position, edits, top):
     reopened = WriteAheadLog(store)
     assert reopened.repaired == damage
     assert len(reopened.records()) == len(records)
+
+
+GUID = "mrom://s1/2.2"
+IMAGED = WalRecord(1, "object.image", 0.5, "s1", {"guid": GUID, "package": {
+    "format": "mrom-object/1", "guid": GUID,
+    "fixed_data": [{"name": "count", "value": 0}], "ext_data": [],
+}})
+REMOVED = WalRecord(2, "object.remove", 0.75, "s1", {"guid": GUID})
+
+hostile_deltas = st.one_of(
+    values.filter(lambda value: not isinstance(value, dict)),
+    st.dictionaries(
+        st.text(max_size=4).filter(lambda name: name != "count"),
+        values, min_size=1, max_size=2,
+    ),
+    st.dictionaries(
+        st.integers() | st.booleans() | st.none() | st.binary(max_size=2),
+        values, min_size=1, max_size=2,
+    ),
+)
+
+
+def _served(seq: int, delta) -> WalRecord:
+    return WalRecord(seq, "served.reply", 1.0, "s1", {
+        "kind": "invoke", "request_id": "c#1:9",
+        "reply": {"ok": True, "result": 1}, "guid": GUID, "delta": delta,
+    })
+
+
+def _assert_damaged(records: list[WalRecord]) -> None:
+    frames = [_framed(record.to_mapping()) for record in records]
+    decoded, damage = decode_frames(frames)
+    if damage == "torn":  # the frame itself was refused
+        assert len(decoded) == len(records) - 1
+        return
+    state = replay_records(decoded)
+    assert state.damage == "torn"
+    assert GUID not in state.images and "c#1:9" not in state.served
+    store = MemoryStore()
+    store.rewrite(frames)
+    _site, _manager, report = recover_site(
+        Network(Simulator(0)), "s1", WriteAheadLog(store)
+    )
+    assert report.damage == "torn" and report.objects_restored == 0
+
+
+@FUZZ
+@given(delta=hostile_deltas)
+def test_a_hostile_delta_is_refused_or_torn(delta):
+    _assert_damaged([IMAGED, _served(2, delta)])
+
+
+def test_a_delta_for_a_removed_guid_is_torn():
+    _assert_damaged([IMAGED, REMOVED, _served(3, {"count": 1})])

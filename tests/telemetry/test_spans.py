@@ -8,6 +8,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.telemetry import (
+    Span,
+    SpanRecorder,
     Telemetry,
     TraceContext,
     active,
@@ -104,6 +106,23 @@ class TestLifecycle:
         assert len(tel.recorder) == 3
         assert tel.recorder.dropped == 2
         assert [s.name for s in tel.recorder] == ["s2", "s3", "s4"]
+
+    def test_full_recorder_keeps_the_newest_window_in_order(self):
+        cap, extra = 50, 17
+        recorder = SpanRecorder(cap=cap)
+        spans = [
+            Span(f"t{index % 3}", f"s{index}", None, f"n{index}", clock=fake_clock())
+            for index in range(cap + extra)
+        ]
+        for span in spans:
+            recorder.record(span)
+        assert list(recorder) == spans[extra:]
+        assert recorder.dropped == extra
+        assert recorder.spans[0] is spans[extra]
+        assert recorder.spans[-1] is spans[-1]
+        assert recorder.trace_ids() == [
+            f"t{index % 3}" for index in range(extra, extra + 3)
+        ]
 
 
 class TestThreads:

@@ -160,6 +160,40 @@ class TestLoad:
             main(["load", "--requests", "10", "--mix", "teleport=1"])
 
 
+@pytest.mark.recovery
+class TestRecover:
+    """Offline replay of a directory of logs; exit 1 iff any is damaged."""
+
+    def _log(self, root, delta_guid: str | None = None):
+        from repro.mobility import pack
+        from repro.persistence import WriteAheadLog, make_store
+
+        obj = MROMObject(display_name="counter", guid="mrom://cli/2.1")
+        obj.define_fixed_data("count", 0)
+        obj.seal()
+        wal = WriteAheadLog(make_store("file", root=root, name="s1"))
+        wal.append("object.image", {"guid": obj.guid, "package": pack(obj)})
+        wal.append("served.reply", {
+            "kind": "invoke", "request_id": "c#1:1",
+            "reply": {"ok": True, "result": 1},
+            "guid": delta_guid or obj.guid, "delta": {"count": 1},
+        })
+        wal.store.close()
+
+    def test_clean_log_replays(self, tmp_path, capsys):
+        self._log(tmp_path)
+        assert main(["recover", "--root", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "s1: records=2 objects=1" in out and "damage=None" in out
+
+    def test_orphan_delta_is_reported_as_damage(self, tmp_path, capsys):
+        self._log(tmp_path, delta_guid="mrom://cli/ghost")
+        assert main(["recover", "--root", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "s1: records=2 objects=1" in out and "damage=torn" in out
+        assert "1 with damage" in out
+
+
 @pytest.mark.analysis
 class TestAnalyze:
     HAZARD = (
