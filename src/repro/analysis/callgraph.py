@@ -9,7 +9,7 @@ Two graph builders feed the interprocedural passes:
   ``Site``/``MobilityManager`` wiring, per-site admission windows
   (``inflight_limit``), and every RMI edge a site issues — sync verbs
   (``request``/``remote_invoke``/…), their ``*_async`` variants, batched
-  frames (``RequestBatch``/``BatchedRef``) and migrations. Edges carry
+  frames (``RequestBatch``) and migrations. Edges carry
   their source line in program order, which is exactly what the
   incremental wait-for cycle check in :mod:`.deadlock` needs to anchor a
   finding at the edge that *closes* a cycle.

@@ -39,7 +39,7 @@ from ..core.mobject import MROMObject
 from ..mobility.package import pack
 from ..mobility.transfer import MobilityManager
 from ..net.site import Site
-from ..net.transport import Message
+from ..net.transport import Message, request_body
 from .ambassador import build_ioo_ambassador
 from .apo import APO
 
@@ -168,7 +168,7 @@ class IOO:
         return entry
 
     def _handle_link(self, message: Message) -> dict:
-        body = message.payload
+        body = request_body(message)
         from_site = str(body.get("from_site", message.src))
         from_domain = str(body.get("from_domain", ""))
         self._check_link_policy(from_site, from_domain)
@@ -247,7 +247,7 @@ class IOO:
 
     def _handle_import(self, message: Message) -> dict:
         """The Export side: verify access, instantiate, send as data."""
-        body = message.payload
+        body = request_body(message)
         apo_name = str(body.get("apo", ""))
         from_site = str(body.get("from_site", message.src))
         from_domain = str(body.get("from_domain", ""))

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from ..core.acl import Principal, remote_principal
 from ..core.errors import MROMError
 from ..core.introspection import interrogate
-from ..net.transport import Message
+from ..net.transport import Message, request_body, request_list
 from .ioo import IOO
 
 __all__ = ["ServiceOffer", "Trader", "KIND_TRADE"]
@@ -107,13 +107,13 @@ class Trader:
         return offers
 
     def _handle_trade(self, message: Message) -> list:
-        body = message.payload
+        body = request_body(message)
         requester = remote_principal(
             str(body.get("guid", "mrom:anonymous")),
             str(body.get("from_domain", "")),
             str(body.get("from_site", message.src)),
         )
-        tags = [str(tag) for tag in body.get("tags", [])]
+        tags = [str(tag) for tag in request_list(message, "tags")]
         return [offer.to_mapping() for offer in self.local_offers(tags, requester)]
 
     # ------------------------------------------------------------------

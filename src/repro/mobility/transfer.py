@@ -60,7 +60,7 @@ from ..core.errors import (
 from ..core.mobject import MROMObject
 from ..net.rmi import RemoteRef, RetryPolicy
 from ..net.site import Site
-from ..net.transport import Message
+from ..net.transport import Message, request_body, request_list
 from .package import pack, unpack
 
 __all__ = ["MobilityManager", "InstallReport"]
@@ -353,7 +353,7 @@ class MobilityManager:
             probe.transfer_duplicate(self.site, transfer_id, cause)
 
     def _handle_prepare(self, message: Message) -> dict:
-        body = message.payload
+        body = request_body(message)
         transfer_id = str(body.get("transfer_id", ""))
         entry = self._ledger.get(transfer_id) if transfer_id else None
         if entry is not None:
@@ -379,13 +379,13 @@ class MobilityManager:
             )
             self._record(transfer_id, "settled", dict(report))
             return report
-        install_args = self.site.import_value(body.get("install_args", []))
+        install_args = self.site.import_value(request_list(message, "install_args"))
         report = self.install_package(package, install_args, src=message.src)
         self._record(transfer_id, "settled", dict(report))
         return report
 
     def _handle_query(self, message: Message) -> dict:
-        transfer_id = str(message.payload.get("transfer_id", ""))
+        transfer_id = str(request_body(message).get("transfer_id", ""))
         entry = self._ledger.get(transfer_id)
         if entry is None:
             # never seen: veto it, so a PREPARE still in flight when the
@@ -396,11 +396,11 @@ class MobilityManager:
 
     def _handle_transfer(self, message: Message) -> dict:
         """Legacy single-shot transfer (no transfer id, no dedup)."""
-        body = message.payload
+        body = request_body(message)
         package = body.get("package")
         if not isinstance(package, Mapping):
             raise MobilityError("transfer message carries no package")
-        install_args = self.site.import_value(body.get("install_args", []))
+        install_args = self.site.import_value(request_list(message, "install_args"))
         return self.install_package(package, install_args, src=message.src)
 
     def install_package(
@@ -475,7 +475,7 @@ class MobilityManager:
         )
 
     def _handle_forward(self, message: Message) -> Mapping:
-        body = message.payload
+        body = request_body(message)
         guid = str(body.get("target", ""))
         dst = str(body.get("dst", ""))
         caller = self.site._caller_from(body.get("caller"))
@@ -486,4 +486,5 @@ class MobilityManager:
             raise PolicyViolationError(
                 f"{caller.guid} may not forward {guid} (owner: {obj.owner.guid})"
             )
-        return self._handoff(obj, dst, list(body.get("install_args", [])), mode="move")
+        install_args = request_list(message, "install_args")
+        return self._handoff(obj, dst, install_args, mode="move")

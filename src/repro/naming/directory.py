@@ -50,6 +50,7 @@ from ..core.errors import (
     TransferUnresolvedError,
 )
 from .. import probes as _probes
+from ..net.transport import request_body, request_list
 from .ring import HashRing
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,7 +93,7 @@ class DirectoryShard:
         site.add_handler("dir.update", self._handle_update)
 
     def _handle_resolve(self, message: "Message") -> dict:
-        payload = message.payload if isinstance(message.payload, Mapping) else {}
+        payload = request_body(message)
         name = str(payload.get("name", ""))
         self.lookups += 1
         entry = self.entries.get(name)
@@ -108,7 +109,7 @@ class DirectoryShard:
         return {"name": name, **entry}
 
     def _handle_update(self, message: "Message") -> dict:
-        payload = message.payload if isinstance(message.payload, Mapping) else {}
+        payload = request_body(message)
         return self.apply_update(payload)
 
     def apply_update(self, payload: Mapping) -> dict:
@@ -319,10 +320,12 @@ class DirectoryClient:
         if error is None:
             outer._resolve(inner.result())
             return
-        if isinstance(error, StaleLeaseError) and redirects > 0:
+        if isinstance(error, StaleLeaseError):
+            # the refused lease is dead whether or not budget remains
             self._note_stale(name)
-            self._resolve_then(outer, name, payload, redirects - 1)
-            return
+            if redirects > 0:
+                self._resolve_then(outer, name, payload, redirects - 1)
+                return
         outer._fail(error)
 
     def _resolve_then(self, outer, name, payload, redirects) -> None:
@@ -451,7 +454,7 @@ class ClusterManager:
         raise StaleLeaseError(name=name, generation=generation)
 
     def _handle_invoke(self, message: "Message"):
-        body = message.payload if isinstance(message.payload, Mapping) else {}
+        body = request_body(message)
         name = str(body.get("name", ""))
         generation = _generation(body, name)
         caller = self.site._caller_from(body.get("caller"))
@@ -465,11 +468,11 @@ class ClusterManager:
         if self.service_sleep:
             time.sleep(self.service_sleep)
         obj = self.site.local_object(entry["guid"])
-        args = self.site.import_value(body.get("args", []))
+        args = self.site.import_value(request_list(message, "args"))
         return obj.invoke(str(body.get("method", "")), args, caller=caller)
 
     def _handle_adopt(self, message: "Message") -> dict:
-        body = message.payload if isinstance(message.payload, Mapping) else {}
+        body = request_body(message)
         name = str(body.get("name", ""))
         guid = str(body.get("guid", ""))
         generation = _generation(body, name)
@@ -493,7 +496,7 @@ class ClusterManager:
         the package to ``cluster.arrive`` and updates the shard."""
         from ..mobility.package import pack
 
-        body = message.payload if isinstance(message.payload, Mapping) else {}
+        body = request_body(message)
         name = str(body.get("name", ""))
         entry = self.placements.get(name)
         if entry is None or entry["state"] != "active":
@@ -510,7 +513,7 @@ class ClusterManager:
 
     def _handle_arrive(self, message: "Message") -> dict:
         """Coordinator-mediated move, receiver half."""
-        body = message.payload if isinstance(message.payload, Mapping) else {}
+        body = request_body(message)
         name = str(body.get("name", ""))
         generation = _generation(body, name)
         package = body.get("package")

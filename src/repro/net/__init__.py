@@ -14,11 +14,9 @@ from .marshal import (
 from .rmi import (
     AsyncCall,
     BatchFuture,
-    BatchedRef,
     RemoteRef,
     RequestBatch,
     RetryPolicy,
-    SendQueue,
 )
 from .site import Site
 from .topology import LAN, Link, MODEM, Topology, WAN
@@ -45,9 +43,7 @@ __all__ = [
     "RetryPolicy",
     "AsyncCall",
     "BatchFuture",
-    "BatchedRef",
     "RequestBatch",
-    "SendQueue",
     "TcpGateway",
     "TcpGatewayClient",
 ]

@@ -2,12 +2,15 @@
 
 The reproduction's network substrate is a deterministic simulator (see
 DESIGN.md §3); real deployments of the paper's system spoke RMI over real
-sockets. The gateway bridges the two: it exposes one site's protocol
-surface (invoke / get_data / describe / resolve / ping) over actual TCP
-on localhost, so an external process — a different Python interpreter, a
-different language, a netcat — can interrogate and invoke the objects
-living in the simulation using the same MRM1 wire format the simulated
-transport uses.
+sockets. The gateway bridges the two: it serves one site's handler
+table (invoke / get_data / describe / resolve / ping, and every kind a
+higher layer registered) over actual TCP on localhost, so an external
+process — a different Python interpreter, a different language, a
+netcat — can interrogate and invoke the objects living in the
+simulation using the same MRM1 wire format the simulated transport
+uses. A TCP request runs the same handler, probe points and typed
+refusals as a simulated one; it carries no ``request_id``, so it stays
+outside the served ledger and the journal.
 
 Framing: each direction sends ``4-byte big-endian length`` + one MRM1
 message. Requests are mappings ``{kind, payload}``; responses follow the
@@ -26,11 +29,10 @@ import struct
 import threading
 from typing import Any
 
-from ..core.acl import Principal, remote_principal
 from ..core.errors import MROMError, NetworkError, error_for_name
-from ..core.introspection import describe as describe_object
-from .marshal import MarshalFrame, marshal_frame, unmarshal
+from .marshal import MAGIC, Encoded, encode, marshal_frame, unmarshal
 from .site import Site, _failure
+from .transport import Message
 
 __all__ = ["TcpGateway", "TcpGatewayClient"]
 
@@ -38,19 +40,18 @@ _LENGTH = struct.Struct(">I")
 MAX_FRAME = 16 * 1024 * 1024
 
 
-def _send_frame(sock: socket.socket, frame: MarshalFrame) -> None:
-    # zero-copy: header and body leave in one scatter-gather syscall,
-    # the body as a memoryview over the pooled buffer — no concatenated
-    # bytes object, and no Nagle stall from a split write
-    with frame:
-        buffers = [memoryview(_LENGTH.pack(len(frame))), frame.view]
-        while buffers:
-            sent = sock.sendmsg(buffers)
-            while buffers and sent >= len(buffers[0]):
-                sent -= len(buffers[0])
-                buffers.pop(0)
-            if sent:
-                buffers[0] = buffers[0][sent:]
+def _send_frame(sock: socket.socket, *parts: bytes | memoryview) -> None:
+    """Write one frame: the length prefix and *parts* (which together
+    form one MRM1 message) leave in one scatter-gather syscall, with no
+    concatenated copy and no Nagle stall from a split write."""
+    buffers = [_LENGTH.pack(sum(map(len, parts))), *parts]
+    while buffers:
+        sent = sock.sendmsg(buffers)
+        while buffers and sent >= len(buffers[0]):
+            sent -= len(buffers[0])
+            buffers.pop(0)
+        if sent:
+            buffers[0] = memoryview(buffers[0])[sent:]
 
 
 def _recv_exactly(sock: socket.socket, count: int) -> bytes | None:
@@ -125,89 +126,48 @@ class TcpGateway:
 
     def _serve_connection(self, connection: socket.socket) -> None:
         with connection:
-            while self._running:
-                try:
-                    request = _recv_frame(connection)
-                except MROMError as exc:
-                    _send_frame(connection, marshal_frame(_failure(exc)))
-                    return
-                if request is None:
-                    return
-                _send_frame(connection, self._respond(request))
+            try:
+                while self._running:
+                    try:
+                        request = _recv_frame(connection)
+                    except MROMError as exc:
+                        # the stream is out of step: answer, then hang up
+                        _send_frame(connection, MAGIC, encode(_failure(exc)))
+                        return
+                    if request is None:
+                        return
+                    _send_frame(connection, MAGIC, self._respond(request))
+            except OSError:
+                return  # the peer went away mid-frame; nothing to answer
 
-    def _respond(self, request: Any) -> MarshalFrame:
+    def _respond(self, request: Any) -> Encoded:
+        """Serve one decoded request frame through the site's handler
+        table, exactly as a request off the simulated wire is served;
+        returns the reply envelope."""
         if not isinstance(request, dict) or "kind" not in request:
-            return marshal_frame(_failure(NetworkError("malformed gateway request")))
-        kind = str(request["kind"])
-        payload = request.get("payload", {})
+            return encode(_failure(NetworkError("malformed gateway request")))
+        # src "tcp", msg_id 0, no reply_to, lamport or wire size
+        message = Message(
+            str(request["kind"]), "tcp", self.site.site_id,
+            request.get("payload", {}), 0, None, 0, 0,
+        )
+        handler = self.site._handlers.get(message.kind)
+        if handler is None:
+            return encode(_failure(NetworkError(f"unknown kind {message.kind!r}")))
         with self._lock:  # the simulation kernel is single-threaded
             # external requests share the site's admission window, so
             # TCP-borne load honours the same backpressure contract as
             # simulation-borne load
-            if not self.site.try_admit(kind, src="tcp"):
-                return marshal_frame(_failure(self.site.overloaded_error()))
+            if not self.site.try_admit(message.kind, src="tcp"):
+                return encode(_failure(self.site.overloaded_error()))
             try:
-                # encoded under the lock: the result may be live state
-                # another request could change while the frame is written
-                reply = marshal_frame(
-                    {"ok": True, "result": self._dispatch(kind, payload)},
-                    self.site.export_value,
-                )
-            except MROMError as exc:
-                return marshal_frame(_failure(exc))
+                # the reply is encoded under the lock: the result may be
+                # live state another request could change
+                envelope = self.site._execute(message, handler)
             finally:
                 self.site.release()
             self.requests_served += 1
-            return reply
-
-    def _dispatch(self, kind: str, payload: Any) -> Any:
-        if not isinstance(payload, dict):
-            payload = {}
-        if kind == "ping":
-            return {"site": self.site.site_id, "time": self.site.network.now}
-        if kind == "resolve":
-            return self.site.names.resolve(str(payload.get("path", "")))
-        if kind not in ("describe", "get_data", "invoke"):
-            # anything else the site itself serves (``dir.resolve``,
-            # ``cluster.invoke``, ...) is reachable over TCP too — the
-            # multi-process cluster driver runs entirely on this path
-            return self._dispatch_handler(kind, payload)
-        caller = self._external_caller(payload)
-        target = str(payload.get("target", ""))
-        obj = self.site.local_object(target)
-        if kind == "describe":
-            return describe_object(obj, viewer=caller).to_mapping()
-        if kind == "get_data":
-            return obj.get_data(str(payload.get("name", "")), caller=caller)
-        if kind == "invoke":
-            args = self.site.import_value(payload.get("args", []))
-            return obj.invoke(str(payload.get("method", "")), args, caller=caller)
-        raise NetworkError(f"gateway does not serve kind {kind!r}")  # pragma: no cover
-
-    def _dispatch_handler(self, kind: str, payload: Any) -> Any:
-        """Serve a registered site handler (``dir.*`` / ``cluster.*`` …)
-        for a TCP-borne request, as if it arrived on the simulated wire."""
-        from .transport import Message
-
-        handler = self.site._handlers.get(kind)
-        if handler is None:
-            raise NetworkError(f"gateway does not serve kind {kind!r}")
-        message = Message(
-            kind=kind, src="tcp", dst=self.site.site_id,
-            payload=payload, msg_id=0, reply_to=None, lamport=0, size=0,
-        )
-        return handler(message)
-
-    @staticmethod
-    def _external_caller(payload: Any) -> Principal:
-        raw = payload.get("caller", {}) if isinstance(payload, dict) else {}
-        if not isinstance(raw, dict):
-            raw = {}
-        return remote_principal(
-            str(raw.get("guid", "mrom:gateway-client")),
-            str(raw.get("domain", "external")),
-            str(raw.get("name", "gateway-client")),
-        )
+            return envelope
 
     def __repr__(self) -> str:
         return f"TcpGateway({self.site.site_id} @ {self.host}:{self.port})"
@@ -234,7 +194,8 @@ class TcpGatewayClient:
         return self._call(kind, payload or {})
 
     def _call(self, kind: str, payload: dict) -> Any:
-        _send_frame(self._sock, marshal_frame({"kind": kind, "payload": payload}))
+        with marshal_frame({"kind": kind, "payload": payload}) as frame:
+            _send_frame(self._sock, frame.view)
         reply = _recv_frame(self._sock)
         if reply is None:
             raise NetworkError("gateway closed the connection")

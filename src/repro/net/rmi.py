@@ -49,8 +49,6 @@ __all__ = [
     "BatchFuture",
     "AsyncCall",
     "RequestBatch",
-    "BatchedRef",
-    "SendQueue",
 ]
 
 
@@ -599,102 +597,3 @@ class RequestBatch:
         if exc_type is None:
             self.flush()
 
-
-class BatchedRef:
-    """A :class:`RemoteRef` whose calls queue into a batch.
-
-    Mirrors the proxy verbs but returns :class:`BatchFuture`s; results
-    land when the batch flushes.
-    """
-
-    __slots__ = ("ref", "batch")
-
-    def __init__(self, ref: RemoteRef, batch: RequestBatch):
-        if ref.site != batch.dst:
-            raise NetworkError(
-                f"reference lives at {ref.site!r} but the batch targets "
-                f"{batch.dst!r}"
-            )
-        self.ref = ref
-        self.batch = batch
-
-    def invoke(
-        self,
-        method: str,
-        args: Sequence[Any] = (),
-        caller: Principal | None = None,
-    ) -> BatchFuture:
-        return self.batch.invoke(self.ref.guid, method, args, caller=caller)
-
-    def get_data(self, name: str, caller: Principal | None = None) -> BatchFuture:
-        return self.batch.get_data(self.ref.guid, name, caller=caller)
-
-    def describe(self, caller: Principal | None = None) -> BatchFuture:
-        return self.batch.describe(self.ref.guid, caller=caller)
-
-    def __repr__(self) -> str:
-        return f"BatchedRef({self.ref.guid} @ {self.ref.site}, {len(self.batch)} queued)"
-
-
-class SendQueue:
-    """Site-level coalescing: one frame per destination per flush.
-
-    Where :class:`RequestBatch` targets one destination, the queue fans
-    logical requests out to any number of sites and flushes each
-    destination's backlog as a single frame.
-    """
-
-    def __init__(self, site: "Site", policy: "RetryPolicy | None" = None):
-        self.site = site
-        self.policy = policy
-        self._batches: "dict[str, RequestBatch]" = {}
-
-    def _batch_for(self, dst: str) -> RequestBatch:
-        batch = self._batches.get(dst)
-        if batch is None:
-            batch = RequestBatch(self.site, dst, policy=self.policy)
-            self._batches[dst] = batch
-        return batch
-
-    def enqueue(self, dst: str, kind: str, payload: Any) -> BatchFuture:
-        return self._batch_for(dst).add(kind, payload)
-
-    def invoke(
-        self,
-        ref: RemoteRef,
-        method: str,
-        args: Sequence[Any] = (),
-        caller: Principal | None = None,
-    ) -> BatchFuture:
-        return self._batch_for(ref.site).invoke(
-            ref.guid, method, args, caller=caller
-        )
-
-    def pending(self) -> int:
-        return sum(len(batch) for batch in self._batches.values())
-
-    def flush(self) -> int:
-        """Flush every destination; returns the number of frames sent.
-
-        Destinations are flushed in name order for determinism. A
-        frame-level failure fails that destination's futures (as
-        :meth:`RequestBatch.flush` does) but the queue keeps flushing the
-        remaining destinations; the first failure is re-raised at the
-        end.
-        """
-        frames = 0
-        first_error: Exception | None = None
-        for dst in sorted(self._batches):
-            batch = self._batches[dst]
-            if not len(batch):
-                continue
-            try:
-                batch.flush()
-            except Exception as exc:
-                if first_error is None:
-                    first_error = exc
-            frames += 1
-        self._batches = {}
-        if first_error is not None:
-            raise first_error
-        return frames

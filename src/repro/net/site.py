@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from ..core.acl import Principal, remote_principal
 from ..core.errors import MROMError, NamingError, NetworkError, OverloadError
@@ -37,13 +37,11 @@ from .marshal import Encoded, Reference, encode
 from .rmi import (
     AsyncCall,
     BatchFuture,
-    BatchedRef,
     RemoteRef,
     RequestBatch,
     RetryPolicy,
-    SendQueue,
 )
-from .transport import Message, Network
+from .transport import Message, Network, request_body, request_list
 
 __all__ = ["Site"]
 
@@ -573,7 +571,7 @@ class Site:
 
     @staticmethod
     def _caller_from(payload: Any) -> Principal:
-        if not isinstance(payload, Mapping):
+        if not isinstance(payload, dict):
             return Principal(guid="mrom:anonymous")
         return remote_principal(
             str(payload.get("guid", "mrom:anonymous")),
@@ -661,14 +659,6 @@ class Site:
         """A batch coalescing requests to *dst* into one frame per flush."""
         return RequestBatch(self, dst, policy=policy)
 
-    def send_queue(self, policy: RetryPolicy | None = None) -> SendQueue:
-        """A queue coalescing requests per destination (one frame each)."""
-        return SendQueue(self, policy=policy)
-
-    def batched_ref(self, ref: RemoteRef, batch: RequestBatch) -> BatchedRef:
-        """Bind an existing reference to a batch (calls become futures)."""
-        return BatchedRef(ref, batch)
-
     def remote_resolve(self, dst: str, path: str) -> RemoteRef:
         guid = self.request(dst, "resolve", {"path": path})
         return RemoteRef(self, dst, guid)
@@ -688,32 +678,34 @@ class Site:
     # ------------------------------------------------------------------
 
     def _handle_invoke(self, message: Message) -> Any:
-        body = message.payload
+        body = request_body(message)
         caller = self._caller_from(body.get("caller"))
-        obj = self.local_object(str(body["target"]))
-        args = self.import_value(body.get("args", []))
+        obj = self.local_object(str(body.get("target", "")))
+        method = str(body.get("method", ""))
+        args = self.import_value(request_list(message, "args"))
         probe = _probes.ACTIVE
         if probe is not None:
-            probe.handle(self, "invoke", obj, str(body["method"]))
-        return obj.invoke(str(body["method"]), args, caller=caller)
+            probe.handle(self, "invoke", obj, method)
+        return obj.invoke(method, args, caller=caller)
 
     def _handle_get_data(self, message: Message) -> Any:
-        body = message.payload
+        body = request_body(message)
         caller = self._caller_from(body.get("caller"))
-        obj = self.local_object(str(body["target"]))
+        obj = self.local_object(str(body.get("target", "")))
+        name = str(body.get("name", ""))
         probe = _probes.ACTIVE
         if probe is not None:
-            probe.handle(self, "get_data", obj, str(body["name"]))
-        return obj.get_data(str(body["name"]), caller=caller)
+            probe.handle(self, "get_data", obj, name)
+        return obj.get_data(name, caller=caller)
 
     def _handle_describe(self, message: Message) -> dict:
-        body = message.payload
+        body = request_body(message)
         caller = self._caller_from(body.get("caller"))
-        obj = self.local_object(str(body["target"]))
+        obj = self.local_object(str(body.get("target", "")))
         return describe_object(obj, viewer=caller).to_mapping()
 
     def _handle_resolve(self, message: Message) -> str:
-        path = str(message.payload.get("path", ""))
+        path = str(request_body(message).get("path", ""))
         guid = self.names.try_resolve(path)
         if guid is None:
             raise NamingError(f"{self.site_id} cannot resolve {path!r}")
@@ -733,8 +725,7 @@ class Site:
         one bad request does not poison its neighbours. The frame itself
         is also deduplicated by :meth:`receive` via its own request_id.
         """
-        body = message.payload
-        entries = body.get("requests") if isinstance(body, Mapping) else None
+        entries = request_body(message).get("requests")
         if not isinstance(entries, list):
             raise NetworkError("batch payload must carry a 'requests' list")
         probe = _probes.ACTIVE
@@ -747,7 +738,7 @@ class Site:
 
     def _serve_batched(self, frame: Message, entry: Any) -> dict:
         """Execute (or replay) one logical request of a batch frame."""
-        if not isinstance(entry, Mapping):
+        if not isinstance(entry, dict):
             return _failure(NetworkError(f"malformed batch entry {entry!r}"))
         kind = str(entry.get("kind", ""))
         request_id = entry.get("request_id")

@@ -31,7 +31,7 @@ from .topology import Topology
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.plane import FaultPlane
 
-__all__ = ["Message", "Network", "Endpoint"]
+__all__ = ["Message", "Network", "Endpoint", "request_body", "request_list"]
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,25 @@ class Message:
     size: int  # wire size in bytes, for accounting
     request_id: str = ""  # stable across retries of one logical request
     verdict: str = "ok"  # what the fault plane did to this message
+
+
+def request_body(message: Message) -> dict:
+    """The payload of a request to a built-in handler, which must be a
+    mapping; anything else a peer sent is refused with a typed error
+    before a handler reads a field of it."""
+    body = message.payload
+    if not isinstance(body, dict):
+        raise NetworkError(f"{message.kind!r} payload must be a mapping")
+    return body
+
+
+def request_list(message: Message, field: str) -> list:
+    """The list field *field* of a request's payload (empty if absent),
+    refused with a typed error if the peer sent anything else."""
+    value = request_body(message).get(field, [])
+    if not isinstance(value, list):
+        raise NetworkError(f"{message.kind!r} field {field!r} must be a list")
+    return value
 
 
 class Endpoint(Protocol):

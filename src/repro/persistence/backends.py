@@ -57,10 +57,13 @@ class Store:
 
     ``truncated`` is set by :meth:`frames` when the backend detected a
     physically incomplete tail (only :class:`FileStore` can); the WAL
-    reports it as replay damage.
+    reports it as replay damage. Both writes, :meth:`append` and
+    :meth:`rewrite`, are refused typed by a closed store and by one
+    they would fill past ``capacity_bytes``, before a byte is written.
     """
 
     truncated = False
+    closed = False
 
     def __init__(self, capacity_bytes: int | None = None):
         if capacity_bytes is not None and capacity_bytes <= 0:
@@ -70,27 +73,38 @@ class Store:
         self.capacity_bytes = capacity_bytes
         self.appends = 0
 
-    def _admit(self, frame: bytes) -> None:
-        if (
-            self.capacity_bytes is not None
-            and self.size_bytes() + len(frame) > self.capacity_bytes
-        ):
+    def _admit(self, kept: int, added: int) -> None:
+        """Refuse a write that leaves *kept* stored bytes and adds
+        *added* if the store is closed or that would overfill it."""
+        if self.closed:
+            raise PersistenceError(f"{type(self).__name__} is closed")
+        if self.capacity_bytes is not None and kept + added > self.capacity_bytes:
             raise StoreFullError(
                 f"{type(self).__name__} is full "
-                f"({self.size_bytes()}B + {len(frame)}B > "
-                f"{self.capacity_bytes}B)"
+                f"({kept}B + {added}B > {self.capacity_bytes}B)"
             )
 
     def append(self, frame: bytes) -> int:
         """Durably append one frame; returns its ordinal."""
+        self._admit(self.size_bytes(), len(frame))
+        ordinal = self._append(frame)
+        self.appends += 1
+        return ordinal
+
+    def rewrite(self, frames: list[bytes]) -> None:
+        """Atomically replace the whole store's contents (compaction)."""
+        self._admit(0, sum(len(frame) for frame in frames))
+        self._rewrite(frames)
+        self.truncated = False
+
+    def _append(self, frame: bytes) -> int:
+        raise NotImplementedError
+
+    def _rewrite(self, frames: list[bytes]) -> None:
         raise NotImplementedError
 
     def frames(self) -> list[bytes]:
         """Every stored frame, in append order."""
-        raise NotImplementedError
-
-    def rewrite(self, frames: list[bytes]) -> None:
-        """Atomically replace the whole store's contents (compaction)."""
         raise NotImplementedError
 
     def size_bytes(self) -> int:
@@ -100,7 +114,8 @@ class Store:
         """Force written frames to stable storage (no-op by default)."""
 
     def close(self) -> None:
-        """Release backend resources; further appends may fail."""
+        """Release backend resources; further writes are refused."""
+        self.closed = True
 
 
 class MemoryStore(Store):
@@ -110,18 +125,15 @@ class MemoryStore(Store):
         super().__init__(capacity_bytes)
         self._frames: list[bytes] = []
 
-    def append(self, frame: bytes) -> int:
-        self._admit(frame)
+    def _append(self, frame: bytes) -> int:
         self._frames.append(bytes(frame))
-        self.appends += 1
         return len(self._frames) - 1
 
     def frames(self) -> list[bytes]:
         return list(self._frames)
 
-    def rewrite(self, frames: list[bytes]) -> None:
+    def _rewrite(self, frames: list[bytes]) -> None:
         self._frames = [bytes(frame) for frame in frames]
-        self.truncated = False
 
     def size_bytes(self) -> int:
         return sum(len(frame) for frame in self._frames)
@@ -137,23 +149,13 @@ class FileStore(Store):
         if not self.path.exists():
             self.path.write_bytes(_FILE_HEADER)
         self._handle = None
-        self._closed = False
 
-    def _writer(self):
-        if self._closed:
-            raise PersistenceError(f"store {self.path} is closed")
+    def _append(self, frame: bytes) -> int:
         if self._handle is None:
             self._handle = open(self.path, "ab")
-        return self._handle
-
-    def append(self, frame: bytes) -> int:
-        self._admit(frame)
-        ordinal = self.appends
-        writer = self._writer()
-        writer.write(_LEN.pack(len(frame)) + frame)
-        writer.flush()
-        self.appends += 1
-        return ordinal
+        self._handle.write(_LEN.pack(len(frame)) + frame)
+        self._handle.flush()
+        return self.appends
 
     def frames(self) -> list[bytes]:
         if self._handle is not None:
@@ -178,7 +180,7 @@ class FileStore(Store):
             offset += length
         return frames
 
-    def rewrite(self, frames: list[bytes]) -> None:
+    def _rewrite(self, frames: list[bytes]) -> None:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
@@ -188,7 +190,6 @@ class FileStore(Store):
         temporary = self.path.with_suffix(self.path.suffix + ".partial")
         temporary.write_bytes(bytes(image))
         os.replace(temporary, self.path)  # atomic publish
-        self.truncated = False
 
     def size_bytes(self) -> int:
         if self._handle is not None:
@@ -204,7 +205,7 @@ class FileStore(Store):
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-        self._closed = True
+        super().close()
 
 
 class SqliteStore(Store):
@@ -229,14 +230,12 @@ class SqliteStore(Store):
             raise PersistenceError(f"store {self.path} is closed")
         return self._conn
 
-    def append(self, frame: bytes) -> int:
-        self._admit(frame)
+    def _append(self, frame: bytes) -> int:
         conn = self._cursor()
         cursor = conn.execute(
             "INSERT INTO frames (body) VALUES (?)", (bytes(frame),)
         )
         conn.commit()
-        self.appends += 1
         return int(cursor.lastrowid) - 1
 
     def frames(self) -> list[bytes]:
@@ -245,7 +244,7 @@ class SqliteStore(Store):
         )
         return [bytes(row[0]) for row in rows]
 
-    def rewrite(self, frames: list[bytes]) -> None:
+    def _rewrite(self, frames: list[bytes]) -> None:
         conn = self._cursor()
         with conn:  # one transaction: compaction is all-or-nothing
             conn.execute("DELETE FROM frames")
@@ -253,7 +252,6 @@ class SqliteStore(Store):
                 "INSERT INTO frames (body) VALUES (?)",
                 [(bytes(frame),) for frame in frames],
             )
-        self.truncated = False
 
     def size_bytes(self) -> int:
         row = self._cursor().execute(
@@ -268,6 +266,7 @@ class SqliteStore(Store):
         if self._conn is not None:
             self._conn.close()
             self._conn = None
+        super().close()
 
 
 #: backend name -> constructor expectations (documented in DURABILITY.md)

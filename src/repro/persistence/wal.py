@@ -36,7 +36,7 @@ import hashlib
 from typing import Any, Mapping
 
 from .. import probes as _probes
-from ..core.errors import MarshalError, PersistenceError
+from ..core.errors import MarshalError
 from ..net.marshal import marshal, unmarshal
 from .backends import Store
 
@@ -207,10 +207,7 @@ class WriteAheadLog:
             seq=self._next_seq, kind="snapshot", time=time, site=site,
             attrs=snapshot_attrs,
         )
-        try:
-            self.store.rewrite([_frame(record)])
-        except PersistenceError:
-            raise
+        self.store.rewrite([_frame(record)])
         self._next_seq += 1
         probe = _probes.ACTIVE
         if probe is not None:

@@ -275,6 +275,24 @@ class TestDirectoryClient:
             client.invoke(name, "peek")
         assert client.stale == 3  # initial try + 2 redirects
 
+    def test_async_redirect_budget_exhausts_counting_every_stale(self):
+        """The async path notes the stale on every refusal, the last
+        one included: the refused lease is dropped, so the next call on
+        the name does not start on it."""
+        network, _sites, ring, managers, clients = cluster_world()
+        name = "apps/k0"
+        home = ring.owner(name)
+        publish_counter(managers[home], name)
+        managers[home].placements[name]["state"] = "moving"
+        client = clients["c0"]
+        client.max_redirects = 2
+        future = client.invoke_async(name, "peek")
+        network.run()
+        with pytest.raises(StaleLeaseError):
+            future.result()
+        assert client.stale == client.max_redirects + 1
+        assert name not in client.leases
+
     def test_async_invoke_follows_the_same_redirects(self):
         network, _sites, ring, managers, clients = cluster_world()
         name = "apps/k0"

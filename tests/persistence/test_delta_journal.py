@@ -11,6 +11,8 @@ import pytest
 
 from repro.core import Permission
 from repro.persistence import (
+    FileStore,
+    MemoryStore,
     SiteJournal,
     SqliteStore,
     WalRecord,
@@ -201,3 +203,33 @@ class TestCheckpointFailure:
             ("a", "snapshot"),
         ]
         assert tel.metrics.counter_value("wal.failures") == 1
+
+    @pytest.mark.parametrize("refusal", ["too-small-memory", "closed-file"])
+    def test_a_refused_compaction_leaves_the_frames_unchanged(
+        self, tmp_path, refusal
+    ):
+        """A compaction is a write like an append: a store that would
+        refuse the append refuses the rewrite, typed, before a byte of
+        it lands."""
+        with enabled(Telemetry()) as tel:
+            world = DurableWorld(names=("a", "b"))
+            if refusal == "too-small-memory":
+                store = MemoryStore()
+            else:
+                store = FileStore(tmp_path / "a.wal")
+            wal = WriteAheadLog(store)
+            wal.append("marker", {"n": 1}, site="a")
+            world.journals["a"] = SiteJournal(world.sites["a"], wal)
+            if refusal == "too-small-memory":
+                store.capacity_bytes = store.size_bytes()  # no room to grow
+            else:
+                store.close()
+            before = store.frames()
+            assert len(before) == 1
+            assert world.journals["a"].checkpoint(compact=True) is None
+        assert store.frames() == before
+        assert world.journals["a"].failed
+        events = tel.events.events("wal.failed")
+        assert [(e.attrs["site"], e.attrs["kind"]) for e in events] == [
+            ("a", "snapshot"),
+        ]
