@@ -354,7 +354,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         jitter=args.jitter,
         flap=args.flap,
         crash=args.crash,
-        store_root=args.store_root,
     )
     for line in report.to_lines():
         print(line)
@@ -902,9 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
                               default=True, help="flap one ring link")
     chaos_parser.add_argument("--crash", action=argparse.BooleanOptionalAction,
                               default=True,
-                              help="crash-restart one site from checkpoint")
-    chaos_parser.add_argument("--store-root", default=None,
-                              help="directory for the crash checkpoint store")
+                              help="crash-restart one site from its WAL")
     chaos_parser.set_defaults(handler=_cmd_chaos)
 
     trace_parser = commands.add_parser(

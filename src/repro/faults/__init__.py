@@ -8,7 +8,6 @@ See ``docs/FAULTS.md`` for the model and the exactly-once argument.
 """
 
 from .injectors import (
-    CrashRestartInjector,
     DropInjector,
     DurableCrashInjector,
     DuplicateInjector,
@@ -32,7 +31,6 @@ __all__ = [
     "JitterInjector",
     "ScheduledInjector",
     "LinkFlapInjector",
-    "CrashRestartInjector",
     "DurableCrashInjector",
     "ChaosReport",
     "run_chaos_scenario",

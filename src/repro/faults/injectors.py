@@ -9,7 +9,8 @@ Two families:
   latency jitter (:class:`JitterInjector`).
 * **Scheduled injectors** translate themselves into ordinary simulator
   events at arm time — link flapping (:class:`LinkFlapInjector`) and
-  fail-stop site crash/restart (:class:`CrashRestartInjector`).
+  fail-stop site crash with restart from the write-ahead log
+  (:class:`DurableCrashInjector`).
 
 Every injector draws only from the random stream the plane binds to it
 (derived from the run seed and the injector's name), which is what makes
@@ -35,7 +36,6 @@ __all__ = [
     "JitterInjector",
     "ScheduledInjector",
     "LinkFlapInjector",
-    "CrashRestartInjector",
     "DurableCrashInjector",
 ]
 
@@ -223,85 +223,24 @@ class LinkFlapInjector(ScheduledInjector):
             )
 
 
-class CrashRestartInjector(ScheduledInjector):
-    """Fail-stop one site at *at*, bring it back *down_for* later.
-
-    The crash model is fail-stop-with-image: *on_crash* (default:
-    unregister the endpoint) may checkpoint first, and *on_restart*
-    rebuilds the site — typically a fresh :class:`~repro.net.site.Site`
-    restored from the checkpoint (see
-    :func:`repro.faults.scenario.run_chaos_scenario` for the canonical
-    wiring). While the site is down, sends to it fail and in-flight
-    deliveries are dropped by the transport.
-    """
-
-    name = "crash"
-
-    def __init__(
-        self,
-        site_id: str,
-        at: float,
-        down_for: float = 1.0,
-        on_crash: Callable[["Network", str], None] | None = None,
-        on_restart: Callable[["Network", str], None] | None = None,
-        grace: float = 0.05,
-    ):
-        super().__init__()
-        self.site_id = site_id
-        self.at = at
-        self.down_for = down_for
-        self.on_crash = on_crash
-        self.on_restart = on_restart
-        self.grace = grace
-
-    def arm(self) -> None:
-        self.network.simulator.schedule(
-            self.at, self._crash, label=f"crash {self.site_id}"
-        )
-
-    def _crash(self) -> None:
-        if not self.network.is_live(self.site_id):
-            return  # already down (e.g. crashed by another injector)
-        endpoint = self.network.endpoint(self.site_id)
-        if getattr(endpoint, "handling_depth", 0) > 0:
-            # fail-stop at a quiescent instant: a handler frame cannot be
-            # killed mid-flight in-process, so the crash waits it out
-            self.network.simulator.schedule(
-                self.grace, self._crash, label=f"crash {self.site_id}"
-            )
-            return
-        if self.on_crash is not None:
-            self.on_crash(self.network, self.site_id)
-        else:
-            self.network.unregister(self.site_id)
-        self.plane.record("crash", self.site_id)
-        self.plane.counts["crash"] += 1
-        self.network.simulator.schedule(
-            self.down_for, self._restart, label=f"restart {self.site_id}"
-        )
-
-    def _restart(self) -> None:
-        if self.on_restart is not None:
-            self.on_restart(self.network, self.site_id)
-        self.plane.record("restart", self.site_id)
-
-
 class DurableCrashInjector(ScheduledInjector):
     """Kill a whole site repeatedly and restart it from its WAL.
 
-    The durable sibling of :class:`CrashRestartInjector`: no checkpoint
-    is taken at the crash instant — durability must already be on disk,
-    that is the point — and the site's journal is *closed* first, so
-    nothing the dead incarnation does afterwards (late scheduled serves,
-    stale replies) can reach the log. *recover* is the restart procedure
+    The runtime's one crash model: nothing is saved at the crash instant
+    — durability must already be in the log, that is the point — and
+    the site's journal is *closed* first, so nothing the dead
+    incarnation does afterwards (late scheduled serves, stale replies)
+    can reach the log. *recover* is the restart procedure
     (typically wrapping :func:`repro.persistence.recovery.recover_site`);
     it runs once per cycle, *cycles* times, with successive crashes
     spaced by 0.5–1.5 × *every* on the injector's seeded stream.
 
-    Like its sibling, the crash fires only at a quiescent instant
-    (``handling_depth == 0``), retrying every *grace* seconds — an
-    in-process simulation cannot kill a handler frame mid-flight, so
-    torn in-flight writes are exercised through the WAL corpus instead.
+    The crash fires only at a quiescent instant (``handling_depth ==
+    0``), retrying every *grace* seconds — an in-process simulation
+    cannot kill a handler frame mid-flight, so torn in-flight writes are
+    exercised through the WAL corpus instead. While the site is down,
+    sends to it fail and in-flight deliveries are dropped by the
+    transport.
     """
 
     name = "crash"

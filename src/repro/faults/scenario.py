@@ -3,35 +3,33 @@
 One function, :func:`run_chaos_scenario`, builds a deterministic world —
 N sites on a WAN ring with chords, a collector agent, retrying sites, a
 fault plane with the full injector set — runs a multi-pass itinerary
-while links flap and one site crash-restarts from a checkpoint, then
-reconciles, audits the single-live-copy invariant, and returns a
+while links flap and one site crash-restarts from its write-ahead log,
+then reconciles, audits the single-live-copy invariant, and returns a
 :class:`ChaosReport` whose rendered form is a pure function of the
 parameters. ``repro chaos --seed N`` prints it; running the same seed
 twice is bit-for-bit identical.
 
-The crash model is fail-stop-with-image: at the crash instant the victim
-site checkpoints its guests to an :class:`~repro.persistence.store.ObjectStore`
-and its protocol ledgers (served-request replies, transfer ledger) to
-memory, exactly the durable state a production host would keep in a
-write-ahead log; the restarted incarnation restores both. That is what
-lets exactly-once semantics span the restart.
+The crash model is fail-stop with restart from the log: the victim site
+journals to a :class:`~repro.persistence.wal.WriteAheadLog` from the
+start (guest images, served-request replies, the transfer ledger), the
+journal goes silent at the crash instant, and the restarted incarnation
+is rebuilt by :func:`~repro.persistence.recovery.recover_site`. That is
+what lets exactly-once semantics span the restart.
 """
 
 from __future__ import annotations
 
 import random
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..core.errors import MROMError
 from ..mobility import AgentTour, Itinerary, MobilityManager, make_collector_agent
 from ..net import Network, RetryPolicy, Site, WAN
-from ..persistence import ObjectStore, checkpoint_site, restore_site
+from ..persistence import MemoryStore, WriteAheadLog, attach_journal, recover_site
 from ..sim import Simulator
 from .injectors import (
-    CrashRestartInjector,
     DropInjector,
+    DurableCrashInjector,
     DuplicateInjector,
     JitterInjector,
     LinkFlapInjector,
@@ -123,7 +121,6 @@ def run_chaos_scenario(
     crash: bool = True,
     crash_at: float = 0.4,
     crash_down_for: float = 0.8,
-    store_root: "Path | str | None" = None,
 ) -> ChaosReport:
     """Run the seeded chaos scenario; see the module docstring."""
     if n_sites < 3:
@@ -146,39 +143,23 @@ def run_chaos_scenario(
             LinkFlapInjector(*victim_link, every=0.6, down_for=0.15, flaps=8)
         )
 
-    tempdir: tempfile.TemporaryDirectory | None = None
     if crash:
         crash_site = names[n_sites // 2]
-        if store_root is None:
-            tempdir = tempfile.TemporaryDirectory(prefix="repro-chaos-")
-            store_root = tempdir.name
-        store = ObjectStore(Path(store_root) / crash_site)
-        durable: dict = {}
+        wal = WriteAheadLog(MemoryStore())
+        attach_journal(sites[crash_site], wal)
 
-        def on_crash(network: Network, site_id: str) -> None:
-            site = sites[site_id]
-            checkpoint_site(site, store)
-            # the host's write-ahead log: protocol state survives the crash
-            durable["served"] = dict(site._served)
-            durable["ledger"] = dict(managers[site_id]._ledger)
-            durable["unresolved"] = dict(managers[site_id].unresolved)
-            network.unregister(site_id)
-
-        def on_restart(network: Network, site_id: str) -> None:
-            reborn = Site(network, site_id, f"dom.{site_id}")
-            reborn.retry_policy = CHAOS_POLICY
-            manager = MobilityManager(reborn)
-            reborn._served.update(durable.get("served", {}))
-            manager._ledger.update(durable.get("ledger", {}))
-            manager.unresolved.update(durable.get("unresolved", {}))
-            restore_site(reborn, store)
-            sites[site_id] = reborn
+        def recover(network: Network, site_id: str) -> None:
+            site, manager, _report = recover_site(
+                network, site_id, wal, domain=f"dom.{site_id}"
+            )
+            site.retry_policy = CHAOS_POLICY
+            attach_journal(site, wal)
+            sites[site_id] = site
             managers[site_id] = manager
 
         plane.add(
-            CrashRestartInjector(
-                crash_site, at=crash_at, down_for=crash_down_for,
-                on_crash=on_crash, on_restart=on_restart,
+            DurableCrashInjector(
+                crash_site, recover, at=crash_at, down_for=crash_down_for
             )
         )
 
@@ -246,6 +227,4 @@ def run_chaos_scenario(
         trace_digest=plane.digest(),
         sim_time=round(network.now, 6),
     )
-    if tempdir is not None:
-        tempdir.cleanup()
     return report

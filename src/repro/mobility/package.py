@@ -121,7 +121,7 @@ def pack(
     :func:`pack_bytes` time) if a data value has no wire representation.
     With *strip_native_wrappers*, native pre-/post-procedures (host-side
     mediators and hooks) are silently dropped from the image instead of
-    blocking it — used by site checkpointing.
+    blocking it — used by the journal and the image store.
     """
     offenders = portability_report(obj, ignore_wrappers=strip_native_wrappers)
     if offenders:

@@ -127,7 +127,6 @@ class MobilityManager:
         self.resolution_hooks: list[Callable[[str, str, str, str, str], None]] = []
         #: let the site's journal snapshot transfer state at checkpoints
         site.mobility = self
-        site.add_handler("transfer", self._handle_transfer)
         site.add_handler("transfer.prepare", self._handle_prepare)
         site.add_handler("transfer.query", self._handle_query)
         site.add_handler("forward", self._handle_forward)
@@ -371,8 +370,8 @@ class MobilityManager:
         guid = str(package.get("guid", ""))
         if guid and self.site.has_object(guid):
             # the object is already here — an earlier incarnation settled
-            # it before a crash, or a checkpoint restore brought it back;
-            # settle without installing a second copy
+            # it before a crash and recovery brought it back; settle
+            # without installing a second copy
             self._suppress_duplicate(transfer_id, "already-resident")
             report = InstallReport(
                 guid=guid, site=self.site.site_id, install_result=None
@@ -394,15 +393,6 @@ class MobilityManager:
             return {"state": "aborted"}
         return {"state": entry["state"]}
 
-    def _handle_transfer(self, message: Message) -> dict:
-        """Legacy single-shot transfer (no transfer id, no dedup)."""
-        body = request_body(message)
-        package = body.get("package")
-        if not isinstance(package, Mapping):
-            raise MobilityError("transfer message carries no package")
-        install_args = self.site.import_value(request_list(message, "install_args"))
-        return self.install_package(package, install_args, src=message.src)
-
     def install_package(
         self,
         package: Mapping,
@@ -411,7 +401,7 @@ class MobilityManager:
     ) -> dict:
         """Admit, unpack and install a package that arrived as data.
 
-        Shared by the transfer handler and by protocols that carry
+        Shared by the PREPARE handler and by protocols that carry
         packages inside their own replies (HADAS Link and Import/Export).
         Wire references inside the package become live remote proxies
         before the object is rebuilt.

@@ -27,7 +27,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Sequence
 
 from ..core.acl import Principal, remote_principal
-from ..core.errors import MROMError, NamingError, NetworkError, OverloadError
+from ..core.errors import NamingError, NetworkError, OverloadError
 from ..core.introspection import describe as describe_object
 from ..core.items import ItemHandle
 from ..core.mobject import MROMObject
@@ -322,7 +322,13 @@ class Site:
     ) -> Encoded:
         """Run *handler* between the serve probe points; return the reply
         envelope encoded with this site's export hook (a failure envelope
-        for an :class:`MROMError`, a result with no wire form included)."""
+        for any :class:`Exception`, a result with no wire form included).
+
+        A method body may raise a plain Python error (``TypeError``,
+        ``ZeroDivisionError``) on arguments a peer chose; it becomes a
+        failure envelope named after its type, like an :class:`MROMError`,
+        so it never unwinds the pump or thread that delivered the request.
+        """
         probe = _probes.ACTIVE
         if probe is not None:
             probe.serve_begin(self, message, batched)
@@ -330,7 +336,7 @@ class Site:
         error: BaseException | None = None
         try:
             return encode({"ok": True, "result": handler(message)}, self.export_value)
-        except MROMError as exc:
+        except Exception as exc:
             error = exc
             return encode(_failure(exc))
         except BaseException as exc:

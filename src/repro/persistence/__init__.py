@@ -7,9 +7,9 @@ Two planes, layered:
   site transition is journaled before its effects reach the wire, and
   :func:`~.recovery.recover_site` rebuilds a crashed site's incarnation
   from the log with exactly-once semantics intact;
-* the **image plane** (:mod:`.store`, :mod:`.checkpoint`) — versioned
-  whole-object images with checksums and bootstrap, kept as the
-  snapshot/archive layer and for the legacy checkpoint/restore flow.
+* the **image plane** (:mod:`.store`) — versioned whole-object images
+  with checksums and bootstrap: the archive, not a crash path. A site
+  restarts from its WAL only.
 """
 
 from .backends import (
@@ -21,12 +21,6 @@ from .backends import (
     StoreFullError,
     make_store,
 )
-from .checkpoint import (
-    CheckpointReport,
-    checkpoint_site,
-    restore_site,
-    schedule_checkpoints,
-)
 from .journal import SiteJournal, attach_journal
 from .recovery import RecoveryReport, ReplayState, recover_site, replay_records
 from .store import ObjectStore, persist, restore
@@ -37,10 +31,6 @@ __all__ = [
     "ObjectStore",
     "persist",
     "restore",
-    "checkpoint_site",
-    "restore_site",
-    "schedule_checkpoints",
-    "CheckpointReport",
     # WAL plane
     "Store",
     "StoreFullError",

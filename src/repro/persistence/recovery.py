@@ -13,8 +13,8 @@ MobilityManager.reconcile` re-resolves it via ``transfer.query`` so the
 object settles to exactly one owner.
 
 Restoring an image deliberately does **not** re-invoke ``install``
-(unlike :func:`~.checkpoint.restore_site`): WAL images are taken after
-the install already ran, so running it again would double-apply its
+(unlike :meth:`~.store.ObjectStore.bootstrap`): WAL images are taken
+after the install already ran, so running it again would double-apply its
 effects. The environment gets a fresh ``install_context`` marked
 ``recovered`` instead.
 

@@ -46,7 +46,6 @@ POINTS = (
     # invocation (core/)
     "invoke_begin", "invoke_end", "acl_check",
     # durability (persistence/)
-    "checkpoint_begin", "checkpoint_object", "checkpoint_end",
     "snapshot_begin", "snapshot_end", "wal_append", "journal_failed",
     "recovery_begin", "recovery_image_failed", "recovery_end",
     # faults, audit, active objects, and the generic counter, event-log

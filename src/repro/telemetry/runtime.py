@@ -395,24 +395,6 @@ class Telemetry(probes.Probe):
 
     # durability
 
-    def checkpoint_begin(self, site) -> None:
-        self.begin_span("checkpoint", attrs={"site": site.site_id, "sim_time": site.network.now})
-        self.count("checkpoints")
-
-    def checkpoint_object(self, guid: str, outcome: str, error=None) -> None:
-        if outcome == "write":
-            self._event("checkpoint.write", guid=guid)
-            self.count("checkpoint.objects")
-        elif outcome == "skip":
-            self._event("checkpoint.skip", guid=guid, reason="native")
-        else:
-            self._event("checkpoint.fail", guid=guid, error=type(error).__name__)
-
-    def checkpoint_end(self, report) -> None:
-        self._close("checkpoint", status="ok" if report.clean else "error",
-                    saved=len(report.saved), skipped=len(report.skipped_native),
-                    failed=len(report.failed))
-
     def snapshot_begin(self, site, objects: int, compact: bool) -> None:
         self.begin_span("wal.checkpoint", attrs={
             "site": site.site_id, "objects": objects, "compact": compact,

@@ -6,8 +6,8 @@ import pytest
 
 from repro.core.errors import NetworkError
 from repro.faults import (
-    CrashRestartInjector,
     DropInjector,
+    DurableCrashInjector,
     DuplicateInjector,
     FaultPlane,
     JitterInjector,
@@ -145,29 +145,46 @@ class TestFlap:
         assert first.trace != second.trace
 
 
+def stay_down(network, site_id):
+    """A restart procedure that brings nothing back."""
+
+
 class TestCrashRestart:
     def test_default_crash_detaches_the_site(self):
         network, recorders = make_recorders()
         plane = FaultPlane(network, seed=5)
         reborn = {}
 
-        def on_restart(net, site_id):
+        def recover(net, site_id):
             reborn[site_id] = Recorder(net, site_id)
 
-        plane.add(
-            CrashRestartInjector("b", at=0.5, down_for=0.5, on_restart=on_restart)
-        )
+        plane.add(DurableCrashInjector("b", recover, at=0.5, down_for=0.5))
         network.simulator.schedule(0.6, lambda: network.is_live("b"))
         network.run()
-        assert plane.counts["crash"] == 1
+        assert plane.counts["crash"] == plane.counts["restart"] == 1
         assert [entry[1] for entry in plane.trace] == ["crash", "restart"]
         assert network.is_live("b")
         assert network.endpoint("b") is reborn["b"]
 
+    def test_crash_closes_the_journal(self):
+        network, recorders = make_recorders()
+
+        class Journal:
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        journal = recorders["b"].journal = Journal()
+        plane = FaultPlane(network, seed=5)
+        plane.add(DurableCrashInjector("b", stay_down, at=0.5, down_for=0.5))
+        network.run()
+        assert journal.closed
+
     def test_sends_to_crashed_site_fail(self):
         network, recorders = make_recorders()
         plane = FaultPlane(network, seed=5)
-        plane.add(CrashRestartInjector("b", at=0.5, down_for=10.0))
+        plane.add(DurableCrashInjector("b", stay_down, at=0.5, down_for=10.0))
         failures = []
 
         def try_send():
@@ -184,7 +201,7 @@ class TestCrashRestart:
         network, recorders = make_recorders()
         plane = FaultPlane(network, seed=5)
         plane.add(JitterInjector(max_jitter=2.0))  # stretch the flight time
-        plane.add(CrashRestartInjector("b", at=0.0005, down_for=10.0))
+        plane.add(DurableCrashInjector("b", stay_down, at=0.0005, down_for=10.0))
         network.send("a", "b", "data", "doomed")
         network.run()
         assert recorders["b"].received == []
@@ -195,9 +212,9 @@ class TestCrashRestart:
         recorders["b"].handling_depth = 1  # site mid-handler at crash time
         plane = FaultPlane(network, seed=5)
         plane.add(
-            CrashRestartInjector("b", at=0.1, down_for=0.1, grace=0.05)
+            DurableCrashInjector("b", stay_down, at=0.1, down_for=0.1, grace=0.05)
         )
-        release = network.simulator.schedule(
+        network.simulator.schedule(
             0.3, lambda: setattr(recorders["b"], "handling_depth", 0)
         )
         network.run()

@@ -53,12 +53,6 @@ class TestScenario:
             report.itinerary
         )
 
-    def test_store_root_is_honoured(self, tmp_path):
-        report = run_chaos_scenario(seed=0, store_root=tmp_path)
-        assert report.ok
-        # the crash checkpointed into the caller-supplied store
-        assert any(tmp_path.iterdir())
-
 
 @pytest.mark.chaos
 class TestChaosCli:

@@ -3,7 +3,7 @@
 A long-running scenario asserting global invariants after each act:
 integration, discovery, import, negotiation, mediation, interop
 programs (MPL), maintenance, rolling updates, partition, heal,
-checkpoint, crash, restart — one continuous history.
+crash, restart from the write-ahead log — one continuous history.
 """
 
 import pytest
@@ -21,26 +21,29 @@ from repro.hadas import (
 )
 from repro.hadas.trader import Trader
 from repro.net import LAN, Network, Site, WAN
-from repro.persistence import ObjectStore, checkpoint_site, restore_site
+from repro.persistence import MemoryStore, WriteAheadLog, attach_journal, recover_site
 from repro.sim import Simulator
 
 SITES = ("hub", "db-east", "db-west", "calc-farm", "edge")
 
 
 @pytest.fixture
-def world(tmp_path):
+def world():
     network = Network(Simulator(seed=7))
     sites = {name: Site(network, name, f"net.{name}") for name in SITES}
+    # the hub journals its whole history, so act 9 can restart it
+    hub_wal = WriteAheadLog(MemoryStore())
+    attach_journal(sites["hub"], hub_wal)
     for name in SITES[1:]:
         network.topology.connect("hub", name, *WAN)
     network.topology.connect("db-east", "db-west", *LAN)
     ioos = {name: IOO(site) for name, site in sites.items()}
     traders = {name: Trader(ioo) for name, ioo in ioos.items()}
-    return network, sites, ioos, traders, tmp_path
+    return network, sites, ioos, traders, hub_wal
 
 
 def test_grand_tour(world):
-    network, sites, ioos, traders, tmp_path = world
+    network, sites, ioos, traders, hub_wal = world
 
     # -- act 1: integration -------------------------------------------------
     east_db = sample_database()
@@ -121,14 +124,14 @@ def test_grand_tour(world):
     assert recovered.clean
     assert amb.invoke("version2") == "r2"
 
-    # -- act 9: checkpoint, crash, restart ---------------------------------------
-    store = ObjectStore(tmp_path / "hub-store")
-    saved = checkpoint_site(sites["hub"], store)
-    assert amb.guid in saved.saved
+    # -- act 9: crash, restart from the write-ahead log -------------------------
+    sites["hub"].journal.close()  # the fail-stop instant
     network.unregister("hub")
-    reborn = Site(network, "hub", "net.hub")
-    restored = restore_site(reborn, store)
-    assert amb.guid in restored.restored
+    reborn, _manager, recovery = recover_site(
+        network, "hub", hub_wal, domain="net.hub"
+    )
+    assert recovery.objects_failed == 0
+    assert reborn.has_object(amb.guid)
 
     revived = reborn.local_object(amb.guid)
     # everything the ambassador accumulated survived: the negotiation

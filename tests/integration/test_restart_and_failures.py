@@ -7,7 +7,7 @@ from repro.core.errors import PartitionError
 from repro.hadas import IOO
 from repro.mobility import MobilityManager
 from repro.net import Network, Site, WAN
-from repro.persistence import ObjectStore, checkpoint_site, restore_site
+from repro.persistence import MemoryStore, WriteAheadLog, attach_journal, recover_site
 from repro.sim import Simulator
 
 
@@ -96,43 +96,45 @@ class TestSiteRestart:
             guests.append(guest.guid)
         return guests
 
-    def test_crash_checkpoint_restart_restore(self, world, tmp_path):
+    def test_restart_recovers_from_the_wal(self, world):
         network, haifa, boston = world
         manager_h = MobilityManager(haifa)
         MobilityManager(boston)
+        wal = WriteAheadLog(MemoryStore())
+        attach_journal(boston, wal)  # the host journals from the start
         guests = self.make_guests(haifa, boston, manager_h)
 
-        # host checkpoints its guests, then crashes
-        store = ObjectStore(tmp_path / "boston")
-        report = checkpoint_site(boston, store)
-        assert sorted(report.saved) == sorted(guests)
-        assert report.clean
+        # the host crashes; its journal goes silent at the same instant
+        boston.journal.close()
         network.unregister("boston")
 
         # messages to the crashed site fail at the transport
         with pytest.raises(Exception):
             haifa.request("boston", "ping", {})
 
-        # a replacement boots on the same node and restores its guests
-        reborn = Site(network, "boston", "mit.lcs")
-        MobilityManager(reborn)
-        restore_report = restore_site(reborn, store)
-        assert sorted(restore_report.restored) == sorted(guests)
-        assert restore_report.clean
+        # a replacement boots on the same node and replays its log
+        reborn, _manager, report = recover_site(
+            network, "boston", wal, domain="mit.lcs"
+        )
+        assert report.objects_restored == len(guests)
+        assert report.objects_failed == 0
 
-        # identity, state and behaviour survived; install ran again
+        # identity, state and behaviour survived; install did not run
+        # again (the logged images are post-install)
         for index, guid in enumerate(guests):
             obj = reborn.local_object(guid)
             assert obj.invoke("serial_of", caller=haifa.principal) == index
-            assert obj.get_data("visits", caller=haifa.principal) == 2
-            assert obj.environment["install_context"]["restored"] is True
+            assert obj.get_data("visits", caller=haifa.principal) == 1
+            assert obj.environment["install_context"]["recovered"] is True
 
         # and it is reachable remotely again
         ref = haifa.ref_to(guests[0], site="boston")
         assert ref.invoke("serial_of", caller=haifa.principal) == 0
 
-    def test_native_infrastructure_skipped_not_failed(self, world, tmp_path):
-        _network, haifa, _boston = world
+    def test_native_infrastructure_skipped_not_failed(self, world):
+        network, haifa, _boston = world
+        wal = WriteAheadLog(MemoryStore())
+        journal = attach_journal(haifa, wal)
         infra = haifa.create_object(display_name="infra")
         infra.define_fixed_method("native_op", lambda self, args, ctx: 1)
         infra.seal()
@@ -141,57 +143,51 @@ class TestSiteRestart:
         portable.define_fixed_method("op", "return 1")
         portable.seal()
         haifa.register_object(portable)
-        store = ObjectStore(tmp_path / "haifa")
-        report = checkpoint_site(haifa, store)
-        assert report.saved == [portable.guid]
-        assert report.skipped_native == [infra.guid]
-        assert report.clean
+        assert journal.skipped_unportable == 1
+        assert not journal.failed
 
-    def test_restore_skips_already_registered(self, world, tmp_path):
-        _network, haifa, _boston = world
-        obj = haifa.create_object(display_name="stay")
-        obj.define_fixed_data("x", 1)
-        obj.seal()
-        haifa.register_object(obj)
-        store = ObjectStore(tmp_path / "haifa")
-        checkpoint_site(haifa, store)
-        report = restore_site(haifa, store)  # object never left
-        assert report.restored == []
-        assert haifa.local_object(obj.guid) is obj
+        journal.close()
+        network.unregister("haifa")
+        reborn, _manager, report = recover_site(
+            network, "haifa", wal, domain="technion.ee"
+        )
+        # infrastructure is the host program's to rebuild, not the log's
+        assert [obj.guid for obj in reborn.objects()] == [portable.guid]
+        assert report.objects_failed == 0
 
-    def test_corrupt_image_reported_not_fatal(self, world, tmp_path):
-        _network, haifa, _boston = world
+    def test_corrupt_image_reported_not_fatal(self, world):
+        network, haifa, _boston = world
+        wal = WriteAheadLog(MemoryStore())
+        journal = attach_journal(haifa, wal)
         good = haifa.create_object(display_name="good")
         good.define_fixed_data("x", 1)
         good.seal()
         haifa.register_object(good)
-        bad = haifa.create_object(display_name="bad")
-        bad.define_fixed_data("x", 2)
-        bad.seal()
-        haifa.register_object(bad)
-        store = ObjectStore(tmp_path / "haifa")
-        checkpoint_site(haifa, store)
-        version = store.versions(bad.guid)[-1]
-        store._image_path(bad.guid, version).write_bytes(b"garbage")
-        haifa.unregister_object(good.guid)
-        haifa.unregister_object(bad.guid)
-        report = restore_site(haifa, store)
-        assert report.restored == [good.guid]
-        assert len(report.failed) == 1
-        assert report.failed[0][0] == bad.guid
+        # an intact frame whose image does not unpack
+        wal.append("object.image", {"guid": "mrom://haifa/9.9",
+                                    "package": {"format": "garbage"}})
+
+        journal.close()
+        network.unregister("haifa")
+        reborn, _manager, report = recover_site(
+            network, "haifa", wal, domain="technion.ee"
+        )
+        assert reborn.has_object(good.guid)
+        assert report.objects_restored == 1
+        assert report.objects_failed == 1
 
 
 @pytest.mark.chaos
 class TestChaosItinerary:
     """The headline chaos scenario: an agent completes a multi-site tour
     under flapping links, message faults, and one site crash-restarting
-    from its checkpoint — and ends up exactly where and what a fault-free
+    from its write-ahead log — and ends up exactly where and what a fault-free
     run ends up."""
 
-    def test_faulted_tour_equals_fault_free_tour(self, tmp_path):
+    def test_faulted_tour_equals_fault_free_tour(self):
         from repro.faults import run_chaos_scenario
 
-        faulted = run_chaos_scenario(seed=5, store_root=tmp_path)
+        faulted = run_chaos_scenario(seed=5)
         clean = run_chaos_scenario(
             seed=5, drop=0, dup=0, reorder=0, jitter=0, flap=False, crash=False
         )
@@ -206,10 +202,10 @@ class TestChaosItinerary:
         assert faulted.agent_at == clean.agent_at == ("site0",)
         assert faulted.unresolved == 0 and faulted.stray_objects == 0
 
-    def test_crashed_site_rejoins_and_keeps_serving(self, tmp_path):
+    def test_crashed_site_rejoins_and_keeps_serving(self):
         from repro.faults import run_chaos_scenario
 
-        report = run_chaos_scenario(seed=5, store_root=tmp_path)
+        report = run_chaos_scenario(seed=5)
         assert report.ok
         # the crash fired and the restarted incarnation re-entered the
         # protocol: visits at the crash site appear in the observations

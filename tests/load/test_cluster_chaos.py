@@ -17,9 +17,9 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import (
-    CrashRestartInjector,
     DropInjector,
     DuplicateInjector,
+    DurableCrashInjector,
     FaultPlane,
     ReorderInjector,
 )
@@ -53,9 +53,7 @@ def hostile_attach(config: ClusterConfig):
             site = world.servers[site_id]
             site.incarnation = net.register(site)
 
-        plane.add(CrashRestartInjector(
-            "s1", at=0.3, down_for=0.25, on_restart=restart,
-        ))
+        plane.add(DurableCrashInjector("s1", restart, at=0.3, down_for=0.25))
         return plane
 
     return attach

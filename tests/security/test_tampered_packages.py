@@ -1,7 +1,7 @@
 """A tampered package is refused, not a crash of the receiving site.
 
 The "tampered packages" threat of *Mobile Agent Systems, Recent
-Security Threats and Counter Measures*: a peer sends ``transfer`` or
+Security Threats and Counter Measures*: a peer sends
 ``transfer.prepare`` with a package whose fields do not parse (an
 unknown data kind, an unknown ACL decision, a missing field, a mapping
 that is not one). ``unpack`` must fail with a typed ``MobilityError``,
@@ -56,27 +56,25 @@ def world():
     return network, sites
 
 
-def payload(kind: str, package: dict) -> dict:
-    body = {"package": package, "install_args": []}
-    if kind == "transfer.prepare":
-        body["transfer_id"] = "a/t1"
-    return body
+def payload(package: dict) -> dict:
+    return {"package": package, "install_args": [], "transfer_id": "a/t1"}
 
 
-@pytest.mark.parametrize("kind", ["transfer", "transfer.prepare"])
 @pytest.mark.parametrize("case", sorted(TAMPERED))
 class TestTamperedTransfer:
-    def test_blocking_sender_gets_a_typed_refusal(self, world, kind, case):
+    def test_blocking_sender_gets_a_typed_refusal(self, world, case):
         network, sites = world
         with pytest.raises(RemoteInvocationError) as caught:
-            sites["a"].request("b", kind, payload(kind, TAMPERED[case]))
+            sites["a"].request("b", "transfer.prepare", payload(TAMPERED[case]))
         assert caught.value.remote_type == "MobilityError"
         network.run()  # nothing left to unwind into the simulator
         assert not sites["b"].has_object(GUID)
 
-    def test_async_sender_gets_a_typed_failure(self, world, kind, case):
+    def test_async_sender_gets_a_typed_failure(self, world, case):
         network, sites = world
-        future = sites["a"].request_async("b", kind, payload(kind, TAMPERED[case]))
+        future = sites["a"].request_async(
+            "b", "transfer.prepare", payload(TAMPERED[case])
+        )
         network.run()
         assert isinstance(future.error(), MobilityError)
 
@@ -86,7 +84,7 @@ def test_an_untampered_package_still_installs(world):
     obj = sites["a"].create_object(display_name="honest")
     obj.define_fixed_data("n", 1)
     obj.seal()
-    report = sites["a"].request("b", "transfer", payload("transfer", pack(obj)))
+    report = sites["a"].request("b", "transfer.prepare", payload(pack(obj)))
     network.run()
     assert report["guid"] == obj.guid
     assert sites["b"].has_object(obj.guid)

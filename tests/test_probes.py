@@ -9,7 +9,11 @@ other recording.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro import probes
 from repro.analysis import sanitizer as hb
@@ -136,3 +140,19 @@ def test_both_planes_fan_out_and_detach_cleanly():
         san.pop()
     disable()
     assert probes.ACTIVE is None
+
+
+def test_every_point_has_a_call_site():
+    """A point outlives its call site only as dead plane code: each name
+    in ``POINTS`` must be fired by the runtime, outside the planes."""
+    root = Path(repro.__file__).parent
+    planes = {root / "probes.py", root / "analysis" / "sanitizer.py"}
+    runtime = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted(root.rglob("*.py"))
+        if path not in planes and root / "telemetry" not in path.parents
+    )
+    uncalled = [
+        point for point in probes.POINTS if f"probe.{point}(" not in runtime
+    ]
+    assert uncalled == []
