@@ -110,6 +110,12 @@ class ItemContainer:
         self._items[item.name] = item
         self._clock.bump()
 
+    def fill(self, items: dict[str, _Item]) -> None:
+        """Populate a new, empty container at once (one clock bump)."""
+        assert not self._items and not self._sealed
+        self._items = items
+        self._clock.bump()
+
     def remove(self, name: str) -> _Item:
         self._ensure_open(f"remove {name!r}")
         try:

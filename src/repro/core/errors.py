@@ -382,35 +382,51 @@ class MPLRuntimeError(MPLError):
 
 
 def _registry() -> dict:
-    """Every MROMError subclass, keyed by class name."""
+    """Every MROMError subclass but the remote ones, keyed by class name."""
     mapping: dict[str, type] = {}
     stack: list[type] = [MROMError]
     while stack:
         cls = stack.pop()
-        mapping[cls.__name__] = cls
-        stack.extend(cls.__subclasses__())
+        if "_remote_of" not in vars(cls):
+            mapping[cls.__name__] = cls
+            stack.extend(cls.__subclasses__())
     return mapping
+
+
+#: refusals a server issues before executing anything; every client path
+#: keeps their type so the caller can back off or re-resolve and retry
+_REFUSALS = frozenset(("OverloadError", "StaleLeaseError"))
+
+#: wire name -> the class error_for_name rebuilds it as
+_REMOTE_CLASSES: dict[str, type] = {}
 
 
 def error_for_name(name: str, message: str = "") -> MROMError:
     """Rebuild a remote failure from its wire ``error`` name.
 
     The reply convention carries failures as ``{error: <type name>,
-    message: <text>}``; collapsing them all into one local type loses
-    the distinction callers need (denial vs absence vs overload). Known
-    names come back as an instance of the matching class; unknown names
-    degrade to :class:`NetworkError` with the name preserved in the
-    message. Classes whose constructors demand structured context
-    (e.g. :class:`AccessDeniedError`) are rebuilt with only the wire
-    message — the type and text survive the trip, the context fields do
-    not.
+    message: <text>}``. Every client path gets a
+    :class:`RemoteInvocationError` with ``remote_type`` set and the wire
+    text, which is also an instance of the named class when that is a
+    known :class:`MROMError` (a cached subclass of both, under its name):
+    denial, absence and a body's failure stay apart, and apart from a
+    lost link. The refusals in :data:`_REFUSALS` keep their own type.
     """
-    cls = _registry().get(name)
+    cls = _REMOTE_CLASSES.get(name)
     if cls is None:
-        return NetworkError(f"{name or 'NetworkError'}: {message}")
-    try:
+        named = _registry().get(name)
+        if named is None:  # not cached: a class defined later may take the name
+            cls = RemoteInvocationError
+        elif name in _REFUSALS or issubclass(named, RemoteInvocationError):
+            cls = _REMOTE_CLASSES[name] = named
+        else:
+            cls = _REMOTE_CLASSES[name] = type(name, (RemoteInvocationError, named), {
+                "__module__": named.__module__, "__qualname__": named.__qualname__,
+                "__str__": BaseException.__str__, "_remote_of": named,
+            })
+    if name in _REFUSALS:
         return cls(message)
-    except TypeError:
-        error = cls.__new__(cls)
-        Exception.__init__(error, message)
-        return error
+    error = cls.__new__(cls)  # the named class's context fields stay behind
+    Exception.__init__(error, message)
+    error.remote_type = name
+    return error

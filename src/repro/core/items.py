@@ -21,7 +21,7 @@ encapsulation, name, or their dynamic type" — as opposed to the ordinary
 from __future__ import annotations
 
 import itertools
-import uuid
+import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -46,6 +46,21 @@ __all__ = [
 ]
 
 _serial = itertools.count(1)
+
+
+def _draw_nonce_prefix() -> None:
+    # an item's nonce is this per-process random prefix plus its serial; a
+    # forked child inherits the counter, so it draws a prefix of its own
+    global _nonce_prefix
+    _nonce_prefix = os.urandom(4).hex()
+
+
+_draw_nonce_prefix()
+os.register_at_fork(after_in_child=_draw_nonce_prefix)
+
+
+def _mint_nonce() -> str:
+    return f"{_nonce_prefix}{next(_serial):x}"
 
 # enum members and values read once: every ``Permission.GET`` or
 # ``.value`` lookup is a Python-level call on the Match path
@@ -94,7 +109,7 @@ class ItemDescription:
 class _Item:
     """Shared behaviour of data items and methods."""
 
-    __slots__ = ("name", "acl", "metadata", "version", "_uid", "nonce")
+    __slots__ = ("name", "acl", "metadata", "version", "nonce")
 
     category: str = "item"
 
@@ -110,10 +125,9 @@ class _Item:
         self.acl = acl if acl is not None else allow_all()
         self.metadata: dict[str, Any] = dict(metadata) if metadata else {}
         self.version = 1
-        self._uid = next(_serial)
         # identifies this item *instance*: handles (local or tokenized on
         # the wire) pin the nonce, so a replaced item stales them
-        self.nonce = uuid.uuid4().hex[:12]
+        self.nonce = _mint_nonce()
 
     # -- property manipulation (setDataItem / setMethod targets) ----------
 
@@ -271,6 +285,17 @@ class MROMMethod(_Item):
         self.body: MethodCode = body_code
         self.pre: MethodCode | None = as_code(pre, CodeRole.PRE, label=f"{name}.pre")
         self.post: MethodCode | None = as_code(post, CodeRole.POST, label=f"{name}.post")
+
+    @classmethod
+    def prebuilt(
+        cls, name: str, body: MethodCode, acl: AccessControlList, metadata: dict
+    ) -> "MROMMethod":
+        """A method from parts the caller already checked and owns (the
+        bundled meta-methods): no name validation, no ``as_code``."""
+        method = cls.__new__(cls)
+        method.name, method.acl, method.metadata, method.body = name, acl, metadata, body
+        method.version, method.nonce, method.pre, method.post = 1, _mint_nonce(), None, None
+        return method
 
     # -- wrapping (setMethod property changes) ------------------------------
 

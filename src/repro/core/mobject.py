@@ -54,7 +54,7 @@ from .errors import (
     StaleHandleError,
     StructureError,
 )
-from .code import CodeRole, as_code
+from .code import CodeRole, NativeCode, as_code
 from .invocation import InvocationRecord, Invoker
 from .items import (
     DataItem,
@@ -359,39 +359,26 @@ class MROMObject:
     def _install_meta_methods(self) -> None:
         """Bundle the meta-methods inside the object.
 
-        They are ordinary :class:`MROMMethod` instances with native
-        bodies; placement (fixed vs extensible section) follows the
-        ``extensible_meta`` switch, and their default ACL is owner-only.
+        They are ordinary :class:`MROMMethod` instances over the shared
+        bodies of :data:`_META_SPECS`; placement (fixed vs extensible
+        section) follows the ``extensible_meta`` switch.
         """
-        specs = {
-            "getDataItem": self._meta_get_data_item,
-            "setDataItem": self._meta_set_data_item,
-            "addDataItem": self._meta_add_data_item,
-            "deleteDataItem": self._meta_delete_data_item,
-            "getMethod": self._meta_get_method,
-            "setMethod": self._meta_set_method,
-            "addMethod": self._meta_add_method,
-            "deleteMethod": self._meta_delete_method,
-            "invoke": self._meta_reflective_invoke,
-        }
-        for name, implementation in specs.items():
-            # The reflective 'invoke' copy is not self-changing: invoking a
-            # method through it is exactly as dangerous as invoking it
-            # directly (the target's own Match still applies), so it is as
-            # public as direct invocation. The mutating meta-methods get
-            # the guarded meta ACL — "access to self-changing operations"
-            # is what a mobile object withholds from its host.
-            acl = allow_all() if name == "invoke" else self._meta_acl.copy()
-            method = MROMMethod(
-                name,
-                _meta_body(implementation),
-                acl=acl,
-                metadata={"meta": True, "doc": implementation.__doc__ or ""},
+        # The reflective 'invoke' copy is not self-changing: invoking a
+        # method through it is exactly as dangerous as invoking it
+        # directly (the target's own Match still applies), so it is as
+        # public as direct invocation. The mutating meta-methods get the
+        # guarded meta ACL — "access to self-changing operations" is what
+        # a mobile object withholds from its host.
+        methods = {
+            name: MROMMethod.prebuilt(
+                name, body, (_PUBLIC_ACL if name == "invoke" else self._meta_acl).copy(),
+                {"meta": True, "doc": doc},
             )
-            if self.extensible_meta:
-                self.containers.add_extensible(method)
-            else:
-                self.containers.add_fixed(method)
+            for name, body, doc in _META_SPECS
+        }
+        containers = self.containers
+        container = containers.ext_methods if self.extensible_meta else containers.fixed_methods
+        container.fill(methods)
 
     # Each implementation receives (caller, args) where args is the
     # untyped parameter array of the meta-method invocation.
@@ -677,14 +664,29 @@ class _TowerContainer:
         return any(item is level for level in self._obj.meta_invoke_chain())
 
 
-def _meta_body(implementation):
-    """Adapt a privileged implementation to the method-body convention."""
+def _meta_spec(name: str, implementation) -> tuple:
+    """One row of :data:`_META_SPECS`: the meta-method's name, its one
+    native body (shared by every object; it dispatches to the invoked
+    object's privileged implementation) and its doc."""
 
     def body(self_view: "SelfView", args: list, ctx) -> Any:
-        return implementation(ctx.caller, list(args))
+        return implementation(ctx.invoker.obj, ctx.caller, list(args))
 
     body.__name__ = implementation.__name__.lstrip("_")
-    return body
+    return name, NativeCode(body, CodeRole.BODY, f"{name}.body"), implementation.__doc__ or ""
+
+
+#: the reflective 'invoke' copy's ACL; each object gets its own copy
+_PUBLIC_ACL = allow_all()
+
+#: the nine bundled meta-methods, in installation order
+_META_SPECS = tuple(map(_meta_spec, META_METHOD_NAMES, (
+    MROMObject._meta_get_data_item, MROMObject._meta_set_data_item,
+    MROMObject._meta_add_data_item, MROMObject._meta_delete_data_item,
+    MROMObject._meta_get_method, MROMObject._meta_set_method,
+    MROMObject._meta_add_method, MROMObject._meta_delete_method,
+    MROMObject._meta_reflective_invoke,
+)))
 
 
 def _expect(args: Sequence, count: int, operation: str) -> Sequence:

@@ -27,6 +27,7 @@ from ..core.mobject import MROMObject
 from ..core.values import Kind, LazyCell
 from ..net.marshal import (
     MarshalFrame,
+    Resolve,
     marshal,
     marshal_frame,
     materialize_deep,
@@ -44,6 +45,9 @@ __all__ = [
 ]
 
 FORMAT = "mrom-object/1"
+
+#: exact immutable types: a package shares such a value, it need not copy it
+_ATOMIC = frozenset((str, int, float, bool, type(None), bytes))
 
 #: Environment keys that never travel: they are host-provided bindings
 #: of the *current* installation, meaningless (or hostile) elsewhere.
@@ -84,9 +88,10 @@ def _pack_data(item: DataItem) -> dict:
     # deep-copied: a package is a snapshot; in-process unpacking must not
     # alias mutable values with the original (the wire trip would have
     # broken the aliasing anyway — this keeps local and remote identical)
+    value = item.peek()
     return {
         "name": item.name,
-        "value": copy.deepcopy(item.peek()),
+        "value": value if type(value) in _ATOMIC else copy.deepcopy(value),
         "kind": item.kind._value_,  # an attribute read; ``.value`` is a property call
         "acl": item.acl.describe(),
         "metadata": dict(item.metadata),
@@ -185,42 +190,47 @@ def pack_bytes(
 
 
 def _text(value) -> str:
-    """A package's text field; a deferred binary reads as its bytes."""
-    return str(materialize_deep(value))
+    """A package's text field (a name or an identity): text, or refused."""
+    if isinstance(value, str):
+        return str(value)
+    raise MobilityError(f"package text field is {type(value).__name__}, not str")
 
 
-def _unpack_data(raw: Mapping) -> DataItem:
+def _unpack_data(raw: Mapping, resolve: Resolve | None) -> DataItem:
     # a deferred binary may stay only as a whole item value: DataItem
     # slices it on first read, so an item never touched is never copied.
     # Anything else is materialized now, so no cell can leak into a
     # nested value, an ACL or metadata (they must re-pack as plain data)
     value = raw.get("value")
     if not isinstance(value, LazyCell):
-        value = materialize_deep(value)
+        value = materialize_deep(value, resolve)
     return DataItem(
         _text(raw["name"]),
         value,
         kind=Kind(raw.get("kind", "any")),
         acl=AccessControlList.from_description(
-            dict(materialize_deep(raw.get("acl", {})))
+            dict(materialize_deep(raw.get("acl", {}), resolve))
         ),
-        metadata=dict(materialize_deep(raw.get("metadata", {}))),
+        metadata=dict(materialize_deep(raw.get("metadata", {}), resolve)),
     )
 
 
-def _unpack_method(raw: Mapping) -> MROMMethod:
+def _unpack_method(raw: Mapping, resolve: Resolve | None) -> MROMMethod:
     return MROMMethod.from_packed(
         _text(raw["name"]),
-        dict(materialize_deep(raw["components"])),
+        dict(materialize_deep(raw["components"], resolve)),
         acl=AccessControlList.from_description(
-            dict(materialize_deep(raw.get("acl", {})))
+            dict(materialize_deep(raw.get("acl", {}), resolve))
         ),
-        metadata=dict(materialize_deep(raw.get("metadata", {}))),
+        metadata=dict(materialize_deep(raw.get("metadata", {}), resolve)),
     )
 
 
-def unpack(package: Mapping) -> MROMObject:
+def unpack(package: Mapping, resolve: Resolve | None = None) -> MROMObject:
     """Rebuild a live object from a package.
+
+    With a receiving site's *resolve* (``Site.resolve_reference``), the
+    wire references in the package resolve in the walk that rebuilds it.
 
     Portable code is *not* executed here — it is verified and compiled
     lazily on first invocation (or eagerly by a host policy that calls
@@ -231,14 +241,14 @@ def unpack(package: Mapping) -> MROMObject:
     ``TypeError`` or ``AttributeError`` (a field of the wrong type).
     """
     try:
-        return _unpack(package)
+        return _unpack(package, resolve)
     except MROMError:
         raise  # ItemNotFoundError is a KeyError too: keep its type
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise MobilityError(f"malformed package: {exc!r}") from exc
 
 
-def _unpack(package: Mapping) -> MROMObject:
+def _unpack(package: Mapping, resolve: Resolve | None) -> MROMObject:
     if package.get("format") != FORMAT:
         raise MobilityError(
             f"unknown package format {package.get('format')!r}"
@@ -256,21 +266,21 @@ def _unpack(package: Mapping) -> MROMObject:
         owner=owner,
         extensible_meta=bool(package.get("extensible_meta", False)),
         meta_acl=AccessControlList.from_description(
-            dict(materialize_deep(package.get("meta_acl", {})))
+            dict(materialize_deep(package.get("meta_acl", {}), resolve))
         ),
-        environment=dict(materialize_deep(package.get("environment", {}))),
+        environment=dict(materialize_deep(package.get("environment", {}), resolve)),
     )
     for raw in package.get("fixed_data", []):
-        obj.containers.add_fixed(_unpack_data(raw))
+        obj.containers.add_fixed(_unpack_data(raw, resolve))
     for raw in package.get("fixed_methods", []):
-        obj.containers.add_fixed(_unpack_method(raw))
+        obj.containers.add_fixed(_unpack_method(raw, resolve))
     obj.seal()
     for raw in package.get("ext_data", []):
-        obj.containers.add_extensible(_unpack_data(raw))
+        obj.containers.add_extensible(_unpack_data(raw, resolve))
     for raw in package.get("ext_methods", []):
-        obj.containers.add_extensible(_unpack_method(raw))
+        obj.containers.add_extensible(_unpack_method(raw, resolve))
     for raw in package.get("tower", []):
-        obj._push_meta_invoke(_unpack_method(raw))
+        obj._push_meta_invoke(_unpack_method(raw, resolve))
     return obj
 
 

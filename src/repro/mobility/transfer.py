@@ -403,8 +403,8 @@ class MobilityManager:
 
         Shared by the PREPARE handler and by protocols that carry
         packages inside their own replies (HADAS Link and Import/Export).
-        Wire references inside the package become live remote proxies
-        before the object is rebuilt.
+        Wire references inside the package resolve (to a live object
+        registered here, else a remote proxy) as the object is rebuilt.
         """
         probe = _probes.ACTIVE
         if self.policy is not None:
@@ -415,7 +415,7 @@ class MobilityManager:
                 if probe is not None:
                     probe.admission_refused(self.site, package, src, exc)
                 raise
-        obj = unpack(self.site.import_value(package))
+        obj = unpack(package, self.site.resolve_reference)
         if probe is not None:
             probe.install_begin(self.site, obj, src, package)
         error = None

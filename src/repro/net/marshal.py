@@ -459,9 +459,15 @@ def encode(value: Any, export: Export | None = None) -> Encoded:
 
 def marshal(value: Any, export: Export | None = None) -> bytes:
     """Encode one weakly-typed value as a complete wire message."""
-    if type(value) is not Encoded:
-        value = encode(value, export)
-    return MAGIC + value
+    if type(value) is Encoded:
+        return MAGIC + value
+    out = _checkout_buffer()
+    try:
+        out += MAGIC
+        _encode(out, value, 0, export)
+        return bytes(out)
+    finally:
+        _release_buffer(out)
 
 
 class MarshalFrame:
@@ -725,30 +731,33 @@ def unmarshal(
 _PLAIN_SCALARS = frozenset((str, int, float, bool, type(None), bytes))
 
 
-def materialize_deep(value: Any) -> Any:
+def materialize_deep(value: Any, resolve: Resolve | None = None) -> Any:
     """Recursively force a (possibly lazy) decoded value to plain data.
 
     Exact types are dispatched first: a plain scalar, dict or list needs
     no ``isinstance`` probe; a :class:`~repro.core.values.LazyCell`
-    (a deferred binary leaf) reads as the value it holds.
+    (a deferred binary leaf) reads as the value it holds, and a
+    :class:`Reference` as ``resolve(guid, site)`` when *resolve* is given.
     """
     kind = type(value)
     if kind in _PLAIN_SCALARS:
         return value
     if kind is dict:
         return {
-            key: val if type(val) in _PLAIN_SCALARS else materialize_deep(val)
+            key: val if type(val) in _PLAIN_SCALARS else materialize_deep(val, resolve)
             for key, val in value.items()
         }
     if kind is list:
         return [
-            element if type(element) in _PLAIN_SCALARS else materialize_deep(element)
+            element if type(element) in _PLAIN_SCALARS else materialize_deep(element, resolve)
             for element in value
         ]
     if isinstance(value, LazyCell):
         return materialize_deep(value.materialize())
     if isinstance(value, dict):
-        return {key: materialize_deep(val) for key, val in value.items()}
+        return {key: materialize_deep(val, resolve) for key, val in value.items()}
     if isinstance(value, list):
-        return [materialize_deep(element) for element in value]
+        return [materialize_deep(element, resolve) for element in value]
+    if resolve is not None and isinstance(value, Reference):
+        return resolve(value.guid, value.site)
     return value

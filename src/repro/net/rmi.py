@@ -32,7 +32,6 @@ from ..core.errors import (
     MROMError,
     NetworkError,
     OverloadError,
-    RemoteInvocationError,
     RequestTimeoutError,
     error_for_name,
 )
@@ -199,24 +198,12 @@ class RemoteRef:
         return f"RemoteRef({self.guid} @ {self.site}{label})"
 
 
-#: refusals a server issues before executing anything; every client path
-#: keeps their type so the caller can back off or re-resolve and retry
-_REFUSALS = frozenset(("OverloadError", "StaleLeaseError"))
-
-
-def reply_error(body: Mapping, blocking: bool) -> MROMError:
-    """The failure an ``{ok: False, error, message}`` reply envelope carries.
-
-    A *blocking* caller gets :class:`~repro.core.errors.RemoteInvocationError`
-    with ``remote_type`` set, except for the two refusals in
-    :data:`_REFUSALS`; any other caller gets every known name rebuilt as
-    its own class (:func:`~repro.core.errors.error_for_name`).
-    """
-    name = str(body.get("error", ""))
-    message = str(body.get("message", "remote failure"))
-    if blocking and name not in _REFUSALS:
-        return RemoteInvocationError(message, remote_type=name)
-    return error_for_name(name, message)
+def reply_error(body: Mapping) -> MROMError:
+    """The failure an ``{ok: False, error, message}`` reply envelope
+    carries, rebuilt by :func:`~repro.core.errors.error_for_name`."""
+    return error_for_name(
+        str(body.get("error", "")), str(body.get("message", "remote failure"))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +222,9 @@ class AsyncCall:
     and a reply that lands while a retry is backing off settles the call
     at once. A blocking :meth:`Site.request` is a wait on one of these.
 
-    *blocking* selects the error contract (see :func:`reply_error`): the
-    blocking contract keeps ``RemoteInvocationError`` for remote failures,
-    the async one rebuilds every known name typed — the structured
-    contract the load drivers and admission tests rely on. The payload
+    *blocking* marks a call a caller waits on (the telemetry span and
+    the sanitizer's sync-wait edge key on it); every call rebuilds a
+    remote failure the same way (:func:`reply_error`). The payload
     is encoded once, with the site's export hook, after the
     ``request_begin`` probe point has seen it; every attempt resends
     those bytes, even if an object in it has moved.
@@ -319,7 +305,7 @@ class AsyncCall:
         try:
             body = message.payload
             if isinstance(body, dict) and body.get("ok") is False:
-                error = reply_error(body, self.blocking)
+                error = reply_error(body)
                 if isinstance(error, OverloadError) and self.policy is not None:
                     # a shed is retryable: the refusal bypassed the served
                     # ledger, so a backed-off retry of the same request_id
@@ -552,8 +538,7 @@ class RequestBatch:
 
         A frame-level failure (timeout with all retries exhausted,
         partition) fails every pending future with it and re-raises;
-        per-request failures stay inside their futures, rebuilt under the
-        blocking error contract (:func:`reply_error`).
+        per-request failures stay inside their futures (:func:`reply_error`).
         """
         entries, futures = self._entries, self._futures
         if not entries:
@@ -581,7 +566,7 @@ class RequestBatch:
             raise error
         for future, envelope in zip(futures, envelopes):
             if isinstance(envelope, dict) and envelope.get("ok") is False:
-                future._fail(reply_error(envelope, blocking=True))
+                future._fail(reply_error(envelope))
             elif isinstance(envelope, dict) and "result" in envelope:
                 future._resolve(envelope["result"])
             else:

@@ -33,7 +33,7 @@ from ..core.items import ItemHandle
 from ..core.mobject import MROMObject
 from .. import probes as _probes
 from ..naming import GuidFactory, NameService
-from .marshal import Encoded, Reference, encode
+from .marshal import Encoded, Reference, encode, materialize_deep
 from .rmi import (
     AsyncCall,
     BatchFuture,
@@ -46,9 +46,6 @@ from .transport import Message, Network, request_body, request_list
 __all__ = ["Site"]
 
 Handler = Callable[[Message], Any]
-
-#: exact types that cross the site boundary unchanged
-_PLAIN = frozenset((str, int, float, bool, type(None), bytes))
 
 
 def _failure(error: Exception) -> dict:
@@ -408,7 +405,8 @@ class Site:
         ``retry_policy``) each attempt waits ``policy.timeout`` simulated
         seconds and failed attempts back off exponentially; without one
         the request is sent once and waited for until the reply lands or
-        the simulation drains. Remote failures raise
+        the simulation drains. Remote failures raise the rebuilt error of
+        :func:`~repro.core.errors.error_for_name`: a
         :class:`~repro.core.errors.RemoteInvocationError` with
         ``remote_type`` set, except the pre-execution refusals
         :class:`~repro.core.errors.OverloadError` and
@@ -446,7 +444,7 @@ class Site:
         an explicit ``network.run()``. Retries, timeouts and the
         ``request_id`` are those of :meth:`request` (both are one
         :class:`AsyncCall`). Remote failures settle the future with the
-        typed rebuilt error (:func:`~repro.core.errors.error_for_name`).
+        same rebuilt error as :meth:`request` raises.
         """
         return self._call(dst, kind, payload, policy).future
 
@@ -531,21 +529,7 @@ class Site:
         request decodes to inert references, and its handler resolves
         the fields it uses when it runs (a reply is resolved by the
         decoder at delivery). Mapping keys stay as they are."""
-        if type(value) in _PLAIN:
-            return value
-        if isinstance(value, dict):
-            return {
-                key: val if type(val) in _PLAIN else self.import_value(val)
-                for key, val in value.items()
-            }
-        if isinstance(value, list):
-            return [
-                element if type(element) in _PLAIN else self.import_value(element)
-                for element in value
-            ]
-        if isinstance(value, Reference):
-            return self.resolve_reference(value.guid, value.site)
-        return value
+        return materialize_deep(value, self.resolve_reference)
 
     # ------------------------------------------------------------------
     # caller principals on the wire

@@ -214,7 +214,7 @@ def recover_site(
     try:
         for guid, package in state.images.items():
             try:
-                obj = unpack(site.import_value(package))
+                obj = unpack(package, site.resolve_reference)
                 obj.fastpath_reset()  # caches never survive a restart
                 site.register_object(obj)
                 obj.environment["install_context"] = {

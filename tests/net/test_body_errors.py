@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import NetworkError, RemoteInvocationError
+from repro.core.errors import RemoteInvocationError
 from repro.faults import DropInjector, FaultPlane
 from repro.net import RetryPolicy
 from repro.net.gateway import TcpGateway, TcpGatewayClient
@@ -87,8 +87,9 @@ def test_tcp_gateway_keeps_serving(world):
     gateway = TcpGateway(server)
     try:
         with TcpGatewayClient(gateway.host, gateway.port) as tcp:
-            with pytest.raises(NetworkError, match="^TypeError: "):
+            with pytest.raises(RemoteInvocationError) as caught:
                 tcp.invoke(counter.guid, "increment", ["s"])
+            assert caught.value.remote_type == "TypeError"
             assert tcp.invoke(counter.guid, "increment", [4]) == 4
     finally:
         gateway.close()
