@@ -9,6 +9,7 @@ capture. EXPERIMENTS.md records these against the paper's claims.
 
 from __future__ import annotations
 
+import statistics
 import time
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -50,18 +51,29 @@ def _fmt(value) -> str:
 
 
 def time_per_call(fn: Callable[[], object], min_time: float = 0.1) -> float:
-    """Mean seconds per call of *fn*, measured over at least *min_time*.
+    """Median seconds per call of *fn* over five timed batches that
+    together take at least *min_time*.
 
     Used for the series tables, where many variants are compared inside
     one test (pytest-benchmark times one representative variant per test).
+    A median of batches, not one mean, so a pause or a CPU speed step
+    during one batch does not move the cell.
     """
     fn()  # warm-up (compile portable code, populate caches)
-    calls = 0
-    start = time.perf_counter()
-    deadline = start + min_time
-    while True:
-        fn()
-        calls += 1
-        now = time.perf_counter()
-        if now >= deadline and calls >= 5:
-            return (now - start) / calls
+    batches = 5
+    calls = 1
+    while True:  # double the batch until it fills its share of min_time
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        elapsed = time.perf_counter() - start
+        if elapsed >= min_time / batches:
+            break
+        calls *= 2
+    samples = [elapsed / calls]
+    while len(samples) < batches:
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        samples.append((time.perf_counter() - start) / calls)
+    return statistics.median(samples)

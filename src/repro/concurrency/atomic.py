@@ -55,6 +55,9 @@ def restore_mutable_state(obj: MROMObject, snapshot: dict) -> None:
     obj._meta_invokes[:] = snapshot["tower"]
     obj.environment.clear()
     obj.environment.update(snapshot["environment"])
+    # the swap bypassed the containers: stale every compiled closure
+    # and every journal base that pinned the rolled-back structure
+    obj.containers.clock.bump()
 
 
 @contextmanager

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .. import probes as _probes
+from .epoch import EPOCH
 from .errors import AccessDeniedError
 
 __all__ = [
@@ -248,12 +249,14 @@ class AccessControlList:
         """Append an ALLOW entry; returns self for chaining."""
         self._entries.append(AclEntry(subject, permissions, Decision.ALLOW))
         self._version += 1
+        EPOCH.bump()
         return self
 
     def revoke(self, subject: str, permissions: Permission) -> "AccessControlList":
         """Append a DENY entry; returns self for chaining."""
         self._entries.append(AclEntry(subject, permissions, Decision.DENY))
         self._version += 1
+        EPOCH.bump()
         return self
 
     def remove_subject(self, subject: str) -> int:
@@ -261,6 +264,7 @@ class AccessControlList:
         before = len(self._entries)
         self._entries = [e for e in self._entries if e.subject != subject]
         self._version += 1
+        EPOCH.bump()
         return before - len(self._entries)
 
     # -- evaluation --------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
+from .epoch import EPOCH
 from .errors import (
     DataItemNotFoundError,
     DuplicateItemError,
@@ -53,7 +54,8 @@ class MutationClock:
     on every add/remove/replace/rename, so the set's *generation* moves
     whenever any structure an invocation-cache entry could depend on
     moves — regardless of whether the mutation arrived through a
-    meta-method or a direct container call.
+    meta-method or a direct container call. Each bump also bumps the
+    process-wide structural :data:`~repro.core.epoch.EPOCH`.
     """
 
     __slots__ = ("value",)
@@ -63,6 +65,7 @@ class MutationClock:
 
     def bump(self) -> int:
         self.value += 1
+        EPOCH.bump()
         return self.value
 
     def __repr__(self) -> str:

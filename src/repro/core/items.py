@@ -35,6 +35,7 @@ from .acl import (
     allow_all,
 )
 from .code import CodeRole, MethodCode, as_code, code_from_description
+from .epoch import EPOCH
 from .errors import KindError, StaleHandleError
 from .values import Kind, LazyCell, coerce, conforms
 
@@ -134,6 +135,7 @@ class _Item:
     def touch(self) -> None:
         """Record that a property of the item changed."""
         self.version += 1
+        EPOCH.bump()
 
     def rename(self, new_name: str) -> None:
         if not new_name or not isinstance(new_name, str):

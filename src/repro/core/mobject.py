@@ -47,6 +47,7 @@ from .acl import (
     owner_only,
 )
 from .containers import ContainerSet, EXTENSIBLE, FIXED
+from .epoch import EPOCH
 from .fastpath import InvocationCache
 from .errors import (
     FixedSectionError,
@@ -302,6 +303,7 @@ class MROMObject:
                 "cannot add a meta-invoke level"
             )
         self._meta_invokes.append(method)
+        EPOCH.bump()
 
     def _pop_meta_invoke(self) -> MROMMethod:
         if not self._meta_invokes:
@@ -309,7 +311,9 @@ class MROMObject:
                 "the base 'invoke' meta-method is part of the fixed behaviour "
                 "and cannot be deleted"
             )
-        return self._meta_invokes.pop()
+        method = self._meta_invokes.pop()
+        EPOCH.bump()
+        return method
 
     # ------------------------------------------------------------------
     # tracing

@@ -21,7 +21,7 @@ import copy
 from typing import Mapping
 
 from ..core.acl import AccessControlList, Principal
-from ..core.errors import MobilityError, MROMError, NotPortableError
+from ..core.errors import MarshalError, MobilityError, MROMError, NotPortableError
 from ..core.items import DataItem, MROMMethod
 from ..core.mobject import MROMObject
 from ..core.values import Kind, LazyCell
@@ -84,14 +84,33 @@ def portability_report(
     return offenders
 
 
+def _snapshot(value, depth: int = 0):
+    """A package's copy of a data value: a package is a snapshot, so
+    in-process unpacking must not alias a plain container with the
+    original (the wire trip would have broken the aliasing anyway).
+    Immutable leaves and anything with a ``guid`` (a live object, a
+    reference) are shared: an object travels by identity, never as a
+    clone registered nowhere."""
+    kind = type(value)
+    if kind in _ATOMIC:
+        return value
+    if kind is list or kind is tuple or kind is dict:
+        if depth >= 64:
+            raise MarshalError("value nesting exceeds 64 levels")
+        depth += 1
+        if kind is dict:
+            return {key: _snapshot(inner, depth) for key, inner in value.items()}
+        copied = [_snapshot(inner, depth) for inner in value]
+        return copied if kind is list else tuple(copied)
+    if hasattr(value, "guid"):
+        return value
+    return copy.deepcopy(value)
+
+
 def _pack_data(item: DataItem) -> dict:
-    # deep-copied: a package is a snapshot; in-process unpacking must not
-    # alias mutable values with the original (the wire trip would have
-    # broken the aliasing anyway — this keeps local and remote identical)
-    value = item.peek()
     return {
         "name": item.name,
-        "value": value if type(value) in _ATOMIC else copy.deepcopy(value),
+        "value": _snapshot(item.peek()),
         "kind": item.kind._value_,  # an attribute read; ``.value`` is a property call
         "acl": item.acl.describe(),
         "metadata": dict(item.metadata),
@@ -123,7 +142,8 @@ def pack(
 
     Raises :class:`NotPortableError` when any non-meta method carries
     native code, and :class:`~repro.core.errors.MarshalError` later (at
-    :func:`pack_bytes` time) if a data value has no wire representation.
+    :func:`pack_bytes` time) if a data value has no wire representation,
+    or at once if it nests past 64 levels (a cycle, say).
     With *strip_native_wrappers*, native pre-/post-procedures (host-side
     mediators and hooks) are silently dropped from the image instead of
     blocking it — used by the journal and the image store.
@@ -289,7 +309,7 @@ def pack_frame(
     include_environment: bool = True,
     strip_native_wrappers: bool = False,
 ) -> MarshalFrame:
-    """The wire form as a zero-copy frame over a pooled buffer.
+    """The wire form as a zero-copy frame (no final ``bytes`` copy).
 
     Byte-identical to :func:`pack_bytes`; the caller owns the frame and
     must release it (context manager or :meth:`~repro.net.marshal.

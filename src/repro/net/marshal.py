@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import struct
-import threading
 from collections.abc import Hashable
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -115,9 +114,6 @@ MAX_COLLECTION = 1_000_000
 # * type dispatch in the encoder and tag dispatch in the decoder, with
 #   the common children of a collection (short text, small ints, null,
 #   booleans) written and read inline instead of by a recursive call;
-# * a small pool of output buffers, so marshal() stops allocating (and
-#   growing) a fresh bytearray per message — one lock guards the pool
-#   and its running weight under the threaded TCP gateway;
 # * precomputed encodings for small integers (args, counts, lamport
 #   clocks are overwhelmingly small) and for one-byte collection heads;
 # * an interning table for short strings and references (method names,
@@ -126,63 +122,6 @@ MAX_COLLECTION = 1_000_000
 # * decode-side interning of short text payloads keyed by the raw bytes,
 #   so the same method name decoded a thousand times is one str object.
 # ---------------------------------------------------------------------------
-
-#: pooled buffers as (weight, buffer) pairs — the weight is the frame
-#: size the buffer last held, a proxy for the capacity it may still pin
-_BUFFER_POOL: list[tuple[int, bytearray]] = []
-_BUFFER_POOL_CAP = 8
-#: buffers that grew beyond this are not pooled (one giant migration
-#: package must not pin its footprint forever)
-_BUFFER_RETAIN = 1 << 16
-#: total weight the pool may retain across all buffers — the count cap
-#: alone would let eight maximum-size frames pin 8x64KiB indefinitely
-_BUFFER_POOL_BYTES = 1 << 18
-
-#: guards the pool list and its running weight together
-_POOL_LOCK = threading.Lock()
-#: total weight of the buffers in the pool, kept in step with every
-#: append and pop so a release never has to sum the pool
-_pool_weight = 0
-
-
-def _release_buffer(buf: bytearray) -> None:
-    """Return a checked-out buffer to the pool, keeping the pool bounded.
-
-    Oversized frames are never retained; within the size bound, the pool
-    is held to both a buffer count and a total retained weight, evicting
-    the *largest* buffers first — small hot-path frames are the ones
-    worth keeping, and one burst of irregular large frames must not
-    displace them or pin their capacity.
-    """
-    global _pool_weight
-    weight = len(buf)
-    if weight > _BUFFER_RETAIN:
-        return
-    buf.clear()
-    pool = _BUFFER_POOL
-    with _POOL_LOCK:  # the gateway marshals on several threads
-        pool.append((weight, buf))
-        _pool_weight += weight
-        while len(pool) > _BUFFER_POOL_CAP or _pool_weight > _BUFFER_POOL_BYTES:
-            largest = max(range(len(pool)), key=lambda i: pool[i][0])
-            _pool_weight -= pool.pop(largest)[0]
-
-
-def _checkout_buffer() -> bytearray:
-    global _pool_weight
-    with _POOL_LOCK:
-        if _BUFFER_POOL:
-            weight, buf = _BUFFER_POOL.pop()
-            _pool_weight -= weight
-            return buf
-    return bytearray()
-
-
-def _pool_snapshot() -> tuple[int, int]:
-    """(buffer count, total retained weight) — for the regression tests."""
-    entries = list(_BUFFER_POOL)
-    return len(entries), sum(weight for weight, _ in entries)
-
 
 _INTERN_MAX_CHARS = 64
 _INTERN_CAP = 4096
@@ -195,11 +134,7 @@ _DECODE_INTERN: dict[bytes, str] = {}
 
 
 def _reset_fastpath_state() -> None:
-    """Drop all pooled buffers and interning tables (tests, tuning)."""
-    global _pool_weight
-    with _POOL_LOCK:
-        _BUFFER_POOL.clear()
-        _pool_weight = 0
+    """Drop the interning tables (tests, tuning)."""
     _TEXT_INTERN.clear()
     _REF_INTERN.clear()
     _DECODE_INTERN.clear()
@@ -449,37 +384,29 @@ def _encode(out: bytearray, value: Any, depth: int, export: Export | None = None
 def encode(value: Any, export: Export | None = None) -> Encoded:
     """Encode *value* once, for a message that may be sent, stored or
     replayed many times."""
-    out = _checkout_buffer()
-    try:
-        _encode(out, value, 0, export)
-        return Encoded(out)
-    finally:
-        _release_buffer(out)
+    out = bytearray()
+    _encode(out, value, 0, export)
+    return Encoded(out)
 
 
 def marshal(value: Any, export: Export | None = None) -> bytes:
     """Encode one weakly-typed value as a complete wire message."""
     if type(value) is Encoded:
         return MAGIC + value
-    out = _checkout_buffer()
-    try:
-        out += MAGIC
-        _encode(out, value, 0, export)
-        return bytes(out)
-    finally:
-        _release_buffer(out)
+    out = bytearray(MAGIC)
+    _encode(out, value, 0, export)
+    return bytes(out)
 
 
 class MarshalFrame:
-    """A complete wire message exposed as a memoryview over a pooled
-    buffer — the zero-copy sibling of :func:`marshal`.
+    """A complete wire message exposed as a memoryview over the buffer
+    it was encoded into — the zero-copy sibling of :func:`marshal`.
 
     ``frame.view`` is byte-identical to ``marshal(value)`` but involves
-    no ``bytes`` copy; a consumer that can write a memoryview (socket
-    ``sendall``, file ``write``) ships the pooled buffer directly.
-    The buffer stays checked out of the pool until :meth:`release`
-    (or context-manager exit) — releasing invalidates the view, so a
-    consumer that needs the bytes past the frame's lifetime must
+    no final ``bytes`` copy; a consumer that can write a memoryview
+    (socket ``sendall``, file ``write``) ships the buffer directly.
+    :meth:`release` (or context-manager exit) invalidates the view, so
+    a consumer that needs the bytes past the frame's lifetime must
     :meth:`tobytes` first.
     """
 
@@ -496,12 +423,10 @@ class MarshalFrame:
         return bytes(self.view)
 
     def release(self) -> None:
-        """Return the buffer to the pool (idempotent)."""
-        buf, self._buf = self._buf, None
-        if buf is None:
-            return
-        self.view.release()  # a live export would block the pool's clear()
-        _release_buffer(buf)
+        """Drop the buffer and invalidate the view (idempotent)."""
+        if self._buf is not None:
+            self._buf = None
+            self.view.release()
 
     def __enter__(self) -> "MarshalFrame":
         return self
@@ -511,14 +436,9 @@ class MarshalFrame:
 
 
 def marshal_frame(value: Any, export: Export | None = None) -> MarshalFrame:
-    """Encode *value* into a pooled buffer without the final copy."""
-    out = _checkout_buffer()
-    try:
-        out += MAGIC
-        _encode(out, value, 0, export)
-    except BaseException:
-        _release_buffer(out)
-        raise
+    """Encode *value* into a fresh buffer without the final copy."""
+    out = bytearray(MAGIC)
+    _encode(out, value, 0, export)
     return MarshalFrame(out)
 
 

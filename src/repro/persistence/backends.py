@@ -23,7 +23,9 @@ Three backends:
 
 Every backend takes an optional ``capacity_bytes``; an append past it
 raises :class:`StoreFullError` so the journal's fail-safe path (disable
-durability, keep serving) is exercisable in tests.
+durability, keep serving) is exercisable in tests. A store keeps its
+byte count as it writes (set from the backend at open, reset by every
+rewrite), so an append never reads the store back to size it.
 """
 
 from __future__ import annotations
@@ -60,10 +62,13 @@ class Store:
     reports it as replay damage. Both writes, :meth:`append` and
     :meth:`rewrite`, are refused typed by a closed store and by one
     they would fill past ``capacity_bytes``, before a byte is written.
+    :meth:`size_bytes` is the running count of stored bytes: every
+    frame plus ``frame_overhead`` bytes of backend framing per frame.
     """
 
     truncated = False
     closed = False
+    frame_overhead = 0
 
     def __init__(self, capacity_bytes: int | None = None):
         if capacity_bytes is not None and capacity_bytes <= 0:
@@ -72,6 +77,7 @@ class Store:
             )
         self.capacity_bytes = capacity_bytes
         self.appends = 0
+        self._size = 0
 
     def _admit(self, kept: int, added: int) -> None:
         """Refuse a write that leaves *kept* stored bytes and adds
@@ -86,15 +92,20 @@ class Store:
 
     def append(self, frame: bytes) -> int:
         """Durably append one frame; returns its ordinal."""
-        self._admit(self.size_bytes(), len(frame))
+        added = len(frame)
+        self._admit(self._size, added)
         ordinal = self._append(frame)
+        self._size += added + self.frame_overhead
         self.appends += 1
         return ordinal
 
     def rewrite(self, frames: list[bytes]) -> None:
-        """Atomically replace the whole store's contents (compaction)."""
-        self._admit(0, sum(len(frame) for frame in frames))
+        """Atomically replace the whole store's contents (compaction,
+        or the repair of a damaged tail)."""
+        size = sum(len(frame) for frame in frames)
+        self._admit(0, size)
         self._rewrite(frames)
+        self._size = size + self.frame_overhead * len(frames)
         self.truncated = False
 
     def _append(self, frame: bytes) -> int:
@@ -108,7 +119,8 @@ class Store:
         raise NotImplementedError
 
     def size_bytes(self) -> int:
-        raise NotImplementedError
+        """Bytes stored, frames and their framing (see class doc)."""
+        return self._size
 
     def sync(self) -> None:
         """Force written frames to stable storage (no-op by default)."""
@@ -135,12 +147,12 @@ class MemoryStore(Store):
     def _rewrite(self, frames: list[bytes]) -> None:
         self._frames = [bytes(frame) for frame in frames]
 
-    def size_bytes(self) -> int:
-        return sum(len(frame) for frame in self._frames)
-
 
 class FileStore(Store):
-    """Length-prefixed frames in one append-only file."""
+    """Length-prefixed frames in one append-only file; its size counts
+    the length words (everything after the header)."""
+
+    frame_overhead = _LEN.size
 
     def __init__(self, path: "Path | str", capacity_bytes: int | None = None):
         super().__init__(capacity_bytes)
@@ -148,6 +160,7 @@ class FileStore(Store):
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if not self.path.exists():
             self.path.write_bytes(_FILE_HEADER)
+        self._size = max(0, self.path.stat().st_size - len(_FILE_HEADER))
         self._handle = None
 
     def _append(self, frame: bytes) -> int:
@@ -191,11 +204,6 @@ class FileStore(Store):
         temporary.write_bytes(bytes(image))
         os.replace(temporary, self.path)  # atomic publish
 
-    def size_bytes(self) -> int:
-        if self._handle is not None:
-            self._handle.flush()
-        return max(0, self.path.stat().st_size - len(_FILE_HEADER))
-
     def sync(self) -> None:
         if self._handle is not None:
             self._handle.flush()
@@ -224,6 +232,9 @@ class SqliteStore(Store):
             " body BLOB NOT NULL)"
         )
         self._conn.commit()
+        (self._size,) = self._conn.execute(
+            "SELECT COALESCE(SUM(LENGTH(body)), 0) FROM frames"
+        ).fetchone()
 
     def _cursor(self):
         if self._conn is None:
@@ -252,12 +263,6 @@ class SqliteStore(Store):
                 "INSERT INTO frames (body) VALUES (?)",
                 [(bytes(frame),) for frame in frames],
             )
-
-    def size_bytes(self) -> int:
-        row = self._cursor().execute(
-            "SELECT COALESCE(SUM(LENGTH(body)), 0) FROM frames"
-        ).fetchone()
-        return int(row[0])
 
     def sync(self) -> None:
         self._cursor().commit()

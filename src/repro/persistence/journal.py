@@ -36,28 +36,31 @@ Deltas
 An object's image is its description (structure, code, ACLs, tower,
 environment) plus its instance data; an invoke nearly always changes
 only the data. So the journal keeps, per guid, a *base*: a structural
-stamp of the object and the data values of the last record that imaged
-it. The stamp covers the containers' mutation clock, each item's
-identity and version, each item ACL's identity and edit version, the
-meta ACL, the tower and the packed environment. A served
-invoke logs ``delta: {name: value}`` — every data item whose value is
-not the base's (same type and ``==``, so ``1 -> 1.0`` or ``1 -> True``
-is a change) — and logs the whole image exactly as before when the
-stamp moved, when a data or environment value is not an immutable
-scalar (it could change in place, unseen), or when there is no base.
+stamp and the data values of the last record that imaged it. The
+stamp is the process-wide structural epoch (:mod:`repro.core.epoch`:
+every container edit, item property change, ACL edit, tower push or
+pop and atomic rollback bumps it) plus the packed environment, which
+no counter watches. An unrelated object's edit moves the epoch too; it
+costs one extra image, never a missed one. A served invoke logs
+``delta: {name: value}`` — every data item whose value is not the
+base's (same type and ``==``, so ``1 -> 1.0`` or ``1 -> True`` is a
+change) — and logs the whole image exactly as before when the stamp
+moved, when a data or environment value is not an immutable scalar (it
+could change in place, unseen), or when there is no base.
 A deferred binary cell is never a base value (packing reads it), so it
 is a change without being read. Every image record (registration, a
 settled transfer, every snapshot) resets its guid's base, a remove
 drops it, and a new incarnation starts with none.
 
 One edit is invisible to the stamp: writing into ``item.metadata`` in
-place instead of through ``update_metadata``, which bumps the version.
+place instead of through ``update_metadata``, which bumps the epoch.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
+from ..core.epoch import EPOCH
 from ..core.errors import MROMError
 from ..mobility.package import _HOST_ONLY_ENV, pack
 from ..net.site import Site
@@ -71,9 +74,10 @@ __all__ = ["SiteJournal", "attach_journal"]
 _SCALARS = frozenset((type(None), bool, int, float, str, bytes))
 
 
-def _stamp(obj) -> list | None:
-    """Everything of *obj*'s image but its data values, as identities and
-    versions; None when the packed environment could change in place."""
+def _stamp(obj) -> tuple | None:
+    """The structural epoch and *obj*'s packed environment; None when
+    the environment could change in place."""
+    epoch = EPOCH.value
     environment = {
         key: value for key, value in obj.environment.items()
         if key not in _HOST_ONLY_ENV
@@ -81,20 +85,7 @@ def _stamp(obj) -> list | None:
     for value in environment.values():
         if type(value) not in _SCALARS:
             return None
-    containers = obj.containers
-    meta_acl = obj._meta_acl
-    stamp = [containers.generation, meta_acl, meta_acl.version, environment]
-    for container in (
-        containers.fixed_data, containers.ext_data,
-        containers.fixed_methods, containers.ext_methods,
-    ):
-        for item in container:
-            acl = item.acl
-            stamp += (item, item.version, acl, acl.version)
-    for level in obj.meta_invoke_chain():
-        acl = level.acl
-        stamp += (level, level.version, acl, acl.version)
-    return stamp
+    return epoch, environment
 
 
 def _data_items(obj):
@@ -125,7 +116,7 @@ class SiteJournal:
         self.writes = 0
         self.skipped_unportable = 0
         #: guid -> (stamp, {item name: value}) of its last image record
-        self._bases: dict[str, tuple[list, dict]] = {}
+        self._bases: dict[str, tuple[tuple, dict]] = {}
         site.journal = self
 
     # -- plumbing ----------------------------------------------------------
@@ -136,7 +127,7 @@ class SiteJournal:
         try:
             self.wal.append(
                 kind, attrs, site=self.site.site_id,
-                time=self.site.network.now,
+                time=self.site.network.now, export=self.site.export_value,
             )
         except MROMError as exc:
             # fail-safe: losing the disk must not lose the service
@@ -150,12 +141,12 @@ class SiteJournal:
     def _image(self, obj) -> dict | None:
         """Pack *obj* for an image record, which becomes its base."""
         self._bases.pop(obj.guid, None)
+        stamp = _stamp(obj)  # before packing: an edit during the pack moves it
         try:
             image = pack(obj, strip_native_wrappers=True)
         except MROMError:
             self.skipped_unportable += 1
             return None
-        stamp = _stamp(obj)
         if stamp is not None:
             # packing read every deferred cell, so the slots hold values
             values = {item.name: item._value for item in _data_items(obj)}
@@ -306,12 +297,13 @@ class SiteJournal:
         try:
             if compact:
                 record = self.wal.compact(
-                    attrs, site=site.site_id, time=site.network.now
+                    attrs, site=site.site_id, time=site.network.now,
+                    export=site.export_value,
                 )
             else:
                 record = self.wal.append(
                     "snapshot", attrs, site=site.site_id,
-                    time=site.network.now,
+                    time=site.network.now, export=site.export_value,
                 )
         except MROMError as exc:
             error = exc

@@ -37,7 +37,7 @@ from typing import Any, Mapping
 
 from .. import probes as _probes
 from ..core.errors import MarshalError
-from ..net.marshal import marshal, unmarshal
+from ..net.marshal import Export, marshal, unmarshal
 from .backends import Store
 
 __all__ = ["WalRecord", "WriteAheadLog", "RECORD_KINDS", "decode_frames"]
@@ -112,8 +112,8 @@ class WalRecord:
         )
 
 
-def _frame(record: WalRecord) -> bytes:
-    body = marshal(record.to_mapping())
+def _frame(record: WalRecord, export: Export | None = None) -> bytes:
+    body = marshal(record.to_mapping(), export)
     return hashlib.sha256(body).digest()[:_CHECKSUM_BYTES] + body
 
 
@@ -169,16 +169,19 @@ class WriteAheadLog:
         attrs: Mapping[str, Any],
         site: str = "",
         time: float = 0.0,
+        export: Export | None = None,
     ) -> WalRecord:
         """Durably append one record (the ``wal_append`` probe point may
-        stamp it with a trace first)."""
+        stamp it with a trace first). *export* is the codec's export
+        hook: a journal passes its site's, so a live object the record
+        holds is written as a reference homed there."""
         record = WalRecord(
             seq=self._next_seq, kind=kind, time=time, site=site, attrs=attrs,
         )
         probe = _probes.ACTIVE
         if probe is not None:
             probe.wal_append(record)
-        self.store.append(_frame(record))
+        self.store.append(_frame(record, export))
         self._next_seq += 1
         if probe is not None:
             probe.count("wal.appends")
@@ -201,13 +204,14 @@ class WriteAheadLog:
         snapshot_attrs: Mapping[str, Any],
         site: str = "",
         time: float = 0.0,
+        export: Export | None = None,
     ) -> WalRecord:
         """Fold the log into one ``snapshot`` record (LSN continues)."""
         record = WalRecord(
             seq=self._next_seq, kind="snapshot", time=time, site=site,
             attrs=snapshot_attrs,
         )
-        self.store.rewrite([_frame(record)])
+        self.store.rewrite([_frame(record, export)])
         self._next_seq += 1
         probe = _probes.ACTIVE
         if probe is not None:

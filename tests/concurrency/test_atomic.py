@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MROMObject, Principal, allow_all
+from repro.core import MethodNotFoundError, MROMObject, Principal, allow_all
 from repro.concurrency import atomic
 
 from ..conftest import build_counter
@@ -72,6 +72,21 @@ class TestRollback:
                 assert obj.invoke("peek") == "hijacked"
                 raise Boom()
         assert obj.invoke("peek") == 0
+
+    def test_a_rolled_back_method_is_not_served_by_a_compiled_closure(
+        self, obj, owner
+    ):
+        # the swap of the extensible containers must stale the closure
+        # compiled for the method inside the block
+        with pytest.raises(Boom):
+            with atomic(obj):
+                obj.invoke("addMethod", ["hello", "return 42"], caller=owner)
+                assert obj.invoke("hello", caller=owner) == 42
+                assert obj.invoke("hello", caller=owner) == 42
+                raise Boom()
+        assert not obj.containers.has_method("hello")
+        with pytest.raises(MethodNotFoundError):
+            obj.invoke("hello", caller=owner)
 
     def test_environment_restored(self, obj):
         obj.environment["mode"] = "normal"

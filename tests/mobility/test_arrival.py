@@ -102,10 +102,14 @@ def test_migrate(world):
 
 
 def test_recover_site(world):
-    network, sites, _managers, peer_here, peer_there = world
+    # the carrier arrives at b, where its "here" items are the live peer;
+    # b's journal images it, and the replay must restore the live peer
+    network, sites, managers, peer_here, peer_there = world
     wal = WriteAheadLog(MemoryStore())
     journal = attach_journal(sites["b"], wal)  # journals peer-b first
-    obj = carrier(sites["b"], plant(sites["b"], "b", peer_here, peer_there))
+    obj = carrier(sites["a"], plant(sites["a"], "b", peer_here, peer_there))
+    managers["a"].migrate(obj, "b")
+    assert sites["b"].local_object(obj.guid).get_data("here") is peer_here
     journal.close()
     network.unregister("b")
     site, _manager, report = recover_site(network, "b", wal, domain="dom.b")

@@ -100,6 +100,28 @@ class TestRoundTrip:
         copy.get_data("notes", caller=owner).append("c")
         assert original.get_data("notes") == ["a", "b"]
 
+    def test_a_held_object_is_shared_and_plain_containers_are_copied(self, owner):
+        original = make_portable(owner)
+        peer = MROMObject(guid="mrom://origin/3.1")
+        nested = {"peer": peer, "refs": [peer, ("t", [1])]}
+        original.self_view().add_data("nested", nested)
+        value = next(
+            raw["value"] for raw in pack(original)["ext_data"]
+            if raw["name"] == "nested"
+        )
+        assert value == nested and value is not nested
+        assert value["refs"] is not nested["refs"]
+        assert value["refs"][1][1] is not nested["refs"][1][1]
+        assert value["peer"] is peer and value["refs"][0] is peer
+
+    def test_a_cyclic_value_is_refused_typed(self, owner):
+        original = make_portable(owner)
+        loop = [1]
+        loop.append(loop)
+        original.self_view().add_data("loop", loop)
+        with pytest.raises(MarshalError):
+            pack(original)
+
     def test_wire_round_trip(self, owner):
         wire = pack_bytes(make_portable(owner))
         assert isinstance(wire, bytes)

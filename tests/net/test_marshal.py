@@ -1,6 +1,5 @@
 """The wire format: round trips, strictness, hostile inputs."""
 
-import importlib
 import math
 
 import pytest
@@ -86,8 +85,12 @@ class TestReferences:
 
 class TestRejections:
     def test_unmarshalable_type(self):
+        from repro.net.marshal import marshal_frame
+
         with pytest.raises(MarshalError):
             marshal(object())
+        with pytest.raises(MarshalError):
+            marshal_frame({"k": object()})
 
     def test_set_is_not_a_wire_value(self):
         with pytest.raises(MarshalError):
@@ -169,7 +172,7 @@ class TestSize:
 
 
 # ---------------------------------------------------------------------------
-# zero-copy frames, the bounded buffer pool, lazy decoding
+# zero-copy frames, threads, lazy decoding
 # ---------------------------------------------------------------------------
 
 SHAPES = [
@@ -195,83 +198,16 @@ class TestMarshalFrame:
             # the view itself decodes without a copy
             assert unmarshal(frame.view) == unmarshal(marshal(value))
 
-    def test_release_is_idempotent_and_recycles(self):
-        from repro.net.marshal import (
-            _pool_snapshot,
-            _reset_fastpath_state,
-            marshal_frame,
-        )
+    def test_release_is_idempotent(self):
+        from repro.net.marshal import marshal_frame
 
-        _reset_fastpath_state()
         frame = marshal_frame({"k": list(range(50))})
+        view = frame.view
         frame.release()
         frame.release()  # second release must be a no-op
-        count, _weight = _pool_snapshot()
-        assert count == 1, "released buffer returns to the pool"
-        # and the recycled buffer produces identical bytes
-        assert marshal({"k": 1}) == marshal({"k": 1})
-
-    def test_encode_failure_does_not_leak_the_buffer(self):
-        from repro.net.marshal import (
-            _pool_snapshot,
-            _reset_fastpath_state,
-            marshal_frame,
-        )
-
-        _reset_fastpath_state()
-        with pytest.raises(MarshalError):
-            marshal_frame({"k": object()})
-        count, _weight = _pool_snapshot()
-        assert count == 1, "the buffer is returned even when encoding fails"
-
-
-class TestBufferPoolBounds:
-    def setup_method(self):
-        # repro.net re-exports the marshal *function*, which shadows the
-        # submodule as an attribute — import the module by full name
-        marshal_mod = importlib.import_module("repro.net.marshal")
-        marshal_mod._reset_fastpath_state()
-        self.mod = marshal_mod
-
-    def test_pool_count_is_capped(self):
-        frames = [self.mod.marshal_frame([i]) for i in range(20)]
-        for frame in frames:
-            frame.release()
-        count, weight = self.mod._pool_snapshot()
-        assert count <= self.mod._BUFFER_POOL_CAP
-        assert weight <= self.mod._BUFFER_POOL_BYTES
-
-    def test_total_retained_weight_is_capped(self):
-        # each buffer is individually retainable (< _BUFFER_RETAIN) but
-        # together they exceed the total-weight bound
-        size = self.mod._BUFFER_RETAIN - 1024
-        for _ in range(6):
-            self.mod._release_buffer(bytearray(size))
-        count, weight = self.mod._pool_snapshot()
-        assert weight <= self.mod._BUFFER_POOL_BYTES
-        assert count < 6, "some buffers must have been evicted"
-
-    def test_oversized_buffers_are_never_pooled(self):
-        self.mod._release_buffer(bytearray(self.mod._BUFFER_RETAIN + 1))
-        assert self.mod._pool_snapshot() == (0, 0)
-
-    def test_eviction_is_largest_first(self):
-        sizes = [100 * (i + 1) for i in range(self.mod._BUFFER_POOL_CAP)]
-        for size in sizes:
-            self.mod._release_buffer(bytearray(size))
-        # one more small buffer pushes the count past the cap: the
-        # *largest* resident must go, not the newcomer
-        self.mod._release_buffer(bytearray(50))
-        weights = sorted(w for w, _ in self.mod._BUFFER_POOL)
-        assert 50 in weights
-        assert max(sizes) not in weights
-        assert len(weights) == self.mod._BUFFER_POOL_CAP
-
-    def test_oversized_frame_does_not_grow_the_pool(self):
-        big = {"blob": b"x" * (self.mod._BUFFER_RETAIN + 100)}
-        with self.mod.marshal_frame(big) as frame:
-            assert unmarshal(frame.view) == big
-        assert self.mod._pool_snapshot() == (0, 0)
+        assert len(frame) == 0
+        with pytest.raises(ValueError):
+            view.tobytes()  # the released view is invalid
 
 
 class TestLazyDecoding:
@@ -338,36 +274,35 @@ class TestLazyDecoding:
         assert decoded["blob"].materialize() == blob
 
 
-class TestBufferPoolThreads:
-    def test_running_weight_survives_concurrent_checkout_and_release(self):
-        # the gateway marshals on several threads: the pool's running
-        # weight must stay equal to the sum of its entries, which a
-        # lost read-modify-write would break
+class TestCodecThreads:
+    def test_eight_threads_encode_the_same_bytes(self):
+        # the gateway marshals on several threads: with no shared output
+        # buffer, every thread's bytes must be one thread's bytes
         import sys
         import threading
 
-        marshal_mod = importlib.import_module("repro.net.marshal")
-        marshal_mod._reset_fastpath_state()
-        # more threads than pooled buffers, and frames large enough that
-        # a few exceed the weight cap, so releases keep evicting
+        from repro.net.marshal import marshal_frame
+
         values = [{"k": list(range(n))} for n in (1, 50, 400)]
-        values += [{"blob": b"x" * n} for n in (40_000, 60_000)]
+        values += [{"blob": b"x" * n} for n in (40_000, 70_000)]
+        values += [{"ref": Reference("mrom:obj:t", "s1"), "text": "ab" * n} for n in (3, 300)]
+        expected = [marshal(value) for value in values]
         errors = []
 
         def churn(seed):
             try:
                 for i in range(100):
-                    value = values[(seed + i) % len(values)]
-                    with marshal_mod.marshal_frame(value) as frame:
-                        assert unmarshal(frame.view) == value
-                    marshal(value)
+                    index = (seed + i) % len(values)
+                    with marshal_frame(values[index]) as frame:
+                        assert frame.tobytes() == expected[index]
+                    assert marshal(values[index]) == expected[index]
             except Exception as exc:  # surfaced by the main thread
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=churn, args=(n,)) for n in range(12)]
+            threads = [threading.Thread(target=churn, args=(n,)) for n in range(8)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -376,7 +311,3 @@ class TestBufferPoolThreads:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        count, weight = marshal_mod._pool_snapshot()
-        assert weight == marshal_mod._pool_weight
-        assert count <= marshal_mod._BUFFER_POOL_CAP
-        assert weight <= marshal_mod._BUFFER_POOL_BYTES

@@ -12,6 +12,7 @@ from repro.persistence import (
     SqliteStore,
     Store,
     StoreFullError,
+    WriteAheadLog,
     make_store,
 )
 
@@ -61,6 +62,95 @@ class TestContract:
         assert store.size_bytes() == 0
         store.append(b"x" * 10)
         assert store.size_bytes() >= 10
+
+
+def stored_bytes(store: Store) -> int:
+    """What the backend holds, counted from its frames: a file store's
+    count includes each frame's u32 length word, and equals the file's
+    size after its header."""
+    frames = store.frames()
+    if isinstance(store, FileStore):
+        size = sum(4 + len(frame) for frame in frames)
+        assert size == store.path.stat().st_size - len(b"MROMWAL1\n")
+        return size
+    return sum(len(frame) for frame in frames)
+
+
+class TestByteCount:
+    """The store counts its bytes as it writes instead of reading them
+    back: the count must match what the backend holds at every step."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_count_follows_appends_rewrite_and_reopen(self, backend, tmp_path):
+        store = open_store(backend, tmp_path)
+        for frame in FRAMES:
+            store.append(frame)
+            assert store.size_bytes() == stored_bytes(store)
+        store.rewrite([b"compacted", b""])
+        assert store.size_bytes() == stored_bytes(store)
+        store.append(b"after")
+        assert store.size_bytes() == stored_bytes(store)
+        if backend != "memory":
+            size = store.size_bytes()
+            store.close()
+            again = open_store(backend, tmp_path)
+            assert again.size_bytes() == size == stored_bytes(again)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_count_follows_a_torn_tail_repair(self, backend, tmp_path):
+        store = open_store(backend, tmp_path)
+        wal = WriteAheadLog(store)
+        for n in range(3):
+            wal.append("served.reply", {"n": n})
+        store.append(b"\x00" * 12)  # a frame whose checksum fails
+        repaired = WriteAheadLog(store)
+        assert repaired.repaired == "torn"
+        assert len(store.frames()) == 3
+        assert store.size_bytes() == stored_bytes(store)
+
+    def test_count_follows_a_truncated_file_repair(self, tmp_path):
+        store = FileStore(tmp_path / "site.wal")
+        wal = WriteAheadLog(store)
+        for n in range(3):
+            wal.append("served.reply", {"n": n})
+        store.close()
+        path = tmp_path / "site.wal"
+        path.write_bytes(path.read_bytes()[:-5])  # cut the last frame short
+        again = FileStore(path)
+        assert again.size_bytes() == path.stat().st_size - len(b"MROMWAL1\n")
+        assert WriteAheadLog(again).repaired == "truncated"
+        assert len(again.frames()) == 2
+        assert again.size_bytes() == stored_bytes(again)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_an_append_never_reads_the_store_back(self, backend, tmp_path, monkeypatch):
+        store = open_store(backend, tmp_path)
+        wal = WriteAheadLog(store)  # opening replays: reads are fine here
+        reads = []
+        monkeypatch.setattr(store, "frames", lambda: reads.append("frames"))
+        monkeypatch.setattr(store, "size_bytes", lambda: reads.append("size"))
+        for n in range(5):
+            wal.append("served.reply", {"n": n})
+        store.capacity_bytes = 1 << 20  # a capacity must not make it read
+        for frame in FRAMES:
+            store.append(frame)
+        assert reads == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_capacity_refusal_is_exact_after_reopen(self, backend, tmp_path):
+        store = open_store(backend, tmp_path)
+        for frame in FRAMES:
+            store.append(frame)
+        if backend != "memory":
+            store.close()
+            store = open_store(backend, tmp_path)
+        store.capacity_bytes = store.size_bytes() + 5
+        with pytest.raises(StoreFullError):
+            store.append(b"123456")
+        store.append(b"12345")  # exactly fills it
+        with pytest.raises(StoreFullError):
+            store.append(b"x")
+        assert store.frames()[-1] == b"12345"
 
 
 class TestCapacity:

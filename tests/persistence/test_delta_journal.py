@@ -9,7 +9,8 @@ import copy
 
 import pytest
 
-from repro.core import Permission
+from repro.concurrency import atomic
+from repro.core import MROMMethod, Permission, allow_all
 from repro.persistence import (
     FileStore,
     MemoryStore,
@@ -119,6 +120,33 @@ class TestImageFallbacks:
         obj = world.sites["a"].local_object(world.cell.guid)
         item, _section = obj.containers.lookup_data("count")
         assert "mrom:obj:grantee" in repr(item.acl.describe())
+
+    def test_a_tower_push_and_pop_log_an_image(self, world):
+        world.cell.extensible_meta = True
+        level = MROMMethod("invoke", "return ['meta', ctx.proceed()]", acl=allow_all())
+        call(world, "increment")
+        world.cell._push_meta_invoke(level)  # the only edit before the invoke
+        assert call(world, "peek") == ["meta", 1]
+        assert "image" in served(world)[-1].attrs
+        world.cell._pop_meta_invoke()
+        assert call(world, "peek") == 1
+        assert "image" in served(world)[-1].attrs
+
+    def test_the_invoke_after_a_rollback_logs_an_image(self, world):
+        # the block's invokes left a base that holds 'hello'; the rollback
+        # swaps the containers back behind the journal's back
+        with pytest.raises(RuntimeError):
+            with atomic(world.cell):
+                call(world, "addMethod", "hello", "return 42")
+                call(world, "increment")
+                raise RuntimeError("halfway")
+        assert "delta" in served(world)[-1].attrs
+        call(world, "increment")
+        assert "image" in served(world)[-1].attrs
+        world.crash_restart("a")
+        obj = world.sites["a"].local_object(world.cell.guid)
+        assert not obj.containers.has_method("hello")
+        assert obj.get_data("count") == 1
 
     def test_a_list_value_is_always_imaged(self, world):
         call(world, "addDataItem", "log", [])
