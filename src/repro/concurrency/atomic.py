@@ -15,30 +15,36 @@ off again: recovery cost is proportional to the mutable part only).
 
 from __future__ import annotations
 
-import copy
 from contextlib import contextmanager
 from typing import Iterator
 
 from ..core.errors import TransactionError
 from ..core.items import DataItem
 from ..core.mobject import MROMObject
+from ..core.values import snapshot_value
 
 __all__ = ["atomic", "snapshot_mutable_state", "restore_mutable_state"]
 
 
 def snapshot_mutable_state(obj: MROMObject) -> dict:
-    """Capture everything :func:`atomic` may need to roll back."""
+    """Capture everything :func:`atomic` may need to roll back.
+
+    Values are snapshotted as a package snapshots them
+    (:func:`~repro.core.values.snapshot_value`): a live object an item
+    holds is kept by identity, so a rollback restores that object, not
+    a clone of it registered nowhere.
+    """
     return {
         "ext_data": dict(obj.containers.ext_data._items),
         "ext_methods": dict(obj.containers.ext_methods._items),
         "data_values": {
-            item.name: copy.deepcopy(item.peek())
+            item.name: snapshot_value(item.peek())
             for item in list(obj.containers.fixed_data)
             + list(obj.containers.ext_data)
             if isinstance(item, DataItem)
         },
         "tower": list(obj.meta_invoke_chain()),
-        "environment": copy.deepcopy(obj.environment),
+        "environment": snapshot_value(obj.environment),
     }
 
 

@@ -31,6 +31,7 @@ from .mobject import META_METHOD_NAMES, MROMObject
 __all__ = [
     "ObjectDescription",
     "describe",
+    "visibility_mask",
     "interrogate",
     "can_invoke",
     "find_methods",
@@ -72,34 +73,59 @@ class ObjectDescription:
         }
 
 
-def describe(obj: MROMObject, viewer: Principal = ANONYMOUS) -> ObjectDescription:
-    """The object as *viewer* is entitled to see it.
-
-    :data:`~repro.core.acl.SYSTEM` and the object itself see everything;
-    any other viewer sees only items visible to it under the
-    encapsulation-as-security rule.
-    """
-    privileged = viewer.guid in (obj.guid, "mrom:system")
-    visible: list[ItemDescription] = []
+def _describable(obj: MROMObject):
+    """(item, section, tower level) for every item :func:`describe` may
+    list, in its order: the four containers (level 0), then the
+    meta-invoke tower bottom to top."""
     for item, _category, section in obj.containers.iter_with_sections():
-        if privileged or item.visible_to(viewer):
-            visible.append(item.describe(section))
+        yield item, section, 0
     for level, method in enumerate(obj.meta_invoke_chain(), start=1):
-        if privileged or method.visible_to(viewer):
-            description = method.describe("extensible")
-            visible.append(
-                ItemDescription(
-                    name=f"invoke@level{level}",
-                    category="method",
-                    section="extensible",
-                    portable=description.portable,
-                    has_pre=description.has_pre,
-                    has_post=description.has_post,
-                    version=description.version,
-                    acl=description.acl,
-                    metadata=dict(description.metadata, meta_level=level),
-                )
+        yield method, "extensible", level
+
+
+def visibility_mask(obj: MROMObject, viewer: Principal = ANONYMOUS) -> int:
+    """Which items *viewer* may see: bit *i* is set when the *i*-th item
+    of :func:`describe`'s order is visible to it.
+
+    :data:`~repro.core.acl.SYSTEM` and the object itself see every item;
+    any other viewer sees only items visible to it under the
+    encapsulation-as-security rule. Two viewers with the same mask get
+    the same description.
+    """
+    if viewer.guid in (obj.guid, "mrom:system"):
+        return (1 << sum(1 for _ in _describable(obj))) - 1
+    mask = 0
+    for bit, (item, _section, _level) in enumerate(_describable(obj)):
+        if item.visible_to(viewer):
+            mask |= 1 << bit
+    return mask
+
+
+def describe(obj: MROMObject, viewer: Principal = ANONYMOUS) -> ObjectDescription:
+    """The object as *viewer* is entitled to see it: the items of its
+    :func:`visibility_mask`."""
+    mask = visibility_mask(obj, viewer)
+    visible: list[ItemDescription] = []
+    for bit, (item, section, level) in enumerate(_describable(obj)):
+        if not mask >> bit & 1:
+            continue
+        if not level:
+            visible.append(item.describe(section))
+            continue
+        description = item.describe(section)
+        visible.append(
+            ItemDescription(
+                name=f"invoke@level{level}",
+                category="method",
+                section="extensible",
+                portable=description.portable,
+                has_pre=description.has_pre,
+                has_post=description.has_post,
+                version=description.version,
+                acl=description.acl,
+                metadata=dict(description.metadata, meta_level=level),
             )
+        )
     return ObjectDescription(
         guid=obj.guid,
         display_name=obj.principal.display_name,

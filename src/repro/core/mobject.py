@@ -153,6 +153,9 @@ class MROMObject:
         self._fastpath: InvocationCache | None = (
             InvocationCache() if fastpath else None
         )
+        # a site's encoded describe reply, keyed by (structural epoch,
+        # visibility mask); see Site._handle_describe
+        self._described: tuple | None = None
         self._install_meta_methods()
 
     # ------------------------------------------------------------------

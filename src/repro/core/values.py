@@ -17,6 +17,7 @@ foundation the marshaling wire format and the item machinery build on.
 
 from __future__ import annotations
 
+import copy
 import enum
 import html as _html
 import math
@@ -24,7 +25,7 @@ import re
 from typing import Any, Callable, Iterable
 
 from .. import probes as _probes
-from .errors import CoercionError, KindError
+from .errors import CoercionError, KindError, MarshalError
 
 __all__ = [
     "Kind",
@@ -34,6 +35,7 @@ __all__ = [
     "strip_html",
     "HtmlText",
     "LazyCell",
+    "snapshot_value",
 ]
 
 
@@ -56,6 +58,33 @@ class LazyCell:
     def materialize(self):
         """Return the value (idempotent)."""
         raise NotImplementedError
+
+
+#: exact immutable types: a snapshot shares such a value, it need not copy it
+_ATOMIC = frozenset((str, int, float, bool, type(None), bytes))
+
+
+def snapshot_value(value: Any, depth: int = 0) -> Any:
+    """A copy of a data value that a later edit of the original cannot
+    reach: plain containers are copied, nested up to 64 levels, and
+    anything else without a ``guid`` is deep-copied. Immutable leaves
+    and anything with a ``guid`` (a live object, a reference) are
+    shared: an object is held by identity, never as a clone registered
+    nowhere. Packing and the atomic rollback both snapshot this way."""
+    kind = type(value)
+    if kind in _ATOMIC:
+        return value
+    if kind is list or kind is tuple or kind is dict:
+        if depth >= 64:
+            raise MarshalError("value nesting exceeds 64 levels")
+        depth += 1
+        if kind is dict:
+            return {key: snapshot_value(inner, depth) for key, inner in value.items()}
+        copied = [snapshot_value(inner, depth) for inner in value]
+        return copied if kind is list else tuple(copied)
+    if hasattr(value, "guid"):
+        return value
+    return copy.deepcopy(value)
 
 
 class Kind(enum.Enum):

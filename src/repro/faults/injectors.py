@@ -198,9 +198,7 @@ class LinkFlapInjector(ScheduledInjector):
 
     def arm(self) -> None:
         first = self.rng.uniform(0.0, self.every)
-        self.network.simulator.schedule(
-            first, self._down, label=f"flap-down {self.a}<->{self.b}"
-        )
+        self.network.simulator.schedule(first, self._down)
 
     def _down(self) -> None:
         if self._remaining <= 0:
@@ -209,18 +207,14 @@ class LinkFlapInjector(ScheduledInjector):
         self.network.topology.set_link_state(self.a, self.b, False)
         self.plane.record("flap-down", self.a, self.b)
         self.plane.counts["flap"] += 1
-        self.network.simulator.schedule(
-            self.down_for, self._up, label=f"flap-up {self.a}<->{self.b}"
-        )
+        self.network.simulator.schedule(self.down_for, self._up)
 
     def _up(self) -> None:
         self.network.topology.set_link_state(self.a, self.b, True)
         self.plane.record("flap-up", self.a, self.b)
         if self._remaining > 0:
             gap = self.rng.uniform(0.5, 1.5) * self.every
-            self.network.simulator.schedule(
-                gap, self._down, label=f"flap-down {self.a}<->{self.b}"
-            )
+            self.network.simulator.schedule(gap, self._down)
 
 
 class DurableCrashInjector(ScheduledInjector):
@@ -266,23 +260,17 @@ class DurableCrashInjector(ScheduledInjector):
         self.completed = 0
 
     def arm(self) -> None:
-        self.network.simulator.schedule(
-            self.at, self._crash, label=f"crash {self.site_id}"
-        )
+        self.network.simulator.schedule(self.at, self._crash)
 
     def _crash(self) -> None:
         if not self.network.is_live(self.site_id):
             # down through some other injector; try again shortly rather
             # than dropping a cycle from the schedule
-            self.network.simulator.schedule(
-                self.grace, self._crash, label=f"crash {self.site_id}"
-            )
+            self.network.simulator.schedule(self.grace, self._crash)
             return
         endpoint = self.network.endpoint(self.site_id)
         if getattr(endpoint, "handling_depth", 0) > 0:
-            self.network.simulator.schedule(
-                self.grace, self._crash, label=f"crash {self.site_id}"
-            )
+            self.network.simulator.schedule(self.grace, self._crash)
             return
         journal = getattr(endpoint, "journal", None)
         if journal is not None:
@@ -290,9 +278,7 @@ class DurableCrashInjector(ScheduledInjector):
         self.network.unregister(self.site_id)
         self.plane.record("crash", self.site_id, self.completed + 1)
         self.plane.counts["crash"] += 1
-        self.network.simulator.schedule(
-            self.down_for, self._restart, label=f"restart {self.site_id}"
-        )
+        self.network.simulator.schedule(self.down_for, self._restart)
 
     def _restart(self) -> None:
         self.recover(self.network, self.site_id)
@@ -301,6 +287,4 @@ class DurableCrashInjector(ScheduledInjector):
         self.plane.counts["restart"] += 1
         if self.completed < self.cycles:
             gap = self.rng.uniform(0.5, 1.5) * self.every
-            self.network.simulator.schedule(
-                gap, self._crash, label=f"crash {self.site_id}"
-            )
+            self.network.simulator.schedule(gap, self._crash)

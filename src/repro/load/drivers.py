@@ -126,11 +126,7 @@ class ClosedLoopDriver(_Driver):
         self._issue_one(then=self._schedule_next)
 
     def _schedule_next(self) -> None:
-        self.site.network.simulator.schedule(
-            self.think_time,
-            self._next,
-            label=f"closed-loop next @ {self.site.site_id}",
-        )
+        self.site.network.simulator.schedule(self.think_time, self._next)
 
 
 class OpenLoopDriver(_Driver):
@@ -162,6 +158,4 @@ class OpenLoopDriver(_Driver):
             if self.rng is not None
             else 1.0 / self.rate
         )
-        self.site.network.simulator.schedule(
-            gap, self._arrive, label=f"open-loop arrival @ {self.site.site_id}"
-        )
+        self.site.network.simulator.schedule(gap, self._arrive)

@@ -17,14 +17,13 @@ so "make it portable" is an actionable error.
 
 from __future__ import annotations
 
-import copy
 from typing import Mapping
 
 from ..core.acl import AccessControlList, Principal
-from ..core.errors import MarshalError, MobilityError, MROMError, NotPortableError
+from ..core.errors import MobilityError, MROMError, NotPortableError
 from ..core.items import DataItem, MROMMethod
 from ..core.mobject import MROMObject
-from ..core.values import Kind, LazyCell
+from ..core.values import Kind, LazyCell, snapshot_value
 from ..net.marshal import (
     MarshalFrame,
     Resolve,
@@ -45,9 +44,6 @@ __all__ = [
 ]
 
 FORMAT = "mrom-object/1"
-
-#: exact immutable types: a package shares such a value, it need not copy it
-_ATOMIC = frozenset((str, int, float, bool, type(None), bytes))
 
 #: Environment keys that never travel: they are host-provided bindings
 #: of the *current* installation, meaningless (or hostile) elsewhere.
@@ -84,33 +80,10 @@ def portability_report(
     return offenders
 
 
-def _snapshot(value, depth: int = 0):
-    """A package's copy of a data value: a package is a snapshot, so
-    in-process unpacking must not alias a plain container with the
-    original (the wire trip would have broken the aliasing anyway).
-    Immutable leaves and anything with a ``guid`` (a live object, a
-    reference) are shared: an object travels by identity, never as a
-    clone registered nowhere."""
-    kind = type(value)
-    if kind in _ATOMIC:
-        return value
-    if kind is list or kind is tuple or kind is dict:
-        if depth >= 64:
-            raise MarshalError("value nesting exceeds 64 levels")
-        depth += 1
-        if kind is dict:
-            return {key: _snapshot(inner, depth) for key, inner in value.items()}
-        copied = [_snapshot(inner, depth) for inner in value]
-        return copied if kind is list else tuple(copied)
-    if hasattr(value, "guid"):
-        return value
-    return copy.deepcopy(value)
-
-
 def _pack_data(item: DataItem) -> dict:
     return {
         "name": item.name,
-        "value": _snapshot(item.peek()),
+        "value": snapshot_value(item.peek()),
         "kind": item.kind._value_,  # an attribute read; ``.value`` is a property call
         "acl": item.acl.describe(),
         "metadata": dict(item.metadata),

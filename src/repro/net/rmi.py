@@ -284,9 +284,7 @@ class AsyncCall:
         self.site._async_calls[msg_id] = self
         if self.policy is not None:
             self._timer = self.site.network.simulator.schedule(
-                self.policy.timeout,
-                self._on_timeout,
-                label=f"async timeout {self.kind} {self.request_id}",
+                self.policy.timeout, self._on_timeout
             )
 
     # -- outcomes --------------------------------------------------------
@@ -343,9 +341,7 @@ class AsyncCall:
             # during the backoff still settles the future (and the
             # scheduled retry then finds it done and stands down)
             self.site.network.simulator.schedule(
-                policy.backoff_for(self.attempt - 1),
-                self._retry,
-                label=f"async backoff {self.kind} {self.request_id}",
+                policy.backoff_for(self.attempt - 1), self._retry
             )
             return
         self._unregister()

@@ -28,7 +28,8 @@ from typing import Any, Callable, Sequence
 
 from ..core.acl import Principal, remote_principal
 from ..core.errors import NamingError, NetworkError, OverloadError
-from ..core.introspection import describe as describe_object
+from ..core.epoch import EPOCH
+from ..core.introspection import describe as describe_object, visibility_mask
 from ..core.items import ItemHandle
 from ..core.mobject import MROMObject
 from .. import probes as _probes
@@ -260,9 +261,7 @@ class Site:
         self._in_progress.add(message.request_id)
         if self.service_delay > 0:
             self.network.simulator.schedule(
-                self.service_delay,
-                lambda: self._serve(message, handler),
-                label=f"serve {message.kind} @ {self.site_id}",
+                self.service_delay, lambda: self._serve(message, handler)
             )
         else:
             self._serve(message, handler)
@@ -688,11 +687,33 @@ class Site:
             probe.handle(self, "get_data", obj, name)
         return obj.get_data(name, caller=caller)
 
-    def _handle_describe(self, message: Message) -> dict:
+    def _handle_describe(self, message: Message) -> Encoded:
+        """The target's description as the caller may see it, encoded
+        once per (structural epoch, visibility mask): a view changes only
+        when some structure does, and viewers with one mask share it.
+
+        A view whose encoding needed :meth:`export_value` (metadata
+        holding a live object, a proxy or an item handle) is not kept:
+        its wire form depends on what is registered here, which the
+        epoch does not cover.
+        """
         body = request_body(message)
         caller = self._caller_from(body.get("caller"))
         obj = self.local_object(str(body.get("target", "")))
-        return describe_object(obj, viewer=caller).to_mapping()
+        key = (EPOCH.value, visibility_mask(obj, caller))
+        cached = obj._described
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        exported = False
+
+        def export(value: Any) -> Any:
+            nonlocal exported
+            exported = True
+            return self.export_value(value)
+
+        view = encode(describe_object(obj, viewer=caller).to_mapping(), export)
+        obj._described = None if exported else (key, view)
+        return view
 
     def _handle_resolve(self, message: Message) -> str:
         path = str(request_body(message).get("path", ""))

@@ -205,7 +205,7 @@ class Network:
             ))
 
         for when in delays:
-            self.simulator.schedule(when, deliver, label=f"{kind} {src}->{dst}")
+            self.simulator.schedule(when, deliver)
         return msg_id
 
     # -- convenience ------------------------------------------------------------

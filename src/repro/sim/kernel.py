@@ -6,9 +6,10 @@ message deliveries as events here, so every experiment — including the
 bandwidth/latency sweeps of PERF-5 — is exactly reproducible.
 
 The kernel is intentionally small: a monotonically increasing clock, a
-priority queue of events, and a seeded random stream for jitter. Events
-at equal times fire in scheduling order (a strictly increasing sequence
-number breaks ties), which is what makes runs deterministic.
+heap of ``(time, seq, event)`` tuples, and a seeded random stream for
+jitter. Events at equal times fire in scheduling order (a strictly
+increasing sequence number breaks ties, so the heap never compares two
+events), which is what makes runs deterministic.
 """
 
 from __future__ import annotations
@@ -16,20 +17,27 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 __all__ = ["Event", "Simulator"]
 
+_QUEUED, _FIRED, _CANCELLED = 0, 1, 2
 
-@dataclass(order=True, frozen=True)
+
 class Event:
-    """One scheduled action. Ordered by (time, seq)."""
+    """One scheduled action: queued until it fires or is cancelled."""
 
-    time: float
-    seq: int
-    action: Callable[[], Any] = field(compare=False)
-    label: str = field(compare=False, default="")
+    __slots__ = ("time", "seq", "action", "state")
+
+    def __init__(self, time: float, seq: int, action: Callable[[], Any]):
+        self.time = time
+        self.seq = seq
+        self.action = action
+        self.state = _QUEUED
+
+    def __repr__(self) -> str:
+        state = ("queued", "fired", "cancelled")[self.state]
+        return f"Event(time={self.time!r}, seq={self.seq}, {state})"
 
 
 class Simulator:
@@ -40,19 +48,20 @@ class Simulator:
     >>> _ = sim.schedule(2.0, lambda: fired.append("late"))
     >>> _ = sim.schedule(1.0, lambda: fired.append("early"))
     >>> sim.run()
+    2
     >>> fired
     ['early', 'late']
     """
 
     def __init__(self, seed: int = 0):
         self._now = 0.0
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
-        self._queued: set[int] = set()
-        self._cancelled: set[int] = set()
         self.seed = seed
         self.rng = random.Random(seed)
         self.events_processed = 0
+        #: queued events not cancelled (cancelled ones leave the heap lazily)
+        self.pending = 0
 
     def derive_rng(self, name: str) -> random.Random:
         """An independent random stream derived from this run's seed.
@@ -64,8 +73,6 @@ class Simulator:
         """
         return random.Random(f"{self.seed}:{name}")
 
-    # -- clock ---------------------------------------------------------------
-
     @property
     def now(self) -> float:
         """Current simulated time, in seconds."""
@@ -73,61 +80,57 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------------
 
-    def schedule(
-        self, delay: float, action: Callable[[], Any], label: str = ""
-    ) -> Event:
+    def schedule(self, delay: float, action: Callable[[], Any]) -> Event:
         """Schedule *action* to fire *delay* seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        event = Event(self._now + delay, next(self._seq), action, label)
-        heapq.heappush(self._queue, event)
-        self._queued.add(event.seq)
+        time = self._now + delay
+        seq = next(self._seq)
+        event = Event(time, seq, action)
+        heapq.heappush(self._queue, (time, seq, event))
+        self.pending += 1
         return event
 
-    def schedule_at(
-        self, time: float, action: Callable[[], Any], label: str = ""
-    ) -> Event:
+    def schedule_at(self, time: float, action: Callable[[], Any]) -> Event:
         """Schedule *action* at an absolute simulated time."""
-        return self.schedule(time - self._now, action, label)
+        return self.schedule(time - self._now, action)
 
     def cancel(self, event: Event) -> None:
-        """Cancel a pending event (lazy removal).
+        """Cancel a queued event; a no-op once it fired or was cancelled."""
+        if event.state == _QUEUED:
+            event.state = _CANCELLED
+            self.pending -= 1
 
-        Cancelling an event that already fired (or was already cancelled)
-        is a no-op: only seqs still in the queue enter ``_cancelled``, so
-        ``pending`` stays exact and the set cannot accumulate stale
-        entries.
-        """
-        if event.seq in self._queued:
-            self._cancelled.add(event.seq)
-
-    def _pop_cancelled(self) -> None:
-        """Pop cancelled events off the head of the queue."""
-        while self._queue and self._queue[0].seq in self._cancelled:
-            event = heapq.heappop(self._queue)
-            self._queued.discard(event.seq)
-            self._cancelled.discard(event.seq)
+    def _head_time(self) -> float | None:
+        """The time of the next live event, dropping cancelled ones."""
+        queue = self._queue
+        while queue:
+            head = queue[0]
+            if head[2].state == _QUEUED:
+                return head[0]
+            heapq.heappop(queue)
+        return None
 
     # -- execution --------------------------------------------------------------
 
     def step(self) -> bool:
         """Process the next event; returns False when the queue is empty."""
-        self._pop_cancelled()
-        if not self._queue:
-            return False
-        event = heapq.heappop(self._queue)
-        self._queued.discard(event.seq)
-        self._now = event.time
-        self.events_processed += 1
-        event.action()
-        return True
+        queue = self._queue
+        while queue:
+            time, _seq, event = heapq.heappop(queue)
+            if event.state == _QUEUED:
+                event.state = _FIRED
+                self.pending -= 1
+                self._now = time
+                self.events_processed += 1
+                event.action()
+                return True
+        return False
 
     def run(self, max_events: int | None = None) -> int:
         """Run until the queue drains (or *max_events* fire)."""
         fired = 0
-        while self._queue:
-            if max_events is not None and fired >= max_events:
-                break
+        while max_events is None or fired < max_events:
             if not self.step():
                 break
             fired += 1
@@ -143,11 +146,10 @@ class Simulator:
         """
         fired = 0
         while True:
-            self._pop_cancelled()
-            if not self._queue or self._queue[0].time > time:
+            head = self._head_time()
+            if head is None or head > time:
                 break
-            if not self.step():
-                break
+            self.step()
             fired += 1
         self._now = max(self._now, time)
         return fired
@@ -159,20 +161,13 @@ class Simulator:
         specific reply lands.
         """
         fired = 0
-        while condition() and self._queue:
-            if not self.step():
-                break
+        while condition() and self.step():
             fired += 1
             if fired >= max_events:
                 raise RuntimeError(
                     f"simulation did not converge within {max_events} events"
                 )
         return fired
-
-    @property
-    def pending(self) -> int:
-        # exact: _cancelled only ever holds seqs still in the queue
-        return len(self._queue) - len(self._cancelled)
 
     def __repr__(self) -> str:
         return f"Simulator(now={self._now:.6f}, pending={self.pending})"

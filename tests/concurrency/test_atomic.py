@@ -132,3 +132,19 @@ class TestRollback:
             with atomic(obj):
                 obj.invoke("deleteDataItem", ["count"], caller=owner)
         assert obj.containers.has_data("count")
+
+    def test_a_live_object_value_keeps_its_identity(self, owner):
+        # regression: the snapshot deep-copied every value, so a rollback
+        # swapped a held object for a same-guid clone registered nowhere
+        peer = MROMObject()
+        obj = MROMObject(owner=owner)
+        obj.define_fixed_data("peer", peer)
+        obj.define_fixed_data("peers", [peer, {"again": peer}])
+        obj.seal()
+        with pytest.raises(Boom):
+            with atomic(obj):
+                obj.set_data("peer", None, caller=owner)
+                raise Boom()
+        assert obj.get_data("peer") is peer
+        peers = obj.get_data("peers")
+        assert peers[0] is peer and peers[1]["again"] is peer

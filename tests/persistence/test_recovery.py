@@ -77,9 +77,7 @@ class TestStateRecovery:
         FaultPlane(world.network, seed=1).add(
             DropInjector(rate=1.0, only_kinds=["reply"], limit=1)
         )
-        world.network.simulator.schedule(
-            0.25, lambda: world.crash_restart("a"), label="mid-retry crash"
-        )
+        world.network.simulator.schedule(0.25, lambda: world.crash_restart("a"))
         result = world.sites["b"].remote_invoke(
             "a", counter.guid, "increment", [1],
             policy=RetryPolicy(attempts=4, timeout=0.5, backoff=0.05),
