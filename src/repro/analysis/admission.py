@@ -508,7 +508,7 @@ def _acl_of(description) -> AccessControlList:
     if not isinstance(description, Mapping):
         return AccessControlList()
     try:
-        return AccessControlList.from_description(dict(description))
+        return AccessControlList.from_description(description)
     except (KeyError, ValueError, TypeError):
         return AccessControlList()
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .. import probes as _probes
 from .epoch import EPOCH
@@ -375,16 +375,30 @@ class AccessControlList:
         }
 
     @classmethod
-    def from_description(cls, description: dict) -> "AccessControlList":
-        """Rebuild an ACL from :meth:`describe` output (pack/unpack)."""
-        entries = [
-            AclEntry(
-                subject=raw["subject"],
-                permissions=_permissions_from_names(raw["permissions"]),
-                decision=Decision(raw["decision"]),
-            )
-            for raw in description.get("entries", [])
-        ]
+    def from_description(cls, description: Mapping) -> "AccessControlList":
+        """Rebuild an ACL from :meth:`describe` output (pack/unpack).
+
+        *description* is read in place, never kept: the new list holds
+        only entries, which are immutable and shared through a bounded
+        table (an arriving object's items mostly repeat one ACL). The
+        list itself is the ACL's own, so an edit stays per-ACL. An entry
+        whose subject, permission names or decision are not text raises
+        ``TypeError``.
+        """
+        entries = []
+        interned = _DESCRIBED_ENTRIES
+        for raw in description.get("entries", ()):
+            key = (raw["subject"], tuple(raw["permissions"]), raw["decision"])
+            try:
+                entry = interned.get(key)
+            except TypeError:  # an unhashable field: refused just below
+                entry = None
+            if entry is None:
+                entry = _described_entry(*key)
+                if len(interned) >= _DESCRIBED_ENTRIES_CAP:
+                    interned.clear()
+                interned[key] = entry
+            entries.append(entry)
         return cls(entries, default_allow=bool(description.get("default_allow")))
 
     def __repr__(self) -> str:
@@ -392,11 +406,25 @@ class AccessControlList:
         return f"AccessControlList({len(self._entries)} entries, default={default})"
 
 
-def _permissions_from_names(names: Iterable[str]) -> Permission:
+#: (subject, permission names, decision) -> the entry it describes;
+#: dropped wholesale at the cap, so a peer sending ever new entries
+#: cannot grow it
+_DESCRIBED_ENTRIES: dict[tuple, AclEntry] = {}
+_DESCRIBED_ENTRIES_CAP = 4096
+
+
+def _described_entry(subject: str, names: tuple, decision: str) -> AclEntry:
+    """The entry one described ACL entry names; every field must be text."""
+    for field_name, value in (("subject", subject), ("decision", decision),
+                              *(("permission", name) for name in names)):
+        if not isinstance(value, str):
+            raise TypeError(
+                f"ACL entry {field_name} is {type(value).__name__}, not str"
+            )
     mask = 0
     for name in names:
         mask |= _MASK_OF_NAME[name]
-    return _PERMISSION_OF_MASK[mask]
+    return AclEntry(str(subject), _PERMISSION_OF_MASK[mask], Decision(decision))
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ def as_code(
     )
 
 
-def code_from_description(description: dict) -> MethodCode:
+def code_from_description(description: Mapping) -> MethodCode:
     """Rebuild a carrier from :meth:`MethodCode.describe` output.
 
     Only portable code can be rebuilt — a native description is a stub
@@ -225,13 +225,25 @@ def code_from_description(description: dict) -> MethodCode:
     error. This is where the "self-containment or it does not travel"
     rule is enforced on the receiving side.
     """
-    flavour = description.get("flavour")
-    role = CodeRole(description.get("role", "body"))
-    label = description.get("label", "")
+    flavour = _described_text(description, "flavour", None)
+    role = CodeRole(_described_text(description, "role", "body"))
+    label = _described_text(description, "label", "")
     if flavour == "portable":
-        return PortableCode(description["source"], role=role, label=label)
+        return PortableCode(
+            _described_text(description, "source", None), role=role, label=label
+        )
     if flavour == "native":
         raise MobilityError(
             f"cannot reconstruct native code {label!r} from a description"
         )
     raise MobilityError(f"unknown code flavour {flavour!r}")
+
+
+def _described_text(description: Mapping, field: str, default: str | None) -> str:
+    """A code description's text field. The description may come off the
+    wire and is read in place, so a field that is not text (a deferred
+    binary cell, say) is refused rather than kept in the carrier."""
+    value = description.get(field, default)
+    if isinstance(value, str):
+        return str(value)
+    raise MobilityError(f"code {field} is {type(value).__name__}, not str")

@@ -459,7 +459,7 @@ class MROMObject:
         if "acl" in properties:
             acl = properties["acl"]
             if isinstance(acl, Mapping):
-                acl = AccessControlList.from_description(dict(acl))
+                acl = AccessControlList.from_description(acl)
             item.set_acl(acl)
         if "metadata" in properties:
             item.update_metadata(properties["metadata"])
@@ -473,7 +473,7 @@ class MROMObject:
             kind = Kind(kind)
         acl = properties.get("acl")
         if isinstance(acl, Mapping):
-            acl = AccessControlList.from_description(dict(acl))
+            acl = AccessControlList.from_description(acl)
         item = DataItem(
             name,
             value,
@@ -555,7 +555,7 @@ class MROMObject:
         if "acl" in properties:
             acl = properties["acl"]
             if isinstance(acl, Mapping):
-                acl = AccessControlList.from_description(dict(acl))
+                acl = AccessControlList.from_description(acl)
             method.set_acl(acl)
         if "metadata" in properties:
             method.update_metadata(properties["metadata"])
@@ -593,7 +593,7 @@ class MROMObject:
         properties = properties or {}
         acl = properties.get("acl")
         if isinstance(acl, Mapping):
-            acl = AccessControlList.from_description(dict(acl))
+            acl = AccessControlList.from_description(acl)
         method = MROMMethod(
             name,
             body,

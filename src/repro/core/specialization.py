@@ -24,7 +24,6 @@ a live object, after which the copy diverges through its own meta-methods.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
@@ -33,7 +32,7 @@ from .code import MethodCode, NativeCode, PortableCode
 from .errors import DuplicateItemError, StructureError
 from .items import DataItem, MROMMethod
 from .mobject import MROMObject
-from .values import Kind
+from .values import Kind, snapshot_value
 
 __all__ = ["DataSpec", "MethodSpec", "ObjectTemplate", "clone", "clone_code"]
 
@@ -51,7 +50,7 @@ class DataSpec:
     def build(self) -> DataItem:
         return DataItem(
             self.name,
-            copy.deepcopy(self.value),
+            snapshot_value(self.value),
             kind=self.kind,
             acl=self.acl.copy() if self.acl is not None else None,
             metadata=dict(self.metadata),
@@ -234,10 +233,12 @@ def clone(
     """Dynamic (prototype-style) specialization: copy a live object.
 
     The clone gets independent copies of every item — data values are
-    deep-copied, methods get fresh code carriers — plus the prototype's
-    meta-invoke tower. It then evolves independently through its own
-    meta-methods, "which gives an effect similar to that of inheritance
-    in prototype-based languages".
+    snapshot (:func:`~repro.core.values.snapshot_value`: plain
+    containers copied, a live object or reference held by identity),
+    methods get fresh code carriers — plus the prototype's meta-invoke
+    tower. It then evolves independently through its own meta-methods,
+    "which gives an effect similar to that of inheritance in
+    prototype-based languages".
     """
     target = MROMObject(
         guid=guid,
@@ -270,7 +271,7 @@ def clone(
 def _copy_data(item: DataItem) -> DataItem:
     return DataItem(
         item.name,
-        copy.deepcopy(item.peek()),
+        snapshot_value(item.peek()),
         kind=item.kind,
         acl=item.acl.copy(),
         metadata=dict(item.metadata),

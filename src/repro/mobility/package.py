@@ -182,6 +182,10 @@ def pack_bytes(
     )
 
 
+#: what a package without an ACL or metadata field reads as
+_EMPTY: Mapping = {}
+
+
 def _text(value) -> str:
     """A package's text field (a name or an identity): text, or refused."""
     if isinstance(value, str):
@@ -189,11 +193,20 @@ def _text(value) -> str:
     raise MobilityError(f"package text field is {type(value).__name__}, not str")
 
 
+def _metadata(raw: Mapping, resolve: Resolve | None) -> dict | None:
+    """An item's metadata, materialized (a value may be a reference), or
+    None when there is none."""
+    metadata = raw.get("metadata", _EMPTY)
+    if type(metadata) is dict and not metadata:
+        return None
+    return dict(materialize_deep(metadata, resolve))
+
+
 def _unpack_data(raw: Mapping, resolve: Resolve | None) -> DataItem:
     # a deferred binary may stay only as a whole item value: DataItem
     # slices it on first read, so an item never touched is never copied.
-    # Anything else is materialized now, so no cell can leak into a
-    # nested value, an ACL or metadata (they must re-pack as plain data)
+    # A nested value and metadata are materialized now, so no cell can
+    # leak into them; the ACL is read in place and keeps only text
     value = raw.get("value")
     if not isinstance(value, LazyCell):
         value = materialize_deep(value, resolve)
@@ -201,21 +214,19 @@ def _unpack_data(raw: Mapping, resolve: Resolve | None) -> DataItem:
         _text(raw["name"]),
         value,
         kind=Kind(raw.get("kind", "any")),
-        acl=AccessControlList.from_description(
-            dict(materialize_deep(raw.get("acl", {}), resolve))
-        ),
-        metadata=dict(materialize_deep(raw.get("metadata", {}), resolve)),
+        acl=AccessControlList.from_description(raw.get("acl", _EMPTY)),
+        metadata=_metadata(raw, resolve),
     )
 
 
 def _unpack_method(raw: Mapping, resolve: Resolve | None) -> MROMMethod:
+    # the components are read in place: a code description keeps only
+    # its text fields, which code_from_description type-checks
     return MROMMethod.from_packed(
         _text(raw["name"]),
-        dict(materialize_deep(raw["components"], resolve)),
-        acl=AccessControlList.from_description(
-            dict(materialize_deep(raw.get("acl", {}), resolve))
-        ),
-        metadata=dict(materialize_deep(raw.get("metadata", {}), resolve)),
+        raw["components"],
+        acl=AccessControlList.from_description(raw.get("acl", _EMPTY)),
+        metadata=_metadata(raw, resolve),
     )
 
 
@@ -224,6 +235,10 @@ def unpack(package: Mapping, resolve: Resolve | None = None) -> MROMObject:
 
     With a receiving site's *resolve* (``Site.resolve_reference``), the
     wire references in the package resolve in the walk that rebuilds it.
+    That walk copies only where a reference may sit: item values,
+    non-empty metadata and the environment. ACL and code descriptions
+    are read in place, and every text field the object keeps from them
+    is type-checked, so the object shares nothing with *package*.
 
     Portable code is *not* executed here — it is verified and compiled
     lazily on first invocation (or eagerly by a host policy that calls
@@ -259,7 +274,7 @@ def _unpack(package: Mapping, resolve: Resolve | None) -> MROMObject:
         owner=owner,
         extensible_meta=bool(package.get("extensible_meta", False)),
         meta_acl=AccessControlList.from_description(
-            dict(materialize_deep(package.get("meta_acl", {}), resolve))
+            package.get("meta_acl", _EMPTY)
         ),
         environment=dict(materialize_deep(package.get("environment", {}), resolve)),
     )

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import struct
-from collections.abc import Hashable
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..core.errors import MarshalError
@@ -455,6 +454,9 @@ def marshalled_size(value: Any) -> int:
 #: the value of every one-byte zig-zag varint
 _SMALL_UNZIGZAG = tuple(_unzigzag(byte) for byte in range(0x80))
 
+#: the key slot of a mapping being decoded, between two pairs
+_NO_KEY = object()
+
 
 def _utf8(raw: bytes) -> str:
     try:
@@ -537,10 +539,11 @@ def _decode(
         if count and depth >= 64:
             raise MarshalError("value nesting exceeds 64 levels")
         depth += 1
-        items: list = []
-        append = items.append
+        is_list = tag == _TAG_LIST
+        result: Any = [] if is_list else {}
+        key = no_key = _NO_KEY
         interned = _DECODE_INTERN
-        for _ in range(count * 2 if tag == _TAG_MAPPING else count):
+        for _ in range(count if is_list else count * 2):
             if offset >= end:
                 raise MarshalError("truncated message")
             child = data[offset]
@@ -550,36 +553,39 @@ def _decode(
                 if offset > end:
                     raise MarshalError("truncated payload")
                 raw = data[start:offset]
-                text = interned.get(raw)
-                append(text if text is not None else _intern_text(raw))
+                value = interned.get(raw)
+                if value is None:
+                    value = _intern_text(raw)
             elif child == _TAG_INT and offset + 1 < end and data[offset + 1] < 0x80:
-                append(_SMALL_UNZIGZAG[data[offset + 1]])
+                value = _SMALL_UNZIGZAG[data[offset + 1]]
                 offset += 2
             elif child == _TAG_TRUE:
-                append(True)
+                value = True
                 offset += 1
             elif child == _TAG_FALSE:
-                append(False)
+                value = False
                 offset += 1
             elif child == _TAG_NULL:
-                append(None)
+                value = None
                 offset += 1
             else:
                 # a mapping key is never deferred: keys must hash by value
                 value, offset = _decode(
                     data, offset, depth, resolve,
-                    defer and (tag == _TAG_LIST or len(items) & 1),
+                    defer and (is_list or key is not no_key),
                 )
-                append(value)
-        if tag == _TAG_LIST:
-            return items, offset
-        pairs = iter(items)
-        try:
-            return dict(zip(pairs, pairs)), offset
-        except TypeError as exc:
-            # only a decoded list or mapping can be an unhashable key
-            key = next(key for key in items[::2] if not isinstance(key, Hashable))
-            raise MarshalError(f"unhashable mapping key {key!r}") from exc
+            if is_list:
+                result.append(value)
+            elif key is no_key:
+                key = value
+            else:
+                try:
+                    result[key] = value
+                except TypeError as exc:
+                    # only a decoded list or mapping can be an unhashable key
+                    raise MarshalError(f"unhashable mapping key {key!r}") from exc
+                key = no_key
+        return result, offset
     if tag in (_TAG_TEXT, _TAG_HTML, _TAG_BINARY, _TAG_REFERENCE):
         length, start = _read_varint(data, offset)
         offset = start + length

@@ -182,3 +182,52 @@ class TestDescriptionRoundTrip:
         copied.grant(ee_member.guid, Permission.GET)
         assert copied.permits(ee_member, Permission.GET)
         assert not acl.permits(ee_member, Permission.GET)
+
+
+class TestDescribedEntries:
+    """``from_description`` shares immutable entries through a bounded
+    table; each rebuilt ACL keeps a list of its own."""
+
+    DESCRIPTION = {
+        "default_allow": False,
+        "entries": [
+            {"subject": "domain:technion", "permissions": ["GET", "INVOKE"],
+             "decision": "allow"},
+            {"subject": "mrom:obj:cs1", "permissions": ["INVOKE"], "decision": "deny"},
+        ],
+    }
+
+    def test_two_acls_share_entries_but_not_edits(self, ee_member):
+        outsider = Principal("mrom:obj:mit1", "mit")
+        first = AccessControlList.from_description(self.DESCRIPTION)
+        second = AccessControlList.from_description(self.DESCRIPTION)
+        assert all(a is b for a, b in zip(first.entries(), second.entries()))
+        first.grant(outsider.guid, Permission.GET)
+        first.revoke(ee_member.guid, Permission.GET)
+        assert len(first) == 4 and len(second) == 2
+        assert first.permits(outsider, Permission.GET)
+        assert not second.permits(outsider, Permission.GET)
+        assert not first.permits(ee_member, Permission.GET)
+        assert second.permits(ee_member, Permission.GET)
+        second.remove_subject("domain:technion")
+        assert first.permits(ee_member, Permission.INVOKE)
+        assert not second.permits(ee_member, Permission.INVOKE)
+        assert AccessControlList.from_description(self.DESCRIPTION).describe() == (
+            self.DESCRIPTION
+        )
+
+    def test_the_table_stays_bounded_under_hostile_entries(self, ee_member):
+        from repro.core import acl as acl_module
+
+        cap = acl_module._DESCRIBED_ENTRIES_CAP
+        for batch in range(100):
+            entries = [
+                {"subject": f"mrom:obj:hostile{batch}-{n}", "permissions": ["GET"],
+                 "decision": "deny" if n % 2 else "allow"}
+                for n in range(100)
+            ]
+            rebuilt = AccessControlList.from_description({"entries": entries})
+            assert len(acl_module._DESCRIBED_ENTRIES) <= cap
+            # an ACL built across a wholesale drop keeps every entry
+            assert rebuilt.describe()["entries"] == entries
+        assert not rebuilt.permits(ee_member, Permission.GET)

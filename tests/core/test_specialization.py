@@ -133,6 +133,25 @@ class TestClone:
         copy_obj.get_data("extra", caller=alice).append(3)
         assert proto.get_data("extra", caller=alice) == [1, 2]
 
+    def test_clone_holds_a_live_object_by_identity(self, alice):
+        # a data value that is an object is held, not cloned into a
+        # second object with the same guid that is registered nowhere
+        peer = MROMObject(display_name="peer")
+        proto = self.make_prototype(alice)
+        proto.invoke("addDataItem", ["peer", {"refs": [peer], "n": [1]}], caller=alice)
+        copy_obj = clone(proto)
+        held = copy_obj.get_data("peer", caller=alice)
+        assert held["refs"][0] is peer
+        assert held["n"] is not proto.get_data("peer", caller=alice)["n"]
+
+    def test_template_holds_a_live_object_by_identity(self):
+        peer = MROMObject(display_name="peer")
+        template = ObjectTemplate("holder")
+        template.fixed_data("peer", [peer])
+        first, second = template.instantiate(), template.instantiate()
+        assert first.get_data("peer")[0] is peer
+        assert first.get_data("peer") is not second.get_data("peer")
+
     def test_clone_diverges_via_meta_methods(self, alice):
         proto = self.make_prototype(alice)
         copy_obj = clone(proto)

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import MROMObject
+from repro.core import MROMObject, allow_all
 from repro.core.errors import MobilityError
 from repro.hadas import IOO
-from repro.mobility import MobilityManager, pack, unpack
+from repro.mobility import MobilityManager, pack, unpack, unpack_bytes
 from repro.net import RemoteRef
 from repro.net.marshal import Reference, marshal, unmarshal
 from repro.persistence import MemoryStore, WriteAheadLog, attach_journal, recover_site
@@ -152,22 +152,61 @@ def test_unpack_without_a_resolver_leaves_references_inert(world):
     assert isinstance(plain.get_data("here"), Reference)
 
 
-@pytest.mark.parametrize("field", ["guid", "domain", "display_name", "owner.guid",
-                                   "owner.name", "item name", "method name"])
-@pytest.mark.parametrize("value", [["evil", {"a": 1}], {"a": 1}, 7, None, b"raw"])
-def test_a_text_field_that_is_not_text_is_refused(field, value):
-    obj = MROMObject(guid="mrom:obj:text", display_name="t")
-    obj.define_fixed_data("x", 1)
-    obj.define_fixed_method("m", "return 1")
-    obj.seal()
-    package = pack(obj)
+def _set_field(package: dict, field: str, value) -> None:
+    body = package["fixed_methods"][0]["components"]["body"]
+    entry = package["fixed_data"][0]["acl"]["entries"][0]
     if field == "item name":
         package["fixed_data"][0]["name"] = value
     elif field == "method name":
         package["fixed_methods"][0]["name"] = value
     elif field.startswith("owner."):
         package["owner"][field.split(".")[1]] = value
+    elif field.startswith("code "):
+        body[field.split()[1]] = value
+    elif field == "acl permission":
+        entry["permissions"][0] = value
+    elif field.startswith("acl "):
+        entry[field.split()[1]] = value
     else:
         package[field] = value
+
+
+@pytest.mark.parametrize("field", ["guid", "domain", "display_name", "owner.guid",
+                                   "owner.name", "item name", "method name"])
+@pytest.mark.parametrize("value", [["evil", {"a": 1}], {"a": 1}, 7, None, b"raw"])
+def test_a_text_field_that_is_not_text_is_refused(field, value):
+    obj = MROMObject(guid="mrom:obj:text", display_name="t")
+    obj.define_fixed_data("x", 1, acl=allow_all())
+    obj.define_fixed_method("m", "return 1")
+    obj.seal()
+    package = pack(obj)
+    _set_field(package, field, value)
     with pytest.raises(MobilityError, match="not str"):
         unpack(unmarshal(marshal(package)))
+
+
+#: a binary leaf large enough that ``unpack_bytes`` defers it to a cell
+#: pinning the whole message
+BIG_BINARY = b"x" * 5000
+
+
+@pytest.mark.parametrize("decode", ["eager", "deferred"])
+@pytest.mark.parametrize("field", ["code label", "code source", "code role",
+                                   "code flavour", "acl subject", "acl permission",
+                                   "acl decision"])
+@pytest.mark.parametrize("value", [["evil", {"a": 1}], {"a": 1}, 7, None, b"raw",
+                                   BIG_BINARY], ids=["list", "mapping", "int", "null",
+                                                     "binary", "big-binary"])
+def test_an_in_place_field_that_is_not_text_is_refused(field, value, decode):
+    # ACL and code descriptions are read in place, never copied: a field
+    # that is not text is refused, not kept inside the object (as bytes,
+    # or as a deferred cell pinning the whole message)
+    obj = MROMObject(guid="mrom:obj:text", display_name="t")
+    obj.define_fixed_data("x", 1, acl=allow_all())
+    obj.define_fixed_method("m", "return 1")
+    obj.seal()
+    package = pack(obj)
+    _set_field(package, field, value)
+    wire = marshal(package)
+    with pytest.raises(MobilityError, match="not str"):
+        unpack_bytes(wire) if decode == "deferred" else unpack(unmarshal(wire))
