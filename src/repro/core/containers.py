@@ -295,6 +295,14 @@ class ContainerSet:
         assert isinstance(item, DataItem)
         return item, section
 
+    def find_data(self, name: str) -> DataItem:
+        """The data item named *name*, fixed section first: the lookup
+        behind ``get_data``/``set_data`` and ``self.get``/``self.set``."""
+        item = self.fixed_data._items.get(name) or self.ext_data._items.get(name)
+        if item is None:
+            raise DataItemNotFoundError(name, "fixed+extensible")
+        return item  # type: ignore[return-value]
+
     def lookup_method(self, name: str) -> tuple[MROMMethod, Section]:
         item, section = self.lookup("method", name)
         assert isinstance(item, MROMMethod)

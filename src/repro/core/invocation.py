@@ -26,6 +26,7 @@ FIG-1 reproduction prints, and what the audit machinery in
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -191,23 +192,18 @@ class Invoker:
         method_name: str,
         args: Sequence[Any] = (),
     ) -> Any:
-        """Invoke *method_name* with MROM semantics, entering the tower at
-        its top level (or directly at level 0 when no tower exists)."""
+        """The cold step of ``MROMObject.invoke``, which found no live
+        closure: discard a stale one and compile, or enter the tower at
+        its top level (directly at level 0 when no tower exists)."""
         obj = self.obj
         # Compiled dispatch is gated on an empty meta tower: installing a
         # meta-invoke level does not move the mutation clock, so the
         # generation pin alone could not keep a closure from bypassing a
-        # freshly stacked level. A closure re-checks its own pins and
-        # answers COMPILED_STALE when any moved.
+        # freshly stacked level.
         cache = obj._fastpath
         if cache is not None and not obj._meta_invokes:
             key = (caller.guid, caller.domain, method_name)
-            fn = cache.compiled.get(key)
-            if fn is not None:
-                result = fn(caller, args)
-                if result is not COMPILED_STALE:
-                    return result
-                cache.discard_compiled(key)
+            cache.discard_compiled(key)  # a stale closure; a miss has none
             fn = self._compile(caller, method_name, cache)
             if fn is not None:
                 cache.store_compiled(key, fn)
@@ -398,6 +394,12 @@ def _uses_ctx(carrier) -> bool:
     return "ctx" in source
 
 
+#: ``TraceEvent(0, phase, method, note)``, shared by every closure
+#: compiled for that method; bounded, so ever new method names cannot
+#: grow it (always called with four positional arguments: one key each)
+_event = functools.lru_cache(maxsize=4096)(TraceEvent)
+
+
 def compile_invocation(
     invoker: Invoker,
     method: MROMMethod,
@@ -452,15 +454,13 @@ def compile_invocation(
 
     # the trace is known at compile time up to data-dependent branches:
     # pin one frozen event per (phase, outcome) and append by reference
-    ev_lookup = TraceEvent(0, Phase.LOOKUP, name, section)
-    ev_match = TraceEvent(0, Phase.MATCH, name, "self" if is_self else "checked")
-    ev_body = TraceEvent(0, Phase.BODY, name)
-    ev_pre_ok = TraceEvent(0, Phase.PRE, name, "ok") if pre is not None else None
-    ev_pre_veto = TraceEvent(0, Phase.PRE, name, "veto") if pre is not None else None
-    ev_post_ok = TraceEvent(0, Phase.POST, name, "ok") if post is not None else None
-    ev_post_failed = (
-        TraceEvent(0, Phase.POST, name, "failed") if post is not None else None
-    )
+    ev_lookup = _event(0, Phase.LOOKUP, name, section)
+    ev_match = _event(0, Phase.MATCH, name, "self" if is_self else "checked")
+    ev_body = _event(0, Phase.BODY, name, "")
+    ev_pre_ok = _event(0, Phase.PRE, name, "ok") if pre is not None else None
+    ev_pre_veto = _event(0, Phase.PRE, name, "veto") if pre is not None else None
+    ev_post_ok = _event(0, Phase.POST, name, "ok") if post is not None else None
+    ev_post_failed = _event(0, Phase.POST, name, "failed") if post is not None else None
     if (
         pre is None
         and post is None

@@ -70,6 +70,7 @@ _SET = Permission.SET
 #: an item is visible to whoever may read, invoke or meta-manipulate it
 _VISIBLE_BITS = GET_BIT | INVOKE_BIT | META_BIT
 _ANY_KIND = Kind.ANY.value
+_ANY = Kind.ANY
 
 
 @dataclass(frozen=True)
@@ -223,7 +224,8 @@ class DataItem(_Item):
         Still enforces the declared dynamic kind — self-trust bypasses the
         ACL, never the typing discipline.
         """
-        self._value = self._admit(value)
+        # an untyped item admits every value as it is (see _admit)
+        self._value = value if self.kind is _ANY else self._admit(value)
 
     # -- dynamic-type property ---------------------------------------------
 

@@ -48,7 +48,7 @@ from .acl import (
 )
 from .containers import ContainerSet, EXTENSIBLE, FIXED
 from .epoch import EPOCH
-from .fastpath import InvocationCache
+from .fastpath import COMPILED_STALE, InvocationCache
 from .errors import (
     FixedSectionError,
     MethodNotFoundError,
@@ -208,8 +208,8 @@ class MROMObject:
         kind: Kind | None = None,
     ) -> Any:
         """Read a data item's value, optionally coercing it to *kind*."""
-        caller = self._resolve_caller(caller)
-        item, _section = self.containers.lookup_data(name)
+        item = self.containers.find_data(name)
+        caller = ANONYMOUS if caller is None else caller
         if caller.guid == self.guid:
             value = item.peek()
         else:
@@ -218,8 +218,8 @@ class MROMObject:
 
     def set_data(self, name: str, value: Any, caller: Principal | None = None) -> None:
         """Write a data item's value (coerced to its declared kind)."""
-        caller = self._resolve_caller(caller)
-        item, _section = self.containers.lookup_data(name)
+        item = self.containers.find_data(name)
+        caller = ANONYMOUS if caller is None else caller
         if caller.guid == self.guid:
             item.poke(value)
         else:
@@ -235,8 +235,22 @@ class MROMObject:
         args: Sequence[Any] = (),
         caller: Principal | None = None,
     ) -> Any:
-        """Invoke a method (including meta-methods) with MROM semantics."""
-        return self._invoker.invoke(self._resolve_caller(caller), method_name, args)
+        """Invoke a method (including meta-methods) with MROM semantics.
+
+        The warm step: with no meta tower, a live compiled closure for
+        (caller, method) serves the call here; a miss or a stale closure
+        goes on to the cold step, :meth:`Invoker.invoke`.
+        """
+        if caller is None:
+            caller = ANONYMOUS
+        cache = self._fastpath
+        if cache is not None and not self._meta_invokes:
+            fn = cache.compiled.get((caller.guid, caller.domain, method_name))
+            if fn is not None:
+                result = fn(caller, args)
+                if result is not COMPILED_STALE:
+                    return result
+        return self._invoker.invoke(caller, method_name, args)
 
     def invoke_primitive(
         self,
@@ -251,11 +265,8 @@ class MROMObject:
         should use :meth:`invoke`.
         """
         return self._invoker.invoke_primitive(
-            self._resolve_caller(caller), method_name, args
+            ANONYMOUS if caller is None else caller, method_name, args
         )
-
-    def _resolve_caller(self, caller: Principal | None) -> Principal:
-        return caller if caller is not None else ANONYMOUS
 
     # ------------------------------------------------------------------
     # the invocation cache (compiled level-0 closures)
@@ -454,13 +465,9 @@ class MROMObject:
             container = self.containers.container_of("data", item.name)
             container.rename(item.name, properties["name"])
         if "kind" in properties:
-            kind = properties["kind"]
-            item.set_kind(kind if isinstance(kind, Kind) else Kind(kind))
+            item.set_kind(_property(item.name, "kind", properties["kind"]))
         if "acl" in properties:
-            acl = properties["acl"]
-            if isinstance(acl, Mapping):
-                acl = AccessControlList.from_description(acl)
-            item.set_acl(acl)
+            item.set_acl(_property(item.name, "acl", properties["acl"]))
         if "metadata" in properties:
             item.update_metadata(properties["metadata"])
 
@@ -468,17 +475,12 @@ class MROMObject:
         """addDataItem(name, value[, properties]) — extensible section."""
         name, value, properties = _expect_between(args, 2, 3, "addDataItem")
         properties = properties or {}
-        kind = properties.get("kind", Kind.ANY)
-        if not isinstance(kind, Kind):
-            kind = Kind(kind)
         acl = properties.get("acl")
-        if isinstance(acl, Mapping):
-            acl = AccessControlList.from_description(acl)
         item = DataItem(
             name,
             value,
-            kind=kind,
-            acl=acl,
+            kind=_property(name, "kind", properties.get("kind", Kind.ANY)),
+            acl=None if acl is None else _property(name, "acl", acl),
             metadata=properties.get("metadata"),
         )
         self.containers.add_extensible(item)
@@ -553,10 +555,7 @@ class MROMObject:
             container = self.containers.container_of("method", method.name)
             container.rename(method.name, properties["name"])
         if "acl" in properties:
-            acl = properties["acl"]
-            if isinstance(acl, Mapping):
-                acl = AccessControlList.from_description(acl)
-            method.set_acl(acl)
+            method.set_acl(_property(method.name, "acl", properties["acl"]))
         if "metadata" in properties:
             method.update_metadata(properties["metadata"])
         # verify replacement components *before* touching the method, so a
@@ -592,14 +591,12 @@ class MROMObject:
         name, body, properties = _expect_between(args, 2, 3, "addMethod")
         properties = properties or {}
         acl = properties.get("acl")
-        if isinstance(acl, Mapping):
-            acl = AccessControlList.from_description(acl)
         method = MROMMethod(
             name,
             body,
             pre=properties.get("pre"),
             post=properties.get("post"),
-            acl=acl,
+            acl=None if acl is None else _property(name, "acl", acl),
             metadata=properties.get("metadata"),
         ).verify()  # reject hostile code at install time, not first call
         if name == "invoke":
@@ -628,7 +625,7 @@ class MROMObject:
         mechanism; "used to invoke any method of the object, including
         meta-methods"."""
         name, call_args = _expect_between(args, 1, 2, "invoke")
-        return self._invoker.invoke(caller, name, call_args or [])
+        return self.invoke(name, call_args or [], caller)
 
     # ------------------------------------------------------------------
     # description
@@ -696,6 +693,21 @@ _META_SPECS = tuple(map(_meta_spec, META_METHOD_NAMES, (
 )))
 
 
+def _property(item: str, field: str, value: Any) -> Any:
+    """The ``kind`` (a :class:`Kind` or its name) or ``acl`` (an ACL or
+    its description, as a remote caller sends it) property of *item*; a
+    malformed one is refused naming the item."""
+    if field == "acl" and isinstance(value, AccessControlList):
+        return value
+    parse = Kind if field == "kind" else AccessControlList.from_description
+    try:
+        return parse(value)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise StructureError(
+            f"item {item!r} has a malformed {field} ({type(exc).__name__}: {exc})"
+        ) from None
+
+
 def _expect(args: Sequence, count: int, operation: str) -> Sequence:
     if len(args) != count:
         raise StructureError(
@@ -724,9 +736,10 @@ class SelfView:
     """
 
     def __init__(self, obj: MROMObject):
-        # stored under a name the sandbox cannot reach (dunder-mangled
+        # stored under names the sandbox cannot reach (dunder-mangled
         # access is rejected by the verifier)
         object.__setattr__(self, "_SelfView__obj", obj)
+        object.__setattr__(self, "_SelfView__find", obj.containers.find_data)
 
     # read-only identity ---------------------------------------------------
 
@@ -744,11 +757,13 @@ class SelfView:
 
     # value access ----------------------------------------------------------
 
+    # get_data/set_data for the object's own principal: no ACL, but
+    # ``poke`` still coerces to the declared kind
     def get(self, name: str) -> Any:
-        return self.__obj.get_data(name, caller=self.__obj.principal)
+        return self.__find(name).peek()
 
     def set(self, name: str, value: Any) -> None:
-        self.__obj.set_data(name, value, caller=self.__obj.principal)
+        self.__find(name).poke(value)
 
     def has_data(self, name: str) -> bool:
         return self.__obj.containers.has_data(name)
