@@ -7,6 +7,8 @@ increment. This bench regenerates the series: latency at levels 0..4,
 plus the marginal per-level cost.
 """
 
+import statistics
+
 import pytest
 
 from repro.core import MROMObject, Principal, allow_all
@@ -38,12 +40,24 @@ def test_invocation_at_level(benchmark, levels):
     assert result == 42
 
 
+#: interleaved timing rounds per depth in the FIG-1 series
+ROUNDS = 5
+
+
 def test_fig1_series(benchmark):
     objs = {levels: build_tower(levels) for levels in range(5)}
-    times = {
-        levels: time_per_call(lambda o=obj: o.invoke("Mfoo", [1], caller=OWNER))
-        for levels, obj in objs.items()
-    }
+    # every depth is timed once per round, the order rotating each round,
+    # and a depth's cell is the median of its rounds: a VM speed step
+    # then lands on every depth, not on one depth's only batch
+    samples: dict[int, list[float]] = {levels: [] for levels in objs}
+    for round_ in range(ROUNDS):
+        for step in range(5):
+            levels = (round_ + step) % 5
+            obj = objs[levels]
+            samples[levels].append(
+                time_per_call(lambda o=obj: o.invoke("Mfoo", [1], caller=OWNER))
+            )
+    times = {levels: statistics.median(cells) for levels, cells in samples.items()}
     rows = []
     for levels in range(5):
         marginal = times[levels] - times[levels - 1] if levels else 0.0

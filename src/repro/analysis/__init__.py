@@ -4,9 +4,10 @@ Two front ends over one diagnostic core:
 
 * :mod:`repro.analysis.mpl_lint` — language-level lint passes over MPL
   programs (:func:`lint_source`, the :data:`RULES` registry);
-* :mod:`repro.analysis.admission` — self-containment/ACL/tower analysis
-  of migrating objects (:func:`analyze_object`, :func:`analyze_package`,
-  the :func:`admission_policy` PREPARE gate);
+* :mod:`repro.analysis.admission` — self-containment/ACL/code analysis
+  of migrating objects (:func:`analyze_object`; :func:`analyze_package`,
+  which audits the object ``unpack`` builds; the
+  :func:`admission_policy` PREPARE gate);
 
 plus the interprocedural layer (``repro analyze``): per-method effect
 sets feeding :mod:`.races` (``race.*``), wait-for cycle detection in

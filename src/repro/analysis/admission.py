@@ -2,25 +2,32 @@
 
 The second front end of the static-analysis subsystem. Where
 :mod:`repro.analysis.mpl_lint` judges MPL programs, this module judges
-*objects about to cross a site boundary* — live :class:`MROMObject`
-instances on the sending side (:func:`analyze_object`) and raw transfer
-packages on the receiving side (:func:`analyze_package`), before
-``unpack`` rebuilds anything.
+*objects about to cross a site boundary*, with one analysis over a live
+:class:`MROMObject` (:func:`analyze_object`). On the sending side that
+is the object itself. On the receiving side it is the object
+:func:`~repro.mobility.package.unpack` builds from the arriving package
+(:func:`analyze_package`): the Ambassador "arrives as data" and the
+importing site unpacks it (Section 5), so the rebuilt object is what
+would be installed. ``unpack`` runs no guest code (it type-checks every
+field it keeps, and portable code compiles lazily), so nothing is
+installed or imported before the verdict. A package ``unpack`` refuses
+becomes one finding, chosen by the refusal's type.
 
 Checks (rule ids in :data:`ADMISSION_RULES`):
 
 * **self-containment** — native code anywhere (method components or the
   meta-invoke tower), data values with no wire representation, values
-  holding :class:`~repro.net.marshal.Reference` stubs that point back at
-  the origin site;
-* **code integrity** — every portable component is put through the
-  sandbox verifier *now*, instead of lazily at first invocation (the
-  sandbox's own ``sandbox.*`` diagnostics are folded into the report);
+  sent by identity (a :class:`~repro.net.marshal.Reference`, a
+  :class:`~repro.net.rmi.RemoteRef` or any object with a ``guid``);
+* **code integrity** — every portable component is verified and
+  compiled *now*, instead of lazily at first invocation (the sandbox's
+  own ``sandbox.*`` diagnostics are folded into the report; a body the
+  sandbox verified before costs a lookup, and the object keeps the
+  compiled code);
 * **ACL coverage** — items that arrive unusable (no entries, default
   deny) and meta-surfaces open to anonymous callers;
-* **tower integrity** — a meta-invoke tower on an object whose meta
-  section is not extensible, and tower levels that are not META-role
-  portable code.
+* **package integrity** — a package ``unpack`` refuses, among them a
+  meta-invoke tower on a package whose meta section is fixed.
 
 :func:`admission_policy` adapts the analysis to the
 ``AdmissionPolicy`` callable that
@@ -34,14 +41,20 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..core.acl import ANONYMOUS, AccessControlList, Permission
-from ..core.code import CodeRole
-from ..core.errors import MarshalError, PolicyViolationError
-from ..net.marshal import Reference, marshal
+from ..core.errors import (
+    FixedSectionError,
+    MarshalError,
+    MROMError,
+    NotPortableError,
+    PolicyViolationError,
+)
+from ..net.marshal import Reference, Resolve, marshal
 from .diagnostics import Diagnostic, Severity, fails
 
 __all__ = [
     "ADMISSION_RULES",
     "AdmissionRefusal",
+    "admit",
     "analyze_object",
     "analyze_package",
     "admission_policy",
@@ -49,14 +62,14 @@ __all__ = [
 
 #: Every admission rule id and what it means. Severity in parentheses.
 ADMISSION_RULES: dict[str, str] = {
-    "adm.bad-package": "the package is structurally unusable (error)",
+    "adm.bad-package": "unpack refused the package as structurally unusable (error)",
     "adm.native-code": "a method component is native code and cannot travel (error)",
-    "adm.malformed-code": "a portable component failed the sandbox audit (error)",
+    "adm.malformed-code": "a portable component failed the sandbox audit or does not compile (error)",
     "adm.unmarshalable-value": "a data value has no wire representation (error)",
-    "adm.external-reference": "a data value holds a by-reference stub to another site (warning)",
+    "adm.external-reference": "a data value holds a value sent by identity, not by copy (warning)",
     "adm.unreachable-item": "an item whose ACL admits nobody after migration (warning)",
     "adm.open-meta": "a meta-surface invocable by anonymous callers (warning)",
-    "adm.tower-breach": "a meta-invoke tower without an extensible meta section (error)",
+    "adm.tower-breach": "a package carries a meta-invoke tower but declares its meta section fixed (error)",
     # concurrency rules (opt-in: `concurrency=True`, which the admission
     # gate passes): re-tagged race.*/cycle.* findings from the
     # interprocedural layer, run over the arriving code itself
@@ -66,9 +79,6 @@ ADMISSION_RULES: dict[str, str] = {
     "adm.race.unsynced-structural": "a method mutates object structure racing cached dispatch pins (warning)",
     "adm.cycle.recursion": "a method's self-call chain reaches itself; every invocation recurses (warning)",
 }
-
-_ROLE_NAMES = {role.value for role in CodeRole}
-
 
 class AdmissionRefusal(PolicyViolationError):
     """A structured veto: the admission analysis found blocking findings.
@@ -117,33 +127,31 @@ def _finding(
     )
 
 
-def _audit_portable(
-    source_text: str, role: str, label: str
-) -> list[Diagnostic]:
-    """Run the sandbox verifier over one portable component now."""
+def _audit_portable(carrier, label: str) -> list[Diagnostic]:
+    """Verify and compile one portable component now, as its first
+    invocation would: the sandbox keeps each body it verified, so a
+    body it has seen costs a lookup, and the object keeps the compiled
+    code. A refusal is reported with every sandbox finding in it."""
     from ..mobility.sandbox import audit_function_body
 
     try:
-        parameters = CodeRole(role).parameters
-    except ValueError:
-        return [
-            _finding(
-                "adm.malformed-code",
-                Severity.ERROR,
-                f"component has unknown role {role!r}",
-                label,
-            )
-        ]
-    sandbox_findings = audit_function_body(
-        source_text, parameters, source_name=label
-    )
-    if not sandbox_findings:
+        carrier.compile_now()
         return []
+    except (MROMError, SyntaxError, ValueError) as exc:  # a sandbox refusal
+        refusal = exc  # or source that does not compile
+    role = carrier.role
+    sandbox_findings = audit_function_body(
+        carrier.source, role.parameters, source_name=label
+    )
+    what = (
+        f"failed the sandbox audit ({len(sandbox_findings)} violation(s))"
+        if sandbox_findings
+        else f"does not compile ({type(refusal).__name__}: {refusal})"
+    )
     header = _finding(
         "adm.malformed-code",
         Severity.ERROR,
-        f"portable {role} code failed the sandbox audit "
-        f"({len(sandbox_findings)} violation(s))",
+        f"portable {role.value} code {what}",
         label,
         hint="the destination would refuse to compile this component",
     )
@@ -151,19 +159,21 @@ def _audit_portable(
 
 
 def _scan_references(value, path: str) -> list[str]:
-    """Paths inside *value* that hold by-reference stubs to other sites."""
+    """Paths inside *value* that ``marshal`` sends by identity: a
+    :class:`Reference`, or anything else with a ``guid`` (a live object,
+    a remote proxy)."""
     hits: list[str] = []
     stack: list[tuple[object, str]] = [(value, path)]
     while stack:
         current, where = stack.pop()
-        if isinstance(current, Reference):
-            hits.append(where)
-        elif isinstance(current, Mapping):
+        if isinstance(current, Mapping):
             for key, nested in current.items():
                 stack.append((nested, f"{where}[{key!r}]"))
         elif isinstance(current, (list, tuple, set, frozenset)):
             for position, nested in enumerate(current):
                 stack.append((nested, f"{where}[{position}]"))
+        elif isinstance(current, Reference) or hasattr(current, "guid"):
+            hits.append(where)
     return hits
 
 
@@ -174,8 +184,8 @@ def _check_value(name: str, value, label: str) -> list[Diagnostic]:
             _finding(
                 "adm.external-reference",
                 Severity.WARNING,
-                f"data item {where} holds a by-reference stub to another "
-                "site; the object is not self-contained",
+                f"data item {where} holds a value sent by identity, not "
+                "by copy; the object is not self-contained",
                 label,
                 hint="resolve or drop the reference before migrating",
             )
@@ -239,12 +249,17 @@ def _check_meta_openness(
 
 
 def analyze_object(obj, concurrency: bool = False) -> list[Diagnostic]:
-    """Pre-flight a live :class:`~repro.core.mobject.MROMObject`.
+    """Audit a live :class:`~repro.core.mobject.MROMObject`.
 
-    The sender-side mirror of :func:`analyze_package`: everything found
-    here would bounce (or warrant a warning) at a destination running the
+    On the sending side this is the pre-flight: everything found here
+    would bounce (or warrant a warning) at a destination running the
     admission gate, so a migrating application can lint itself *before*
-    paying for the round trip.
+    paying for the round trip. On the receiving side it runs over the
+    object :func:`analyze_package` unpacked.
+
+    Only the bundled meta-methods are skipped (their ACLs are checked
+    for openness). A method whose metadata merely says ``meta`` is
+    audited like any other, so an arriving package cannot hide one.
 
     With *concurrency* (what the admission gate passes), the
     interprocedural race/recursion rules also run over the object's
@@ -254,12 +269,13 @@ def analyze_object(obj, concurrency: bool = False) -> list[Diagnostic]:
     gate is strict.
     """
     from ..core.items import DataItem, MROMMethod
+    from ..core.mobject import is_bundled_meta
 
     label = f"object:{obj.guid}"
     findings: list[Diagnostic] = []
     findings.extend(_check_meta_openness("the meta ACL", obj._meta_acl, label))
     for item, category, section in obj.containers.iter_with_sections():
-        if isinstance(item, MROMMethod) and item.metadata.get("meta"):
+        if isinstance(item, MROMMethod) and is_bundled_meta(item):
             if item.name != "invoke":  # invoke is the public entry point
                 findings.extend(
                     _check_meta_openness(
@@ -272,18 +288,7 @@ def analyze_object(obj, concurrency: bool = False) -> list[Diagnostic]:
             findings.extend(_check_value(item.name, item.peek(), label))
         elif isinstance(item, MROMMethod):
             findings.extend(_analyze_live_method(item, item.name, label))
-    tower = obj.meta_invoke_chain()
-    if tower and not obj.extensible_meta:
-        findings.append(
-            _finding(
-                "adm.tower-breach",
-                Severity.ERROR,
-                f"object carries a {len(tower)}-level meta-invoke tower "
-                "but its meta section is not extensible",
-                label,
-            )
-        )
-    for level, method in enumerate(tower, start=1):
+    for level, method in enumerate(obj.meta_invoke_chain(), start=1):
         findings.extend(
             _analyze_live_method(method, f"invoke@level{level}", label)
         )
@@ -339,278 +344,100 @@ def _analyze_live_method(method, name: str, label: str) -> list[Diagnostic]:
                 )
             )
             continue
-        findings.extend(_audit_portable(carrier.source, role, where))
+        findings.extend(_audit_portable(carrier, where))
     return findings
 
 
 # ---------------------------------------------------------------------------
-# package analysis (receiver side)
+# package analysis (receiver side) and the admission gate
 # ---------------------------------------------------------------------------
+
+#: the finding an ``unpack`` refusal of this exact type gives; any other
+#: MROMError is ``adm.bad-package``
+_REFUSAL_RULES = {
+    NotPortableError: "adm.native-code",
+    FixedSectionError: "adm.tower-breach",
+}
+
+
+def _audit(package, concurrency: bool, resolve: Resolve | None):
+    """``(object, findings)`` for *package*: the object ``unpack`` builds
+    and :func:`analyze_object`'s findings about it, or ``None`` and the
+    one finding its refusal gives."""
+    from ..mobility.package import unpack
+
+    try:
+        obj = unpack(package, resolve)
+    except MROMError as exc:
+        guid = _package_guid(package)
+        rule = _REFUSAL_RULES.get(type(exc), "adm.bad-package")
+        return None, [
+            _finding(
+                rule,
+                Severity.ERROR,
+                f"unpack refused the package: {exc}",
+                f"package:{guid}" if guid else "package",
+            )
+        ]
+    return obj, analyze_object(obj, concurrency=concurrency)
+
+
+def _package_guid(package) -> str:
+    guid = package.get("guid") if isinstance(package, Mapping) else None
+    return guid if isinstance(guid, str) else ""
 
 
 def analyze_package(
     package: Mapping, concurrency: bool = False
 ) -> list[Diagnostic]:
-    """Audit a raw transfer package before anything is unpacked.
+    """Audit a transfer package as the object ``unpack`` builds from it.
 
-    This is what the PREPARE admission gate runs: the input is the
-    untrusted mapping straight off the wire, so every access is guarded
-    and structural surprises become ``adm.bad-package`` findings instead
-    of exceptions. With *concurrency*, the race/recursion rules also run
-    over the packed portable method sources (``adm.race.*``/
-    ``adm.cycle.*``, warnings).
+    A package ``unpack`` refuses gives one error: ``adm.native-code``
+    for a native-code stub, ``adm.tower-breach`` for a tower on a fixed
+    meta section, ``adm.bad-package`` for anything else. Otherwise the
+    findings are :func:`analyze_object`'s, under ``object:<guid>``.
+    Wire references stay inert :class:`Reference` values here.
     """
-    from ..mobility.package import FORMAT
-
-    if not isinstance(package, Mapping):
-        return [
-            _finding(
-                "adm.bad-package",
-                Severity.ERROR,
-                f"package is {type(package).__name__}, not a mapping",
-                "package",
-            )
-        ]
-    guid = str(package.get("guid") or "")
-    label = f"package:{guid or '<no guid>'}"
-    findings: list[Diagnostic] = []
-    if package.get("format") != FORMAT:
-        findings.append(
-            _finding(
-                "adm.bad-package",
-                Severity.ERROR,
-                f"unknown package format {package.get('format')!r} "
-                f"(expected {FORMAT!r})",
-                label,
-            )
-        )
-    if not guid:
-        findings.append(
-            _finding(
-                "adm.bad-package",
-                Severity.ERROR,
-                "package carries no guid; identity must travel with the object",
-                label,
-            )
-        )
-    findings.extend(
-        _check_meta_openness(
-            "the meta ACL", _acl_of(package.get("meta_acl")), label
-        )
-    )
-    for section in ("fixed_data", "ext_data"):
-        for raw in _raw_items(package, section, findings, label):
-            name = str(raw.get("name", "<unnamed>"))
-            findings.extend(_check_acl_coverage(name, _acl_of(raw.get("acl")), label))
-            findings.extend(_check_value(name, raw.get("value"), label))
-    for section in ("fixed_methods", "ext_methods"):
-        for raw in _raw_items(package, section, findings, label):
-            name = str(raw.get("name", "<unnamed>"))
-            findings.extend(_check_acl_coverage(name, _acl_of(raw.get("acl")), label))
-            findings.extend(_analyze_packed_method(raw, name, label))
-    tower = package.get("tower") or []
-    if not isinstance(tower, (list, tuple)):
-        findings.append(
-            _finding(
-                "adm.bad-package",
-                Severity.ERROR,
-                f"tower is {type(tower).__name__}, not a sequence",
-                label,
-            )
-        )
-        tower = []
-    if tower and not package.get("extensible_meta"):
-        findings.append(
-            _finding(
-                "adm.tower-breach",
-                Severity.ERROR,
-                f"package carries a {len(tower)}-level meta-invoke tower "
-                "but declares the meta section fixed; installing it would "
-                "fail (or worse, be forced)",
-                label,
-            )
-        )
-    for level, raw in enumerate(tower, start=1):
-        if isinstance(raw, Mapping):
-            findings.extend(
-                _analyze_packed_method(raw, f"invoke@level{level}", label)
-            )
-    if concurrency:
-        findings.extend(
-            _concurrency_findings(
-                _packed_effects(package),
-                label,
-                str(package.get("display_name") or guid or "<package>"),
-            )
-        )
-    return findings
+    return _audit(package, concurrency, None)[1]
 
 
-def _packed_effects(package: Mapping) -> dict:
-    """Effect sets for a package's portable base-level methods."""
-    from ..lang.effects import effects_of_portable
+def admit(
+    package: Mapping,
+    src: str = "",
+    strict: bool = False,
+    concurrency: bool = True,
+    resolve: Resolve | None = None,
+):
+    """Unpack *package* once, audit the object, and return it if it passes.
 
-    effects: dict = {}
-    for section in ("fixed_methods", "ext_methods"):
-        raw_section = package.get(section, [])
-        if not isinstance(raw_section, (list, tuple)):
-            continue
-        for raw in raw_section:
-            if not isinstance(raw, Mapping):
-                continue
-            if isinstance(raw.get("metadata"), Mapping) and raw["metadata"].get(
-                "meta"
-            ):
-                continue
-            components = raw.get("components")
-            if not isinstance(components, Mapping):
-                continue
-            body = components.get("body")
-            if not isinstance(body, Mapping):
-                continue
-            source = body.get("source")
-            if body.get("flavour") == "portable" and isinstance(source, str):
-                name = str(raw.get("name", "<unnamed>"))
-                effects[name] = effects_of_portable(source, name)
-    return effects
-
-
-def _raw_items(package: Mapping, section: str, findings, label) -> list[Mapping]:
-    raw_section = package.get(section, [])
-    if not isinstance(raw_section, (list, tuple)):
-        findings.append(
-            _finding(
-                "adm.bad-package",
-                Severity.ERROR,
-                f"section {section!r} is {type(raw_section).__name__}, "
-                "not a sequence",
-                label,
-            )
-        )
-        return []
-    usable = []
-    for raw in raw_section:
-        if isinstance(raw, Mapping):
-            usable.append(raw)
-        else:
-            findings.append(
-                _finding(
-                    "adm.bad-package",
-                    Severity.ERROR,
-                    f"section {section!r} holds a non-mapping entry",
-                    label,
-                )
-            )
-    return usable
-
-
-def _acl_of(description) -> AccessControlList:
-    if not isinstance(description, Mapping):
-        return AccessControlList()
-    try:
-        return AccessControlList.from_description(description)
-    except (KeyError, ValueError, TypeError):
-        return AccessControlList()
-
-
-def _analyze_packed_method(raw: Mapping, name: str, label: str) -> list[Diagnostic]:
-    findings: list[Diagnostic] = []
-    components = raw.get("components")
-    if not isinstance(components, Mapping) or "body" not in components:
-        findings.append(
-            _finding(
-                "adm.bad-package",
-                Severity.ERROR,
-                f"method {name!r} has no body component",
-                label,
-            )
-        )
-        return findings
-    for role, description in components.items():
-        where = f"{label}:{name}.{role}"
-        if role not in _ROLE_NAMES and role not in ("pre", "post", "body"):
-            findings.append(
-                _finding(
-                    "adm.bad-package",
-                    Severity.ERROR,
-                    f"method {name!r} has unknown component role {role!r}",
-                    where,
-                )
-            )
-            continue
-        if not isinstance(description, Mapping):
-            findings.append(
-                _finding(
-                    "adm.bad-package",
-                    Severity.ERROR,
-                    f"component {name}.{role} is not a description mapping",
-                    where,
-                )
-            )
-            continue
-        flavour = description.get("flavour")
-        if flavour == "native":
-            findings.append(
-                _finding(
-                    "adm.native-code",
-                    Severity.ERROR,
-                    f"component {name}.{role} is a native-code stub; it "
-                    "cannot be reconstructed here",
-                    where,
-                )
-            )
-        elif flavour == "portable":
-            source_text = description.get("source")
-            if not isinstance(source_text, str):
-                findings.append(
-                    _finding(
-                        "adm.bad-package",
-                        Severity.ERROR,
-                        f"portable component {name}.{role} carries no source",
-                        where,
-                    )
-                )
-            else:
-                code_role = description.get("role", role if role != "body" else "body")
-                findings.extend(_audit_portable(source_text, str(code_role), where))
-        else:
-            findings.append(
-                _finding(
-                    "adm.bad-package",
-                    Severity.ERROR,
-                    f"component {name}.{role} has unknown flavour {flavour!r}",
-                    where,
-                )
-            )
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# the admission-gate policy
-# ---------------------------------------------------------------------------
+    A failing report raises :class:`AdmissionRefusal`; the object is
+    then dropped, never installed. With *resolve* (the receiving site's
+    ``resolve_reference``), wire references resolve as the object is
+    rebuilt, so the audited object is the one a site installs.
+    """
+    obj, findings = _audit(package, concurrency, resolve)
+    if obj is None or fails(findings, strict=strict):
+        guid = _package_guid(package)
+        raise AdmissionRefusal(findings, subject=f"{guid or 'object'} from {src!r}")
+    return obj
 
 
 def admission_policy(strict: bool = False, concurrency: bool = True):
-    """An ``AdmissionPolicy`` callable running :func:`analyze_package`.
+    """An ``AdmissionPolicy`` callable running :func:`admit`.
 
     Plug into :class:`~repro.mobility.transfer.MobilityManager` (or pass
-    ``verify_arrivals=True`` to have the manager do it): at PREPARE the
-    raw package is analyzed and a failing report raises
+    ``verify_arrivals=True`` to have the manager run the same audit with
+    its site's resolver): at PREPARE the package is unpacked and the
+    object audited, and a failing report raises
     :class:`AdmissionRefusal` — the migration bounces with the findings
-    attached, and nothing was unpacked or imported. With *strict*,
+    attached, and nothing was installed or imported. The callable returns
+    the object it audited, unpacked without a resolver. With *strict*,
     warnings (open meta surfaces, unreachable items, external references,
     and the ``adm.race.*``/``adm.cycle.*`` concurrency findings the gate
     checks by default) also refuse admission.
     """
 
-    def policy(package: Mapping, src: str) -> None:
-        findings = analyze_package(package, concurrency=concurrency)
-        if fails(findings, strict=strict):
-            guid = ""
-            if isinstance(package, Mapping):
-                guid = str(package.get("guid") or "")
-            raise AdmissionRefusal(
-                findings, subject=f"{guid or 'object'} from {src!r}"
-            )
+    def policy(package: Mapping, src: str):
+        return admit(package, src, strict=strict, concurrency=concurrency)
 
     return policy

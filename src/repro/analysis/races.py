@@ -158,16 +158,17 @@ def effects_of_live_object(obj) -> dict:
     """Effect sets for a live object's portable public methods.
 
     Native-code methods are opaque (skipped — the admission pass already
-    refuses them on their own rule); meta-section methods never race
-    base-level items. Shared by the admission gate and the sanitizer's
-    static-side oracle, so both compare against the same ground truth.
+    refuses them on their own rule), the bundled meta-methods among them;
+    a portable method is read whatever its metadata says. Shared by the
+    admission gate and the sanitizer's static-side oracle, so both
+    compare against the same ground truth.
     """
     from ..core.items import MROMMethod
     from ..lang.effects import effects_of_portable
 
     effects: dict = {}
     for item, _category, _section in obj.containers.iter_with_sections():
-        if not isinstance(item, MROMMethod) or item.metadata.get("meta"):
+        if not isinstance(item, MROMMethod):
             continue
         carrier = item.body
         if getattr(carrier, "portable", False):

@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, Mapping
 
-from .errors import MobilityError, ProcedureSignatureError
+from .errors import MobilityError, NotPortableError, ProcedureSignatureError
 
 __all__ = [
     "CodeRole",
@@ -221,9 +221,10 @@ def code_from_description(description: Mapping) -> MethodCode:
     """Rebuild a carrier from :meth:`MethodCode.describe` output.
 
     Only portable code can be rebuilt — a native description is a stub
-    that names what was lost, and attempting to rebuild it is a mobility
-    error. This is where the "self-containment or it does not travel"
-    rule is enforced on the receiving side.
+    that names what was lost, and attempting to rebuild it is a
+    :class:`~repro.core.errors.NotPortableError`. This is where the
+    "self-containment or it does not travel" rule is enforced on the
+    receiving side.
     """
     flavour = _described_text(description, "flavour", None)
     role = CodeRole(_described_text(description, "role", "body"))
@@ -233,9 +234,7 @@ def code_from_description(description: Mapping) -> MethodCode:
             _described_text(description, "source", None), role=role, label=label
         )
     if flavour == "native":
-        raise MobilityError(
-            f"cannot reconstruct native code {label!r} from a description"
-        )
+        raise NotPortableError("<package>", (label or "<native>",))
     raise MobilityError(f"unknown code flavour {flavour!r}")
 
 

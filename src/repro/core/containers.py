@@ -153,8 +153,9 @@ class ItemContainer:
             raise ItemNotFoundError(old_name, self.label)
         if new_name in self._items:
             raise DuplicateItemError(new_name, self.label)
-        item = self._items.pop(old_name)
-        item.rename(new_name)
+        item = self._items[old_name]
+        item.rename(new_name)  # refuses a bad name before the item moves
+        del self._items[old_name]
         self._items[new_name] = item
         self._clock.bump()
 

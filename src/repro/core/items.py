@@ -36,7 +36,7 @@ from .acl import (
 )
 from .code import CodeRole, MethodCode, as_code, code_from_description
 from .epoch import EPOCH
-from .errors import KindError, StaleHandleError
+from .errors import KindError, MobilityError, StaleHandleError
 from .values import Kind, LazyCell, coerce, conforms
 
 __all__ = [
@@ -233,8 +233,12 @@ class DataItem(_Item):
         """Change the declared dynamic kind, coercing the current value."""
         if not isinstance(kind, Kind):
             raise KindError(f"not a Kind: {kind!r}")
-        self.kind = kind
-        self._value = self._admit(self._value)
+        previous, self.kind = self.kind, kind
+        try:
+            self._value = self._admit(self._value)
+        except BaseException:
+            self.kind = previous  # a value that will not coerce keeps both
+            raise
         self.touch()
 
     # -- description ---------------------------------------------------------
@@ -259,6 +263,10 @@ class DataItem(_Item):
 
     def __repr__(self) -> str:
         return f"DataItem({self.name!r}, kind={self.kind.value}, v{self.version})"
+
+
+#: the component roles a packed method may carry
+_PACKED_ROLES = frozenset(("body", "pre", "post"))
 
 
 class MROMMethod(_Item):
@@ -369,7 +377,13 @@ class MROMMethod(_Item):
         acl: AccessControlList | None = None,
         metadata: Mapping[str, Any] | None = None,
     ) -> "MROMMethod":
-        """Rebuild a method from packed component descriptions."""
+        """Rebuild a method from packed component descriptions; a role
+        other than ``body``, ``pre`` and ``post`` is refused."""
+        for role in components:
+            if role not in _PACKED_ROLES:
+                raise MobilityError(
+                    f"method {name!r} has unknown component role {role!r}"
+                )
         body = code_from_description(components["body"])
         pre = (
             code_from_description(components["pre"])

@@ -50,6 +50,7 @@ from .containers import ContainerSet, EXTENSIBLE, FIXED
 from .epoch import EPOCH
 from .fastpath import COMPILED_STALE, InvocationCache
 from .errors import (
+    DuplicateItemError,
     FixedSectionError,
     MethodNotFoundError,
     StaleHandleError,
@@ -460,28 +461,33 @@ class MROMObject:
         self._apply_data_properties(item, properties)
         return item.describe(section).to_mapping()
 
-    def _apply_data_properties(self, item: DataItem, properties: Mapping) -> None:
-        if "name" in properties:
+    def _apply_data_properties(self, item: DataItem, properties: Any) -> None:
+        # every property is parsed, and the new name checked, before any
+        # is applied: a refused edit leaves the item as it was
+        staged = _staged(item.name, properties, ("name", "kind", "acl", "metadata"))
+        if "name" in staged:
             container = self.containers.container_of("data", item.name)
-            container.rename(item.name, properties["name"])
-        if "kind" in properties:
-            item.set_kind(_property(item.name, "kind", properties["kind"]))
-        if "acl" in properties:
-            item.set_acl(_property(item.name, "acl", properties["acl"]))
-        if "metadata" in properties:
-            item.update_metadata(properties["metadata"])
+            if staged["name"] in container:  # rename would refuse it too late
+                raise DuplicateItemError(staged["name"], container.label)
+        if "kind" in staged:
+            item.set_kind(staged["kind"])  # a value that will not coerce fails first
+        if "name" in staged:
+            container.rename(item.name, staged["name"])
+        if "acl" in staged:
+            item.set_acl(staged["acl"])
+        if "metadata" in staged:
+            item.update_metadata(staged["metadata"])
 
     def _meta_add_data_item(self, caller: Principal, args: list) -> dict:
         """addDataItem(name, value[, properties]) — extensible section."""
         name, value, properties = _expect_between(args, 2, 3, "addDataItem")
-        properties = properties or {}
-        acl = properties.get("acl")
+        staged = _staged(name, properties, ("kind", "acl", "metadata"), nullable=True)
         item = DataItem(
             name,
             value,
-            kind=_property(name, "kind", properties.get("kind", Kind.ANY)),
-            acl=None if acl is None else _property(name, "acl", acl),
-            metadata=properties.get("metadata"),
+            kind=staged.get("kind", Kind.ANY),
+            acl=staged.get("acl"),
+            metadata=staged.get("metadata"),
         )
         self.containers.add_extensible(item)
         return item.describe(EXTENSIBLE).to_mapping()
@@ -549,18 +555,12 @@ class MROMObject:
         return method.describe(section).to_mapping()
 
     def _apply_method_properties(
-        self, method: MROMMethod, properties: Mapping, in_tower: bool
+        self, method: MROMMethod, properties: Any, in_tower: bool
     ) -> None:
-        if "name" in properties and not in_tower:
-            container = self.containers.container_of("method", method.name)
-            container.rename(method.name, properties["name"])
-        if "acl" in properties:
-            method.set_acl(_property(method.name, "acl", properties["acl"]))
-        if "metadata" in properties:
-            method.update_metadata(properties["metadata"])
-        # verify replacement components *before* touching the method, so a
-        # rejected setMethod leaves it exactly as it was
-        staged: dict[str, Any] = {}
+        # parse every property and verify replacement components *before*
+        # touching the method, so a rejected setMethod leaves it exactly
+        # as it was (a tower level keeps its name)
+        staged = _staged(method.name, properties, ("name", "acl", "metadata"))
         for role_name, role in (("pre", CodeRole.PRE), ("post", CodeRole.POST),
                                 ("body", CodeRole.BODY)):
             if role_name in properties:
@@ -570,6 +570,16 @@ class MROMObject:
                 if carrier is not None and carrier.portable:
                     carrier.compile_now()  # type: ignore[attr-defined]
                 staged[role_name] = carrier
+        if "body" in staged and staged["body"] is None:
+            raise StructureError(f"method {method.name!r} requires a body")
+        if "name" in staged and not in_tower:
+            # the only step left that can fail, and it fails before renaming
+            container = self.containers.container_of("method", method.name)
+            container.rename(method.name, staged["name"])
+        if "acl" in staged:
+            method.set_acl(staged["acl"])
+        if "metadata" in staged:
+            method.update_metadata(staged["metadata"])
         if "pre" in staged:
             method.pre = staged["pre"]
             method.touch()
@@ -577,8 +587,6 @@ class MROMObject:
             method.post = staged["post"]
             method.touch()
         if "body" in staged:
-            if staged["body"] is None:
-                raise StructureError(f"method {method.name!r} requires a body")
             method.body = staged["body"]
             method.touch()
 
@@ -589,15 +597,15 @@ class MROMObject:
         the tower (meta-mutability; requires ``extensible_meta``).
         """
         name, body, properties = _expect_between(args, 2, 3, "addMethod")
+        staged = _staged(name, properties, ("acl", "metadata"), nullable=True)
         properties = properties or {}
-        acl = properties.get("acl")
         method = MROMMethod(
             name,
             body,
             pre=properties.get("pre"),
             post=properties.get("post"),
-            acl=None if acl is None else _property(name, "acl", acl),
-            metadata=properties.get("metadata"),
+            acl=staged.get("acl"),
+            metadata=staged.get("metadata"),
         ).verify()  # reject hostile code at install time, not first call
         if name == "invoke":
             self._push_meta_invoke(method)
@@ -693,19 +701,69 @@ _META_SPECS = tuple(map(_meta_spec, META_METHOD_NAMES, (
 )))
 
 
+#: the shared native bodies of the bundled meta-methods
+_META_BODIES = frozenset(body for _name, body, _doc in _META_SPECS)
+
+
+def is_bundled_meta(method: MROMMethod) -> bool:
+    """Whether *method* is one of the meta-methods every object is built
+    with. Its body is a shared native body of :data:`_META_SPECS`; a
+    method whose metadata merely says ``meta`` is not one."""
+    return method.body in _META_BODIES
+
+
+def _item_name(value: Any) -> str:
+    if isinstance(value, str) and value:
+        return value
+    raise ValueError("item name must be a non-empty string")
+
+
+def _mapping(value: Any) -> Mapping:
+    if isinstance(value, Mapping):
+        return value
+    raise TypeError(f"{type(value).__name__} is not a mapping")
+
+
+#: how each item property is read from a caller's (possibly remote) value
+_PARSERS = {
+    "name": _item_name,
+    "kind": Kind,
+    "acl": AccessControlList.from_description,
+    "metadata": _mapping,
+    "properties": _mapping,
+}
+
+
 def _property(item: str, field: str, value: Any) -> Any:
-    """The ``kind`` (a :class:`Kind` or its name) or ``acl`` (an ACL or
-    its description, as a remote caller sends it) property of *item*; a
-    malformed one is refused naming the item."""
+    """The ``name``, ``kind`` (a :class:`Kind` or its name), ``acl`` (an
+    ACL or its description, as a remote caller sends it) or ``metadata``
+    property of *item*; a malformed one is refused naming the item."""
     if field == "acl" and isinstance(value, AccessControlList):
         return value
-    parse = Kind if field == "kind" else AccessControlList.from_description
     try:
-        return parse(value)
+        return _PARSERS[field](value)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StructureError(
             f"item {item!r} has a malformed {field} ({type(exc).__name__}: {exc})"
         ) from None
+
+
+def _staged(
+    item: str, properties: Any, fields: tuple, nullable: bool = False
+) -> dict:
+    """The *fields* present in a meta-method's *properties*, each parsed by
+    :func:`_property`, so a malformed one is refused before any is
+    applied. Properties that are not a mapping are refused too; with
+    *nullable* (an add), ``None`` properties or a ``None`` field mean the
+    default."""
+    if properties is None and nullable:
+        return {}
+    properties = _property(item, "properties", properties)
+    return {
+        field: _property(item, field, properties[field])
+        for field in fields
+        if field in properties and not (nullable and properties[field] is None)
+    }
 
 
 def _expect(args: Sequence, count: int, operation: str) -> Sequence:

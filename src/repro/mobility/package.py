@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..core.acl import AccessControlList, Principal
-from ..core.errors import MobilityError, MROMError, NotPortableError
+from ..core.errors import FixedSectionError, MobilityError, MROMError, NotPortableError
 from ..core.items import DataItem, MROMMethod
 from ..core.mobject import MROMObject
 from ..core.values import Kind, LazyCell, snapshot_value
@@ -246,7 +246,12 @@ def unpack(package: Mapping, resolve: Resolve | None = None) -> MROMObject:
     A package that arrived tampered with fails with a typed
     :class:`MobilityError` (or the :class:`MROMError` a component raised
     itself), never with a bare ``KeyError``, ``ValueError``,
-    ``TypeError`` or ``AttributeError`` (a field of the wrong type).
+    ``TypeError`` or ``AttributeError`` (a field of the wrong type). An
+    empty or missing guid is refused, never replaced by a fresh one: the
+    identity travels with the object. A native-code stub is a
+    :class:`NotPortableError`, and a meta-invoke tower on a package whose
+    meta section is fixed a :class:`FixedSectionError`, raised before any
+    level is decoded.
     """
     try:
         return _unpack(package, resolve)
@@ -261,6 +266,18 @@ def _unpack(package: Mapping, resolve: Resolve | None) -> MROMObject:
         raise MobilityError(
             f"unknown package format {package.get('format')!r}"
         )
+    guid = _text(package["guid"])
+    if not guid:
+        raise MobilityError(
+            "package carries no guid; identity must travel with the object"
+        )
+    extensible_meta = bool(package.get("extensible_meta", False))
+    tower = package.get("tower", [])
+    if tower and not extensible_meta:
+        raise FixedSectionError(
+            f"package {guid} carries a {len(tower)}-level meta-invoke tower "
+            "but declares its meta section fixed"
+        )
     owner_raw = package.get("owner", {})
     owner = Principal(
         guid=_text(owner_raw.get("guid", "mrom:anonymous")),
@@ -268,11 +285,11 @@ def _unpack(package: Mapping, resolve: Resolve | None) -> MROMObject:
         display_name=_text(owner_raw.get("name", "")),
     )
     obj = MROMObject(
-        guid=_text(package["guid"]),
+        guid=guid,
         domain=_text(package.get("domain", "")),
         display_name=_text(package.get("display_name", "")),
         owner=owner,
-        extensible_meta=bool(package.get("extensible_meta", False)),
+        extensible_meta=extensible_meta,
         meta_acl=AccessControlList.from_description(
             package.get("meta_acl", _EMPTY)
         ),
@@ -287,7 +304,7 @@ def _unpack(package: Mapping, resolve: Resolve | None) -> MROMObject:
         obj.containers.add_extensible(_unpack_data(raw, resolve))
     for raw in package.get("ext_methods", []):
         obj.containers.add_extensible(_unpack_method(raw, resolve))
-    for raw in package.get("tower", []):
+    for raw in tower:
         obj._push_meta_invoke(_unpack_method(raw, resolve))
     return obj
 

@@ -11,9 +11,12 @@ exactly one live copy of the object at the end:
 2. **settle** — the receiving :class:`MobilityManager` runs its
    *admission policy* (the host restricting the guest — one half of the
    security duality), unpacks, registers and installs the object, and
-   records the outcome in its transfer ledger. A re-delivered PREPARE —
-   a network duplicate or a retry whose first copy already settled — is
-   suppressed by the ledger and answered with the recorded report.
+   records the outcome in its transfer ledger. With the admission gate
+   on, the package is unpacked first and the gate audits that object
+   before the policy runs; the same object is installed. A re-delivered
+   PREPARE — a network duplicate or a retry whose first copy already
+   settled — is suppressed by the ledger and answered with the recorded
+   report.
 3. **ACK** — the settle report travels back as the reply. Only on a
    confirmed ACK does the sender unregister its original; a rejected or
    failed transfer leaves the object exactly where it was.
@@ -44,6 +47,7 @@ itineraries are built from. Forwards ride the same two-phase machinery.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import OrderedDict
 from typing import Any, Callable, Mapping, Sequence
@@ -89,23 +93,17 @@ class MobilityManager:
         strict_admission: bool = False,
     ):
         self.site = site
+        #: the opt-in admission gate, run before the caller's policy:
+        #: unpack the arrival once, with this site's resolver, audit that
+        #: object, and install the same object if it passes
+        self._gate = None
         if verify_arrivals:
-            # the opt-in admission gate: run the static admission analysis
-            # over every arriving package at PREPARE, before the caller's
-            # own policy and before anything is unpacked. Lazy import —
-            # the analysis subsystem depends on this module.
-            from ..analysis.admission import admission_policy
+            # lazy import: the analysis subsystem depends on this module
+            from ..analysis.admission import admit
 
-            gate = admission_policy(strict=strict_admission)
-            if policy is None:
-                policy = gate
-            else:
-                caller_policy = policy
-
-                def policy(package: Mapping, src: str) -> None:
-                    gate(package, src)
-                    caller_policy(package, src)
-
+            self._gate = functools.partial(
+                admit, strict=strict_admission, resolve=site.resolve_reference
+            )
         self.policy = policy
         #: per-manager override for outgoing transfer requests; None
         #: falls through to the site's default retry policy
@@ -405,17 +403,23 @@ class MobilityManager:
         packages inside their own replies (HADAS Link and Import/Export).
         Wire references inside the package resolve (to a live object
         registered here, else a remote proxy) as the object is rebuilt.
+        The package is unpacked once: with the admission gate on, the
+        object the gate audited is the one installed.
         """
         probe = _probes.ACTIVE
-        if self.policy is not None:
-            try:
+        obj = None
+        try:
+            if self._gate is not None:
+                obj = self._gate(package, src)
+            if self.policy is not None:
                 self.policy(package, src)
-            except PolicyViolationError as exc:
-                self.rejections += 1
-                if probe is not None:
-                    probe.admission_refused(self.site, package, src, exc)
-                raise
-        obj = unpack(package, self.site.resolve_reference)
+        except PolicyViolationError as exc:
+            self.rejections += 1
+            if probe is not None:
+                probe.admission_refused(self.site, package, src, exc)
+            raise
+        if obj is None:
+            obj = unpack(package, self.site.resolve_reference)
         if probe is not None:
             probe.install_begin(self.site, obj, src, package)
         error = None

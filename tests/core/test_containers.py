@@ -74,6 +74,14 @@ class TestItemContainer:
         assert container.get("z").peek() == 1
         assert container.get("z").name == "z"
 
+    @pytest.mark.parametrize("bad", [5, ""])
+    def test_rename_to_a_bad_name_keeps_the_item(self, bad):
+        container = ItemContainer("test")
+        container.add(data("x", 1))
+        with pytest.raises(ValueError):
+            container.rename("x", bad)
+        assert container.get("x").peek() == 1
+
     def test_sealed_rejects_all_mutation(self):
         container = ItemContainer("test")
         container.add(data("x"))

@@ -6,7 +6,9 @@ caller sends as plain data; the data-item ones also take a ``kind`` by
 name. A description that does not describe an ACL, or a name that is no
 kind, is a :class:`StructureError` naming the item, locally and over the
 wire, never the bare Python error of the parser underneath, and the
-item is left as it was.
+item is left as it was. So are properties that are no mapping, a
+``metadata`` that is no mapping and a new ``name`` that is no text; and
+a refused edit changes nothing, not even a rename that came with it.
 """
 
 from __future__ import annotations
@@ -38,15 +40,31 @@ BAD = {
     # no ACL to set (an add takes None for the default ACL); it was
     # installed, and the reply's describe raised AttributeError
     "acl-null": {"acl": None},
+    "properties-not-a-mapping": 5,  # AttributeError
+    "metadata-not-a-mapping": {"metadata": 7},  # TypeError
+    # ValueError, and the item had already left its container
+    "name-not-text": {"name": 5},
+    # refused, but the item was renamed to z2 first
+    "renamed-then-bad-acl": {"name": "z2", "acl": 7},
+    "renamed-then-bad-kind": {"name": "z2", "kind": "bogus"},
 }
 
 OPERATIONS = ("addDataItem", "setDataItem", "addMethod", "setMethod")
+SETS = ("setDataItem", "setMethod")
+#: the cases only some operations take: a kind is a data item's, an add
+#: defaults a null ACL, and only a set renames
+ONLY = {
+    "unknown-kind": ("addDataItem", "setDataItem"),
+    "acl-null": SETS,
+    "name-not-text": SETS,
+    "renamed-then-bad-acl": SETS,
+    "renamed-then-bad-kind": ("setDataItem",),
+}
 CASES = [
     (operation, case)
     for operation in OPERATIONS
     for case in BAD
-    if (case != "unknown-kind" or operation.endswith("DataItem"))
-    and (case != "acl-null" or operation.startswith("set"))
+    if operation in ONLY.get(case, OPERATIONS)
 ]
 
 
@@ -67,7 +85,7 @@ def world():
     return obj, boston.remote_resolve("haifa", "target")
 
 
-def meta_args(target, operation: str, properties: dict) -> tuple[list, str]:
+def meta_args(target, operation: str, properties) -> tuple[list, str]:
     """The meta-method's arguments and the item it names."""
     if operation == "addDataItem":
         return ["y", 1, properties], "y"
