@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from .. import probes as _probes
-from .epoch import EPOCH
 from .errors import AccessDeniedError
 
 __all__ = [
@@ -235,8 +234,10 @@ class AccessControlList:
     ):
         self._entries: list[AclEntry] = list(entries)
         self._default_allow = bool(default_allow)
-        # bumped on every in-place edit: cached Match verdicts pin the
-        # (acl identity, version) pair and stale out when either moves
+        # bumped on every in-place edit. A list may be shared by items of
+        # several objects and knows none of them, so an edit moves no
+        # object's clock: a compiled closure pins this version, and an
+        # object's structure stamp sums it over the lists it holds
         self._version = 0
 
     # -- construction -----------------------------------------------------
@@ -249,14 +250,12 @@ class AccessControlList:
         """Append an ALLOW entry; returns self for chaining."""
         self._entries.append(AclEntry(subject, permissions, Decision.ALLOW))
         self._version += 1
-        EPOCH.bump()
         return self
 
     def revoke(self, subject: str, permissions: Permission) -> "AccessControlList":
         """Append a DENY entry; returns self for chaining."""
         self._entries.append(AclEntry(subject, permissions, Decision.DENY))
         self._version += 1
-        EPOCH.bump()
         return self
 
     def remove_subject(self, subject: str) -> int:
@@ -264,7 +263,6 @@ class AccessControlList:
         before = len(self._entries)
         self._entries = [e for e in self._entries if e.subject != subject]
         self._version += 1
-        EPOCH.bump()
         return before - len(self._entries)
 
     # -- evaluation --------------------------------------------------------
@@ -272,11 +270,6 @@ class AccessControlList:
     @property
     def default_allow(self) -> bool:
         return self._default_allow
-
-    @property
-    def version(self) -> int:
-        """In-place edit count; part of a cached verdict's validity pin."""
-        return self._version
 
     def entries(self) -> tuple[AclEntry, ...]:
         return tuple(self._entries)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from .epoch import EPOCH
 from .errors import (
     DataItemNotFoundError,
     DuplicateItemError,
@@ -48,14 +47,13 @@ Section = str
 
 
 class MutationClock:
-    """A shared monotonic counter of structural mutations.
+    """One object's structural version: a monotonic count of its edits.
 
-    The four containers of one :class:`ContainerSet` bump the same clock
-    on every add/remove/replace/rename, so the set's *generation* moves
-    whenever any structure an invocation-cache entry could depend on
-    moves — regardless of whether the mutation arrived through a
-    meta-method or a direct container call. Each bump also bumps the
-    process-wide structural :data:`~repro.core.epoch.EPOCH`.
+    The four containers of one :class:`ContainerSet` bump it on every add,
+    remove, replace and rename; every item they take in and every tower
+    level records it, so ``_Item.touch`` and an atomic rollback bump it.
+    An in-place ACL edit and a tower push or pop leave it alone (see
+    ``MROMObject.structure_stamp``).
     """
 
     __slots__ = ("value",)
@@ -63,10 +61,8 @@ class MutationClock:
     def __init__(self) -> None:
         self.value = 0
 
-    def bump(self) -> int:
+    def bump(self) -> None:
         self.value += 1
-        EPOCH.bump()
-        return self.value
 
     def __repr__(self) -> str:
         return f"MutationClock({self.value})"
@@ -111,13 +107,17 @@ class ItemContainer:
         if item.name in self._items:
             raise DuplicateItemError(item.name, self.label)
         self._items[item.name] = item
+        item.clock = self._clock
         self._clock.bump()
 
     def fill(self, items: dict[str, _Item]) -> None:
-        """Populate a new, empty container at once (one clock bump)."""
+        """Populate a new, empty container at once, during construction:
+        nothing has read the clock yet, so it does not move."""
         assert not self._items and not self._sealed
+        clock = self._clock
+        for item in items.values():
+            item.clock = clock
         self._items = items
-        self._clock.bump()
 
     def remove(self, name: str) -> _Item:
         self._ensure_open(f"remove {name!r}")
@@ -143,6 +143,7 @@ class ItemContainer:
             self._items[item.name] = item
         else:
             self._items[name] = item
+        item.clock = self._clock
         self._clock.bump()
         return old
 
@@ -154,10 +155,9 @@ class ItemContainer:
         if new_name in self._items:
             raise DuplicateItemError(new_name, self.label)
         item = self._items[old_name]
-        item.rename(new_name)  # refuses a bad name before the item moves
+        item.rename(new_name)  # refuses a bad name first; moves the clock
         del self._items[old_name]
         self._items[new_name] = item
-        self._clock.bump()
 
     # -- lookup ----------------------------------------------------------------
 
@@ -194,10 +194,12 @@ class ItemContainer:
 class ContainerSet:
     """The four containers of an MROM object, with MROM lookup semantics."""
 
-    __slots__ = ("fixed_data", "fixed_methods", "ext_data", "ext_methods", "_clock")
+    __slots__ = ("fixed_data", "fixed_methods", "ext_data", "ext_methods", "_clock", "_acls")
 
     def __init__(self) -> None:
         self._clock = MutationClock()
+        # (clock value, the ACLs the items held at it); see acl_edits
+        self._acls: tuple = (-1, ())
         self.fixed_data = ItemContainer("fixed-data", self._clock)
         self.fixed_methods = ItemContainer("fixed-methods", self._clock)
         self.ext_data = ItemContainer("extensible-data", self._clock)
@@ -216,6 +218,20 @@ class ContainerSet:
         generation guard costs one attribute load instead of a property
         chain through the container set."""
         return self._clock
+
+    def acl_edits(self) -> int:
+        """The summed edit counts of the ACLs the items hold. Only a clock
+        move (an add, remove, replace or ``set_acl``) changes which lists
+        those are, so they are gathered once per clock value."""
+        value = self._clock.value
+        at, acls = self._acls
+        if at != value:
+            acls = tuple(item.acl for item, _category, _section in self.iter_with_sections())
+            self._acls = value, acls
+        edits = 0
+        for acl in acls:
+            edits += acl._version
+        return edits
 
     # -- sealing ------------------------------------------------------------
 

@@ -14,14 +14,14 @@ unknown names and meta-methods never compile: they take the
 interpreted path, which stays as the reference implementation the
 differential harness compares the closures against.
 
-Trust is versioned, never assumed. Each closure re-checks four pins on
-every call — the containers' mutation generation, the method's
-identity and item version, the ACL's identity and its edit version —
-and returns :data:`COMPILED_STALE` the moment any moved, at which point
-the dispatcher discards the entry and recompiles (or, if the verdict
-changed, takes the interpreted path). ACLs are standalone objects that
-may be shared across methods and objects, so an ACL edit cannot bump
-any one object's epoch; the ACL pins carry it instead. Closures are
+Trust is versioned, never assumed. Each closure re-checks two pins on
+every call — the object's structural clock, which any edit of the
+method moves, and its ACL's edit version — and returns
+:data:`COMPILED_STALE` the moment either moved; the dispatcher then
+discards the entry and recompiles (or, if the verdict changed, takes
+the interpreted path). ACLs may be shared across methods and objects,
+so an in-place ACL edit moves no clock: only the closures that pinned
+that list go stale. Closures are
 dropped by ``reset()`` (migration install, restart recovery), by
 ``enable_fastpath(False)`` and by cap eviction, and are never packaged
 — a migrated object arrives cold.

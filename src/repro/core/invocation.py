@@ -433,8 +433,7 @@ def compile_invocation(
     clock = obj.containers.clock
     generation = clock.value
     acl = method.acl
-    method_version = method.version
-    acl_version = acl.version
+    acl_version = acl._version
 
     name = method.name
     obj_guid = obj.guid
@@ -478,8 +477,6 @@ def compile_invocation(
         def lean_invoke(live_caller, args, hit=True):
             if (
                 clock.value != generation
-                or method.version != method_version
-                or method.acl is not acl
                 or acl._version != acl_version
                 or _probes.ACTIVE is not None
                 or obj._tracing
@@ -508,12 +505,10 @@ def compile_invocation(
         return lean_invoke
 
     def compiled_invoke(live_caller, args, hit=True):
-        # -- guards: the four pins, re-checked every call
+        # -- guards: the two pins, re-checked every call
         if (
             clock.value != generation
-            or method.version != method_version
-            or method.acl is not acl
-            or acl._version != acl_version  # the slot: no property call per hit
+            or acl._version != acl_version
         ):
             return COMPILED_STALE
         if hit:

@@ -35,7 +35,6 @@ from .acl import (
     allow_all,
 )
 from .code import CodeRole, MethodCode, as_code, code_from_description
-from .epoch import EPOCH
 from .errors import KindError, MobilityError, StaleHandleError
 from .values import Kind, LazyCell, coerce, conforms
 
@@ -111,7 +110,7 @@ class ItemDescription:
 class _Item:
     """Shared behaviour of data items and methods."""
 
-    __slots__ = ("name", "acl", "metadata", "version", "nonce")
+    __slots__ = ("name", "acl", "metadata", "version", "nonce", "clock")
 
     category: str = "item"
 
@@ -130,13 +129,15 @@ class _Item:
         # identifies this item *instance*: handles (local or tokenized on
         # the wire) pin the nonce, so a replaced item stales them
         self.nonce = _mint_nonce()
+        self.clock = None  # its object's structural clock, once it is held
 
     # -- property manipulation (setDataItem / setMethod targets) ----------
 
     def touch(self) -> None:
-        """Record that a property of the item changed."""
+        """Record that a property of the item changed (its object's clock too)."""
         self.version += 1
-        EPOCH.bump()
+        if self.clock is not None:
+            self.clock.bump()
 
     def rename(self, new_name: str) -> None:
         if not new_name or not isinstance(new_name, str):
@@ -306,7 +307,8 @@ class MROMMethod(_Item):
         bundled meta-methods): no name validation, no ``as_code``."""
         method = cls.__new__(cls)
         method.name, method.acl, method.metadata, method.body = name, acl, metadata, body
-        method.version, method.nonce, method.pre, method.post = 1, _mint_nonce(), None, None
+        method.version, method.nonce, method.clock = 1, _mint_nonce(), None
+        method.pre = method.post = None
         return method
 
     # -- wrapping (setMethod property changes) ------------------------------

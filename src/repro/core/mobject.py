@@ -47,7 +47,6 @@ from .acl import (
     owner_only,
 )
 from .containers import ContainerSet, EXTENSIBLE, FIXED
-from .epoch import EPOCH
 from .fastpath import COMPILED_STALE, InvocationCache
 from .errors import (
     DuplicateItemError,
@@ -154,7 +153,7 @@ class MROMObject:
         self._fastpath: InvocationCache | None = (
             InvocationCache() if fastpath else None
         )
-        # a site's encoded describe reply, keyed by (structural epoch,
+        # a site's encoded describe reply, keyed by (structure stamp,
         # visibility mask); see Site._handle_describe
         self._described: tuple | None = None
         self._install_meta_methods()
@@ -317,8 +316,10 @@ class MROMObject:
                 f"object {self.guid} was created with fixed meta-methods; "
                 "cannot add a meta-invoke level"
             )
+        # the level's edits move the clock, the push does not: compiled
+        # closures outlive a push and pop, and structure_stamp reads levels
+        method.clock = self.containers.clock
         self._meta_invokes.append(method)
-        EPOCH.bump()
 
     def _pop_meta_invoke(self) -> MROMMethod:
         if not self._meta_invokes:
@@ -326,9 +327,7 @@ class MROMObject:
                 "the base 'invoke' meta-method is part of the fixed behaviour "
                 "and cannot be deleted"
             )
-        method = self._meta_invokes.pop()
-        EPOCH.bump()
-        return method
+        return self._meta_invokes.pop()
 
     # ------------------------------------------------------------------
     # tracing
@@ -398,6 +397,17 @@ class MROMObject:
         containers = self.containers
         container = containers.ext_methods if self.extensible_meta else containers.fixed_methods
         container.fill(methods)
+
+    def _restore_extensible_method(self, method: MROMMethod) -> None:
+        """Add a method that ``unpack`` or ``clone`` copied. Under a bundled
+        meta-method's name it replaces the fresh one: the image's holds
+        the body ``setMethod`` (or a delete and re-add) gave it."""
+        ext = self.containers.ext_methods
+        held = ext.find(method.name)
+        if held is not None and is_bundled_meta(held):
+            ext.replace(method.name, method)
+        else:
+            self.containers.add_extensible(method)
 
     # Each implementation receives (caller, args) where args is the
     # untyped parameter array of the meta-method invocation.
@@ -638,6 +648,18 @@ class MROMObject:
     # ------------------------------------------------------------------
     # description
     # ------------------------------------------------------------------
+
+    def structure_stamp(self) -> tuple:
+        """``(clock, clock value, ACL edits, tower levels)``: equal stamps
+        mean no structure of this object moved in between. The journal's
+        delta base and a site's describe view key on it."""
+        containers = self.containers
+        tower = self._meta_invokes
+        edits = containers.acl_edits() + self._meta_acl._version
+        for level in tower:
+            edits += level.acl._version
+        clock = containers.clock
+        return clock, clock.value, edits, tuple(tower)
 
     def describe_items(self) -> list[ItemDescription]:
         descriptions = self.containers.describe_all()

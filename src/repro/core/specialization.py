@@ -31,7 +31,7 @@ from .acl import AccessControlList, Principal
 from .code import MethodCode, NativeCode, PortableCode
 from .errors import DuplicateItemError, StructureError
 from .items import DataItem, MROMMethod
-from .mobject import MROMObject
+from .mobject import MROMObject, is_bundled_meta
 from .values import Kind, snapshot_value
 
 __all__ = ["DataSpec", "MethodSpec", "ObjectTemplate", "clone", "clone_code"]
@@ -254,15 +254,15 @@ def clone(
             continue
         target.containers.add_fixed(_copy_data(item))
     for item in source.fixed_methods:
-        if isinstance(item, MROMMethod) and not item.metadata.get("meta"):
+        if isinstance(item, MROMMethod) and not is_bundled_meta(item):
             target.containers.add_fixed(_copy_method(item))
     target.seal()
     for item in source.ext_data:
         if isinstance(item, DataItem):
             target.containers.add_extensible(_copy_data(item))
     for item in source.ext_methods:
-        if isinstance(item, MROMMethod) and not item.metadata.get("meta"):
-            target.containers.add_extensible(_copy_method(item))
+        if isinstance(item, MROMMethod) and not is_bundled_meta(item):
+            target._restore_extensible_method(_copy_method(item))
     for level in prototype.meta_invoke_chain():
         target._push_meta_invoke(_copy_method(level))
     return target

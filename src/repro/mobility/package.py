@@ -22,7 +22,7 @@ from typing import Mapping
 from ..core.acl import AccessControlList, Principal
 from ..core.errors import FixedSectionError, MobilityError, MROMError, NotPortableError
 from ..core.items import DataItem, MROMMethod
-from ..core.mobject import MROMObject
+from ..core.mobject import MROMObject, is_bundled_meta
 from ..core.values import Kind, LazyCell, snapshot_value
 from ..net.marshal import (
     MarshalFrame,
@@ -70,7 +70,7 @@ def portability_report(
     for item, category, _section in obj.containers.iter_with_sections():
         if category != "method" or not isinstance(item, MROMMethod):
             continue
-        if item.metadata.get("meta"):
+        if is_bundled_meta(item):
             continue  # bundled meta-methods are reinstalled, never packed
         if pinned(item):
             offenders.append(item.name)
@@ -113,7 +113,7 @@ def pack(
 ) -> dict:
     """The transferable description of *obj*.
 
-    Raises :class:`NotPortableError` when any non-meta method carries
+    Raises :class:`NotPortableError` when a method not bundled carries
     native code, and :class:`~repro.core.errors.MarshalError` later (at
     :func:`pack_bytes` time) if a data value has no wire representation,
     or at once if it nests past 64 levels (a cycle, say).
@@ -132,7 +132,7 @@ def pack(
         return [
             _pack_method(item, strip_native_wrappers)
             for item in container
-            if isinstance(item, MROMMethod) and not item.metadata.get("meta")
+            if isinstance(item, MROMMethod) and not is_bundled_meta(item)
         ]
 
     environment = {}
@@ -303,7 +303,7 @@ def _unpack(package: Mapping, resolve: Resolve | None) -> MROMObject:
     for raw in package.get("ext_data", []):
         obj.containers.add_extensible(_unpack_data(raw, resolve))
     for raw in package.get("ext_methods", []):
-        obj.containers.add_extensible(_unpack_method(raw, resolve))
+        obj._restore_extensible_method(_unpack_method(raw, resolve))
     for raw in tower:
         obj._push_meta_invoke(_unpack_method(raw, resolve))
     return obj

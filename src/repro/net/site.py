@@ -28,7 +28,6 @@ from typing import Any, Callable, Sequence
 
 from ..core.acl import Principal, remote_principal
 from ..core.errors import NamingError, NetworkError, OverloadError
-from ..core.epoch import EPOCH
 from ..core.introspection import describe as describe_object, visibility_mask
 from ..core.items import ItemHandle
 from ..core.mobject import MROMObject
@@ -689,18 +688,19 @@ class Site:
 
     def _handle_describe(self, message: Message) -> Encoded:
         """The target's description as the caller may see it, encoded
-        once per (structural epoch, visibility mask): a view changes only
-        when some structure does, and viewers with one mask share it.
+        once per (structure stamp, visibility mask): a view changes only
+        when the object's structure does, and viewers with one mask
+        share it.
 
         A view whose encoding needed :meth:`export_value` (metadata
         holding a live object, a proxy or an item handle) is not kept:
         its wire form depends on what is registered here, which the
-        epoch does not cover.
+        stamp does not cover.
         """
         body = request_body(message)
         caller = self._caller_from(body.get("caller"))
         obj = self.local_object(str(body.get("target", "")))
-        key = (EPOCH.value, visibility_mask(obj, caller))
+        key = (obj.structure_stamp(), visibility_mask(obj, caller))
         cached = obj._described
         if cached is not None and cached[0] == key:
             return cached[1]

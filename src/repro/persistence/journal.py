@@ -37,11 +37,11 @@ An object's image is its description (structure, code, ACLs, tower,
 environment) plus its instance data; an invoke nearly always changes
 only the data. So the journal keeps, per guid, a *base*: a structural
 stamp and the data values of the last record that imaged it. The
-stamp is the process-wide structural epoch (:mod:`repro.core.epoch`:
-every container edit, item property change, ACL edit, tower push or
-pop and atomic rollback bumps it) plus the packed environment, which
-no counter watches. An unrelated object's edit moves the epoch too; it
-costs one extra image, never a missed one. A served invoke logs
+stamp is the object's own structure stamp
+(:meth:`~repro.core.mobject.MROMObject.structure_stamp`: its clock, the
+edit counts of the ACLs it holds and its tower levels) plus the packed
+environment, which no counter watches; another object's edit leaves it
+where it was. A served invoke logs
 ``delta: {name: value}`` — every data item whose value is not the
 base's (same type and ``==``, so ``1 -> 1.0`` or ``1 -> True`` is a
 change) — and logs the whole image exactly as before when the stamp
@@ -53,14 +53,13 @@ settled transfer, every snapshot) resets its guid's base, a remove
 drops it, and a new incarnation starts with none.
 
 One edit is invisible to the stamp: writing into ``item.metadata`` in
-place instead of through ``update_metadata``, which bumps the epoch.
+place instead of through ``update_metadata``, which moves the clock.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
-from ..core.epoch import EPOCH
 from ..core.errors import MROMError
 from ..mobility.package import _HOST_ONLY_ENV, pack
 from ..net.site import Site
@@ -75,9 +74,10 @@ _SCALARS = frozenset((type(None), bool, int, float, str, bytes))
 
 
 def _stamp(obj) -> tuple | None:
-    """The structural epoch and *obj*'s packed environment; None when
-    the environment could change in place."""
-    epoch = EPOCH.value
+    """*obj*'s structure stamp and packed environment; None when the
+    environment could change in place."""
+    if obj.environment.keys() <= _HOST_ONLY_ENV:  # nothing of it is packed
+        return obj.structure_stamp(), {}
     environment = {
         key: value for key, value in obj.environment.items()
         if key not in _HOST_ONLY_ENV
@@ -85,7 +85,7 @@ def _stamp(obj) -> tuple | None:
     for value in environment.values():
         if type(value) not in _SCALARS:
             return None
-    return epoch, environment
+    return obj.structure_stamp(), environment
 
 
 def _data_items(obj):

@@ -11,6 +11,7 @@ from repro.core import (
     MROMMethod,
     SealedContainerError,
 )
+from repro.core.containers import MutationClock
 
 
 def data(name, value=0):
@@ -45,11 +46,17 @@ class TestItemContainer:
             ItemContainer("test").remove("ghost")
 
     def test_replace_swaps_item(self):
-        container = ItemContainer("test")
+        clock = MutationClock()
+        container = ItemContainer("test", clock)
         container.add(data("x", 1))
-        old = container.replace("x", data("x", 2))
+        swapped_in, before = data("x", 2), clock.value
+        old = container.replace("x", swapped_in)
         assert old.peek() == 1
         assert container.get("x").peek() == 2
+        # the swap moves the clock, and so does the new item's own edit
+        assert clock.value == before + 1
+        swapped_in.touch()
+        assert clock.value == before + 2
 
     def test_replace_with_renamed_item(self):
         container = ItemContainer("test")

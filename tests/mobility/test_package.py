@@ -10,7 +10,7 @@ from repro.core import (
     allow_all,
     owner_only,
 )
-from repro.core.errors import MarshalError, MobilityError
+from repro.core.errors import DuplicateItemError, MarshalError, MobilityError
 from repro.core.values import LazyCell
 from repro.mobility import (
     pack,
@@ -175,6 +175,59 @@ class TestPortability:
         obj.seal()
         assert portability_report(obj) == []
         assert unpack(pack(obj)).guid == obj.guid
+
+    def test_only_the_bundled_meta_methods_are_left_out(self, owner):
+        # metadata saying "meta" does not make a method a bundled one: it
+        # travels, clones and pins the object to this runtime like any other
+        from repro.core.specialization import clone
+
+        obj = MROMObject(owner=owner)
+        obj.define_fixed_method("hello", "return 1", metadata={"meta": True})
+        obj.seal()
+        assert [m["name"] for m in pack(obj)["fixed_methods"]] == ["hello"]
+        assert unpack(pack(obj)).invoke("hello", caller=owner) == 1
+        assert clone(obj).invoke("hello", caller=owner) == 1
+
+        native = MROMObject(owner=owner)
+        native.define_fixed_method(
+            "hello", lambda self, args, ctx: 1, metadata={"meta": True}
+        )
+        native.seal()
+        assert portability_report(native) == ["hello"]
+        with pytest.raises(NotPortableError):
+            pack(native)
+
+    def test_a_meta_method_given_another_body_keeps_it(self, owner):
+        # setMethod patches getDataItem in place; deleteMethod + addMethod
+        # puts a new getMethod under the bundled name. Each travels and
+        # clones as the object now has it
+        from repro.core.specialization import clone
+
+        obj = make_portable(owner)
+        _description, handle = obj.invoke("getMethod", ["getDataItem"], caller=owner)
+        obj.invoke(
+            "setMethod", [handle, {"body": "return ['patched', args[0]]"}], caller=owner
+        )
+        assert [m["name"] for m in pack(obj)["ext_methods"]][0] == "getDataItem"
+        assert pack(unpack(pack(obj))) == pack(obj)
+        obj.invoke("deleteMethod", ["getMethod"], caller=owner)
+        obj.invoke("addMethod", ["getMethod", "return 'mine'"], caller=owner)
+        for copy in (unpack(pack(obj)), unpack_bytes(pack_bytes(obj)), clone(obj)):
+            assert copy.invoke("getDataItem", ["x"], caller=owner) == ["patched", "x"]
+            assert copy.invoke("getMethod", [], caller=owner) == "mine"
+            assert sorted(copy.containers.ext_methods.names()) == sorted(
+                obj.containers.ext_methods.names()
+            )
+        # only a bundled meta-method gives way: a second 'hello', or a
+        # 'getDataItem' beside fixed meta-methods, is still refused
+        package = pack(obj)
+        package["ext_methods"] += [m for m in package["ext_methods"] if m["name"] == "hello"]
+        with pytest.raises(DuplicateItemError):
+            unpack(package)
+        fixed_meta = pack(make_portable(owner, extensible_meta=False))
+        fixed_meta["ext_methods"].append(pack(obj)["ext_methods"][0])
+        with pytest.raises(DuplicateItemError):
+            unpack(fixed_meta)
 
     def test_bad_format_rejected(self):
         with pytest.raises(MobilityError):

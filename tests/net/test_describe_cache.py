@@ -1,11 +1,13 @@
 """Differential check of the served ``describe`` view.
 
 A site keeps one encoded describe reply per object, keyed by the
-structural epoch and the viewer's visibility mask. Random structural
-edits interleave with remote describes from viewers of every kind, and
-each reply must equal a fresh ``describe_object(obj, viewer)`` mapping.
-A viewer repeats across each edit, so an edit path that forgot to bump
-the epoch is served the stale view and fails here.
+object's structure stamp and the viewer's visibility mask. Random
+structural edits interleave with remote describes from viewers of every
+kind, and each reply must equal a fresh ``describe_object(obj, viewer)``
+mapping. A viewer repeats across each edit, so an edit path that the
+stamp does not see is served the stale view and fails here. One ACL is
+shared by items of the subject and of a second object, the twin, whose
+views are checked the same way.
 """
 
 import random
@@ -13,10 +15,18 @@ import random
 import pytest
 
 from repro.concurrency import atomic
-from repro.core import SYSTEM, Permission, Principal, allow_all, owner_only
+from repro.core import (
+    SYSTEM,
+    AccessControlList,
+    Permission,
+    Principal,
+    allow_all,
+    owner_only,
+)
 from repro.core.errors import AccessDeniedError
 from repro.core.introspection import describe as describe_object
 from repro.core.items import DataItem
+from repro.core.mobject import META_METHOD_NAMES
 from repro.mobility.package import pack, unpack
 from repro.net import RemoteRef
 from repro.net.marshal import Reference, marshal, unmarshal
@@ -75,6 +85,12 @@ class DescribeWorld:
         obj.seal()
         self.server.register_object(obj)
         self.obj = obj
+        self.twin = self.server.create_object(display_name="twin", owner=OWNER)
+        self.twin.define_fixed_data("count", 0)
+        self.twin.define_fixed_method("peek", "return self.get('count')")
+        self.twin.seal()
+        self.server.register_object(self.twin)
+        self.shared = AccessControlList.from_description(random_acl(self.rng))
         self.serial = 0
         self.viewers = [obj.principal, OWNER, STAR, DOMAIN, DENIED]
         self.last_viewer = obj.principal
@@ -109,7 +125,7 @@ class DescribeWorld:
 
     def edit(self):
         rng, obj = self.rng, self.obj
-        choice = rng.randrange(14)
+        choice = rng.randrange(18)
         if choice == 0:
             self.meta("addDataItem", [self._fresh_name(), rng.randrange(9),
                                       {"acl": random_acl(rng),
@@ -163,14 +179,36 @@ class DescribeWorld:
                 self.meta("deleteMethod", ["invoke"])
         elif choice == 12:
             self.rolled_back_swap()
-        else:
+        elif choice == 13:
             self.toggle_live_peer()
+        elif choice == 14:
+            # the shared list goes to two items of the subject and one of
+            # the twin (one item may be picked twice)
+            for item in rng.choices(self._plain_items(), k=2) + [
+                rng.choice(self._plain_items(self.twin))
+            ]:
+                item.set_acl(self.shared)
+        elif choice == 15:
+            subject = rng.choice(("*", "domain:corp", DENIED.guid))
+            if rng.random() < 0.5:
+                self.shared.grant(subject, _perm(rng))
+            else:
+                self.shared.revoke(subject, _perm(rng))
+        elif choice == 16:
+            # a bundled meta-method's properties count as much as any item's
+            item = obj.containers.ext_methods.get(rng.choice(META_METHOD_NAMES))
+            item.update_metadata({"doc": self._fresh_name()})
+        elif obj.meta_invoke_chain():
+            # the top level's own properties (getMethod finds the top)
+            handle = self.meta("getMethod", ["invoke"])[1]
+            self.meta("setMethod", [handle, {"metadata": {"doc": self._fresh_name()}}])
 
-    def _plain_items(self):
+    def _plain_items(self, obj=None):
         # the meta-methods and the tower keep their owner-only ACLs, so
         # the owner can go on editing
         return [
-            item for item, _category, _section in self.obj.containers.iter_with_sections()
+            item for item, _category, _section in
+            (obj or self.obj).containers.iter_with_sections()
             if not item.metadata.get("meta")
         ]
 
@@ -206,16 +244,18 @@ class DescribeWorld:
 
     # -- the check ---------------------------------------------------------
 
-    def fresh(self, viewer):
+    def fresh(self, viewer, obj=None):
         """What the client decodes from a view built now for *viewer*."""
-        mapping = describe_object(self.obj, viewer).to_mapping()
+        mapping = describe_object(obj or self.obj, viewer).to_mapping()
         wire = marshal(mapping, self.server.export_value)
         return as_seen(unmarshal(wire, self.client.resolve_reference))
 
-    def check(self, viewer):
-        reply = self.client.remote_describe("a", self.obj.guid, caller=viewer)
-        assert as_seen(reply) == self.fresh(viewer), viewer
-        self.last_viewer = viewer
+    def check(self, viewer, obj=None):
+        obj = obj or self.obj
+        reply = self.client.remote_describe("a", obj.guid, caller=viewer)
+        assert as_seen(reply) == self.fresh(viewer, obj), viewer
+        if obj is self.obj:
+            self.last_viewer = viewer
 
     def round(self):
         # the viewer the last view was built for goes first: a missed
@@ -226,6 +266,9 @@ class DescribeWorld:
         order.append(self.rng.choice(self.viewers[:1] * 3 + self.viewers[1:]))
         for viewer in order:
             self.check(viewer)
+        # the twin's cached view is always the last viewer's, asked first
+        for viewer in self.viewers[-1:] + self.viewers:
+            self.check(viewer, self.twin)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -10,7 +10,7 @@ import copy
 import pytest
 
 from repro.concurrency import atomic
-from repro.core import MROMMethod, Permission, allow_all
+from repro.core import MROMMethod, MROMObject, Permission, allow_all
 from repro.persistence import (
     FileStore,
     MemoryStore,
@@ -36,10 +36,9 @@ def world():
     return world
 
 
-def call(world, method: str, *args):
-    return world.sites["b"].remote_invoke(
-        "a", world.cell.guid, method, list(args), policy=FAST
-    )
+def call(world, method: str, *args, target=None):
+    guid = (target or world.cell).guid
+    return world.sites["b"].remote_invoke("a", guid, method, list(args), policy=FAST)
 
 
 def served(world) -> list[WalRecord]:
@@ -121,6 +120,30 @@ class TestImageFallbacks:
         item, _section = obj.containers.lookup_data("count")
         assert "mrom:obj:grantee" in repr(item.acl.describe())
 
+    def test_an_in_place_grant_on_a_shared_acl_images_its_holders_only(self, world):
+        # one list held by two items of the cell and by an item of
+        # another object; a third object holds none of it
+        other, bystander = build_cell(), build_cell()
+        world.sites["a"].register_object(other)
+        world.sites["a"].register_object(bystander)
+        shared = allow_all()
+        for obj, name in ((world.cell, "count"), (world.cell, "notes"), (other, "count")):
+            item, _section = obj.containers.lookup_data(name)
+            item.set_acl(shared)
+        cells = (world.cell, other, bystander)
+        for cell in cells:
+            call(world, "increment", target=cell)
+        shared.grant("mrom:obj:grantee", Permission.GET)
+        for cell in cells:
+            call(world, "increment", target=cell)
+        cell_record, other_record, bystander_record = served(world)[-3:]
+        assert "image" in cell_record.attrs and "image" in other_record.attrs
+        assert bystander_record.attrs["delta"] == {"count": 2}
+        world.crash_restart("a")
+        obj = world.sites["a"].local_object(other.guid)
+        item, _section = obj.containers.lookup_data("count")
+        assert "mrom:obj:grantee" in repr(item.acl.describe())
+
     def test_a_tower_push_and_pop_log_an_image(self, world):
         world.cell.extensible_meta = True
         level = MROMMethod("invoke", "return ['meta', ctx.proceed()]", acl=allow_all())
@@ -131,6 +154,49 @@ class TestImageFallbacks:
         world.cell._pop_meta_invoke()
         assert call(world, "peek") == 1
         assert "image" in served(world)[-1].attrs
+
+    def test_an_in_place_grant_on_the_meta_acl_or_a_tower_level_logs_an_image(self, world):
+        world.cell.extensible_meta = True
+        level = MROMMethod("invoke", "return ctx.proceed()", acl=allow_all())
+        world.cell._push_meta_invoke(level)
+        call(world, "increment")
+        for acl in (world.cell._meta_acl, level.acl):
+            call(world, "increment")
+            assert "delta" in served(world)[-1].attrs
+            acl.grant("mrom:obj:grantee", Permission.META)
+            call(world, "increment")
+            assert "image" in served(world)[-1].attrs
+        world.crash_restart("a")
+        obj = world.sites["a"].local_object(world.cell.guid)
+        for acl in (obj._meta_acl, obj.meta_invoke_at(1).acl):
+            assert "mrom:obj:grantee" in repr(acl.describe())
+
+    def test_an_environment_edit_logs_an_image(self, world):
+        world.cell.environment["goal"] = "explore"
+        call(world, "increment")
+        call(world, "increment")
+        assert "delta" in served(world)[-1].attrs
+        world.cell.environment["goal"] = "rest"
+        call(world, "increment")
+        assert "image" in served(world)[-1].attrs
+        world.crash_restart("a")
+        obj = world.sites["a"].local_object(world.cell.guid)
+        assert obj.environment["goal"] == "rest"
+
+    def test_a_meta_method_given_another_body_recovers_with_it(self, world):
+        obj = MROMObject(display_name="patched", meta_acl=allow_all(), extensible_meta=True)
+        obj.seal()
+        world.sites["a"].register_object(obj)
+        _description, handle = obj.invoke("getMethod", ["getDataItem"], caller=obj.principal)
+        obj.invoke(
+            "setMethod", [handle, {"body": "return ['patched', args[0]]"}],
+            caller=obj.principal,
+        )
+        assert call(world, "getDataItem", "x", target=obj) == ["patched", "x"]
+        assert "image" in served(world)[-1].attrs
+        world.crash_restart("a")
+        recovered = world.sites["a"].local_object(obj.guid)
+        assert recovered.invoke("getDataItem", ["x"]) == ["patched", "x"]
 
     def test_the_invoke_after_a_rollback_logs_an_image(self, world):
         # the block's invokes left a base that holds 'hello'; the rollback
@@ -161,6 +227,36 @@ class TestImageFallbacks:
         SiteJournal(world.sites["a"], world.wals["a"])  # no registrations
         call(world, "increment")
         assert "image" in served(world)[-1].attrs
+
+
+class TestOtherObjects:
+    def test_objects_built_and_edited_on_another_site_leave_deltas(self, world):
+        # each stamp is the object's own: site b building an object and
+        # editing another changes nothing a's journal or view cache reads
+        b = world.sites["b"]
+        b.remote_describe("a", world.cell.guid)
+        view = world.cell._described
+        peer = b.register_object(b.create_object(display_name="peer"))
+        for step in range(50):
+            b.create_object(display_name=f"new{step}")
+            if step % 3 == 0:
+                peer.invoke("addDataItem", [f"x{step}", step], caller=peer.principal)
+            else:
+                item, _section = peer.containers.lookup_method("addDataItem")
+                if step % 3 == 1:
+                    item.update_metadata({"doc": f"edit {step}"})
+                else:
+                    item.acl.grant(f"mrom:obj:{step}", Permission.META)
+            call(world, "increment")
+        records = [r for r in served(world) if r.attrs["kind"] == "invoke"]
+        assert [r.attrs.get("delta") for r in records] == [
+            {"count": step} for step in range(1, 51)
+        ]
+        assert not any("image" in r.attrs for r in served(world))
+        assert world.cell._described is view
+        b.remote_describe("a", world.cell.guid)
+        assert world.cell._described is view
+        assert recovered_values(world)["count"] == (int, "50")
 
 
 IMAGE = {
