@@ -111,7 +111,8 @@ bench-pairs:
 
 # Every pinned seeded output, one file each under OUT (default
 # .bench/seeded): the chaos/load/cluster reports, their load and cluster
-# soak variants, the recover selftest, the sanitize smoke (all seed 1;
+# soak variants, the recover selftest, the sanitize smoke, the corpus
+# analyzer's JSON report (all seed 1;
 # tests/integration/test_seeded_reports.py) and the telemetry capture
 # (traced scenario seeds 0 and 1 plus a traced soak, wall-clock fields
 # dropped; tests/telemetry/test_capture_golden.py). Both tests compare
@@ -127,6 +128,7 @@ seeded-outputs:
 	$(PYTHON) -m repro cluster --soak --seed 1 > $(OUT)/cluster-soak.txt
 	$(PYTHON) -m repro recover --selftest --seed 1 > $(OUT)/recover-selftest.txt
 	$(PYTHON) -m repro analyze --sanitize-smoke --seed 1 > $(OUT)/sanitize-smoke.txt
+	$(PYTHON) -m repro analyze examples/ src/repro/apps/ --json --seed 1 > $(OUT)/analyze.txt
 	$(PYTHON) tests/telemetry/capture.py > $(OUT)/telemetry-capture.txt
 
 series: bench

@@ -7,7 +7,11 @@ crash-recovery soak (``recover --selftest``) and the happens-before
 sanitized soak (``analyze --sanitize-smoke``: its task, access, send
 and sync counts and its matched races) are pinned too, since they run
 the fault, retry, WAL-recovery and sanitizer paths the clean reports
-never reach. A refactor must leave all seven byte-identical; a
+never reach. So is the static analyzer's JSON report over the corpus
+(``analyze examples/ src/repro/apps/ --json``: the rule, position,
+message and ``extra`` of every finding), which the lint job's baseline
+gate matches only on rule, source and line. A refactor must leave all
+eight byte-identical; a
 deliberate change re-records them with ``make seeded-outputs
 OUT=tests/golden/seeded`` and shows up as a reviewed diff of the golden
 files, like the WAL corpus and the wire vectors. The same command also
@@ -37,6 +41,7 @@ REPORTS = {
     "cluster-soak": ["cluster", "--soak"],
     "recover-selftest": ["recover", "--selftest"],
     "sanitize-smoke": ["analyze", "--sanitize-smoke"],
+    "analyze": ["analyze", "examples/", "src/repro/apps/", "--json"],
 }
 
 
