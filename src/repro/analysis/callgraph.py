@@ -1,18 +1,14 @@
-"""Cross-object call graphs over MPL programs and host scenarios.
+"""Cross-site call graphs over host scenarios.
 
-Two graph builders feed the interprocedural passes:
-
-* :func:`from_program` — intra-program edges: sibling invocations inside
-  MPL method bodies (``self.call`` and the ``self.m()`` sugar) and
-  top-level script invocations on ``new``-bound objects.
-* :func:`scan_host` — a python-AST scan of a host scenario file: the
-  ``Site``/``MobilityManager`` wiring, per-site admission windows
-  (``inflight_limit``), and every RMI edge a site issues — sync verbs
-  (``request``/``remote_invoke``/…), their ``*_async`` variants, batched
-  frames (``RequestBatch``) and migrations. Edges carry
-  their source line in program order, which is exactly what the
-  incremental wait-for cycle check in :mod:`.deadlock` needs to anchor a
-  finding at the edge that *closes* a cycle.
+:func:`scan_host` is a python-AST scan of a host scenario file: the
+``Site``/``MobilityManager`` wiring, per-site admission windows
+(``inflight_limit``), and every RMI edge a site issues — sync verbs
+(``request``/``remote_invoke``/…), their ``*_async`` variants, batched
+frames (``RequestBatch``) and migrations. Edges carry their source line
+in program order, which is exactly what the incremental wait-for cycle
+check in :mod:`.deadlock` needs to anchor a finding at the edge that
+*closes* a cycle. (Sibling calls inside one MPL object come from the
+effect extractor, :mod:`repro.lang.effects`.)
 
 The scan is best-effort by design: it resolves destinations that are
 string literals or names bound to sites in the same file, and silently
@@ -25,7 +21,7 @@ from __future__ import annotations
 import ast as pyast
 from dataclasses import dataclass, field
 
-__all__ = ["Edge", "CallGraph", "HostScan", "from_program", "scan_host"]
+__all__ = ["Edge", "CallGraph", "HostScan", "scan_host"]
 
 #: site verbs that block the caller until the reply arrives
 SYNC_VERBS = frozenset(
@@ -36,7 +32,10 @@ SYNC_VERBS = frozenset(
 )
 #: site verbs that return a future immediately
 ASYNC_VERBS = frozenset(
-    {"request_async", "remote_invoke_async", "remote_get_data_async"}
+    {
+        "request_async", "remote_invoke_async", "remote_get_data_async",
+        "remote_describe_async",
+    }
 )
 #: manager verbs that move an object (the sender blocks on the handoff)
 MIGRATE_VERBS = frozenset({"migrate", "deploy_copy"})
@@ -46,7 +45,7 @@ MIGRATE_VERBS = frozenset({"migrate", "deploy_copy"})
 class Edge:
     src: str
     dst: str
-    kind: str  # "invoke" | "rmi" | "rmi_async" | "batch" | "migrate"
+    kind: str  # "rmi" | "rmi_async" | "batch" | "migrate"
     line: int = 0
     column: int = 0
 
@@ -60,61 +59,6 @@ class CallGraph:
         self.nodes.add(edge.src)
         self.nodes.add(edge.dst)
         self.edges.append(edge)
-
-    def successors(self, node: str, kinds=None) -> set:
-        return {
-            e.dst
-            for e in self.edges
-            if e.src == node and (kinds is None or e.kind in kinds)
-        }
-
-
-def from_program(program, label: str = "<mpl>") -> CallGraph:
-    """Call graph of one MPL program: ``Object.method`` nodes.
-
-    Sibling calls come from the effect extractor; top-level script
-    statements add ``<main> -> Object.method`` edges for invocations on
-    ``let x = new Object`` bindings.
-    """
-    from ..lang import ast_nodes as mpl
-    from ..lang.effects import effects_of_object
-    from ..lang.parser import span_of
-
-    graph = CallGraph()
-    for decl in program.objects:
-        for method, eff in effects_of_object(decl).items():
-            src = f"{decl.name}.{method}"
-            graph.nodes.add(src)
-            for callee, (line, column) in sorted(eff.self_calls.items()):
-                graph.add(Edge(
-                    src, f"{decl.name}.{callee}", "invoke", line, column,
-                ))
-
-    bindings: dict = {}  # top-level var -> declared object name
-
-    def walk_script(node) -> None:
-        if isinstance(node, mpl.Let) and isinstance(node.value, mpl.NewObject):
-            bindings[node.name] = node.value.decl_name
-        if isinstance(node, mpl.MethodCall) and isinstance(
-            node.target, mpl.Name
-        ):
-            target = bindings.get(node.target.ident)
-            if target is not None:
-                line, column = span_of(node)
-                graph.add(Edge(
-                    "<main>", f"{target}.{node.name}", "invoke", line, column,
-                ))
-        for attr in ("value", "condition", "iterable", "target", "index"):
-            child = getattr(node, attr, None)
-            if child is not None and not isinstance(child, str):
-                walk_script(child)
-        for attr in ("then_body", "else_body", "body", "args", "elements"):
-            for child in getattr(node, attr, ()) or ():
-                walk_script(child)
-
-    for stmt in program.statements:
-        walk_script(stmt)
-    return graph
 
 
 # ---------------------------------------------------------------------------

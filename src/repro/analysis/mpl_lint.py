@@ -181,22 +181,7 @@ def _walk_method(method: ast.MethodDecl):
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(_children(node))
-
-
-def _children(node) -> list:
-    kids: list = []
-    for attr in ("value", "condition", "iterable", "target", "index",
-                 "operand", "left", "right", "func", "initial"):
-        child = getattr(node, attr, None)
-        if child is not None and not isinstance(child, str):
-            kids.append(child)
-    for seq_attr in ("elements", "args", "then_body", "else_body", "body"):
-        kids.extend(getattr(node, seq_attr, ()))
-    for key, value in getattr(node, "pairs", ()):
-        kids.append(key)
-        kids.append(value)
-    return kids
+        stack.extend(ast.children(node))
 
 
 class _Linter:
@@ -786,7 +771,7 @@ class _Linter:
                 if context is not None:
                     self.lint_known_target_call(node, context)
             return
-        for child in _children(node):
+        for child in ast.children(node):
             self.lint_toplevel_expr(child, scope, contexts)
 
     def lint_known_target_call(
@@ -820,7 +805,7 @@ def _iter_expr(expr):
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(_children(node))
+        stack.extend(ast.children(node))
 
 
 class _MethodScope:
@@ -876,7 +861,7 @@ class _ToplevelScope:
             node = stack.pop()
             if isinstance(node, (ast.Let, ast.ForEach)):
                 self.all_lets.add(node.name)
-            stack.extend(_children(node))
+            stack.extend(ast.children(node))
 
     def define(self, name: str) -> None:
         self.variables.add(name)

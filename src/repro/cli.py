@@ -69,6 +69,7 @@ from pathlib import Path
 
 from .core.errors import MROMError
 from .core.introspection import describe
+from .core.mobject import is_bundled_meta
 from .lang import Interpreter, parse
 from .lang.compiler import compile_object_methods
 from .mobility.package import unpack_bytes
@@ -152,8 +153,13 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         f"{counts['fixed_methods']}+{counts['extensible_methods']} methods "
         "(fixed+extensible)"
     )
+    bundled = {
+        method.name
+        for method in (*obj.containers.fixed_methods, *obj.containers.ext_methods)
+        if is_bundled_meta(method)
+    }
     for item in description.items:
-        if item.metadata.get("meta"):
+        if item.category == "method" and item.name in bundled:
             continue
         marker = "M" if item.category == "method" else "D"
         wrappers = "".join(
@@ -323,8 +329,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
     if args.store_command == "show":
         obj = store.load(args.guid, version=args.version)
         print(f"{obj.guid} ({obj.principal.display_name or 'unnamed'})")
-        for item, _category, section in obj.containers.iter_with_sections():
-            if item.metadata.get("meta"):
+        for item, category, section in obj.containers.iter_with_sections():
+            if category == "method" and is_bundled_meta(item):
                 continue
             print(f"  {section:<10} {item.category:<6} {item.name}")
         return 0

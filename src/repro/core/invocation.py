@@ -362,12 +362,14 @@ class Invoker:
         runs, so a closure can pin the verdict without ever converting a
         denial into access, and a first call audits exactly once.
         """
+        from .mobject import is_bundled_meta  # mobject imports this module
+
         obj = self.obj
         try:
             method, section = obj.containers.lookup_method(method_name)
         except MethodNotFoundError:
             return None
-        if method.metadata.get("meta"):
+        if is_bundled_meta(method):
             return None
         if caller.guid != obj.guid and not method.acl.allows(caller, INVOKE_BIT):
             return None

@@ -51,8 +51,8 @@ class FaultRecord:
     under and a monotonically increasing *seq* number, so a fault seen
     in a span, a log line, or a bug report can be traced back to the
     exact seeded schedule (and position within it) that produced it.
-    The legacy tuple trace (see :attr:`FaultPlane.trace`) is unchanged —
-    this is the structured, attributable view of the same events.
+    The plane keeps one record per injection; its tuple trace (see
+    :attr:`FaultPlane.trace`) is derived from these.
     """
 
     seq: int
@@ -81,10 +81,8 @@ class FaultPlane:
         #: identity so every injection is attributable even when the
         #: caller never names the run
         self.scenario = scenario or f"seed:{self.seed}"
-        self.trace: list[tuple] = []
-        #: structured, attributed view of the trace (scenario + seq per fault)
+        #: every injection, attributed (scenario + seq per fault)
         self.injections: list[FaultRecord] = []
-        self._injection_seq = 0
         self.counts: Counter[str] = Counter()
         self._message_injectors: list["MessageInjector"] = []
         self._names: Counter[str] = Counter()
@@ -152,26 +150,32 @@ class FaultPlane:
     def record(self, label: str, *details) -> None:
         """Append one fault event to the reproducibility trace.
 
-        The single funnel every injection passes through: it feeds the
-        legacy tuple trace (whose :meth:`digest` reproducibility tests
-        compare), the attributed :attr:`injections` list, and — when
-        telemetry is enabled — tags the currently open span with a
-        ``fault`` event and bumps the ``faults.injected`` counter.
+        The single funnel every injection passes through: it appends to
+        the attributed :attr:`injections` list (which :attr:`trace` and
+        :meth:`digest` read) and — when telemetry is enabled — tags the
+        currently open span with a ``fault`` event and bumps the
+        ``faults.injected`` counter.
         """
-        now = round(self.network.simulator.now, 9)
-        self.trace.append((now, label, *details))
-        self._injection_seq += 1
         record = FaultRecord(
-            seq=self._injection_seq,
+            seq=len(self.injections) + 1,
             scenario=self.scenario,
             label=label,
-            time=now,
-            details=tuple(details),
+            time=round(self.network.simulator.now, 9),
+            details=details,
         )
         self.injections.append(record)
         probe = _probes.ACTIVE
         if probe is not None:
             probe.fault(record)
+
+    @property
+    def trace(self) -> list[tuple]:
+        """The schedule as ``(time, label, *details)`` tuples, one per
+        injection in order."""
+        return [
+            (record.time, record.label, *record.details)
+            for record in self.injections
+        ]
 
     def digest(self) -> str:
         """A stable fingerprint of the whole fault schedule."""
@@ -182,5 +186,5 @@ class FaultPlane:
         return (
             f"FaultPlane(seed={self.seed}, "
             f"{len(self._message_injectors)} message injectors, "
-            f"{len(self.trace)} trace entries)"
+            f"{len(self.injections)} trace entries)"
         )

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Any, Mapping, Sequence, TYPE_CHECKING
 
 from ..core.acl import allow_all, owner_only
-from ..core.mobject import MROMObject
+from ..core.mobject import MROMObject, is_bundled_meta
 from ..core.values import Kind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,7 +92,7 @@ def build_apo_ambassador(
     facade_methods = {
         item.name: item
         for item in apo.facade.containers.ext_methods
-        if not item.metadata.get("meta")
+        if not is_bundled_meta(item)
     }
     for operation in forward:
         metadata = {"doc": f"forwarded to origin {apo.name}", "tags": ["forwarded"]}

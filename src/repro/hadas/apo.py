@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from ..core.acl import AccessControlList, Principal, allow_all, owner_only
 from ..core.errors import PolicyViolationError
 from ..core.items import MROMMethod
-from ..core.mobject import MROMObject
+from ..core.mobject import MROMObject, is_bundled_meta
 from ..net.rmi import RemoteRef
 from ..net.site import Site
 
@@ -122,7 +122,7 @@ class APO:
         return [
             item.name
             for item in self.facade.containers.ext_methods
-            if not item.metadata.get("meta")
+            if not is_bundled_meta(item)
         ]
 
     # ------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Two layers: *declarations* (objects and their members) and *statements/
 expressions* (method bodies and top-level script code). Every node is a
-frozen dataclass; the compiler and interpreter dispatch on type.
+frozen dataclass; the compiler and interpreter dispatch on type, and
+every walk over statements and expressions (the linter, the effect
+extractor) reaches sub-nodes through :func:`children`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ __all__ = [
     "Unary", "Binary", "Index", "MethodCall", "FuncCall", "NewObject",
     "Stmt", "Let", "Assign", "IndexAssign", "Return", "If", "While",
     "ForEach", "Print", "ExprStmt",
-    "DataDecl", "MethodDecl", "ObjectDecl", "Program",
+    "DataDecl", "MethodDecl", "ObjectDecl", "Program", "children",
 ]
 
 
@@ -158,6 +160,39 @@ class ExprStmt:
 
 
 Stmt = Union[Let, Assign, IndexAssign, Return, If, While, ForEach, Print, ExprStmt]
+
+
+def children(node) -> tuple:
+    """The statements and expressions directly under *node*, in source
+    order; ``()`` for a leaf (a literal, a name, ``self``, ``new``) and
+    for anything that is not a statement or expression node."""
+    if isinstance(node, (Let, Assign, Print, ExprStmt)):
+        return (node.value,)
+    if isinstance(node, MethodCall):
+        return (node.target, *node.args)
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    if isinstance(node, ListExpr):
+        return node.elements
+    if isinstance(node, MapExpr):
+        return tuple(part for pair in node.pairs for part in pair)
+    if isinstance(node, Unary):
+        return (node.operand,)
+    if isinstance(node, Index):
+        return (node.target, node.index)
+    if isinstance(node, FuncCall):
+        return (node.func, *node.args)
+    if isinstance(node, IndexAssign):
+        return (node.target, node.index, node.value)
+    if isinstance(node, Return):
+        return () if node.value is None else (node.value,)
+    if isinstance(node, If):
+        return (node.condition, *node.then_body, *node.else_body)
+    if isinstance(node, While):
+        return (node.condition, *node.body)
+    if isinstance(node, ForEach):
+        return (node.iterable, *node.body)
+    return ()
 
 
 # ---------------------------------------------------------------------------

@@ -88,42 +88,6 @@ class MethodEffects:
 # ---------------------------------------------------------------------------
 
 
-def _mpl_children(node):
-    if isinstance(node, (mpl.Literal, mpl.Name, mpl.SelfRef, mpl.NewObject)):
-        return ()
-    if isinstance(node, mpl.ListExpr):
-        return node.elements
-    if isinstance(node, mpl.MapExpr):
-        return [part for pair in node.pairs for part in pair]
-    if isinstance(node, mpl.Unary):
-        return (node.operand,)
-    if isinstance(node, mpl.Binary):
-        return (node.left, node.right)
-    if isinstance(node, mpl.Index):
-        return (node.target, node.index)
-    if isinstance(node, mpl.MethodCall):
-        return (node.target, *node.args)
-    if isinstance(node, mpl.FuncCall):
-        return (node.func, *node.args)
-    if isinstance(node, mpl.Let):
-        return (node.value,)
-    if isinstance(node, mpl.Assign):
-        return (node.value,)
-    if isinstance(node, mpl.IndexAssign):
-        return (node.target, node.index, node.value)
-    if isinstance(node, mpl.Return):
-        return () if node.value is None else (node.value,)
-    if isinstance(node, mpl.If):
-        return (node.condition, *node.then_body, *node.else_body)
-    if isinstance(node, mpl.While):
-        return (node.condition, *node.body)
-    if isinstance(node, mpl.ForEach):
-        return (node.iterable, *node.body)
-    if isinstance(node, (mpl.Print, mpl.ExprStmt)):
-        return (node.value,)
-    return ()
-
-
 def _record(table: dict, key: str, span) -> None:
     table.setdefault(key, span)
 
@@ -186,7 +150,7 @@ def effects_of_method(
             elif name not in _SELFVIEW:
                 # surface sugar: self.m(...) invokes the sibling method m
                 _record(eff.self_calls, name, span)
-        for child in _mpl_children(node):
+        for child in mpl.children(node):
             walk(child)
 
     for stmt in decl.body:

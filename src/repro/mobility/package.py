@@ -106,11 +106,7 @@ def _pack_method(method: MROMMethod, strip_native_wrappers: bool = False) -> dic
     }
 
 
-def pack(
-    obj: MROMObject,
-    include_environment: bool = True,
-    strip_native_wrappers: bool = False,
-) -> dict:
+def pack(obj: MROMObject, strip_native_wrappers: bool = False) -> dict:
     """The transferable description of *obj*.
 
     Raises :class:`NotPortableError` when a method not bundled carries
@@ -135,14 +131,7 @@ def pack(
             if isinstance(item, MROMMethod) and not is_bundled_meta(item)
         ]
 
-    environment = {}
-    if include_environment:
-        environment = {
-            key: value
-            for key, value in obj.environment.items()
-            if key not in _HOST_ONLY_ENV
-        }
-    package = {
+    return {
         "format": FORMAT,
         "guid": obj.guid,
         "display_name": obj.principal.display_name,
@@ -162,24 +151,17 @@ def pack(
             _pack_method(level, strip_native_wrappers)
             for level in obj.meta_invoke_chain()
         ],
-        "environment": environment,
+        "environment": {
+            key: value
+            for key, value in obj.environment.items()
+            if key not in _HOST_ONLY_ENV
+        },
     }
-    return package
 
 
-def pack_bytes(
-    obj: MROMObject,
-    include_environment: bool = True,
-    strip_native_wrappers: bool = False,
-) -> bytes:
+def pack_bytes(obj: MROMObject, strip_native_wrappers: bool = False) -> bytes:
     """Wire form of the package (this is what actually migrates)."""
-    return marshal(
-        pack(
-            obj,
-            include_environment=include_environment,
-            strip_native_wrappers=strip_native_wrappers,
-        )
-    )
+    return marshal(pack(obj, strip_native_wrappers=strip_native_wrappers))
 
 
 #: what a package without an ACL or metadata field reads as
@@ -309,24 +291,14 @@ def _unpack(package: Mapping, resolve: Resolve | None) -> MROMObject:
     return obj
 
 
-def pack_frame(
-    obj: MROMObject,
-    include_environment: bool = True,
-    strip_native_wrappers: bool = False,
-) -> MarshalFrame:
+def pack_frame(obj: MROMObject, strip_native_wrappers: bool = False) -> MarshalFrame:
     """The wire form as a zero-copy frame (no final ``bytes`` copy).
 
     Byte-identical to :func:`pack_bytes`; the caller owns the frame and
     must release it (context manager or :meth:`~repro.net.marshal.
     MarshalFrame.release`) once the view has been consumed.
     """
-    return marshal_frame(
-        pack(
-            obj,
-            include_environment=include_environment,
-            strip_native_wrappers=strip_native_wrappers,
-        )
-    )
+    return marshal_frame(pack(obj, strip_native_wrappers=strip_native_wrappers))
 
 
 def unpack_bytes(wire: bytes) -> MROMObject:

@@ -222,38 +222,13 @@ class DirectoryClient:
             self.leases[name] = lease
         return self.leases[name]
 
-    def _note_stale(self, name: str) -> None:
-        self.stale += 1
-        _count("directory.stale")
-        self.invalidate(name)
-
     # -- invocation through leases -------------------------------------------
 
     def invoke(self, name: str, method: str, args: Sequence = (), caller=None):
-        """Invoke *method* on the object behind *name*, following stale
-        leases: each :class:`StaleLeaseError` drops the lease and
-        re-resolves, up to ``max_redirects`` times."""
-        last: StaleLeaseError | None = None
-        for attempt in range(self.max_redirects + 1):
-            lease = self.lease_for(name, refresh=attempt > 0)
-            try:
-                return self.site.request(
-                    lease.site,
-                    "cluster.invoke",
-                    {
-                        "name": name,
-                        "generation": lease.generation,
-                        "method": method,
-                        "args": list(args),
-                        "caller": self.site._caller_payload(caller),
-                    },
-                    policy=self.retry_policy,
-                )
-            except StaleLeaseError as exc:
-                self._note_stale(name)
-                last = exc
-        assert last is not None
-        raise last
+        """Invoke *method* on the object behind *name* and wait for the
+        result: a wait on :meth:`invoke_async`, so the blocking call
+        follows stale leases exactly as the async one does."""
+        return self.site.wait(self.invoke_async(name, method, args, caller))
 
     def invoke_async(
         self, name: str, method: str, args: Sequence = (), caller=None
@@ -322,7 +297,9 @@ class DirectoryClient:
             return
         if isinstance(error, StaleLeaseError):
             # the refused lease is dead whether or not budget remains
-            self._note_stale(name)
+            self.stale += 1
+            _count("directory.stale")
+            self.invalidate(name)
             if redirects > 0:
                 self._resolve_then(outer, name, payload, redirects - 1)
                 return

@@ -28,7 +28,6 @@ from .exporters import (
     metrics_snapshot,
     render_tree,
     span_lines,
-    write_bench_json,
     write_spans_jsonl,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -56,7 +55,6 @@ __all__ = [
     "write_spans_jsonl",
     "render_tree",
     "metrics_snapshot",
-    "write_bench_json",
     "SPAN_LINE_SCHEMA",
     "validate_span_lines",
     "validate_span_mapping",

@@ -5,9 +5,8 @@
   :mod:`repro.telemetry.schema`, validated by ``make trace-smoke``);
 * :func:`render_tree` — a human-readable trace tree, one trace per
   block, children indented under parents;
-* :func:`metrics_snapshot` / :func:`write_bench_json` — a JSON
-  metrics snapshot (schema ``mrom-bench/1``), what
-  ``repro trace --metrics`` writes.
+* :func:`metrics_snapshot` — a JSON metrics snapshot (schema
+  ``mrom-bench/1``), what ``repro trace --metrics`` writes.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ __all__ = [
     "write_spans_jsonl",
     "render_tree",
     "metrics_snapshot",
-    "write_bench_json",
     "BENCH_SCHEMA",
 ]
 
@@ -126,18 +124,4 @@ def metrics_snapshot(
     }
     if extra:
         snapshot["extra"] = dict(extra)
-    return snapshot
-
-
-def write_bench_json(
-    path: str | Path,
-    registry: MetricsRegistry,
-    name: str,
-    extra: Mapping[str, Any] | None = None,
-) -> dict:
-    """Write the metrics snapshot as JSON to *path*; returns it."""
-    snapshot = metrics_snapshot(registry, name, extra)
-    Path(path).write_text(
-        json.dumps(snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
     return snapshot

@@ -10,11 +10,14 @@ registry renders to one flat mapping via :meth:`MetricsRegistry.snapshot`
 
 Histograms use *fixed* bucket boundaries chosen at creation (defaults
 span 1µs to 10s), so two runs of the same workload produce structurally
-identical snapshots that can be diffed numerically.
+identical snapshots that can be diffed numerically. A histogram
+estimates percentiles by interpolating within the bucket that holds the
+rank; the load plane's :class:`~repro.load.LatencyRecorder` is one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -77,7 +80,8 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-boundary bucketed distribution with sum and count.
+    """Fixed-boundary bucketed distribution with sum, count and
+    interpolated percentiles.
 
     ``counts[i]`` counts samples ``<= boundaries[i]``; the final slot is
     the +Inf bucket. Buckets are cumulative-friendly but stored
@@ -87,13 +91,14 @@ class Histogram:
     __slots__ = ("name", "boundaries", "counts", "total", "count", "min", "max")
 
     def __init__(self, name: str, boundaries: Sequence[float] = DEFAULT_BUCKETS):
-        if not boundaries or list(boundaries) != sorted(boundaries):
+        bounds = tuple(float(b) for b in boundaries)
+        if not bounds or list(bounds) != sorted(set(bounds)):
             raise ValueError(
-                f"histogram {name!r} needs sorted, non-empty boundaries"
+                f"histogram {name!r} needs sorted, distinct, non-empty boundaries"
             )
         self.name = name
-        self.boundaries = tuple(float(b) for b in boundaries)
-        self.counts = [0] * (len(self.boundaries) + 1)
+        self.boundaries = bounds
+        self.counts = [0] * (len(bounds) + 1)
         self.total = 0.0
         self.count = 0
         self.min: float | None = None
@@ -106,15 +111,43 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for index, bound in enumerate(self.boundaries):
-            if value <= bound:
-                self.counts[index] += 1
-                return
-        self.counts[-1] += 1
+        self.counts[bisect_left(self.boundaries, value)] += 1
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
+
+    def percentile(self, quantile: float) -> float:
+        """Estimate the *quantile* (0..1] by linear interpolation within
+        the bucket holding that rank; exact at bucket edges, clamped to
+        the observed [min, max] so tiny samples stay honest."""
+        if not 0.0 < quantile <= 1.0:
+            raise ValueError(f"quantile must be in (0, 1], got {quantile}")
+        if self.count == 0:
+            return 0.0
+        assert self.min is not None and self.max is not None
+        rank = quantile * self.count
+        cumulative = 0
+        for index, bucket_count in enumerate(self.counts):
+            if not bucket_count:
+                continue
+            if cumulative + bucket_count >= rank:
+                if index >= len(self.boundaries):  # the +Inf bucket
+                    return self.max
+                lower = self.boundaries[index - 1] if index else 0.0
+                upper = self.boundaries[index]
+                fraction = (rank - cumulative) / bucket_count
+                estimate = lower + (upper - lower) * fraction
+                return min(max(estimate, self.min), self.max)
+            cumulative += bucket_count
+        return self.max  # pragma: no cover - ranks always land above
+
+    def percentiles(self) -> dict:
+        return {
+            "p50": self.percentile(0.50),
+            "p95": self.percentile(0.95),
+            "p99": self.percentile(0.99),
+        }
 
     def snapshot(self) -> dict:
         return {
@@ -128,7 +161,10 @@ class Histogram:
         }
 
     def __repr__(self) -> str:
-        return f"Histogram({self.name!r}, n={self.count}, mean={self.mean:.6g})"
+        return (
+            f"{type(self).__name__}({self.name!r}, n={self.count}, "
+            f"mean={self.mean:.6g})"
+        )
 
 
 class MetricsRegistry:

@@ -4,36 +4,12 @@ import textwrap
 
 import pytest
 
-from repro.analysis.callgraph import from_program, scan_host
+from repro.analysis.callgraph import scan_host
 from repro.analysis.deadlock import analyze_host_source
 from repro.analysis.diagnostics import Diagnostic, Severity, dedupe
 from repro.analysis.interproc import analyze_paths
-from repro.lang import parse
 
 pytestmark = pytest.mark.analysis
-
-
-class TestProgramGraph:
-    def test_sibling_calls_and_main_edges(self):
-        program = parse(
-            """
-            object svc {
-              data x = 0
-              method front() {
-                self.back()
-              }
-              method back() {
-                return x
-              }
-            }
-            let s = new svc
-            s.front()
-            """
-        )
-        graph = from_program(program)
-        assert "svc.front" in graph.nodes
-        assert graph.successors("svc.front") == {"svc.back"}
-        assert graph.successors("<main>") == {"svc.front"}
 
 
 HOST_TOPOLOGY = textwrap.dedent(
@@ -66,6 +42,21 @@ class TestHostScan:
             ("site:beta", "site:alpha", "rmi_async"),
             ("site:alpha", "site:beta", "migrate"),
         }
+
+    def test_every_async_verb_is_an_async_edge(self):
+        scan = scan_host(textwrap.dedent(
+            """
+            a = Site(net, "alpha")
+            a.request_async("beta", "ping", {})
+            a.remote_invoke_async("beta", "guid", "m", [])
+            a.remote_get_data_async("beta", "guid", "x")
+            a.remote_describe_async("beta", "guid")
+            """
+        ))
+        assert [(e.line, e.kind) for e in scan.graph.edges] == [
+            (3, "rmi_async"), (4, "rmi_async"), (5, "rmi_async"),
+            (6, "rmi_async"),
+        ]
 
     def test_dynamic_destinations_are_skipped(self):
         scan = scan_host(

@@ -107,6 +107,18 @@ class TestLiveObjectAccounting:
         assert obj.fastpath.compiles == 1
         assert obj.fastpath.invalidations == 0
 
+    def test_method_whose_metadata_says_meta_compiles(self):
+        """Only the bundled meta-methods stay interpreted: a fixed
+        method flagged ``meta`` in its metadata compiles on its first
+        allowed call and hits on the next two."""
+        obj = MROMObject(display_name="flagged", owner=OWNER)
+        obj.define_fixed_method("flagged", "return 7", metadata={"meta": True})
+        obj.seal()
+        for _ in range(3):
+            assert obj.invoke("flagged", caller=OWNER) == 7
+        assert obj.fastpath.compiles == 1
+        assert obj.fastpath.compiled_hits == 2
+
     def test_mutation_counts_exactly_one_invalidation(self):
         obj = build_subject()
         obj.invoke("get_base", caller=OWNER)  # compiles

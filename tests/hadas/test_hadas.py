@@ -55,6 +55,18 @@ class TestIntegration:
             "departments", "headcount", "payroll_total", "salary_of",
         ]
 
+    def test_operations_list_a_method_whose_metadata_says_meta(self, db_world):
+        """Only the bundled meta-methods are left out: an operation the
+        owner added with ``meta`` in its metadata is still listed."""
+        _network, _ioos, _db, apo = db_world
+        apo.facade.invoke(
+            "addMethod",
+            ["hello", "return 'hi'", {"metadata": {"meta": True}}],
+            caller=apo.facade.owner,
+        )
+        assert "hello" in apo.operations()
+        assert "getMethod" not in apo.operations()
+
     def test_local_invocation(self, db_world):
         _network, _ioos, _db, apo = db_world
         assert apo.invoke("salary_of", ["dana"]) == 7200
