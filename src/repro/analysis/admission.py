@@ -31,9 +31,10 @@ Checks (rule ids in :data:`ADMISSION_RULES`):
 
 :func:`admission_policy` adapts the analysis to the
 ``AdmissionPolicy`` callable that
-:class:`~repro.mobility.transfer.MobilityManager` runs at PREPARE: a
-failed analysis raises :class:`AdmissionRefusal`, whose ``diagnostics``
-carry the structured findings back to the sender inside the refusal.
+:class:`~repro.mobility.transfer.MobilityManager` runs at PREPARE: it
+returns the audited object for installation, and a failed analysis
+raises :class:`AdmissionRefusal`, whose ``diagnostics`` carry the
+structured findings back to the sender inside the refusal.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ def _audit_portable(carrier, label: str) -> list[Diagnostic]:
     try:
         carrier.compile_now()
         return []
-    except (MROMError, SyntaxError, ValueError) as exc:  # a sandbox refusal
-        refusal = exc  # or source that does not compile
+    except (MROMError, ValueError) as exc:  # a sandbox refusal, or
+        refusal = exc  # source that does not compile
     role = carrier.role
     sandbox_findings = audit_function_body(
         carrier.source, role.parameters, source_name=label
@@ -425,19 +426,22 @@ def admit(
 def admission_policy(strict: bool = False, concurrency: bool = True):
     """An ``AdmissionPolicy`` callable running :func:`admit`.
 
-    Plug into :class:`~repro.mobility.transfer.MobilityManager` (or pass
-    ``verify_arrivals=True`` to have the manager run the same audit with
-    its site's resolver): at PREPARE the package is unpacked and the
-    object audited, and a failing report raises
+    Plug into :class:`~repro.mobility.transfer.MobilityManager` as
+    ``MobilityManager(site, policy=admission_policy(...))``: at PREPARE
+    the manager passes its site's resolver, the package is unpacked once
+    and the object audited, and a failing report raises
     :class:`AdmissionRefusal` — the migration bounces with the findings
-    attached, and nothing was installed or imported. The callable returns
-    the object it audited, unpacked without a resolver. With *strict*,
-    warnings (open meta surfaces, unreachable items, external references,
-    and the ``adm.race.*``/``adm.cycle.*`` concurrency findings the gate
-    checks by default) also refuse admission.
+    attached, and nothing was installed or imported. Otherwise the
+    callable returns the audited object, which is the one installed.
+    With *strict*, warnings (open meta surfaces, unreachable items,
+    external references, and the ``adm.race.*``/``adm.cycle.*``
+    concurrency findings the gate checks by default) also refuse
+    admission.
     """
 
-    def policy(package: Mapping, src: str):
-        return admit(package, src, strict=strict, concurrency=concurrency)
+    def policy(package: Mapping, src: str, resolve: Resolve | None = None):
+        return admit(
+            package, src, strict=strict, concurrency=concurrency, resolve=resolve
+        )
 
     return policy

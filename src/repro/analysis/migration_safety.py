@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import ast as pyast
 
+from .callgraph import MIGRATE_VERBS
 from .diagnostics import Diagnostic, Severity
 
 __all__ = ["MIGRATION_RULES", "analyze_host_source"]
@@ -59,7 +60,6 @@ _METHOD_DEFS = frozenset(
 _DATA_DEFS = frozenset(
     {"define_fixed_data", "define_data", "add_data", "set_data", "set"}
 )
-_MIGRATE_SINKS = frozenset({"migrate", "deploy_copy"})
 _OBJECT_CTORS = frozenset({"MROMObject", "create_object"})
 _UNMARSHALABLE_CALLS = frozenset(
     {"set", "frozenset", "open", "object", "iter", "memoryview"}
@@ -123,7 +123,7 @@ def analyze_host_source(source: str, label: str = "<host>") -> list:
             ):
                 continue
             owner, verb = func.value.id, func.attr
-            if verb in _MIGRATE_SINKS and node.args:
+            if verb in MIGRATE_VERBS and node.args:
                 first = node.args[0]
                 if isinstance(first, pyast.Name):
                     migrated.add(first.id)

@@ -42,6 +42,7 @@ __all__ = [
     "domain_acl",
     "principals_acl",
     "remote_principal",
+    "within_domain",
 ]
 
 
@@ -64,6 +65,19 @@ class Permission(enum.Flag):
     ALL = GET | SET | INVOKE | META
 
 
+def within_domain(domain: str, root: str) -> bool:
+    """True when trust domain *domain* is *root* or lies under it.
+
+    Segment-wise: ``technion.ee`` is under ``technion``, ``techniom.fake``
+    is not. The empty domain lies under no named root, and an empty
+    *root* admits no named domain; :meth:`Principal.in_domain` reads an
+    empty target as "anywhere" on its own.
+    """
+    own = domain.split(".") if domain else []
+    target = root.split(".")
+    return own[: len(target)] == target
+
+
 @dataclass(frozen=True)
 class Principal:
     """An identity participating in invocations.
@@ -79,11 +93,7 @@ class Principal:
 
     def in_domain(self, domain: str) -> bool:
         """True when this principal's domain is *domain* or a subdomain."""
-        if not domain:
-            return True
-        own = self.domain.split(".") if self.domain else []
-        target = domain.split(".")
-        return own[: len(target)] == target
+        return not domain or within_domain(self.domain, domain)
 
     def __str__(self) -> str:
         label = self.display_name or self.guid

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from ..core.acl import AccessControlList, Principal, allow_all, owner_only
+from ..core.acl import AccessControlList, Principal, allow_all, owner_only, within_domain
 from ..core.errors import PolicyViolationError
 from ..core.items import MROMMethod
 from ..core.mobject import MROMObject, is_bundled_meta
@@ -132,15 +132,10 @@ class APO:
     def exportable_to(self, requester_site: str, requester_domain: str = "") -> bool:
         if not self.allowed_importers:
             return True
-        for allowed in self.allowed_importers:
-            if requester_site == allowed:
-                return True
-            if requester_domain:
-                own = requester_domain.split(".")
-                target = allowed.split(".")
-                if own[: len(target)] == target:
-                    return True
-        return False
+        return any(
+            requester_site == allowed or within_domain(requester_domain, allowed)
+            for allowed in self.allowed_importers
+        )
 
     def check_exportable(self, requester_site: str, requester_domain: str = "") -> None:
         if not self.exportable_to(requester_site, requester_domain):

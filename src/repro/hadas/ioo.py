@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from ..core.acl import allow_all, owner_only
+from ..core.acl import allow_all, owner_only, within_domain
 from ..core.errors import MROMError, PolicyViolationError
 from ..core.mobject import MROMObject
 from ..mobility.package import pack
@@ -183,10 +183,7 @@ class IOO:
         if not self.accept_links_from:
             return
         for allowed in self.accept_links_from:
-            if from_site == allowed:
-                return
-            own = from_domain.split(".") if from_domain else []
-            if own[: len(allowed.split("."))] == allowed.split("."):
+            if from_site == allowed or within_domain(from_domain, allowed):
                 return
         raise PolicyViolationError(
             f"{self.site.site_id} does not accept links from {from_site!r}"

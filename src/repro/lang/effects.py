@@ -29,6 +29,7 @@ import ast as pyast
 from dataclasses import dataclass, field
 
 from . import ast_nodes as mpl
+from .compiler import SELFVIEW_API
 from .parser import span_of
 
 __all__ = [
@@ -49,14 +50,6 @@ _STRUCTURAL_OPS = frozenset(
     {"add_data", "delete_data", "add_method", "delete_method"}
 )
 
-#: the compiled dialect's self-view surface (mirrors compiler.SELFVIEW_API)
-_SELFVIEW = frozenset(
-    {
-        "get", "set", "call", "has_data", "has_method",
-        "add_data", "delete_data", "add_method", "delete_method",
-        "data_names", "method_names",
-    }
-)
 
 
 @dataclass
@@ -147,7 +140,7 @@ def effects_of_method(
                     eff.dynamic = True
                 else:
                     _record(eff.self_calls, callee, span)
-            elif name not in _SELFVIEW:
+            elif name not in SELFVIEW_API:
                 # surface sugar: self.m(...) invokes the sibling method m
                 _record(eff.self_calls, name, span)
         for child in mpl.children(node):

@@ -48,7 +48,7 @@ __all__ = [
 #: Every rule id the verifier can emit (all errors — the sandbox has no
 #: warnings: a construct is either whitelisted or it is not).
 SANDBOX_RULES: dict[str, str] = {
-    "sandbox.syntax": "the portable source does not parse (error)",
+    "sandbox.syntax": "the portable source does not parse or compile (error)",
     "sandbox.node-type": "an AST node type outside the whitelist (error)",
     "sandbox.underscore-attribute": "access to an underscore-prefixed attribute (error)",
     "sandbox.dunder-subscript": "a '__name__'-shaped mapping key (error)",
@@ -322,26 +322,37 @@ class _Verifier(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _syntax_violation(
+    exc: SyntaxError, source_name: str, stage: str = "parse"
+) -> SandboxViolation:
+    """The ``sandbox.syntax`` refusal for source that does not *stage*."""
+    return SandboxViolation(
+        "syntax",
+        f"{exc.msg} (line {exc.lineno})",
+        diagnostic=Diagnostic(
+            rule="sandbox.syntax",
+            severity=Severity.ERROR,
+            message=f"does not {stage}: {exc.msg}",
+            source=source_name,
+            line=exc.lineno or 0,
+        ),
+    )
+
+
+def _parse(source: str, source_name: str) -> ast.Module:
+    try:
+        return ast.parse(source)
+    except SyntaxError as exc:
+        raise _syntax_violation(exc, source_name) from exc
+
+
 def validate_source(source: str, source_name: str = "<portable>") -> ast.Module:
     """Parse and verify mobile source text; returns the parsed module.
 
     Raises :class:`SandboxViolation` for forbidden constructs and for
     source that does not parse at all.
     """
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        raise SandboxViolation(
-            "syntax",
-            f"{exc.msg} (line {exc.lineno})",
-            diagnostic=Diagnostic(
-                rule="sandbox.syntax",
-                severity=Severity.ERROR,
-                message=f"does not parse: {exc.msg}",
-                source=source_name,
-                line=exc.lineno or 0,
-            ),
-        ) from exc
+    tree = _parse(source, source_name)
     _Verifier(source_name).visit(tree)
     return tree
 
@@ -356,20 +367,20 @@ def collect_violations(
     can report the complete set of problems in one pass.
     """
     try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [
-            Diagnostic(
-                rule="sandbox.syntax",
-                severity=Severity.ERROR,
-                message=f"does not parse: {exc.msg}",
-                source=source_name,
-                line=exc.lineno or 0,
-            )
-        ]
+        tree = _parse(source, source_name)
+    except SandboxViolation as refusal:
+        return [refusal.diagnostic]
     found: list[Diagnostic] = []
     _Verifier(source_name, collect=found).visit(tree)
     return found
+
+
+def _scaffold(body_source: str, parameters: Iterable[str], function_name: str) -> str:
+    """The ``def`` a portable function body is verified and compiled in."""
+    params = ", ".join(parameters)
+    lines = body_source.splitlines() or ["pass"]
+    indented = "\n".join("    " + line for line in lines)
+    return f"def {function_name}({params}):\n{indented}\n"
 
 
 def audit_function_body(
@@ -385,10 +396,7 @@ def audit_function_body(
     that equivalence. Reported line numbers are shifted back so they
     refer to the body text, not the wrapper.
     """
-    params = ", ".join(parameters)
-    lines = body_source.splitlines() or ["pass"]
-    indented = "\n".join("    " + line for line in lines)
-    wrapped = f"def {_AUDIT_NAME}({params}):\n{indented}\n"
+    wrapped = _scaffold(body_source, parameters, "portable")
     shifted: list[Diagnostic] = []
     for diagnostic in collect_violations(wrapped, source_name):
         line = max(diagnostic.line - 1, 0)
@@ -405,9 +413,6 @@ def audit_function_body(
             )
         )
     return shifted
-
-
-_AUDIT_NAME = "portable"
 
 
 #: Verified code objects, keyed by (source text, source name). A code
@@ -444,7 +449,9 @@ def compile_restricted(source: str, source_name: str = "<portable>") -> CodeType
     """Validate then compile mobile source text to a code object.
 
     Each distinct (*source*, *source_name*) pair is verified and compiled
-    once per process; later calls return the same code object.
+    once per process; later calls return the same code object. Source
+    the compiler refuses is a ``sandbox.syntax`` :class:`SandboxViolation`,
+    and, like every refusal, is not kept.
     """
     global _verified_chars
     key = (source, source_name)
@@ -452,7 +459,12 @@ def compile_restricted(source: str, source_name: str = "<portable>") -> CodeType
     if code is not None:
         return code
     validate_source(source, source_name)
-    code = compile(source, source_name, "exec")
+    try:
+        code = compile(source, source_name, "exec")
+    except SyntaxError as exc:
+        # what the parser accepts but the compiler refuses: `break`
+        # outside a loop, a `nonlocal` with no binding
+        raise _syntax_violation(exc, source_name, "compile") from exc
     size = len(source)
     if size > _VERIFIED_BODY_MAX_CHARS:
         return code
@@ -492,11 +504,9 @@ def build_function(
     builtins plus *extra_bindings* supplied by the host (the installation
     context); there is no module, no filesystem, no import machinery.
     """
-    params = ", ".join(parameters)
-    lines = body_source.splitlines() or ["pass"]
-    indented = "\n".join("    " + line for line in lines)
-    wrapped = f"def {function_name}({params}):\n{indented}\n"
-    code = compile_restricted(wrapped, source_name)
+    code = compile_restricted(
+        _scaffold(body_source, parameters, function_name), source_name
+    )
     namespace: dict[str, Any] = {"__builtins__": dict(ALLOWED_BUILTINS)}
     if extra_bindings:
         for name, value in extra_bindings.items():

@@ -10,10 +10,10 @@ exactly one live copy of the object at the end:
    retried with timeout and backoff; every retry carries the same id.
 2. **settle** — the receiving :class:`MobilityManager` runs its
    *admission policy* (the host restricting the guest — one half of the
-   security duality), unpacks, registers and installs the object, and
-   records the outcome in its transfer ledger. With the admission gate
-   on, the package is unpacked first and the gate audits that object
-   before the policy runs; the same object is installed. A re-delivered
+   security duality), which unpacks the package once and judges the
+   object it built; it installs that object, registers it, and records
+   the outcome in its transfer ledger. Without a policy the package is
+   simply unpacked. A re-delivered
    PREPARE — a network duplicate or a retry whose first copy already
    settled — is suppressed by the ledger and answered with the recorded
    report.
@@ -47,7 +47,6 @@ itineraries are built from. Forwards ride the same two-phase machinery.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import OrderedDict
 from typing import Any, Callable, Mapping, Sequence
@@ -59,6 +58,7 @@ from ..core.errors import (
     MROMError,
     PolicyViolationError,
     RequestTimeoutError,
+    SecurityError,
     TransferUnresolvedError,
 )
 from ..core.mobject import MROMObject
@@ -69,8 +69,10 @@ from .package import pack, unpack
 
 __all__ = ["MobilityManager", "InstallReport"]
 
-#: signature: policy(package, src_site_id) -> None or raise PolicyViolationError
-AdmissionPolicy = Callable[[Mapping, str], None]
+#: ``policy(package, src_site_id, resolve=None) -> MROMObject``: unpack
+#: *package* once (with *resolve*, the receiving site's resolver), judge
+#: the object, and return it to be installed, or raise
+AdmissionPolicy = Callable[..., MROMObject]
 
 
 class InstallReport(dict):
@@ -89,21 +91,10 @@ class MobilityManager:
         site: Site,
         policy: AdmissionPolicy | None = None,
         retry_policy: RetryPolicy | None = None,
-        verify_arrivals: bool = False,
-        strict_admission: bool = False,
     ):
         self.site = site
-        #: the opt-in admission gate, run before the caller's policy:
-        #: unpack the arrival once, with this site's resolver, audit that
-        #: object, and install the same object if it passes
-        self._gate = None
-        if verify_arrivals:
-            # lazy import: the analysis subsystem depends on this module
-            from ..analysis.admission import admit
-
-            self._gate = functools.partial(
-                admit, strict=strict_admission, resolve=site.resolve_reference
-            )
+        #: the admission slot: unpacks each arrival with this site's
+        #: resolver and returns the object to install, or raises
         self.policy = policy
         #: per-manager override for outgoing transfer requests; None
         #: falls through to the site's default retry policy
@@ -403,23 +394,21 @@ class MobilityManager:
         packages inside their own replies (HADAS Link and Import/Export).
         Wire references inside the package resolve (to a live object
         registered here, else a remote proxy) as the object is rebuilt.
-        The package is unpacked once: with the admission gate on, the
-        object the gate audited is the one installed.
+        The package is unpacked once: by the admission policy, which
+        returns the object it judged, or by plain ``unpack`` without one.
         """
         probe = _probes.ACTIVE
-        obj = None
-        try:
-            if self._gate is not None:
-                obj = self._gate(package, src)
-            if self.policy is not None:
-                self.policy(package, src)
-        except PolicyViolationError as exc:
-            self.rejections += 1
-            if probe is not None:
-                probe.admission_refused(self.site, package, src, exc)
-            raise
-        if obj is None:
-            obj = unpack(package, self.site.resolve_reference)
+        resolve = self.site.resolve_reference
+        if self.policy is None:
+            obj = unpack(package, resolve)
+        else:
+            try:
+                obj = self.policy(package, src, resolve=resolve)
+            except SecurityError as exc:
+                self.rejections += 1
+                if probe is not None:
+                    probe.admission_refused(self.site, package, src, exc)
+                raise
         if probe is not None:
             probe.install_begin(self.site, obj, src, package)
         error = None

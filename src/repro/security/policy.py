@@ -8,9 +8,10 @@ access by the host environment" (Section 1). The per-item ACLs in
 only mechanisms"):
 
 * :class:`HostPolicy` — what a site demands of arriving objects. It runs
-  at admission time, *before* any guest code executes: size and structure
-  bounds, origin-domain allow-lists, name bans, eager sandbox
-  verification of every piece of carried code.
+  at admission time, over the object ``unpack`` builds and *before* any
+  guest code executes: size and structure bounds, origin-domain
+  allow-lists, name bans, eager sandbox verification of every piece of
+  carried code.
 * :class:`GuestPolicy` — what an object demands of hosts: which host
   bindings it accepts into its environment, and which domains it is
   willing to be installed in. Applied by the object's ``install`` method.
@@ -19,10 +20,14 @@ only mechanisms"):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
+from ..core.acl import within_domain
 from ..core.errors import PolicyViolationError
-from ..mobility.sandbox import validate_source
+from ..core.items import MROMMethod
+from ..core.mobject import MROMObject, is_bundled_meta
+from ..mobility.package import unpack
+from ..net.marshal import Resolve
 
 __all__ = ["HostPolicy", "GuestPolicy"]
 
@@ -33,6 +38,9 @@ class HostPolicy:
 
     Attach to a :class:`~repro.mobility.transfer.MobilityManager` as its
     admission policy: ``MobilityManager(site, policy=HostPolicy(...))``.
+    Like every admission policy it unpacks the package once, with the
+    receiving site's resolver, judges the object ``unpack`` built, and
+    returns that object for installation.
 
     The default instance is deliberately strict enough to stop the cheap
     attacks (unbounded structure, unverifiable code) while admitting any
@@ -46,77 +54,67 @@ class HostPolicy:
     verify_code_eagerly: bool = True
     max_tower_depth: int = 8
 
-    def __call__(self, package: Mapping, src_site: str) -> None:
-        self.admit(package, src_site)
+    def __call__(
+        self, package: Mapping, src_site: str, resolve: Resolve | None = None
+    ) -> MROMObject:
+        return self.admit(package, src_site, resolve)
 
-    def admit(self, package: Mapping, src_site: str) -> None:
-        """Raise :class:`PolicyViolationError` unless *package* is admissible."""
-        self._check_origin(package)
-        self._check_structure(package)
-        self._check_names(package)
-        if self.verify_code_eagerly:
-            self._check_code(package)
+    def admit(
+        self, package: Mapping, src_site: str = "", resolve: Resolve | None = None
+    ) -> MROMObject:
+        """Unpack *package* and return the object, if it is admissible.
 
-    # -- individual checks -------------------------------------------------
-
-    def _check_origin(self, package: Mapping) -> None:
-        if not self.allowed_domains:
-            return
-        domain = str(package.get("domain", ""))
-        own = domain.split(".") if domain else []
-        for allowed in self.allowed_domains:
-            target = allowed.split(".")
-            if own[: len(target)] == target:
-                return
-        raise PolicyViolationError(
-            f"origin domain {domain!r} is not in the allow-list"
-        )
-
-    def _item_groups(self, package: Mapping) -> Iterable[Mapping]:
-        for group in ("fixed_data", "ext_data", "fixed_methods", "ext_methods"):
-            yield from package.get(group, [])
-
-    def _check_structure(self, package: Mapping) -> None:
-        count = sum(1 for _ in self._item_groups(package))
-        if count > self.max_items:
+        A package ``unpack`` refuses raises its typed
+        :class:`~repro.core.errors.MobilityError`; an inadmissible object
+        raises :class:`PolicyViolationError`, or the
+        :class:`~repro.core.errors.SandboxViolation` of carried code the
+        sandbox refuses. No guest code runs.
+        """
+        obj = unpack(package, resolve)
+        domain = obj.principal.domain
+        if self.allowed_domains and not any(
+            within_domain(domain, allowed) for allowed in self.allowed_domains
+        ):
             raise PolicyViolationError(
-                f"object carries {count} items, limit is {self.max_items}"
+                f"origin domain {domain!r} is not in the allow-list"
             )
-        tower = package.get("tower", [])
+        items = [
+            item
+            for item, _category, _section in obj.containers.iter_with_sections()
+            if not (isinstance(item, MROMMethod) and is_bundled_meta(item))
+        ]
+        if len(items) > self.max_items:
+            raise PolicyViolationError(
+                f"object carries {len(items)} items, limit is {self.max_items}"
+            )
+        tower = obj.meta_invoke_chain()
         if len(tower) > self.max_tower_depth:
             raise PolicyViolationError(
                 f"meta-invoke tower depth {len(tower)} exceeds "
                 f"{self.max_tower_depth}"
             )
-
-    def _check_names(self, package: Mapping) -> None:
-        for item in self._item_groups(package):
-            name = str(item.get("name", ""))
-            if name in self.banned_method_names:
-                raise PolicyViolationError(f"item name {name!r} is banned here")
-
-    def _method_sources(self, package: Mapping) -> Iterable[tuple[str, str]]:
-        groups = list(package.get("fixed_methods", []))
-        groups += list(package.get("ext_methods", []))
-        groups += list(package.get("tower", []))
-        for item in groups:
-            components = item.get("components", {})
-            for role in ("body", "pre", "post"):
-                carrier = components.get(role)
-                if isinstance(carrier, Mapping) and "source" in carrier:
-                    yield str(item.get("name", "?")), str(carrier["source"])
-
-    def _check_code(self, package: Mapping) -> None:
-        total = 0
-        for name, source in self._method_sources(package):
-            total += len(source.encode("utf-8"))
-            if total > self.max_code_bytes:
-                raise PolicyViolationError(
-                    f"carried code exceeds {self.max_code_bytes} bytes"
-                )
-            # eager verification: reject hostile code before it is even
-            # installed, not merely before it runs
-            validate_source(source, source_name=f"arriving:{name}")
+        for item in items:
+            if item.name in self.banned_method_names:
+                raise PolicyViolationError(f"item name {item.name!r} is banned here")
+        methods = [item for item in items if isinstance(item, MROMMethod)]
+        methods += tower
+        carried = sum(
+            len(component.source.encode("utf-8"))
+            for method in methods
+            for component in (method.body, method.pre, method.post)
+            if component is not None
+        )
+        if carried > self.max_code_bytes:
+            raise PolicyViolationError(
+                f"carried code exceeds {self.max_code_bytes} bytes"
+            )
+        if self.verify_code_eagerly:
+            # reject hostile code before it is even installed, not merely
+            # before it runs; a body the sandbox verified before costs a
+            # lookup, and the object keeps the compiled code
+            for method in methods:
+                method.verify()
+        return obj
 
 
 @dataclass
@@ -133,16 +131,12 @@ class GuestPolicy:
     trusted_domains: tuple[str, ...] = ()  # empty = trust any host
 
     def check_host(self, host_domain: str) -> None:
-        if not self.trusted_domains:
-            return
-        own = host_domain.split(".") if host_domain else []
-        for trusted in self.trusted_domains:
-            target = trusted.split(".")
-            if own[: len(target)] == target:
-                return
-        raise PolicyViolationError(
-            f"guest refuses installation in domain {host_domain!r}"
-        )
+        if self.trusted_domains and not any(
+            within_domain(host_domain, trusted) for trusted in self.trusted_domains
+        ):
+            raise PolicyViolationError(
+                f"guest refuses installation in domain {host_domain!r}"
+            )
 
     def filter_bindings(self, offered: Mapping) -> dict:
         """Keep only the host bindings the object agreed to accept."""

@@ -207,7 +207,7 @@ def wired_world():
     away = Site(network, "away", "dom.away")
     network.topology.connect("home", "away", *LAN)
     sender = MobilityManager(home)
-    receiver = MobilityManager(away, verify_arrivals=True)
+    receiver = MobilityManager(away, policy=admission_policy())
     return home, away, sender, receiver
 
 
@@ -250,10 +250,15 @@ class TestAdmissionGate:
         def caller_policy(package, src):
             seen.append(str(package.get("guid")))
 
+        gate = admission_policy()
+
+        def composed(package, src, resolve=None):
+            obj = gate(package, src, resolve=resolve)
+            caller_policy(package, src)
+            return obj
+
         gated = MobilityManager(
-            Site(home.network, "gated", "dom.gated"),
-            policy=caller_policy,
-            verify_arrivals=True,
+            Site(home.network, "gated", "dom.gated"), policy=composed
         )
         home.network.topology.connect("home", "gated", *LAN)
         obj = make_clean(home, name="welcome")

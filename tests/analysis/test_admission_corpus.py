@@ -1,8 +1,8 @@
 """One package case per admission rule, through both doors.
 
 Every :data:`ADMISSION_RULES` id fires on at least one case below, both
-through :func:`analyze_package` and through a strict
-``verify_arrivals=True`` manager that receives the package as a real
+through :func:`analyze_package` and through a manager with a strict
+``admission_policy`` that receives the package as a real
 ``transfer.prepare`` over the simulated network. Each case starts from a
 package that audits clean (no race either), so the rule a case names is
 what the refusal reports.
@@ -21,6 +21,7 @@ import pytest
 from repro.analysis.admission import (
     ADMISSION_RULES,
     AdmissionRefusal,
+    admission_policy,
     analyze_package,
 )
 from repro.core import MROMObject
@@ -190,7 +191,7 @@ def gated():
     away = Site(network, "away", "dom.away")
     network.topology.connect("home", "away", *LAN)
     MobilityManager(home)
-    return home, away, MobilityManager(away, verify_arrivals=True, strict_admission=True)
+    return home, away, MobilityManager(away, policy=admission_policy(strict=True))
 
 
 @pytest.mark.parametrize("case,rule,edit", CORPUS, ids=IDS)

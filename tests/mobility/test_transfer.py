@@ -282,13 +282,15 @@ class TestVerifyOncePerBody:
 
     INSTALL = "self.set('hops', self.get('hops') + 1)\nreturn self.get('hops')"
 
-    def test_eight_hops_verify_install_body_once(self, verified):
+    def ring(self, policy=None):
+        """Eight hops around four sites, each with *policy*; returns the
+        traveller where it ends and its owner."""
         network = Network(Simulator(7))
         sites = [Site(network, f"s{i}", f"ring.s{i}") for i in range(4)]
         for i, left in enumerate(sites):
             for right in sites[i + 1:]:
                 network.topology.connect(left.site_id, right.site_id, *LAN)
-        managers = [MobilityManager(site) for site in sites]
+        managers = [MobilityManager(site, policy=policy) for site in sites]
         owner = sites[0].principal
         traveller = sites[0].create_object(display_name="ring", owner=owner)
         traveller.define_fixed_data("hops", 0)
@@ -304,6 +306,10 @@ class TestVerifyOncePerBody:
             traveller = sites[dst].local_object(ref.guid)
             home = dst
             assert traveller.get_data("hops", caller=owner) == hop + 1
+        return traveller, owner
+
+    def test_eight_hops_verify_install_body_once(self, verified):
+        traveller, owner = self.ring()
         assert sum(self.INSTALL.splitlines()[0] in s for s in verified) == 1
 
         # a body installed by setMethod is verified before it is installed
@@ -319,3 +325,19 @@ class TestVerifyOncePerBody:
                     "setMethod", [handle, {"body": "import os"}], caller=owner
                 )
         assert traveller.invoke("greet", caller=owner) == "bonjour"
+
+    @pytest.mark.parametrize("policy", [None, HostPolicy()], ids=["none", "host"])
+    def test_a_host_policy_verifies_each_body_once(self, verified, monkeypatch, policy):
+        from repro.mobility import sandbox
+
+        walks = []
+        real = sandbox._Verifier.__init__
+
+        def counting(verifier, *args, **kwargs):
+            walks.append(args)
+            real(verifier, *args, **kwargs)
+
+        monkeypatch.setattr(sandbox._Verifier, "__init__", counting)
+        self.ring(policy)
+        # the install body, and the body greet was added with before sealing
+        assert len(walks) == 2

@@ -24,12 +24,12 @@ import random
 
 import pytest
 
-from repro.analysis.admission import analyze_package
+from repro.analysis.admission import admission_policy, analyze_package
 from repro.core import HtmlText, Principal, owner_only
 from repro.core.errors import RemoteInvocationError
 from repro.core.items import ItemHandle
 from repro.core.mobject import MROMObject
-from repro.mobility import MobilityManager
+from repro.mobility import MobilityManager, unpack
 from repro.net import LAN, Network, RemoteRef, RetryPolicy, Site
 from repro.net.marshal import Reference, encode, marshal, unmarshal
 from repro.sim import Simulator
@@ -290,10 +290,15 @@ class TestHandlerTimeResolution:
         network, a, b = pair
         MobilityManager(a)
         seen = []
-        MobilityManager(b, policy=lambda package, src: seen.append(package))
+
+        def recording(package, src, resolve=None):
+            seen.append(package)
+            return unpack(package, resolve)
+
+        MobilityManager(b, policy=recording)
         gated = Site(network, "c", "dom.c")
         network.topology.connect("a", "c", *LAN)
-        MobilityManager(gated, verify_arrivals=True, strict_admission=True)
+        MobilityManager(gated, policy=admission_policy(strict=True))
         remote = b.create_object(display_name="remote")
         remote.seal()
         b.register_object(remote)

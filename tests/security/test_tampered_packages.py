@@ -16,6 +16,7 @@ import pytest
 from repro.core.errors import MobilityError, RemoteInvocationError
 from repro.mobility import MobilityManager
 from repro.mobility.package import FORMAT, pack
+from repro.security import HostPolicy
 
 from tests.conftest import make_site_world
 
@@ -86,5 +87,39 @@ def test_an_untampered_package_still_installs(world):
     obj.seal()
     report = sites["a"].request("b", "transfer.prepare", payload(pack(obj)))
     network.run()
+    assert report["guid"] == obj.guid
+    assert sites["b"].has_object(obj.guid)
+
+
+#: fields a host policy reads: it judges the object ``unpack`` builds, so
+#: these are ``unpack``'s typed refusals too, never a crash in the policy
+POLICY_TAMPERED = {
+    "data-item-not-a-mapping": {"fixed_data": [1]},
+    "data-items-not-a-list": {"fixed_data": 7},
+    "tower-not-a-list": {"tower": 3},
+    "components-not-a-mapping": {
+        "ext_methods": [{"name": "m", "components": 7}],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(POLICY_TAMPERED))
+def test_a_host_policy_receiver_refuses_typed(case):
+    network, sites = make_site_world(names=("a", "b"))
+    MobilityManager(sites["a"])
+    receiver = MobilityManager(sites["b"], policy=HostPolicy())
+    package = {"format": FORMAT, "guid": GUID, **POLICY_TAMPERED[case]}
+    with pytest.raises(RemoteInvocationError) as caught:
+        sites["a"].request("b", "transfer.prepare", payload(package))
+    assert caught.value.remote_type == "MobilityError"
+    network.run()
+    assert not sites["b"].has_object(GUID)
+    assert receiver.arrivals == 0
+    # the site keeps serving
+    obj = sites["a"].create_object(display_name="honest")
+    obj.seal()
+    report = sites["a"].request(
+        "b", "transfer.prepare", {**payload(pack(obj)), "transfer_id": "a/t2"}
+    )
     assert report["guid"] == obj.guid
     assert sites["b"].has_object(obj.guid)

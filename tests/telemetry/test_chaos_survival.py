@@ -175,7 +175,7 @@ class TestAbortedMigration:
     def test_admission_refusal_aborts_the_handoff_span(self):
         network, sites = make_sites(seed=0, names=("a", "b"))
 
-        def no_guests(package, src):
+        def no_guests(package, src, resolve=None):
             raise PolicyViolationError(f"{src!r} may not send guests")
 
         sender = MobilityManager(sites["a"], retry_policy=FAST)
