@@ -23,8 +23,9 @@ the interpreted path). ACLs may be shared across methods and objects,
 so an in-place ACL edit moves no clock: only the closures that pinned
 that list go stale. Closures are
 dropped by ``reset()`` (migration install, restart recovery), by
-``enable_fastpath(False)`` and by cap eviction, and are never packaged
-— a migrated object arrives cold.
+``enable_fastpath(False)``, by cap eviction and, uncounted, by a
+departure (``MROMObject.release_caches``), and are never packaged — a
+migrated object arrives cold.
 
 The cache is on by default; per object it can be declined at
 construction (``MROMObject(fastpath=False)``) or toggled with
@@ -57,10 +58,12 @@ class InvocationCache:
     returning :data:`COMPILED_STALE`. Failures (unknown names, denials)
     are never compiled.
 
-    Accounting is closed: every closure ever stored is either live or
-    counted in ``compiled_discards`` (``compiled_entries == compiles -
-    compiled_discards``). ``invalidations`` counts the times cached
-    state was found stale at dispatch or dropped wholesale by a reset.
+    Accounting is closed while the object is registered: every closure
+    ever stored is either live or counted in ``compiled_discards``
+    (``compiled_entries == compiles - compiled_discards``). A departure
+    empties the table without counting: it is not an invalidation.
+    ``invalidations`` counts the times cached state was found stale at
+    dispatch or dropped wholesale by a reset.
     """
 
     __slots__ = (

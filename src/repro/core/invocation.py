@@ -177,6 +177,9 @@ class Invoker:
     Owns no state beyond its object reference; all structure lives in the
     object's containers and meta-invoke chain, so replacing/augmenting the
     chain at run time (meta-mutability) immediately affects dispatch.
+    It is built per cold call and per ``invoke_primitive``, never stored
+    on the object, so an object that was never invoked holds no
+    reference to itself.
     """
 
     __slots__ = ("obj",)

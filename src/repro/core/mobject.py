@@ -140,7 +140,6 @@ class MROMObject:
         self.extensible_meta = bool(extensible_meta)
         self.containers = ContainerSet()
         self.environment: dict[str, Any] = dict(environment) if environment else {}
-        self._invoker = Invoker(self)
         self._meta_invokes: list[MROMMethod] = []
         self._self_view: SelfView | None = None
         self._tracing = False
@@ -250,7 +249,7 @@ class MROMObject:
                 result = fn(caller, args)
                 if result is not COMPILED_STALE:
                     return result
-        return self._invoker.invoke(caller, method_name, args)
+        return Invoker(self).invoke(caller, method_name, args)
 
     def invoke_primitive(
         self,
@@ -264,7 +263,7 @@ class MROMObject:
         must reach the stopping condition explicitly; ordinary callers
         should use :meth:`invoke`.
         """
-        return self._invoker.invoke_primitive(
+        return Invoker(self).invoke_primitive(
             ANONYMOUS if caller is None else caller, method_name, args
         )
 
@@ -294,6 +293,15 @@ class MROMObject:
         caches always arrive cold)."""
         if self._fastpath is not None:
             self._fastpath.reset()
+
+    def release_caches(self) -> None:
+        """Drop the compiled closures and the self view, which both hold
+        the object, so a departed object is freed by reference counting
+        (``Site.unregister_object``). No counter moves: a departure is
+        not an invalidation. Both are rebuilt by the next call."""
+        if self._fastpath is not None:
+            self._fastpath.compiled.clear()
+        self._self_view = None
 
     # ------------------------------------------------------------------
     # the meta-invoke tower (meta-mutability, Figure 1)

@@ -26,6 +26,7 @@ a branch-guarded ``self.set`` still counts as a write.
 from __future__ import annotations
 
 import ast as pyast
+import threading
 from dataclasses import dataclass, field
 
 from . import ast_nodes as mpl
@@ -174,6 +175,21 @@ def _py_const_str(node) -> str | None:
     return None
 
 
+#: Effect sets of parsed portable bodies, keyed by source text, each
+#: stored as ``(reads, writes, structural, self_calls, dynamic)`` with
+#: every table a tuple of items: a lookup builds a fresh MethodEffects,
+#: so no caller can edit what the next one reads. Bounded like the
+#: sandbox's verified bodies: cleared when it would pass _PARSED_CAP
+#: entries or _PARSED_MAX_CHARS retained source characters; a source
+#: longer than _PARSED_BODY_MAX_CHARS is parsed but never retained.
+_PARSED_CAP = 1024
+_PARSED_MAX_CHARS = 1 << 20
+_PARSED_BODY_MAX_CHARS = 16 * 1024
+_PARSED: dict[str, tuple] = {}
+_PARSED_LOCK = threading.Lock()
+_parsed_chars = 0
+
+
 def effects_of_portable(source: str, name: str = "<portable>") -> MethodEffects:
     """Extract effects from a compiled portable method body.
 
@@ -182,16 +198,42 @@ def effects_of_portable(source: str, name: str = "<portable>") -> MethodEffects:
     the same trick the lint source-walker uses. A body that does not
     parse yields an opaque effect set (``dynamic=True``) rather than an
     exception: the admission pipeline reports malformed code separately.
+    Each distinct source is parsed once per process (see _PARSED).
     """
+    global _parsed_chars
+    parsed = _PARSED.get(source)
+    if parsed is None:
+        parsed = _parse_portable(source)
+        size = len(source)
+        if size <= _PARSED_BODY_MAX_CHARS:
+            with _PARSED_LOCK:
+                if (
+                    len(_PARSED) >= _PARSED_CAP
+                    or _parsed_chars + size > _PARSED_MAX_CHARS
+                ):
+                    _PARSED.clear()
+                    _parsed_chars = 0
+                if source not in _PARSED:
+                    _PARSED[source] = parsed
+                    _parsed_chars += size
+    reads, writes, structural, self_calls, dynamic = parsed
+    return MethodEffects(
+        name, dict(reads), dict(writes), dict(structural), dict(self_calls), dynamic
+    )
+
+
+def _parse_portable(source: str) -> tuple:
+    """The effect set of one portable body, parsed now, in the form
+    _PARSED keeps."""
     wrapped = "def __probe__():\n" + "\n".join(
         "    " + line for line in (source or "pass").splitlines()
     )
     try:
         tree = pyast.parse(wrapped)
     except SyntaxError:
-        return MethodEffects(name=name, dynamic=True)
+        return (), (), (), (), True
 
-    eff = MethodEffects(name=name)
+    eff = MethodEffects(name="")
     for node in pyast.walk(tree):
         if not isinstance(node, pyast.Call):
             continue
@@ -224,4 +266,8 @@ def effects_of_portable(source: str, name: str = "<portable>") -> MethodEffects:
                 eff.dynamic = True
             else:
                 _record(eff.self_calls, callee, span)
-    return eff
+    return (
+        tuple(eff.reads.items()), tuple(eff.writes.items()),
+        tuple(eff.structural.items()), tuple(eff.self_calls.items()),
+        eff.dynamic,
+    )

@@ -393,12 +393,21 @@ def audit_function_body(
     Wraps the body in the same ``def`` scaffold, so the diagnostics
     predict precisely what the destination sandbox will reject — the
     linter's portability pass and the admission analyzer both rely on
-    that equivalence. Reported line numbers are shifted back so they
-    refer to the body text, not the wrapper.
+    that equivalence. A clean body is compiled too, as
+    :func:`compile_restricted` does, so what the compiler refuses
+    (``break`` outside a loop, an unbound ``nonlocal``) is a
+    ``sandbox.syntax`` finding. Reported line numbers are shifted back
+    so they refer to the body text, not the wrapper.
     """
     wrapped = _scaffold(body_source, parameters, "portable")
+    found = collect_violations(wrapped, source_name)
+    if not found:
+        try:
+            compile(wrapped, source_name, "exec")
+        except SyntaxError as exc:
+            found = [_syntax_violation(exc, source_name, "compile").diagnostic]
     shifted: list[Diagnostic] = []
-    for diagnostic in collect_violations(wrapped, source_name):
+    for diagnostic in found:
         line = max(diagnostic.line - 1, 0)
         column = max(diagnostic.column - 4, 0) if diagnostic.column else 0
         shifted.append(

@@ -420,6 +420,9 @@ class MobilityManager:
         finally:
             if probe is not None:
                 probe.install_end(self.site, error)
+            # the error's traceback holds this frame: drop the cycle, so
+            # the refused guest is freed with the error
+            error = None
 
     def _install(self, obj: MROMObject, install_args: Sequence[Any]) -> dict:
         # a migrated object's compiled closures arrive cold. Compiled
@@ -444,10 +447,11 @@ class MobilityManager:
                 install_result = obj.invoke(
                     "install", list(install_args), caller=self.site.principal
                 )
-            except MROMError:
-                # a guest that cannot install does not stay: the sender
-                # keeps its original on a failed transfer, so leaving the
-                # copy registered would mint a second live object
+            except Exception:
+                # a guest that cannot install does not stay, whatever its
+                # body raised: the sender keeps its original on a failed
+                # transfer, so leaving the copy registered would mint a
+                # second live object
                 self.site.unregister_object(obj.guid)
                 self.arrivals -= 1
                 raise

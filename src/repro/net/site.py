@@ -161,6 +161,7 @@ class Site:
         except KeyError:
             raise NetworkError(f"object {guid} is not registered at {self.site_id}") from None
         obj.environment.pop("site", None)
+        obj.release_caches()
         if self.journal is not None:
             self.journal.note_unregister(guid)
         return obj
@@ -341,6 +342,10 @@ class Site:
             self.handling_depth -= 1
             if probe is not None:
                 probe.serve_end(self, message, batched, error)
+            # this frame is on the error's traceback: holding the error
+            # here too would leave both, and every frame's locals (a
+            # refused guest among them), to the cyclic collector
+            error = None
 
     def _record(
         self, kind: str, request_id: str, envelope: Encoded | dict, payload: Any

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..core.acl import within_domain
-from ..core.errors import PolicyViolationError
+from ..core.errors import MobilityError, PolicyViolationError
 from ..core.items import MROMMethod
 from ..core.mobject import MROMObject, is_bundled_meta
 from ..mobility.package import unpack
@@ -68,8 +68,23 @@ class HostPolicy:
         :class:`~repro.core.errors.MobilityError`; an inadmissible object
         raises :class:`PolicyViolationError`, or the
         :class:`~repro.core.errors.SandboxViolation` of carried code the
-        sandbox refuses. No guest code runs.
+        sandbox refuses. No guest code runs. The item and tower bounds
+        are read off the package's list lengths first, so an oversized
+        package is refused without being built.
         """
+        # the bounds first, at the cost of one length read per list:
+        # unpack refuses a bundled (native) body, so each packed entry
+        # it accepts becomes exactly one counted item or level
+        packed = sum(_list_len(package, key) for key in _ITEM_LISTS)
+        if packed > self.max_items:
+            raise PolicyViolationError(
+                f"object carries {packed} items, limit is {self.max_items}"
+            )
+        levels = _list_len(package, "tower")
+        if levels > self.max_tower_depth:
+            raise PolicyViolationError(
+                f"meta-invoke tower depth {levels} exceeds {self.max_tower_depth}"
+            )
         obj = unpack(package, resolve)
         domain = obj.principal.domain
         if self.allowed_domains and not any(
@@ -115,6 +130,21 @@ class HostPolicy:
             for method in methods:
                 method.verify()
         return obj
+
+
+#: the package fields that each hold one entry per item
+_ITEM_LISTS = ("fixed_data", "fixed_methods", "ext_data", "ext_methods")
+
+
+def _list_len(package: Mapping, key: str) -> int:
+    """The length of the package's *key* list (absent: 0)."""
+    try:
+        entries = package.get(key, [])
+    except AttributeError:
+        raise MobilityError("malformed package: not a mapping") from None
+    if not isinstance(entries, list):
+        raise MobilityError(f"malformed package: {key!r} is not a list")
+    return len(entries)
 
 
 @dataclass

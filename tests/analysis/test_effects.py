@@ -1,13 +1,19 @@
 """Effect extraction: the read/write sets every analyzer runs on."""
 
+import ast
+
 import pytest
 
-from repro.lang import parse
+from repro.analysis.admission import admission_policy
+from repro.lang import effects as effects_module, parse
 from repro.lang.effects import (
     STRUCTURE_ITEM,
     effects_of_object,
     effects_of_portable,
 )
+from repro.mobility import MobilityManager
+
+from tests.conftest import make_site_world
 
 pytestmark = pytest.mark.analysis
 
@@ -139,3 +145,54 @@ class TestPortableDialect:
     def test_structure_item_is_reserved(self):
         # the pseudo-item can never collide with a declared data name
         assert STRUCTURE_ITEM.startswith("##")
+
+
+class TestParsedOnce:
+    """Effect sets are kept by source text, so a body that arrives again
+    is a lookup, and what a lookup returns is the caller's own copy."""
+
+    def test_a_second_gated_arrival_parses_nothing(self, monkeypatch):
+        network, sites = make_site_world(names=("a", "b", "c"))
+        managers = {
+            name: MobilityManager(site, policy=admission_policy())
+            for name, site in sites.items()
+        }
+        traveller = sites["a"].create_object(display_name="traveller")
+        traveller.define_fixed_data("hops", 0)
+        traveller.define_fixed_method(
+            "install", "self.set('hops', self.get('hops') + 1)\nreturn 1"
+        )
+        traveller.define_fixed_method("peek", "return self.get('hops')")
+        traveller.seal()
+        sites["a"].register_object(traveller)
+        managers["a"].migrate(traveller, "b")  # the first arrival parses
+        parses = []
+        real_parse = ast.parse
+
+        def counting(source, *args, **kwargs):
+            parses.append(source)
+            return real_parse(source, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting)
+        ref = managers["b"].migrate(sites["b"].local_object(traveller.guid), "c")
+        assert parses == []
+        assert ref.invoke("peek", caller=traveller.owner) == 2
+
+    def test_a_kept_effect_set_cannot_be_edited_through_a_lookup(self):
+        source = "self.set('count', self.get('count') + 1)"
+        first = effects_of_portable(source, "m")
+        first.reads["forged"] = (9, 9)
+        first.dynamic = True
+        second = effects_of_portable(source, "n")
+        assert second.name == "n"
+        assert set(second.reads) == {"count"} and not second.dynamic
+
+    def test_the_table_stays_within_its_entry_bound(self):
+        for index in range(effects_module._PARSED_CAP + 10):
+            effects_of_portable(f"return self.get('x{index}')")
+        assert 0 < len(effects_module._PARSED) <= effects_module._PARSED_CAP
+
+    def test_an_oversized_body_is_parsed_but_not_kept(self):
+        source = "x = 1\n" * (effects_module._PARSED_BODY_MAX_CHARS // 6 + 1)
+        assert not effects_of_portable(source).dynamic
+        assert source not in effects_module._PARSED

@@ -12,6 +12,8 @@ from repro.mobility.sandbox import (
     validate_source,
 )
 
+from tests.mobility.test_sandbox import ACCEPTED, REJECTED
+
 pytestmark = pytest.mark.analysis
 
 
@@ -71,6 +73,35 @@ class TestAuditFunctionBody:
             except SandboxViolation:
                 built = False
             assert built == (audited == [])
+
+
+#: bodies the verifier passes but the compiler refuses
+UNCOMPILABLE = ["break", "continue", "nonlocal q"]
+
+
+@pytest.mark.parametrize(
+    "body",
+    ACCEPTED + [source for source, _construct in REJECTED] + UNCOMPILABLE
+    + ["def broken(:", "x = 1\nbreak", "for i in range(2):\n    continue"],
+)
+def test_audit_is_clean_exactly_when_the_build_succeeds(body):
+    params = ("self", "args", "ctx")
+    audited = audit_function_body(body, params)
+    try:
+        build_function(body, params)
+    except SandboxViolation as refusal:
+        assert audited, refusal
+        assert refusal.diagnostic.rule in {finding.rule for finding in audited}
+    else:
+        assert audited == []
+
+
+@pytest.mark.parametrize("body", UNCOMPILABLE)
+def test_a_compile_refusal_is_a_syntax_finding_on_the_body_line(body):
+    [finding] = audit_function_body(f"x = 1\n{body}", ("self", "args", "ctx"))
+    assert finding.rule == "sandbox.syntax"
+    assert finding.message.startswith("does not compile")
+    assert finding.line == 2
 
 
 class TestClosedGaps:

@@ -187,9 +187,33 @@ def interleaved_speedup(
     return best_slow / best_fast
 
 
+def cyclic_garbage(fn: Callable[[], object]) -> list:
+    """The objects that calling *fn* leaves for the cyclic collector.
+
+    Collects first, then calls *fn* and collects again under
+    ``gc.DEBUG_SAVEALL``, so everything only the collector could free —
+    in that final pass or in any pass during the call — is kept and
+    returned instead of freed. The collector's debug flags and
+    ``gc.garbage`` are restored afterwards. Memory that reference
+    counting frees never shows up.
+    """
+    flags = gc.get_debug()
+    gc.collect()
+    start = len(gc.garbage)
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        fn()
+        gc.collect()
+        return gc.garbage[start:]
+    finally:
+        del gc.garbage[start:]
+        gc.set_debug(flags)
+
+
 __all__ = [
     "best_time_per_call",
     "build_counter",
+    "cyclic_garbage",
     "interleaved_speedup",
     "make_site_world",
 ]

@@ -12,52 +12,53 @@ from repro.mobility.sandbox import (
 )
 
 
+#: the sandbox corpus: sources the verifier accepts, and sources it
+#: rejects with the construct its message names
+ACCEPTED = [
+    "x = 1 + 2",
+    "y = [i * i for i in range(10) if i % 2 == 0]",
+    "d = {'a': 1}\nd['b'] = 2",
+    "def helper(a, b):\n    return a + b\nresult = helper(1, 2)",
+    "total = 0\nfor i in range(3):\n    total += i",
+    "try:\n    x = 1 / 0\nexcept ZeroDivisionError:\n    x = 0",
+    "f = lambda v: v * 2",
+    "s = f'{1 + 1} things'",
+    "a, b = 1, 2\na, b = b, a",
+    "assert 1 < 2, 'math works'",
+    "words = sorted({'b', 'a'})",
+    "x = obj.attribute if hasattr_like else 0"
+    if False
+    else "x = 1",  # keep list literal simple
+]
+
+REJECTED = [
+    ("import os", "Import"),
+    ("from os import path", "ImportFrom"),
+    ("class Evil:\n    pass", "ClassDef"),
+    ("global leak", "Global"),
+    ("x = obj._private", "._private"),
+    ("x = obj.__dict__", ".__dict__"),
+    ("eval('1+1')", "eval"),
+    ("exec('x=1')", "exec"),
+    ("open('/etc/passwd')", "open"),
+    ("__import__('os')", "__import__"),
+    ("getattr(obj, 'x')", "getattr"),
+    ("type(obj)", "type"),
+    ("globals()", "globals"),
+    ("x = __name__", "__name__"),
+    ("def gen():\n    yield 1", "Yield"),
+    ("async def f():\n    pass", "AsyncFunctionDef"),
+]
+
+
 class TestValidateAccepts:
-    @pytest.mark.parametrize(
-        "source",
-        [
-            "x = 1 + 2",
-            "y = [i * i for i in range(10) if i % 2 == 0]",
-            "d = {'a': 1}\nd['b'] = 2",
-            "def helper(a, b):\n    return a + b\nresult = helper(1, 2)",
-            "total = 0\nfor i in range(3):\n    total += i",
-            "try:\n    x = 1 / 0\nexcept ZeroDivisionError:\n    x = 0",
-            "f = lambda v: v * 2",
-            "s = f'{1 + 1} things'",
-            "a, b = 1, 2\na, b = b, a",
-            "assert 1 < 2, 'math works'",
-            "words = sorted({'b', 'a'})",
-            "x = obj.attribute if hasattr_like else 0"
-            if False
-            else "x = 1",  # keep list literal simple
-        ],
-    )
+    @pytest.mark.parametrize("source", ACCEPTED)
     def test_accepted(self, source):
         validate_source(source)
 
 
 class TestValidateRejects:
-    @pytest.mark.parametrize(
-        "source, construct",
-        [
-            ("import os", "Import"),
-            ("from os import path", "ImportFrom"),
-            ("class Evil:\n    pass", "ClassDef"),
-            ("global leak", "Global"),
-            ("x = obj._private", "._private"),
-            ("x = obj.__dict__", ".__dict__"),
-            ("eval('1+1')", "eval"),
-            ("exec('x=1')", "exec"),
-            ("open('/etc/passwd')", "open"),
-            ("__import__('os')", "__import__"),
-            ("getattr(obj, 'x')", "getattr"),
-            ("type(obj)", "type"),
-            ("globals()", "globals"),
-            ("x = __name__", "__name__"),
-            ("def gen():\n    yield 1", "Yield"),
-            ("async def f():\n    pass", "AsyncFunctionDef"),
-        ],
-    )
+    @pytest.mark.parametrize("source, construct", REJECTED)
     def test_rejected(self, source, construct):
         with pytest.raises(SandboxViolation) as excinfo:
             validate_source(source)

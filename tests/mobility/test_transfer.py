@@ -102,6 +102,29 @@ class TestMigrate:
         assert managers["alpha"].arrivals == 1
 
 
+@pytest.mark.parametrize(
+    "install, remote_type",
+    [
+        ("return self.call('missing')", "MethodNotFoundError"),
+        ("return 1 / 0", "ZeroDivisionError"),
+    ],
+)
+def test_a_guest_whose_install_raises_leaves_one_live_copy(world, install, remote_type):
+    """Whatever the install body raised, the destination drops its copy:
+    the sender keeps the original on a refused transfer."""
+    _net, sites, managers = world
+    guest = sites["home"].create_object(display_name="guest")
+    guest.define_fixed_method("install", install)
+    guest.seal()
+    sites["home"].register_object(guest)
+    with pytest.raises(RemoteInvocationError) as refused:
+        managers["home"].migrate(guest, "alpha")
+    assert refused.value.remote_type == remote_type
+    assert sites["home"].has_object(guest.guid)
+    assert not sites["alpha"].has_object(guest.guid)
+    assert managers["alpha"].arrivals == 0
+
+
 class TestAdmissionPolicy:
     def make_picky_world(self, policy):
         network = Network(Simulator())

@@ -72,9 +72,13 @@ class TestUncompilableBody:
         _network, sites = world
         with pytest.raises(AdmissionRefusal) as refused:
             admission_policy()(package_with(BODIES[case], sites["a"]), "a")
-        rules = {finding.rule for finding in refused.value.diagnostics}
-        assert rules == {"adm.malformed-code"}
-        assert "SandboxViolation" in refused.value.diagnostics[0].message
+        header, finding = refused.value.diagnostics
+        assert header.rule == "adm.malformed-code"
+        assert "failed the sandbox audit (1 violation(s))" in header.message
+        # the audit compiles what it verified, so the finding the
+        # destination's compiler would raise sits under the header
+        assert finding.rule == "sandbox.syntax"
+        assert finding.message.startswith("does not compile")
 
     def test_unchecked_object_refuses_at_first_invocation(self, world, case):
         _network, sites = world
