@@ -23,9 +23,9 @@ the interpreted path). ACLs may be shared across methods and objects,
 so an in-place ACL edit moves no clock: only the closures that pinned
 that list go stale. Closures are
 dropped by ``reset()`` (migration install, restart recovery), by
-``enable_fastpath(False)``, by cap eviction and, uncounted, by a
-departure (``MROMObject.release_caches``), and are never packaged — a
-migrated object arrives cold.
+``enable_fastpath(False)``, by cap eviction and by a departure
+(``release()``, which counts no invalidation), and are never packaged
+— a migrated object arrives cold.
 
 The cache is on by default; per object it can be declined at
 construction (``MROMObject(fastpath=False)``) or toggled with
@@ -58,12 +58,10 @@ class InvocationCache:
     returning :data:`COMPILED_STALE`. Failures (unknown names, denials)
     are never compiled.
 
-    Accounting is closed while the object is registered: every closure
-    ever stored is either live or counted in ``compiled_discards``
-    (``compiled_entries == compiles - compiled_discards``). A departure
-    empties the table without counting: it is not an invalidation.
-    ``invalidations`` counts the times cached state was found stale at
-    dispatch or dropped wholesale by a reset.
+    Accounting is closed: every closure ever stored is either live or
+    counted in ``compiled_discards`` (``compiled_entries == compiles -
+    compiled_discards``). ``invalidations`` counts the times cached
+    state was found stale at dispatch or dropped wholesale by a reset.
     """
 
     __slots__ = (
@@ -98,6 +96,14 @@ class InvocationCache:
         table.clear()
         self._invalidated()
         return True
+
+    def release(self) -> None:
+        """Empty the table for a departure. Each closure counts in
+        ``compiled_discards``, so the closed form holds; a departure is
+        not an invalidation, so no invalidation counts and no probe
+        fires."""
+        self.compiled_discards += len(self.compiled)
+        self.compiled.clear()
 
     def store_compiled(self, key: tuple[str, str, str], fn: Callable) -> None:
         table = self.compiled

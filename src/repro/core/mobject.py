@@ -297,10 +297,11 @@ class MROMObject:
     def release_caches(self) -> None:
         """Drop the compiled closures and the self view, which both hold
         the object, so a departed object is freed by reference counting
-        (``Site.unregister_object``). No counter moves: a departure is
-        not an invalidation. Both are rebuilt by the next call."""
+        (``Site.unregister_object``). The closures count as discards
+        but not as an invalidation (``InvocationCache.release``). Both
+        are rebuilt by the next call."""
         if self._fastpath is not None:
-            self._fastpath.compiled.clear()
+            self._fastpath.release()
         self._self_view = None
 
     # ------------------------------------------------------------------

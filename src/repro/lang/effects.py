@@ -26,9 +26,9 @@ a branch-guarded ``self.set`` still counts as a write.
 from __future__ import annotations
 
 import ast as pyast
-import threading
 from dataclasses import dataclass, field
 
+from ..textcache import TextCache
 from . import ast_nodes as mpl
 from .compiler import SELFVIEW_API
 from .parser import span_of
@@ -178,16 +178,8 @@ def _py_const_str(node) -> str | None:
 #: Effect sets of parsed portable bodies, keyed by source text, each
 #: stored as ``(reads, writes, structural, self_calls, dynamic)`` with
 #: every table a tuple of items: a lookup builds a fresh MethodEffects,
-#: so no caller can edit what the next one reads. Bounded like the
-#: sandbox's verified bodies: cleared when it would pass _PARSED_CAP
-#: entries or _PARSED_MAX_CHARS retained source characters; a source
-#: longer than _PARSED_BODY_MAX_CHARS is parsed but never retained.
-_PARSED_CAP = 1024
-_PARSED_MAX_CHARS = 1 << 20
-_PARSED_BODY_MAX_CHARS = 16 * 1024
-_PARSED: dict[str, tuple] = {}
-_PARSED_LOCK = threading.Lock()
-_parsed_chars = 0
+#: so no caller can edit what the next one reads.
+_PARSED = TextCache()
 
 
 def effects_of_portable(source: str, name: str = "<portable>") -> MethodEffects:
@@ -200,22 +192,10 @@ def effects_of_portable(source: str, name: str = "<portable>") -> MethodEffects:
     exception: the admission pipeline reports malformed code separately.
     Each distinct source is parsed once per process (see _PARSED).
     """
-    global _parsed_chars
     parsed = _PARSED.get(source)
     if parsed is None:
         parsed = _parse_portable(source)
-        size = len(source)
-        if size <= _PARSED_BODY_MAX_CHARS:
-            with _PARSED_LOCK:
-                if (
-                    len(_PARSED) >= _PARSED_CAP
-                    or _parsed_chars + size > _PARSED_MAX_CHARS
-                ):
-                    _PARSED.clear()
-                    _parsed_chars = 0
-                if source not in _PARSED:
-                    _PARSED[source] = parsed
-                    _parsed_chars += size
+        _PARSED.put(source, parsed, len(source))
     reads, writes, structural, self_calls, dynamic = parsed
     return MethodEffects(
         name, dict(reads), dict(writes), dict(structural), dict(self_calls), dynamic

@@ -28,12 +28,12 @@ What it may not do:
 from __future__ import annotations
 
 import ast
-import threading
 from types import CodeType
 from typing import Any, Iterable, Mapping
 
 from ..analysis.diagnostics import Diagnostic, Severity
 from ..core.errors import SandboxViolation
+from ..textcache import TextCache
 
 __all__ = [
     "ALLOWED_BUILTINS",
@@ -428,30 +428,8 @@ def audit_function_body(
 #: object is immutable and carries no globals, so one verification and
 #: one compile serve every later build of the same body; each build
 #: still executes it in a fresh namespace. Refusals are never stored:
-#: a hostile body is re-verified, and refused, every time. The cache is
-#: cleared when it would pass _VERIFIED_CAP entries or
-#: _VERIFIED_MAX_CHARS retained source characters; a source longer
-#: than _VERIFIED_BODY_MAX_CHARS is compiled but never retained.
-_VERIFIED_CAP = 1024
-_VERIFIED_MAX_CHARS = 1 << 20
-_VERIFIED_BODY_MAX_CHARS = 16 * 1024
-_VERIFIED: dict[tuple[str, str], CodeType] = {}
-_VERIFIED_LOCK = threading.Lock()
-_verified_chars = 0
-
-
-def _verified_snapshot() -> tuple[int, int]:
-    """(entries, retained source characters) — for the regression tests."""
-    with _VERIFIED_LOCK:
-        return len(_VERIFIED), _verified_chars
-
-
-def _reset_verified() -> None:
-    """Forget every verified code object (tests)."""
-    global _verified_chars
-    with _VERIFIED_LOCK:
-        _VERIFIED.clear()
-        _verified_chars = 0
+#: a hostile body is re-verified, and refused, every time.
+_VERIFIED = TextCache()
 
 
 def compile_restricted(source: str, source_name: str = "<portable>") -> CodeType:
@@ -462,7 +440,6 @@ def compile_restricted(source: str, source_name: str = "<portable>") -> CodeType
     the compiler refuses is a ``sandbox.syntax`` :class:`SandboxViolation`,
     and, like every refusal, is not kept.
     """
-    global _verified_chars
     key = (source, source_name)
     code = _VERIFIED.get(key)
     if code is not None:
@@ -474,19 +451,7 @@ def compile_restricted(source: str, source_name: str = "<portable>") -> CodeType
         # what the parser accepts but the compiler refuses: `break`
         # outside a loop, a `nonlocal` with no binding
         raise _syntax_violation(exc, source_name, "compile") from exc
-    size = len(source)
-    if size > _VERIFIED_BODY_MAX_CHARS:
-        return code
-    with _VERIFIED_LOCK:
-        if key not in _VERIFIED:
-            if (
-                len(_VERIFIED) >= _VERIFIED_CAP
-                or _verified_chars + size > _VERIFIED_MAX_CHARS
-            ):
-                _VERIFIED.clear()
-                _verified_chars = 0
-            _VERIFIED[key] = code
-            _verified_chars += size
+    _VERIFIED.put(key, code, len(source))
     return code
 
 

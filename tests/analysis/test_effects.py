@@ -188,11 +188,13 @@ class TestParsedOnce:
         assert set(second.reads) == {"count"} and not second.dynamic
 
     def test_the_table_stays_within_its_entry_bound(self):
-        for index in range(effects_module._PARSED_CAP + 10):
+        table = effects_module._PARSED
+        for index in range(table.cap + 10):
             effects_of_portable(f"return self.get('x{index}')")
-        assert 0 < len(effects_module._PARSED) <= effects_module._PARSED_CAP
+        assert 0 < table.snapshot()[0] <= table.cap
 
     def test_an_oversized_body_is_parsed_but_not_kept(self):
-        source = "x = 1\n" * (effects_module._PARSED_BODY_MAX_CHARS // 6 + 1)
+        table = effects_module._PARSED
+        source = "x = 1\n" * (table.body_max_chars // 6 + 1)
         assert not effects_of_portable(source).dynamic
-        assert source not in effects_module._PARSED
+        assert table.get(source) is None

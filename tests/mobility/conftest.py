@@ -11,7 +11,7 @@ from repro.mobility import sandbox
 def verified(monkeypatch):
     """Every source text the sandbox verifies, in order, starting from an
     empty verified-code cache (and leaving one behind)."""
-    sandbox._reset_verified()
+    sandbox._VERIFIED.clear()
     seen: list[str] = []
     real = sandbox.validate_source
 
@@ -21,4 +21,4 @@ def verified(monkeypatch):
 
     monkeypatch.setattr(sandbox, "validate_source", counting)
     yield seen
-    sandbox._reset_verified()
+    sandbox._VERIFIED.clear()

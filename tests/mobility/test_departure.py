@@ -232,7 +232,7 @@ class TestSelfMigration:
 
 
 class TestUnregisteredObjectStillWorks:
-    def test_called_again_it_answers_and_counts_no_invalidation(self):
+    def test_called_again_it_answers_and_counts_a_discard_not_an_invalidation(self):
         _network, sites = make_site_world()
         obj = counter_on(sites["a"])
         for _ in range(3):
@@ -244,13 +244,16 @@ class TestUnregisteredObjectStillWorks:
             "invalidations": 0, "compiled_entries": 1,
         }
         sites["a"].unregister_object(obj.guid)
-        # the release moves no counter: a departure is not an invalidation
-        assert cache.stats() == {**before, "compiled_entries": 0}
+        # the released closure counts as a discard, not an invalidation
+        assert cache.stats() == {
+            **before, "compiled_discards": 1, "compiled_entries": 0,
+        }
         assert obj.invoke("increment") == 4
         # one cold call rebuilds the closure and the self view
         assert cache.stats() == {
-            "compiled_hits": 2, "compiles": 2, "compiled_discards": 0,
+            "compiled_hits": 2, "compiles": 2, "compiled_discards": 1,
             "invalidations": 0, "compiled_entries": 1,
         }
         assert obj.invoke("increment") == 5
         assert cache.compiled_hits == 3
+        assert cache.compiled_entries == cache.compiles - cache.compiled_discards

@@ -176,7 +176,7 @@ class TestVerifiedCodeCache:
             with pytest.raises(SandboxViolation):
                 build_function("return open('/etc/passwd')", PARAMS)
         assert len(verified) == 2
-        assert sandbox._verified_snapshot() == (0, 0)
+        assert sandbox._VERIFIED.snapshot() == (0, 0)
 
     def test_builds_of_one_body_share_no_globals(self):
         body = "return rate * args[0]"
@@ -190,29 +190,29 @@ class TestVerifiedCodeCache:
         assert high(None, [3], None) == 30
 
     def test_flood_stays_within_entry_bound(self):
-        for n in range(sandbox._VERIFIED_CAP + 50):
+        for n in range(sandbox._VERIFIED.cap + 50):
             build_function(f"return {n}", PARAMS)
-        entries, chars = sandbox._verified_snapshot()
-        assert 0 < entries <= sandbox._VERIFIED_CAP
-        assert chars <= sandbox._VERIFIED_MAX_CHARS
+        entries, chars = sandbox._VERIFIED.snapshot()
+        assert 0 < entries <= sandbox._VERIFIED.cap
+        assert chars <= sandbox._VERIFIED.max_chars
 
     def test_flood_stays_within_character_bound(self):
         # comments keep each body cheap to parse while near the size cap
-        filler = "# " + "x" * (sandbox._VERIFIED_BODY_MAX_CHARS - 200)
-        bodies = sandbox._VERIFIED_MAX_CHARS // len(filler) + 10
+        filler = "# " + "x" * (sandbox._VERIFIED.body_max_chars - 200)
+        bodies = sandbox._VERIFIED.max_chars // len(filler) + 10
         for n in range(bodies):
             build_function(f"{filler}\nreturn {n}", PARAMS)
-            entries, chars = sandbox._verified_snapshot()
-            assert chars <= sandbox._VERIFIED_MAX_CHARS
-            assert entries <= sandbox._VERIFIED_CAP
+            entries, chars = sandbox._VERIFIED.snapshot()
+            assert chars <= sandbox._VERIFIED.max_chars
+            assert entries <= sandbox._VERIFIED.cap
         assert build_function(f"{filler}\nreturn 7", PARAMS)(None, [], None) == 7
 
     def test_oversized_body_builds_but_is_not_retained(self, verified):
-        body = "# " + "x" * sandbox._VERIFIED_BODY_MAX_CHARS + "\nreturn args[0] * 3"
+        body = "# " + "x" * sandbox._VERIFIED.body_max_chars + "\nreturn args[0] * 3"
         for _ in range(2):
             assert build_function(body, PARAMS)(None, [5], None) == 15
         assert len(verified) == 2
-        assert sandbox._verified_snapshot() == (0, 0)
+        assert sandbox._VERIFIED.snapshot() == (0, 0)
 
     def test_code_names_its_own_label(self, verified):
         first = build_function("return 1", PARAMS, source_name="alpha.install")

@@ -37,20 +37,20 @@ def package_with(body: str, site) -> dict:
 
 @pytest.fixture
 def world():
-    sandbox._reset_verified()
+    sandbox._VERIFIED.clear()
     yield make_site_world(names=("a", "b"))
-    sandbox._reset_verified()
+    sandbox._VERIFIED.clear()
 
 
 @pytest.mark.parametrize("case", sorted(BODIES))
 class TestUncompilableBody:
     def test_compile_refusal_is_a_sandbox_violation_and_is_not_kept(self, world, case):
-        before = sandbox._verified_snapshot()
+        before = sandbox._VERIFIED.snapshot()
         for _ in range(2):
             with pytest.raises(SandboxViolation) as refused:
                 sandbox.build_function(BODIES[case], ("self", "args", "ctx"))
             assert refused.value.diagnostic.rule == "sandbox.syntax"
-        assert sandbox._verified_snapshot() == before
+        assert sandbox._VERIFIED.snapshot() == before
 
     def test_host_policy_refuses_at_admission(self, world, case):
         _network, sites = world
