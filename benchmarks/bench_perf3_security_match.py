@@ -5,7 +5,8 @@ A warm call runs a compiled closure whose ALLOW verdict is pinned, so it
 never evaluates the ACL; Match runs cold — on the first call of a
 (caller, method) pair and again after every ACL edit. The series times
 that cold Match two ways: ``acl.permits`` alone, and an invoke right
-after an edit (the re-check plus the recompile it triggers). Variants:
+after an edit (the closure re-runs Match and re-pins itself; nothing is
+recompiled, which the series asserts by count). Variants:
 self-invocation (Match bypassed), allow-all, ACLs of growing length
 (the caller matching the last entry — worst case for the ordered scan)
 and a domain-pattern ACL.
@@ -23,12 +24,14 @@ from repro.core import (
     domain_acl,
 )
 
+from repro.core import invocation
+
 from .series import emit, time_per_call
 
 OWNER = Principal("mrom://bench/1.1", "bench.dom", "owner")
 CALLER = Principal("mrom://bench/2.2", "bench.dom.sub", "caller")
 #: removing a subject no entry names leaves the entries as they are but
-#: moves the ACL's version, which sends compiled closures cold
+#: moves the ACL's version, which makes compiled closures re-run Match
 ABSENT = "mrom://bench/absent"
 
 
@@ -70,7 +73,15 @@ def test_invoke_after_acl_edit(benchmark, entries):
     benchmark(cold_invoke(build_service(acl_with_entries(entries)), CALLER))
 
 
-def test_perf3_series(benchmark):
+def test_perf3_series(benchmark, monkeypatch):
+    compiled = []
+    real_compile = invocation.compile_invocation
+
+    def counting_compile(*args):
+        compiled.append(args[1].name)
+        return real_compile(*args)
+
+    monkeypatch.setattr(invocation, "compile_invocation", counting_compile)
     variants = [
         ("self (match bypassed)", allow_all(), None),
         ("allow-all", allow_all(), CALLER),
@@ -83,8 +94,12 @@ def test_perf3_series(benchmark):
     for label, acl, caller in variants:
         obj = build_service(acl)
         principal = caller if caller is not None else obj.principal
+        obj.invoke("op", caller=principal)  # the one compile
+        compiles = len(compiled)
         edit = time_per_call(lambda a=acl: a.remove_subject(ABSENT))
         cold = time_per_call(cold_invoke(obj, principal)) - edit
+        # an edit the caller survives re-matches in place: no recompile
+        assert len(compiled) == compiles, label
         warm = time_per_call(lambda o=obj, p=principal: o.invoke("op", caller=p))
         permits = (
             time_per_call(lambda a=acl, p=principal: a.permits(p, Permission.INVOKE)) * 1e6

@@ -17,11 +17,13 @@ differential harness compares the closures against.
 Trust is versioned, never assumed. Each closure re-checks two pins on
 every call — the object's structural clock, which any edit of the
 method moves, and its ACL's edit version — and returns
-:data:`COMPILED_STALE` the moment either moved; the dispatcher then
-discards the entry and recompiles (or, if the verdict changed, takes
-the interpreted path). ACLs may be shared across methods and objects,
-so an in-place ACL edit moves no clock: only the closures that pinned
-that list go stale. Closures are
+:data:`COMPILED_STALE` when the clock moved; the dispatcher then
+discards the entry and recompiles (or takes the interpreted path).
+ACLs may be shared across methods and objects, so an in-place ACL edit
+moves no clock and can change Match alone: a closure that pinned the
+list re-runs Match on it, re-pins and serves a caller still allowed
+(counted as a rebuild, :meth:`InvocationCache.rematched`), and answers
+``COMPILED_STALE`` for one now denied. Closures are
 dropped by ``reset()`` (migration install, restart recovery), by
 ``enable_fastpath(False)``, by cap eviction and by a departure
 (``release()``, which counts no invalidation), and are never packaged
@@ -121,6 +123,13 @@ class InvocationCache:
         if self.compiled.pop(key, None) is not None:
             self._discarded(1)
             self._invalidated()
+
+    def rematched(self, key: tuple[str, str, str]) -> None:
+        """Count a closure that re-ran Match and re-pinned itself as the
+        discard and rebuild it replaces, and move it to the newest end."""
+        fn = self.compiled[key]
+        self.discard_compiled(key)
+        self.store_compiled(key, fn)
 
     def _discarded(self, count: int) -> None:
         self.compiled_discards += count

@@ -64,6 +64,8 @@ MAX_META_LEVELS = 32
 # read once: every ``Permission.INVOKE`` lookup is a Python-level call
 _INVOKE = Permission.INVOKE
 
+_is_bundled_meta = None  # bound by the first compile (Invoker._compile)
+
 
 class Phase(enum.Enum):
     """The phases of the level-0 invocation mechanism."""
@@ -365,14 +367,16 @@ class Invoker:
         runs, so a closure can pin the verdict without ever converting a
         denial into access, and a first call audits exactly once.
         """
-        from .mobject import is_bundled_meta  # mobject imports this module
+        global _is_bundled_meta
+        if _is_bundled_meta is None:  # mobject imports this module: bind once
+            from .mobject import is_bundled_meta as _is_bundled_meta
 
         obj = self.obj
         try:
             method, section = obj.containers.lookup_method(method_name)
         except MethodNotFoundError:
             return None
-        if is_bundled_meta(method):
+        if _is_bundled_meta(method):
             return None
         if caller.guid != obj.guid and not method.acl.allows(caller, INVOKE_BIT):
             return None
@@ -423,6 +427,11 @@ def compile_invocation(
     object, or returns :data:`~repro.core.fastpath.COMPILED_STALE`
     untouched when a pin fails. *hit* is False only for the call that
     built the closure, which is not counted as a compiled hit.
+
+    After an in-place ACL edit (the clock held) the closure re-runs
+    Match on the live list and re-pins for a caller still allowed (or
+    itself), serving a miss counted as a rebuild; a denied caller, or a
+    full closure a rebuild would now make lean, gets ``COMPILED_STALE``.
 
     A method without pre/post procedures whose body cannot see its
     context, compiled while the telemetry plane is off and the object is
@@ -480,13 +489,19 @@ def compile_invocation(
         portable = method.body if isinstance(method.body, PortableCode) else None
 
         def lean_invoke(live_caller, args, hit=True):
+            nonlocal acl_version
             if (
                 clock.value != generation
-                or acl._version != acl_version
                 or _probes.ACTIVE is not None
                 or obj._tracing
             ):
                 return COMPILED_STALE
+            if acl._version != acl_version:
+                if not (is_self or acl.allows(live_caller, INVOKE_BIT)):
+                    return COMPILED_STALE
+                acl_version = acl._version
+                cache.rematched((live_caller.guid, live_caller.domain, name))
+                hit = False
             if hit:
                 cache.compiled_hits += 1
             try:
@@ -510,12 +525,20 @@ def compile_invocation(
         return lean_invoke
 
     def compiled_invoke(live_caller, args, hit=True):
+        nonlocal acl_version
         # -- guards: the two pins, re-checked every call
-        if (
-            clock.value != generation
-            or acl._version != acl_version
-        ):
+        if clock.value != generation:
             return COMPILED_STALE
+        if acl._version != acl_version:
+            if not (is_self or acl.allows(live_caller, INVOKE_BIT)) or (
+                # a rebuild now would pick the lean shape
+                pre_call is None and post_call is None and not needs_ctx
+                and _probes.ACTIVE is None and not obj._tracing
+            ):
+                return COMPILED_STALE
+            acl_version = acl._version
+            cache.rematched((live_caller.guid, live_caller.domain, name))
+            hit = False
         if hit:
             cache.compiled_hits += 1
         record = InvocationRecord(method=name, caller=caller_guid)

@@ -428,7 +428,10 @@ class BatchFuture:
         if not self._done:
             raise NetworkError("request not resolved yet (still in flight)")
         if self._error is not None:
-            raise self._error
+            try:
+                raise self._error
+            finally:
+                self = None  # its traceback keeps this frame: no cycle
         return self._value
 
     def error(self) -> Exception | None:

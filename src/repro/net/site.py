@@ -426,12 +426,14 @@ class Site:
                 return self.wait(call.future)
             finally:
                 call.abandon()  # no-op once settled
+                call = None  # it holds the future (see BatchFuture.result)
         except BaseException as exc:
             error = exc
             raise
         finally:
             if probe is not None:
                 probe.request_end(self, dst, error)
+            error = None
 
     def request_async(
         self,
@@ -480,7 +482,10 @@ class Site:
             raise NetworkError(
                 "simulation drained before the request resolved"
             )
-        return future.result()
+        try:
+            return future.result()
+        finally:
+            future = None  # and the pump's cell (see BatchFuture.result)
 
     def wait_all(self, futures: Sequence[BatchFuture]) -> list:
         """Pump until every future settles; returns their results
@@ -496,7 +501,10 @@ class Site:
             raise NetworkError(
                 f"simulation drained with {unresolved} request(s) unresolved"
             )
-        return [future.result() for future in futures]
+        try:
+            return list(map(BatchFuture.result, futures))
+        finally:
+            futures = None  # as in wait
 
     # ------------------------------------------------------------------
     # value conversion at the boundary

@@ -360,7 +360,7 @@ class TestEventTable:
         obj.seal()
         obj.invoke("m", caller=CALLER)
         first = obj.last_record.events
-        acl.grant("mrom://other", Permission.GET)  # stale: the next call recompiles
+        obj.fastpath_reset()  # cold: the next call recompiles (an ACL edit re-matches)
         obj.invoke("m", caller=CALLER)
         assert obj.fastpath.compiles == 2
         assert all(a is b for a, b in zip(first, obj.last_record.events))

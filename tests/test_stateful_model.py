@@ -25,6 +25,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core import (
+    AccessDeniedError,
     DuplicateItemError,
     ItemNotFoundError,
     MROMObject,
@@ -195,8 +196,14 @@ TestMromModel = MromMachine.TestCase
 HIT = (1, 0, 0)
 COMPILE = (0, 1, 0)
 RECOMPILE = (0, 1, 1)
+DISCARD = (0, 0, 1)
 
 GET_BASE_KEY = (OWNER.guid, OWNER.domain, "get_base")
+
+
+def get_base_acl(obj):
+    method, _ = obj.containers.lookup_method("get_base")
+    return method.acl
 
 
 def event_stream(record):
@@ -215,7 +222,10 @@ class CompiledInvalidationMachine(RuleBasedStateMachine):
     mutation (data items, methods), in-place ACL edit, migration install
     and explicit reset — and assert the *ordering*: the stale closure is
     discarded (``compiled_discards`` +1) before a freshly compiled one
-    runs (``compiles`` +1). Every call's result and record must equal
+    runs (``compiles`` +1). An in-place ACL edit counts the same, though
+    the closure re-runs Match and re-pins itself instead; a revoke the
+    re-match refuses is denied by the interpreted path. Every call's
+    result and record must equal
     those of an interpreted twin driven through the same operations. An
     invariant keeps the compile accounting closed: every closure ever
     stored is either live or counted as discarded.
@@ -298,20 +308,48 @@ class CompiledInvalidationMachine(RuleBasedStateMachine):
 
     @rule()
     def acl_edit_discards_then_recompiles(self):
-        """An in-place ACL edit moves the version pin: same ordering as a
-        mutation, without the container generation moving at all."""
+        """An in-place ACL edit moves the version pin without the
+        container generation moving at all. The closure re-runs Match in
+        place and re-pins itself; it counts as the discard and recompile
+        it replaces, and its call equals the interpreted twin's."""
         stale = self.warm()
         generation = self.obj.containers.generation
         self.serial += 1
         guest = f"mrom://model/cguest{self.serial}"
 
-        def grant(obj):
-            method, _ = obj.containers.lookup_method("get_base")
-            method.acl.grant(guest, Permission.INVOKE)
-
-        self.both(grant)
+        self.both(lambda obj: get_base_acl(obj).grant(guest, Permission.INVOKE))
         assert self.obj.containers.generation == generation
-        self.assert_recompiled(stale)
+        assert self.invoke() == RECOMPILE
+        assert self.obj.fastpath.compiled[GET_BASE_KEY] is stale, (
+            "a re-match keeps the closure"
+        )
+        assert self.invoke() == HIT
+
+    @rule()
+    def revoke_denies_like_the_interpreted_twin(self):
+        """Revoking the (foreign) caller's grant: the re-match refuses,
+        the stale closure is discarded and the interpreted path raises
+        and audits once, exactly as the twin does. Lifting the revoke
+        compiles afresh."""
+        self.warm()
+        self.both(lambda obj: get_base_acl(obj).revoke(OWNER.guid, Permission.INVOKE))
+        cache = self.obj.fastpath
+        before = (cache.compiled_hits, cache.compiles, cache.compiled_discards)
+        seen = []
+        for obj in (self.obj, self.ref):
+            denials = self.tel.metrics.counter_value("acl.denials")
+            with pytest.raises(AccessDeniedError) as denied:
+                obj.invoke("get_base", caller=OWNER)
+            audits = self.tel.metrics.counter_value("acl.denials") - denials
+            seen.append((str(denied.value), audits, event_stream(obj.last_record)))
+        assert seen[0] == seen[1]
+        assert seen[0][1] == 1
+        after = (cache.compiled_hits, cache.compiles, cache.compiled_discards)
+        assert tuple(a - b for a, b in zip(after, before)) == DISCARD
+        assert GET_BASE_KEY not in cache.compiled
+        self.both(lambda obj: get_base_acl(obj).remove_subject(OWNER.guid))
+        assert self.invoke() == COMPILE
+        assert self.invoke() == HIT
 
     @rule()
     def migration_arrives_cold(self):
