@@ -10,7 +10,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test chaos lint load-smoke recover-smoke cluster-smoke bench bench-e2e bench-compare bench-pairs seeded-outputs examples series check all trace-smoke analyze sanitize-smoke
+.PHONY: install test bench-smoke chaos lint load-smoke recover-smoke cluster-smoke bench bench-e2e bench-compare bench-pairs seeded-outputs examples series check all trace-smoke analyze sanitize-smoke
 
 install:
 	$(PYTHON) setup.py develop || pip install -e .
@@ -22,6 +22,12 @@ test:
 
 chaos:
 	$(PYTHON) -m pytest -m chaos tests/
+
+# End-to-end smoke: every BENCHMARK.json workload at 1% size with its
+# correctness gate, and every tracer PATCHES row installed. `tests/`
+# does not run it, so a rename of a patched name fails only here.
+bench-smoke:
+	$(PYTHON) -m pytest -q benchmarks/e2e/test_smoke.py
 
 # Static analysis: lint the MPL corpus (standalone .mpl files and MPL
 # programs embedded in python hosts) with warnings promoted to errors.
@@ -137,6 +143,6 @@ series: bench
 examples:
 	@for ex in examples/*.py; do echo "=== $$ex ==="; $(PYTHON) $$ex || exit 1; echo; done
 
-check: test lint analyze sanitize-smoke trace-smoke load-smoke recover-smoke cluster-smoke bench
+check: test bench-smoke lint analyze sanitize-smoke trace-smoke load-smoke recover-smoke cluster-smoke bench
 
 all: install check examples

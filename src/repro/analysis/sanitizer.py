@@ -113,17 +113,19 @@ class ObservedCycle:
 
 _UNSET = object()
 
+#: accesses remembered per (object, item) for the race check
+_HISTORY = 32
+
 
 class Sanitizer(probes.Probe):
     """Vector-clock happens-before tracking over kernel activities."""
 
-    def __init__(self, history: int = 32, stash_cap: int = 8192):
+    def __init__(self, stash_cap: int = 8192):
         self._lock = threading.RLock()
         self._ids = itertools.count(1)
         self._local = threading.local()
         self._clocks: dict = {}          # task id -> {task id: counter}
         self._labels: dict = {}          # task id -> debug label
-        self._history_cap = history
         self._stash_cap = stash_cap
         self._sent: OrderedDict = OrderedDict()   # msg id -> clock snapshot
         self._done: OrderedDict = OrderedDict()   # msg id -> serve clock
@@ -350,7 +352,7 @@ class Sanitizer(probes.Probe):
             self.access_count += 1
             history = self._accesses.get((guid, item))
             if history is None:
-                history = deque(maxlen=self._history_cap)
+                history = deque(maxlen=_HISTORY)
                 self._accesses[(guid, item)] = history
             for prior_task, prior_time, prior_kind, prior_method in history:
                 if prior_task == task:

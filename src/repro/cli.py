@@ -717,6 +717,12 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     if not root.is_dir():
         print(f"error: {root} is not a directory", file=sys.stderr)
         return 2
+    if (root / "GUID").exists():
+        # opening its images.wal as a site log would cut every version
+        # after a damaged one
+        print(f"error: {root} is an object's image archive (repro store)",
+              file=sys.stderr)
+        return 2
     suffix = ".db" if args.backend == "sqlite" else ".wal"
     logs = sorted(root.glob(f"*{suffix}"))
     if not logs:

@@ -52,9 +52,9 @@ class ActiveObject:
     [1, 2, 3]
     """
 
-    def __init__(self, obj: MROMObject, queue_limit: int = 0):
+    def __init__(self, obj: MROMObject):
         self.obj = obj
-        self._mailbox: "queue.Queue" = queue.Queue(maxsize=queue_limit)
+        self._mailbox: "queue.Queue" = queue.Queue()
         self._stopped = threading.Event()
         self._drain_lock = threading.Lock()
         self.processed = 0

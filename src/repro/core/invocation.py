@@ -474,6 +474,9 @@ def compile_invocation(
     ev_pre_veto = _event(0, Phase.PRE, name, "veto") if pre is not None else None
     ev_post_ok = _event(0, Phase.POST, name, "ok") if post is not None else None
     ev_post_failed = _event(0, Phase.POST, name, "failed") if post is not None else None
+    # a built portable body is called straight, read per call so a
+    # rebind still holds; ``call`` builds it the first time
+    portable = method.body if isinstance(method.body, PortableCode) else None
     if (
         pre is None
         and post is None
@@ -486,7 +489,6 @@ def compile_invocation(
         # counter and the record; its success record is pinned here as
         # (method, caller, *events)
         ok_trace = (name, caller_guid, ev_lookup, ev_match, ev_body)
-        portable = method.body if isinstance(method.body, PortableCode) else None
 
         def lean_invoke(live_caller, args, hit=True):
             nonlocal acl_version
@@ -505,8 +507,6 @@ def compile_invocation(
             if hit:
                 cache.compiled_hits += 1
             try:
-                # a built portable body is called straight (read per
-                # call, so a rebind still holds)
                 built = portable._compiled if portable is not None else None
                 result = (built or body_call)(self_view, list(args), None)
             except PreProcedureVeto:
@@ -564,7 +564,8 @@ def compile_invocation(
                 events.append(ev_pre_ok if approved else ev_pre_veto)
                 if not approved:
                     raise PreProcedureVeto(name)
-            result = body_call(self_view, body_args, ctx)
+            built = portable._compiled if portable is not None else None
+            result = (built or body_call)(self_view, body_args, ctx)
             events.append(ev_body)
             if post_call is not None:
                 accepted = post_call(self_view, body_args, result, ctx)

@@ -5,7 +5,6 @@ from .package import (
     FORMAT,
     pack,
     pack_bytes,
-    pack_frame,
     portability_report,
     unpack,
     unpack_bytes,
@@ -16,7 +15,6 @@ from .transfer import InstallReport, MobilityManager
 __all__ = [
     "pack",
     "pack_bytes",
-    "pack_frame",
     "unpack",
     "unpack_bytes",
     "portability_report",

@@ -25,10 +25,8 @@ from ..core.items import DataItem, MROMMethod
 from ..core.mobject import MROMObject, is_bundled_meta
 from ..core.values import Kind, LazyCell, snapshot_value
 from ..net.marshal import (
-    MarshalFrame,
     Resolve,
     marshal,
-    marshal_frame,
     materialize_deep,
     unmarshal,
 )
@@ -37,7 +35,6 @@ __all__ = [
     "FORMAT",
     "pack",
     "pack_bytes",
-    "pack_frame",
     "unpack",
     "unpack_bytes",
     "portability_report",
@@ -289,16 +286,6 @@ def _unpack(package: Mapping, resolve: Resolve | None) -> MROMObject:
     for raw in tower:
         obj._push_meta_invoke(_unpack_method(raw, resolve))
     return obj
-
-
-def pack_frame(obj: MROMObject, strip_native_wrappers: bool = False) -> MarshalFrame:
-    """The wire form as a zero-copy frame (no final ``bytes`` copy).
-
-    Byte-identical to :func:`pack_bytes`; the caller owns the frame and
-    must release it (context manager or :meth:`~repro.net.marshal.
-    MarshalFrame.release`) once the view has been consumed.
-    """
-    return marshal_frame(pack(obj, strip_native_wrappers=strip_native_wrappers))
 
 
 def unpack_bytes(wire: bytes) -> MROMObject:

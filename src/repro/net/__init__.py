@@ -3,7 +3,6 @@
 from .gateway import TcpGateway, TcpGatewayClient
 from .marshal import (
     MAGIC,
-    MarshalFrame,
     Reference,
     marshal,
     marshal_frame,
@@ -25,7 +24,6 @@ from .transport import Message, Network
 __all__ = [
     "marshal",
     "marshal_frame",
-    "MarshalFrame",
     "unmarshal",
     "materialize_deep",
     "marshalled_size",

@@ -40,7 +40,7 @@ _LENGTH = struct.Struct(">I")
 MAX_FRAME = 16 * 1024 * 1024
 
 
-def _send_frame(sock: socket.socket, *parts: bytes | memoryview) -> None:
+def _send_frame(sock: socket.socket, *parts: bytes | bytearray | memoryview) -> None:
     """Write one frame: the length prefix and *parts* (which together
     form one MRM1 message) leave in one scatter-gather syscall, with no
     concatenated copy and no Nagle stall from a split write."""
@@ -194,8 +194,7 @@ class TcpGatewayClient:
         return self._call(kind, payload or {})
 
     def _call(self, kind: str, payload: dict) -> Any:
-        with marshal_frame({"kind": kind, "payload": payload}) as frame:
-            _send_frame(self._sock, frame.view)
+        _send_frame(self._sock, marshal_frame({"kind": kind, "payload": payload}))
         reply = _recv_frame(self._sock)
         if reply is None:
             raise NetworkError("gateway closed the connection")

@@ -45,7 +45,6 @@ __all__ = [
     "marshal_frame",
     "encode",
     "Encoded",
-    "MarshalFrame",
     "unmarshal",
     "materialize_deep",
     "BinaryCell",
@@ -397,48 +396,12 @@ def marshal(value: Any, export: Export | None = None) -> bytes:
     return bytes(out)
 
 
-class MarshalFrame:
-    """A complete wire message exposed as a memoryview over the buffer
-    it was encoded into — the zero-copy sibling of :func:`marshal`.
-
-    ``frame.view`` is byte-identical to ``marshal(value)`` but involves
-    no final ``bytes`` copy; a consumer that can write a memoryview
-    (socket ``sendall``, file ``write``) ships the buffer directly.
-    :meth:`release` (or context-manager exit) invalidates the view, so
-    a consumer that needs the bytes past the frame's lifetime must
-    :meth:`tobytes` first.
-    """
-
-    __slots__ = ("view", "_buf")
-
-    def __init__(self, buf: bytearray):
-        self._buf = buf
-        self.view: memoryview = memoryview(buf)
-
-    def __len__(self) -> int:
-        return len(self._buf) if self._buf is not None else 0
-
-    def tobytes(self) -> bytes:
-        return bytes(self.view)
-
-    def release(self) -> None:
-        """Drop the buffer and invalidate the view (idempotent)."""
-        if self._buf is not None:
-            self._buf = None
-            self.view.release()
-
-    def __enter__(self) -> "MarshalFrame":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-
-def marshal_frame(value: Any, export: Export | None = None) -> MarshalFrame:
-    """Encode *value* into a fresh buffer without the final copy."""
+def marshal_frame(value: Any, export: Export | None = None) -> bytearray:
+    """Encode *value* as a complete wire message in a fresh buffer: the
+    bytes of :func:`marshal` without its final ``bytes`` copy."""
     out = bytearray(MAGIC)
     _encode(out, value, 0, export)
-    return MarshalFrame(out)
+    return out
 
 
 def marshalled_size(value: Any) -> int:
@@ -634,8 +597,8 @@ def unmarshal(
 ) -> Any:
     """Decode a complete wire message; strict about framing.
 
-    Accepts a :class:`memoryview` (e.g. a :class:`MarshalFrame` view)
-    or a ``bytearray`` as well as bytes; either is copied to ``bytes``
+    Accepts a :class:`memoryview` or a ``bytearray`` (e.g. a
+    :func:`marshal_frame` buffer) as well as bytes; either is copied to ``bytes``
     once up front, so the decoder slices and interns plain bytes and a
     :class:`BinaryCell` never sees a buffer change under it.
     *resolve* is a receiving site's reference resolver (see :func:`_decode`).

@@ -5,7 +5,9 @@ knows nor cares whether frames live in memory, in a length-prefixed
 file, or in a sqlite table. A *frame* is an opaque byte string the WAL
 hands down (checksum + marshalled record); the store's only contract is
 ordered, append-only retention plus one atomic :meth:`Store.rewrite`
-used by log compaction.
+used by log compaction. The image archive
+(:class:`~repro.persistence.store.ObjectStore`) keeps each object's
+versions as such frames in one :class:`FileStore`.
 
 Three backends:
 
@@ -14,8 +16,7 @@ Three backends:
   because the process survives them).
 * :class:`FileStore` — ``MROMWAL1`` header then ``u32 length | frame``
   records, appended with flush-on-write and rewritten through a
-  temporary file + ``os.replace`` (the same atomic-publish discipline
-  as :class:`~repro.persistence.store.ObjectStore`). A tail whose
+  temporary file + ``os.replace`` (atomic publish). A tail whose
   declared length overruns the file marks the store ``truncated`` —
   the torn-tail case recovery must tolerate.
 * :class:`SqliteStore` — stdlib :mod:`sqlite3`, one ``frames`` table

@@ -11,28 +11,32 @@ The division of labour is exactly that sentence:
   directory per object and runs :meth:`ObjectStore.bootstrap` at startup;
 * the **object** provides its own image: the persisted bytes are its
   mobility package (:mod:`repro.mobility.package`) — the same self-
-  contained representation it migrates with — framed with a header and a
-  SHA-256 checksum so corruption is detected, never silently restored.
+  contained representation it migrates with.
 
-Images are versioned: every save appends a new version; restore defaults
-to the latest intact one, so a torn write falls back to the previous
-snapshot.
+Each object's versions are the frames of one :class:`~.backends.FileStore`,
+``<home>/images.wal``: an ``object.image`` :class:`~.wal.WalRecord` per
+version, its ``seq`` the version number, so the archive shares the WAL's
+checksum (:func:`~.wal.decode_frame`) and torn-tail rule. A damaged
+version is skipped, never restored and never repaired past; restore
+defaults to the newest intact one.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import re
 from pathlib import Path
+from typing import Iterator
 
-from ..core.errors import PersistenceError
+from ..core.errors import MarshalError, PersistenceError
 from ..core.mobject import MROMObject
 from ..mobility.package import pack_bytes, unpack_bytes
+from .backends import FileStore
+from .wal import WalRecord, _frame, decode_frame
 
 __all__ = ["ObjectStore", "persist", "restore"]
 
-_HEADER = b"MROMPERS1\n"
+_ARCHIVE = "images.wal"
 _SAFE_RE = re.compile(r"[^A-Za-z0-9._-]")
 
 
@@ -43,19 +47,36 @@ def _safe_dirname(guid: str) -> str:
     return f"{readable}.{digest}"
 
 
+def _decoded(frames) -> Iterator[WalRecord | MarshalError]:
+    """Each frame's record or the error that refused it, decoded lazily."""
+    for frame in frames:
+        try:
+            yield decode_frame(frame)
+        except MarshalError as exc:
+            yield exc
+
+
+def _restore(guid: str, record: WalRecord) -> MROMObject:
+    found = record.attrs.get("guid")
+    if record.kind != "object.image" or found != guid:
+        raise PersistenceError(
+            f"image identity mismatch: expected {guid}, found {found}"
+        )
+    return unpack_bytes(record.attrs.get("wire", b""))
+
+
 class ObjectStore:
     """Host-allocated space for persistent objects, with versioned images."""
 
     def __init__(self, root: "Path | str"):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     # -- host side: space allocation ---------------------------------------
 
     def allocate(self, guid: str) -> Path:
         """The space the host grants one object (idempotent)."""
         home = self.root / _safe_dirname(guid)
-        home.mkdir(exist_ok=True)
+        home.mkdir(parents=True, exist_ok=True)
         marker = home / "GUID"
         if marker.exists():
             recorded = marker.read_text(encoding="utf-8")
@@ -69,6 +90,8 @@ class ObjectStore:
 
     def guids(self) -> list[str]:
         """Every object with allocated space (for bootstrap)."""
+        if not self.root.is_dir():
+            return []
         found = []
         for entry in sorted(self.root.iterdir()):
             marker = entry / "GUID"
@@ -78,81 +101,61 @@ class ObjectStore:
 
     # -- versioned images -----------------------------------------------------
 
-    def versions(self, guid: str) -> list[int]:
-        home = self.root / _safe_dirname(guid)
-        if not home.is_dir():
-            return []
-        versions = []
-        for entry in home.glob("v*.mrom"):
-            try:
-                versions.append(int(entry.stem[1:]))
-            except ValueError:
-                continue
-        return sorted(versions)
+    def _frames(self, guid: str) -> list[bytes]:
+        """The whole frames of *guid*'s archive (reading creates nothing)."""
+        path = self.root / _safe_dirname(guid) / _ARCHIVE
+        return FileStore(path).frames() if path.is_file() else []
 
-    def _image_path(self, guid: str, version: int) -> Path:
-        return self.root / _safe_dirname(guid) / f"v{version}.mrom"
+    def versions(self, guid: str) -> list[int]:
+        """The intact versions, oldest first."""
+        images = _decoded(self._frames(guid))
+        return [image.seq for image in images if isinstance(image, WalRecord)]
 
     def save(self, obj: MROMObject, keep: int = 3) -> int:
-        """Write a new image of *obj*; returns its version number.
-
-        *keep* bounds how many old versions survive (0 keeps everything).
-        Host-attached native wrappers (mediators, hooks) are not part of
-        the image — the host reattaches its own infrastructure after a
-        restore; a native *body* still refuses to persist.
-        """
-        home = self.allocate(obj.guid)
-        existing = self.versions(obj.guid)
-        version = (existing[-1] + 1) if existing else 1
-        body = pack_bytes(obj, strip_native_wrappers=True)
-        digest = hashlib.sha256(body).hexdigest().encode("ascii")
-        image = _HEADER + digest + b"\n" + body
-        target = self._image_path(obj.guid, version)
-        temporary = home / f".v{version}.partial"
-        temporary.write_bytes(image)
-        os.replace(temporary, target)  # atomic publish
-        if keep > 0:
-            for old in existing[: max(0, len(existing) + 1 - keep)]:
-                self._image_path(obj.guid, old).unlink(missing_ok=True)
+        """Write a new image of *obj*, one past the newest intact version,
+        and return its version; *keep* bounds the versions kept (0 keeps
+        all). Host-attached native wrappers (mediators, hooks) are not
+        part of the image — the host reattaches its own infrastructure
+        after a restore; a native *body* still refuses to persist."""
+        archive = FileStore(self.allocate(obj.guid) / _ARCHIVE)
+        try:
+            frames = archive.frames()
+            version = 1 + next((image.seq for image in _decoded(reversed(frames))
+                                if isinstance(image, WalRecord)), 0)
+            wire = pack_bytes(obj, strip_native_wrappers=True)
+            attrs = {"guid": obj.guid, "wire": wire}
+            frames.append(_frame(WalRecord(version, "object.image", 0.0, "", attrs)))
+            kept = frames[-keep:] if keep > 0 else frames
+            if archive.truncated or len(kept) < len(frames):
+                archive.rewrite(kept)  # drop the oldest versions or a cut tail
+            else:
+                archive.append(frames[-1])
+        finally:
+            archive.close()
         return version
 
     def load(self, guid: str, version: int | None = None) -> MROMObject:
-        """Restore one object (latest intact image by default)."""
-        available = self.versions(guid)
-        if not available:
+        """Restore one object (newest intact image by default)."""
+        frames = self._frames(guid)
+        if not frames:
             raise PersistenceError(f"no persisted image for {guid}")
-        candidates = [version] if version is not None else list(reversed(available))
         last_error: Exception | None = None
-        for candidate in candidates:
-            if candidate not in available:
-                raise PersistenceError(f"no version {candidate} for {guid}")
-            try:
-                return self._load_one(guid, candidate)
-            except PersistenceError as exc:
-                last_error = exc
-                if version is not None:
-                    raise
+        for image in _decoded(reversed(frames)):  # newest first
+            if isinstance(image, MarshalError):
+                last_error = image
+            elif version is None or image.seq == version:
+                try:
+                    return _restore(guid, image)
+                except PersistenceError as exc:
+                    if version is not None:
+                        raise
+                    last_error = exc
+        if version is not None:
+            reason = f" (damaged: {last_error})" if last_error else ""
+            raise PersistenceError(f"no version {version} for {guid}{reason}")
         raise PersistenceError(
             f"every image of {guid} is corrupt (last: {last_error})"
         )
-
-    def _load_one(self, guid: str, version: int) -> MROMObject:
-        raw = self._image_path(guid, version).read_bytes()
-        if not raw.startswith(_HEADER):
-            raise PersistenceError(f"{guid} v{version}: bad header")
-        rest = raw[len(_HEADER):]
-        newline = rest.find(b"\n")
-        if newline != 64:
-            raise PersistenceError(f"{guid} v{version}: malformed checksum line")
-        digest, body = rest[:newline], rest[newline + 1:]
-        if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
-            raise PersistenceError(f"{guid} v{version}: checksum mismatch")
-        obj = unpack_bytes(body)
-        if obj.guid != guid:
-            raise PersistenceError(
-                f"image identity mismatch: expected {guid}, found {obj.guid}"
-            )
-        return obj
 
     def delete(self, guid: str) -> None:
         """Release an object's space entirely."""
@@ -172,24 +175,19 @@ class ObjectStore:
         :meth:`bootstrap_report`), not fatal — one broken guest must not
         prevent the host from starting.
         """
-        return [obj for obj, _err in self._bootstrap_all() if obj is not None]
+        return [obj for _guid, obj, _err in self._bootstrap_all() if obj is not None]
 
     def bootstrap_report(self) -> list[tuple[str, str]]:
         """(guid, error) for every object that failed to restore."""
-        return [
-            (guid, str(err))
-            for (obj, err), guid in zip(self._bootstrap_all(), self.guids())
-            if obj is None
-        ]
+        results = self._bootstrap_all()
+        return [(guid, str(err)) for guid, obj, err in results if obj is None]
 
     def _bootstrap_all(self):
-        results = []
         for guid in self.guids():
             try:
-                results.append((self.load(guid), None))
+                yield guid, self.load(guid), None
             except PersistenceError as exc:
-                results.append((None, exc))
-        return results
+                yield guid, None, exc
 
     def __repr__(self) -> str:
         return f"ObjectStore({str(self.root)!r}, {len(self.guids())} objects)"

@@ -17,6 +17,8 @@ On disk a record is one *frame* in a :class:`~.backends.Store`::
 
 using the MRM1 tagged marshal — the WAL speaks the repository's own
 wire format, not pickle, for exactly the reasons the network does.
+:func:`decode_frame` is the one frame check (checksum, then record
+decode); replay and the image archive (:mod:`.store`) both call it.
 
 Replay is strict-prefix: records are decoded in order until the first
 damaged frame (checksum mismatch or undecodable body → ``"torn"``;
@@ -40,7 +42,9 @@ from ..core.errors import MarshalError
 from ..net.marshal import Export, marshal, unmarshal
 from .backends import Store
 
-__all__ = ["WalRecord", "WriteAheadLog", "RECORD_KINDS", "decode_frames"]
+__all__ = [
+    "WalRecord", "WriteAheadLog", "RECORD_KINDS", "decode_frame", "decode_frames",
+]
 
 #: Every record kind the recovery state machine understands. Unknown
 #: kinds are skipped on replay (forward compatibility), never fatal.
@@ -117,28 +121,30 @@ def _frame(record: WalRecord, export: Export | None = None) -> bytes:
     return hashlib.sha256(body).digest()[:_CHECKSUM_BYTES] + body
 
 
+def decode_frame(frame: bytes) -> WalRecord:
+    """Check one frame's checksum, then decode its record; a frame that
+    fails either raises :class:`~repro.core.errors.MarshalError`."""
+    stamp, body = frame[:_CHECKSUM_BYTES], frame[_CHECKSUM_BYTES:]
+    if not body or hashlib.sha256(body).digest()[:_CHECKSUM_BYTES] != stamp:
+        raise MarshalError("frame checksum mismatch")
+    return WalRecord.from_mapping(unmarshal(body))
+
+
 def decode_frames(
     frames: list[bytes], truncated: bool = False
 ) -> tuple[list[WalRecord], str | None]:
     """Strict-prefix decode: records up to the first damage.
 
     Returns ``(records, damage)`` where damage is ``None`` for a clean
-    log, ``"torn"`` when a frame fails its checksum or decode, and
+    log, ``"torn"`` when a frame fails :func:`decode_frame`, and
     ``"truncated"`` when the store reported a physically cut tail.
     """
     records: list[WalRecord] = []
     for frame in frames:
-        if len(frame) <= _CHECKSUM_BYTES:
-            return records, "torn"
-        stamp, body = frame[:_CHECKSUM_BYTES], frame[_CHECKSUM_BYTES:]
-        if hashlib.sha256(body).digest()[:_CHECKSUM_BYTES] != stamp:
-            return records, "torn"
         try:
-            mapping = unmarshal(body)
-            record = WalRecord.from_mapping(mapping)
+            records.append(decode_frame(frame))
         except MarshalError:
             return records, "torn"
-        records.append(record)
     return records, ("truncated" if truncated else None)
 
 

@@ -70,21 +70,19 @@ class Telemetry(probes.Probe):
         clock: Callable[[], int] = time.perf_counter_ns,
         span_cap: int = 100_000,
         event_cap: int | None = None,
-        id_prefix: str = "",
     ):
         self.clock = clock
         self.recorder = SpanRecorder(cap=span_cap)
         self.metrics = MetricsRegistry()
         self.events = EventLog(cap=event_cap)
         self._ids = itertools.count(1)
-        self._id_prefix = id_prefix
         self._stacks: list[tuple[threading.Thread, list]] = []
         self._thread = _ThreadContext(self._stacks, threading.Lock())
 
     # -- identifiers -------------------------------------------------------
 
     def _next_id(self, kind: str) -> str:
-        return f"{self._id_prefix}{kind}{next(self._ids):08x}"
+        return f"{kind}{next(self._ids):08x}"
 
     # -- the context stack -------------------------------------------------
 

@@ -90,6 +90,18 @@ class TestFrameBudget:
             "get", "find_data", "peek",
         ]
 
+    def test_traced_body_skips_the_build_check(self):
+        # the full closure calls the built body as the lean one does
+        obj = MROMObject(display_name="traced")
+        obj.define_fixed_data("base", 3)
+        obj.define_fixed_method("m0", LOCAL_BODY, acl=allow_all())
+        obj.seal()
+        obj.enable_tracing()
+        assert frames_of_warm_call(obj, "m0", [5]) == [
+            "invoke", "compiled_invoke", "__init__", "portable",
+            "get", "find_data", "peek", "note_invocation",
+        ]
+
 
 # ---------------------------------------------------------------------------
 # SelfView.get/set against get_data/set_data with the object's principal

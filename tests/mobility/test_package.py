@@ -319,13 +319,6 @@ class TestCellsNeverLeak:
 
 
 class TestZeroCopyPackage:
-    def test_pack_frame_bytes_identical_to_pack_bytes(self, owner):
-        from repro.mobility import pack_frame
-
-        original = make_portable(owner)
-        with pack_frame(original) as frame:
-            assert frame.tobytes() == pack_bytes(original)
-
     def test_lazy_unpack_equals_eager_unpack(self, owner):
         wire = pack_bytes(make_portable(owner))
         lazy, eager = unpack_bytes(wire), unpack(unmarshal(wire))

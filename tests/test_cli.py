@@ -6,6 +6,7 @@ from repro.cli import main
 from repro.core import MROMObject, Principal
 from repro.mobility import pack_bytes
 from repro.persistence import ObjectStore, persist
+from tests.persistence.test_store import frame_of
 
 
 @pytest.fixture
@@ -123,7 +124,10 @@ class TestStore:
         root, guid = store_root
         store = ObjectStore(root)
         version = store.versions(guid)[-1]
-        store._image_path(guid, version).write_bytes(b"junk")
+        path, span = frame_of(store, guid, version)
+        raw = bytearray(path.read_bytes())
+        raw[span.start:span.start + 4] = b"junk"
+        path.write_bytes(bytes(raw))
         assert main(["store", "--root", str(root), "verify"]) == 1
         assert "CORRUPT" in capsys.readouterr().out
 
@@ -192,6 +196,21 @@ class TestRecover:
         out = capsys.readouterr().out
         assert "s1: records=2 objects=1" in out and "damage=torn" in out
         assert "1 with damage" in out
+
+    def test_an_image_archive_is_refused_untouched(self, tmp_path, capsys):
+        store = ObjectStore(tmp_path)
+        obj = MROMObject(display_name="kept", guid="mrom://cli/2.2")
+        obj.seal()
+        for _ in range(3):
+            persist(obj, store)
+        path, span = frame_of(store, obj.guid, 2)
+        raw = bytearray(path.read_bytes())
+        raw[span.stop - 1] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        assert main(["recover", "--root", str(path.parent)]) == 2
+        assert "image archive" in capsys.readouterr().err
+        assert path.read_bytes() == raw
+        assert store.versions(obj.guid) == [1, 3]
 
 
 @pytest.mark.analysis
