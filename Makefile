@@ -95,16 +95,18 @@ bench-compare:
 # and on the working tree, base first on odd seeds and second on even
 # ones. The two sets are judged with one `compare` at the end, e.g.
 # `make bench-pairs BASE=HEAD~1 WORKLOAD="migrate_sim cluster_sim" N=5 SEED=1`.
+# WORKLOAD=all measures every workload BENCHMARK.json names.
 WORKLOAD ?= rmi_sim
+WORKLOADS = $(if $(filter all,$(WORKLOAD)),$(shell $(PYTHON) -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'),$(WORKLOAD))
 PAIRS := .bench/pairs
 bench-pairs:
-	@test -n "$(BASE)" || { echo 'usage: make bench-pairs BASE=<ref> [WORKLOAD="name ..." N=n SEED=s]'; exit 2; }
+	@test -n "$(BASE)" || { echo 'usage: make bench-pairs BASE=<ref> [WORKLOAD="name ..."|all N=n SEED=s]'; exit 2; }
 	rm -rf $(PAIRS)
 	mkdir -p $(PAIRS)/tree
 	git archive $(BASE) | tar -x -C $(PAIRS)/tree
 	for seed in $$(seq $(SEED) $$(($(SEED) + $(N) - 1))); do \
 		if [ $$((seed % 2)) -eq 1 ]; then sides="base head"; else sides="head base"; fi; \
-		for workload in $(WORKLOAD); do \
+		for workload in $(WORKLOADS); do \
 			for side in $$sides; do \
 				if [ $$side = base ]; then tree=$(PAIRS)/tree; else tree=.; fi; \
 				(cd $$tree && $(PYTHON) benchmarks/e2e/run.py run --workload $$workload \

@@ -39,6 +39,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..core.errors import MarshalError
 from ..core.values import HtmlText, LazyCell
+from ..textcache import TextCache
 
 __all__ = [
     "marshal",
@@ -52,6 +53,7 @@ __all__ = [
     "marshalled_size",
     "Reference",
     "MAGIC",
+    "MEMO_MAX_BYTES",
     "TRACE_FIELD",
     "attach_trace",
     "extract_trace",
@@ -118,7 +120,10 @@ MAX_COLLECTION = 1_000_000
 #   payload keys and GUIDs recur endlessly), bounded and dropped
 #   wholesale on overflow so a hostile peer cannot grow it unboundedly;
 # * decode-side interning of short text payloads keyed by the raw bytes,
-#   so the same method name decoded a thousand times is one str object.
+#   so the same method name decoded a thousand times is one str object;
+# * a decode memo for small messages that arrive again byte for byte
+#   (see :func:`unmarshal`): a repeat is a copy of the tree kept at its
+#   second sighting, not a decode.
 # ---------------------------------------------------------------------------
 
 _INTERN_MAX_CHARS = 64
@@ -130,12 +135,22 @@ _TEXT_INTERN: dict[str, bytes] = {}
 _REF_INTERN: dict[tuple[str, str], bytes] = {}
 _DECODE_INTERN: dict[bytes, str] = {}
 
+#: the decode memo: a message of at most this many bytes may be kept
+MEMO_MAX_BYTES = 4096
+#: messages seen once (the doorkeeper), and the copy plans of messages
+#: seen twice, keyed by their exact bytes; each bounded by entries and
+#: by retained message bytes, and cleared whole when full
+_SEEN = TextCache(cap=1024, max_chars=1 << 20, body_max_chars=MEMO_MAX_BYTES)
+_KEPT = TextCache(cap=1024, max_chars=256 * 1024, body_max_chars=MEMO_MAX_BYTES)
+
 
 def _reset_fastpath_state() -> None:
-    """Drop the interning tables (tests, tuning)."""
+    """Drop the interning tables and the decode memo (tests, tuning)."""
     _TEXT_INTERN.clear()
     _REF_INTERN.clear()
     _DECODE_INTERN.clear()
+    _SEEN.clear()
+    _KEPT.clear()
     _SMALL_INTS.clear()
     for n in range(-64, 257):
         _SMALL_INTS[n] = _head(_TAG_INT, _zigzag(n))
@@ -606,15 +621,144 @@ def unmarshal(
     message; only a caller that rebuilds objects from the value
     (:func:`repro.mobility.package.unpack_bytes`) passes it, since a cell
     must never reach a method argument or a reply.
+
+    A message of at most :data:`MEMO_MAX_BYTES` decoded without
+    *defer_binary* goes through the decode memo. Its first successful
+    decode notes its bytes; the second keeps a copy plan of its tree;
+    every later one copies the kept tree: a fresh dict, list and
+    :class:`Reference` for every container and reference, immutable
+    leaves shared, references resolved through this call's *resolve* in
+    the order a decode resolves them. So each caller still gets
+    containers of its own and the value, types, resolver calls and
+    errors a decode gives.
     """
     if type(message) is not bytes:
         message = bytes(message)
+    if defer_binary or len(message) > MEMO_MAX_BYTES:
+        return _decode_message(message, resolve, defer_binary)
+    plan = _KEPT.get(message)
+    if plan is not None:
+        if plan is _UNCOPYABLE:
+            return _decode_message(message, resolve, False)
+        return _copy(plan, resolve)
+    if _SEEN.get(message) is None:
+        value = _decode_message(message, resolve, False)
+        _SEEN.put(message, True, len(message))
+        return value
+    return _keep(message, resolve)
+
+
+def _decode_message(message: bytes, resolve: Resolve | None, defer: bool) -> Any:
     if not message.startswith(MAGIC):
         raise MarshalError("bad magic: not an MRM1 message")
-    value, offset = _decode(message, len(MAGIC), 0, resolve, defer_binary)
+    value, offset = _decode(message, len(MAGIC), 0, resolve, defer)
     if offset != len(message):
         raise MarshalError(f"{len(message) - offset} bytes of trailing garbage")
     return value
+
+
+# ---------------------------------------------------------------------------
+# the decode memo
+#
+# A kept message is a copy plan: a ``Reference`` stands for itself; any
+# other node is ``(kind, template, slots)``. For ``_LEAF`` the template
+# is an immutable value returned as is. For ``_COPY`` it is a decoded
+# dict or list whose shallow copy is then patched at each ``(key or
+# index, plan)`` of *slots*, in document order. For ``_PAIRS`` (a
+# mapping with a reference key) it is a tuple of ``(key, plan or None,
+# value)`` triples, re-inserted pair by pair into a fresh dict as the
+# decoder inserts them.
+# ---------------------------------------------------------------------------
+
+_LEAF, _COPY, _PAIRS = range(3)
+#: the decoded types a copy must not share
+_NODES = frozenset((Reference, dict, list))
+#: kept for a message no copy can reproduce: it is decoded each time
+_UNCOPYABLE = object()
+
+
+def _keep(message: bytes, resolve: Resolve | None) -> Any:
+    """Decode *message* (seen once before) without resolving it, keep
+    its copy plan and return a copy of it for *resolve*.
+
+    The plan is kept only if copying it resolves the references a
+    decode would resolve, in the same order: a mapping with a repeated
+    key keeps only its last value, so a copy would skip the references
+    of the values it dropped and could reorder the rest. Such a
+    message is kept as :data:`_UNCOPYABLE` and decoded each time.
+    """
+    met: list[Reference] = []
+
+    def note(guid: str, site: str) -> Reference:
+        reference = Reference(guid, site)
+        met.append(reference)
+        return reference
+
+    try:
+        tree = _decode_message(message, note, False)
+    except MarshalError:
+        return _decode_message(message, resolve, False)
+    walked: list[Reference] = []
+    plan = _plan(tree, walked)
+    if walked != met:
+        _KEPT.put(message, _UNCOPYABLE, len(message))
+        return _decode_message(message, resolve, False)
+    _KEPT.put(message, plan, len(message))
+    return _copy(plan, resolve)
+
+
+def _plan(value: Any, refs: list[Reference]) -> Any:
+    """The copy plan of a decoded *value*; appends every reference in
+    it to *refs* in the order a copy resolves them."""
+    kind = type(value)
+    if kind is Reference:
+        refs.append(value)
+        return value
+    if kind is dict:
+        if any(type(key) is Reference for key in value):
+            pairs = []
+            for key, item in value.items():
+                if type(key) is Reference:
+                    refs.append(key)
+                nested = _plan(item, refs) if type(item) in _NODES else None
+                pairs.append((key, nested, item))
+            return (_PAIRS, tuple(pairs), ())
+        slots = value.items()
+    elif kind is list:
+        slots = enumerate(value)
+    else:
+        return (_LEAF, value, ())
+    nested = tuple(
+        (slot, _plan(item, refs)) for slot, item in slots if type(item) in _NODES
+    )
+    return (_COPY, value, nested)
+
+
+def _copy(plan: Any, resolve: Resolve | None) -> Any:
+    """A fresh copy of a kept tree, resolving its references now."""
+    if type(plan) is Reference:
+        if resolve is not None:
+            return resolve(plan.guid, plan.site)
+        return Reference(plan.guid, plan.site)
+    kind, template, slots = plan
+    if kind == _COPY:
+        copy = template.copy()
+        for slot, nested in slots:
+            copy[slot] = _copy(nested, resolve)
+        return copy
+    if kind == _LEAF:
+        return template
+    copy = {}
+    for key, nested, value in template:
+        if type(key) is Reference:
+            key = _copy(key, resolve)
+        if nested is not None:
+            value = _copy(nested, resolve)
+        try:
+            copy[key] = value
+        except TypeError as exc:
+            raise MarshalError(f"unhashable mapping key {key!r}") from exc
+    return copy
 
 
 _PLAIN_SCALARS = frozenset((str, int, float, bool, type(None), bytes))

@@ -19,8 +19,7 @@ transport.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any, Callable, Protocol, TYPE_CHECKING
+from typing import Any, Callable, NamedTuple, Protocol, TYPE_CHECKING
 
 from ..core.errors import NetworkError
 from ..sim import Simulator
@@ -34,9 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Message", "Network", "Endpoint", "request_body", "request_list"]
 
 
-@dataclass(frozen=True)
-class Message:
-    """A delivered message (payload already decoded)."""
+class Message(NamedTuple):
+    """A delivered message (payload already decoded). Immutable and
+    equal by fields; a tuple, so one costs a quarter of a frozen
+    dataclass to build."""
 
     kind: str
     src: str

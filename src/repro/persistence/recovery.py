@@ -22,7 +22,11 @@ A delta that fits no image — its guid has none, or it names a data
 item the image lacks — is damage the frames cannot show: the fold
 reports it as ``"torn"``, drops that object (its later state is
 unknowable) and does not fold the record's reply, then goes on with the
-rest of the log, so a later image of the object restores it.
+rest of the log, so a later image of the object restores it. A record
+that lacks a field the fold reads, or holds one of the wrong type (an
+id or a state that is not text, a package, image, entry or report that
+is not a mapping), is the same damage: the fold skips the whole record,
+drops the object its ``guid`` names and goes on.
 """
 
 from __future__ import annotations
@@ -83,67 +87,152 @@ def _patched(image: Any, delta: Any) -> dict | None:
     return None if pending else patched
 
 
+def _torn(state: ReplayState, guid: Any) -> None:
+    """Fold damage: drop the image of *guid*, whose state after the
+    damaged record is unknowable."""
+    if isinstance(guid, str):
+        state.images.pop(guid, None)
+    if state.damage is None:
+        state.damage = "torn"
+
+
 def _fold_delta(state: ReplayState, guid: str, delta: Any) -> bool:
     patched = _patched(state.images.get(guid), delta)
     if patched is None:
-        state.images.pop(guid, None)
-        if state.damage is None:
-            state.damage = "torn"
+        _torn(state, guid)
         return False
     state.images[guid] = patched
     return True
+
+
+class _Damaged(Exception):
+    """A record whose checksum held but which lacks a field the fold
+    reads, or holds one of the wrong type."""
+
+
+def _text(value: Any) -> str:
+    if not isinstance(value, str):
+        raise _Damaged
+    return value
+
+
+def _mapping(value: Any) -> dict:
+    if not isinstance(value, dict):
+        raise _Damaged
+    return value
+
+
+def _optional_mapping(attrs: dict, name: str) -> dict | None:
+    value = attrs.get(name)
+    return None if value is None else _mapping(value)
+
+
+def _pairs(attrs: dict, name: str) -> list:
+    """The ``[[id, value], ...]`` list *name* (empty if absent)."""
+    pairs = attrs.get(name) or []
+    if not isinstance(pairs, list):
+        raise _Damaged
+    for pair in pairs:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise _Damaged
+    return pairs
+
+
+def _ledger_entry(entry: Any) -> dict:
+    entry = dict(_mapping(entry))
+    _text(entry.get("state"))
+    if entry.get("report") is not None:
+        _mapping(entry["report"])
+    return entry
+
+
+def _fold_snapshot(state: ReplayState, attrs: dict) -> None:
+    objects = _optional_mapping(attrs, "objects") or {}
+    images = OrderedDict(
+        (_text(guid), _mapping(package)) for guid, package in objects.items()
+    )
+    served = OrderedDict(
+        (_text(request_id), reply) for request_id, reply in _pairs(attrs, "served")
+    )
+    ledger = OrderedDict(
+        (_text(transfer_id), _ledger_entry(entry))
+        for transfer_id, entry in _pairs(attrs, "ledger")
+    )
+    unresolved = {
+        _text(transfer_id): dict(_mapping(entry))
+        for transfer_id, entry in (_optional_mapping(attrs, "unresolved") or {}).items()
+    }
+    state.images, state.served, state.ledger = images, served, ledger
+    state.unresolved = unresolved
+    state.snapshot_used = True
+
+
+def _fold_image(state: ReplayState, attrs: dict) -> None:
+    guid = _text(attrs.get("guid"))
+    state.images[guid] = _mapping(attrs.get("package"))
+
+
+def _fold_remove(state: ReplayState, attrs: dict) -> None:
+    state.images.pop(_text(attrs.get("guid")), None)
+
+
+def _fold_served(state: ReplayState, attrs: dict) -> None:
+    request_id = _text(attrs.get("request_id"))
+    if "reply" not in attrs:
+        raise _Damaged
+    image = _optional_mapping(attrs, "image")
+    has_delta = "delta" in attrs
+    guid = _text(attrs.get("guid")) if has_delta or image is not None else ""
+    if not has_delta or _fold_delta(state, guid, attrs["delta"]):
+        state.served[request_id] = attrs["reply"]
+    if image is not None:
+        state.images[guid] = image
+
+
+def _fold_intent(state: ReplayState, attrs: dict) -> None:
+    transfer_id = _text(attrs.get("transfer_id"))
+    state.unresolved[transfer_id] = dict(_mapping(attrs.get("entry")))
+
+
+def _fold_resolved(state: ReplayState, attrs: dict) -> None:
+    state.unresolved.pop(_text(attrs.get("transfer_id")), None)
+
+
+def _fold_ledger(state: ReplayState, attrs: dict) -> None:
+    transfer_id = _text(attrs.get("transfer_id"))
+    entry_state = _text(attrs.get("state"))
+    report = _optional_mapping(attrs, "report")
+    image = _optional_mapping(attrs, "image")
+    state.ledger[transfer_id] = {"state": entry_state, "report": report}
+    if image is not None:
+        guid = str((report or {}).get("guid", ""))
+        if guid:
+            state.images[guid] = image
+
+
+_FOLDS = {
+    "snapshot": _fold_snapshot,
+    "object.image": _fold_image,
+    "object.remove": _fold_remove,
+    "served.reply": _fold_served,
+    "transfer.intent": _fold_intent,
+    "transfer.resolved": _fold_resolved,
+    "transfer.ledger": _fold_ledger,
+}
 
 
 def replay_records(records: list[WalRecord]) -> ReplayState:
     """Fold *records* (in LSN order) into a :class:`ReplayState`."""
     state = ReplayState()
     for record in records:
-        attrs = record.attrs
-        kind = record.kind
-        if kind == "snapshot":
-            state.images = OrderedDict(attrs.get("objects") or {})
-            state.served = OrderedDict(
-                (str(request_id), reply)
-                for request_id, reply in (attrs.get("served") or [])
-            )
-            state.ledger = OrderedDict(
-                (str(transfer_id), dict(entry))
-                for transfer_id, entry in (attrs.get("ledger") or [])
-            )
-            state.unresolved = {
-                str(transfer_id): dict(entry)
-                for transfer_id, entry in (attrs.get("unresolved") or {}).items()
-            }
-            state.snapshot_used = True
-        elif kind == "object.image":
-            state.images[str(attrs["guid"])] = attrs["package"]
-        elif kind == "object.remove":
-            state.images.pop(str(attrs["guid"]), None)
-        elif kind == "served.reply":
-            if "delta" not in attrs or _fold_delta(
-                state, str(attrs.get("guid", "")), attrs["delta"]
-            ):
-                state.served[str(attrs["request_id"])] = attrs["reply"]
-            image = attrs.get("image")
-            if image is not None:
-                state.images[str(attrs["guid"])] = image
-        elif kind == "transfer.intent":
-            state.unresolved[str(attrs["transfer_id"])] = dict(attrs["entry"])
-        elif kind == "transfer.resolved":
-            state.unresolved.pop(str(attrs["transfer_id"]), None)
-        elif kind == "transfer.ledger":
-            state.ledger[str(attrs["transfer_id"])] = {
-                "state": str(attrs["state"]),
-                "report": attrs.get("report"),
-            }
-            image = attrs.get("image")
-            if image is not None:
-                report = attrs.get("report") or {}
-                guid = str(report.get("guid", ""))
-                if guid:
-                    state.images[guid] = image
-        else:
+        fold = _FOLDS.get(record.kind)
+        if fold is None:
             state.unknown_kinds += 1  # forward compatibility: skip, don't die
+        else:
+            try:
+                fold(state, record.attrs)
+            except _Damaged:
+                _torn(state, record.attrs.get("guid"))
         state.records_replayed += 1
     return state
 

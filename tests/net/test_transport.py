@@ -114,6 +114,49 @@ class TestByValueDelivery:
         assert message.request_id == "a:1"
         assert message.size > 0
 
+    def test_repeat_deliveries_each_get_their_own_containers(self, wired):
+        # the same bytes delivered again come from the decode memo
+        network, _a, b = wired
+        payloads = []
+
+        def capture(message: Message):
+            payloads.append(message.payload)
+            return True
+
+        b.add_handler("capture", capture)
+        for n in range(4):
+            network.send("a", "b", "capture", {"rows": [1, [2]]}, request_id=f"a:{n}")
+        network.run()
+        assert payloads == [{"rows": [1, [2]]}] * 4
+        containers = [
+            id(node) for p in payloads for node in (p, p["rows"], p["rows"][1])
+        ]
+        assert len(set(containers)) == len(containers)
+        payloads[2]["rows"][1].append(3)
+        assert payloads[3] == {"rows": [1, [2]]}
+
+
+class TestMessage:
+    def test_a_message_is_immutable(self):
+        message = Message("ping", "a", "b", {}, 1, None, 0, 10)
+        with pytest.raises(AttributeError):
+            message.payload = {"forged": True}
+        with pytest.raises(AttributeError):
+            message.verdict = "dropped"
+
+    def test_fields_order_defaults_and_equality(self):
+        message = Message("ping", "a", "b", {"x": 1}, 1, None, 0, 10)
+        assert Message._fields == (
+            "kind", "src", "dst", "payload", "msg_id", "reply_to", "lamport",
+            "size", "request_id", "verdict",
+        )
+        assert (message.request_id, message.verdict) == ("", "ok")
+        assert message == Message(
+            kind="ping", src="a", dst="b", payload={"x": 1}, msg_id=1,
+            reply_to=None, lamport=0, size=10,
+        )
+        assert message != Message("ping", "a", "b", {"x": 2}, 1, None, 0, 10)
+
 
 class TestLifecycle:
     def test_unregister_then_replace(self, wired):
