@@ -34,6 +34,7 @@ decoder misbehave, only fail.
 from __future__ import annotations
 
 import itertools
+import operator
 import struct
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -53,7 +54,6 @@ __all__ = [
     "marshalled_size",
     "Reference",
     "MAGIC",
-    "MEMO_MAX_BYTES",
     "TRACE_FIELD",
     "attach_trace",
     "extract_trace",
@@ -136,12 +136,14 @@ _REF_INTERN: dict[tuple[str, str], bytes] = {}
 _DECODE_INTERN: dict[bytes, str] = {}
 
 #: the decode memo: a message of at most this many bytes may be kept
-MEMO_MAX_BYTES = 4096
-#: messages seen once (the doorkeeper), and the copy plans of messages
-#: seen twice, keyed by their exact bytes; each bounded by entries and
-#: by retained message bytes, and cleared whole when full
-_SEEN = TextCache(cap=1024, max_chars=1 << 20, body_max_chars=MEMO_MAX_BYTES)
-_KEPT = TextCache(cap=1024, max_chars=256 * 1024, body_max_chars=MEMO_MAX_BYTES)
+_MEMO_MAX_BYTES = 4096
+#: messages seen once (the doorkeeper), keyed by their exact bytes and
+#: bounded by entries and by retained message bytes
+_SEEN = TextCache(cap=1024, max_chars=1 << 20, body_max_chars=_MEMO_MAX_BYTES)
+#: the copy plans of messages seen twice, bounded by entries and by the
+#: bytes a kept tree retains (:func:`_plan` estimates them), 64 KiB of
+#: them per message; each table is cleared whole when full
+_KEPT = TextCache(cap=1024, max_chars=2 << 20, body_max_chars=64 << 10)
 
 
 def _reset_fastpath_state() -> None:
@@ -622,7 +624,7 @@ def unmarshal(
     (:func:`repro.mobility.package.unpack_bytes`) passes it, since a cell
     must never reach a method argument or a reply.
 
-    A message of at most :data:`MEMO_MAX_BYTES` decoded without
+    A message of at most :data:`_MEMO_MAX_BYTES` decoded without
     *defer_binary* goes through the decode memo. Its first successful
     decode notes its bytes; the second keeps a copy plan of its tree;
     every later one copies the kept tree: a fresh dict, list and
@@ -630,11 +632,12 @@ def unmarshal(
     leaves shared, references resolved through this call's *resolve* in
     the order a decode resolves them. So each caller still gets
     containers of its own and the value, types, resolver calls and
-    errors a decode gives.
+    errors a decode gives. A tree no copy reproduces, or one that would
+    retain more than the per-message bound, is decoded every time.
     """
     if type(message) is not bytes:
         message = bytes(message)
-    if defer_binary or len(message) > MEMO_MAX_BYTES:
+    if defer_binary or len(message) > _MEMO_MAX_BYTES:
         return _decode_message(message, resolve, defer_binary)
     plan = _KEPT.get(message)
     if plan is not None:
@@ -664,13 +667,18 @@ def _decode_message(message: bytes, resolve: Resolve | None, defer: bool) -> Any
 # other node is ``(kind, template, slots)``. For ``_LEAF`` the template
 # is an immutable value returned as is. For ``_COPY`` it is a decoded
 # dict or list whose shallow copy is then patched at each ``(key or
-# index, plan)`` of *slots*, in document order. For ``_PAIRS`` (a
-# mapping with a reference key) it is a tuple of ``(key, plan or None,
-# value)`` triples, re-inserted pair by pair into a fresh dict as the
-# decoder inserts them.
+# index, plan)`` of *slots*, in document order.
+#
+# What a kept tree retains is estimated per decoded value: at most
+# ``_NODE_BYTES`` for a dict, list or reference with its plan (an empty
+# dict and its plan retain 225 bytes), at most ``_LEAF_BYTES`` for any
+# other value (an empty ``HtmlText`` retains 105), plus the message
+# bytes, which bound every payload.
 # ---------------------------------------------------------------------------
 
-_LEAF, _COPY, _PAIRS = range(3)
+_LEAF, _COPY = range(2)
+_NODE_BYTES = 256
+_LEAF_BYTES = 128
 #: the decoded types a copy must not share
 _NODES = frozenset((Reference, dict, list))
 #: kept for a message no copy can reproduce: it is decoded each time
@@ -681,11 +689,14 @@ def _keep(message: bytes, resolve: Resolve | None) -> Any:
     """Decode *message* (seen once before) without resolving it, keep
     its copy plan and return a copy of it for *resolve*.
 
-    The plan is kept only if copying it resolves the references a
-    decode would resolve, in the same order: a mapping with a repeated
-    key keeps only its last value, so a copy would skip the references
-    of the values it dropped and could reorder the rest. Such a
-    message is kept as :data:`_UNCOPYABLE` and decoded each time.
+    The plan is kept only if copying it resolves the very references a
+    decode resolves, in the same order, and retains at most the
+    per-message bound of :data:`_KEPT`. A mapping with a repeated key
+    keeps only its last value, so a copy would skip the references of
+    the values it dropped and could reorder the rest; a reference as a
+    mapping key is never walked, since a copy would need its resolution
+    as the key. Such a message is kept as :data:`_UNCOPYABLE` and
+    decoded each time.
     """
     met: list[Reference] = []
 
@@ -699,39 +710,44 @@ def _keep(message: bytes, resolve: Resolve | None) -> Any:
     except MarshalError:
         return _decode_message(message, resolve, False)
     walked: list[Reference] = []
-    plan = _plan(tree, walked)
-    if walked != met:
-        _KEPT.put(message, _UNCOPYABLE, len(message))
+    plan, retained = _plan(tree, walked)
+    retained += len(message)
+    if (
+        retained > _KEPT.body_max_chars
+        or len(walked) != len(met)
+        or not all(map(operator.is_, walked, met))
+    ):
+        _KEPT.put(message, _UNCOPYABLE, len(message) + _NODE_BYTES)
         return _decode_message(message, resolve, False)
-    _KEPT.put(message, plan, len(message))
+    _KEPT.put(message, plan, retained)
     return _copy(plan, resolve)
 
 
-def _plan(value: Any, refs: list[Reference]) -> Any:
-    """The copy plan of a decoded *value*; appends every reference in
-    it to *refs* in the order a copy resolves them."""
+def _plan(value: Any, refs: list[Reference]) -> tuple[Any, int]:
+    """The copy plan of a decoded *value* and the bytes it retains
+    beyond the message's; appends every reference in it but mapping
+    keys to *refs*, in the order a copy resolves them."""
     kind = type(value)
     if kind is Reference:
         refs.append(value)
-        return value
+        return value, _NODE_BYTES
     if kind is dict:
-        if any(type(key) is Reference for key in value):
-            pairs = []
-            for key, item in value.items():
-                if type(key) is Reference:
-                    refs.append(key)
-                nested = _plan(item, refs) if type(item) in _NODES else None
-                pairs.append((key, nested, item))
-            return (_PAIRS, tuple(pairs), ())
         slots = value.items()
+        leaves = 2 * len(value)
     elif kind is list:
         slots = enumerate(value)
+        leaves = len(value)
     else:
-        return (_LEAF, value, ())
-    nested = tuple(
-        (slot, _plan(item, refs)) for slot, item in slots if type(item) in _NODES
-    )
-    return (_COPY, value, nested)
+        return (_LEAF, value, ()), _LEAF_BYTES
+    retained = _NODE_BYTES
+    nested = []
+    for slot, item in slots:
+        if type(item) in _NODES:
+            plan, size = _plan(item, refs)
+            nested.append((slot, plan))
+            retained += size
+            leaves -= 1
+    return (_COPY, value, tuple(nested)), retained + leaves * _LEAF_BYTES
 
 
 def _copy(plan: Any, resolve: Resolve | None) -> Any:
@@ -741,23 +757,11 @@ def _copy(plan: Any, resolve: Resolve | None) -> Any:
             return resolve(plan.guid, plan.site)
         return Reference(plan.guid, plan.site)
     kind, template, slots = plan
-    if kind == _COPY:
-        copy = template.copy()
-        for slot, nested in slots:
-            copy[slot] = _copy(nested, resolve)
-        return copy
     if kind == _LEAF:
         return template
-    copy = {}
-    for key, nested, value in template:
-        if type(key) is Reference:
-            key = _copy(key, resolve)
-        if nested is not None:
-            value = _copy(nested, resolve)
-        try:
-            copy[key] = value
-        except TypeError as exc:
-            raise MarshalError(f"unhashable mapping key {key!r}") from exc
+    copy = template.copy()
+    for slot, nested in slots:
+        copy[slot] = _copy(nested, resolve)
     return copy
 
 

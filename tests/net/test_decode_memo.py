@@ -13,13 +13,16 @@ another. Hypothesis runs derandomized.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.errors import MarshalError
+from repro.core.values import HtmlText
 from repro.net import Network, Site
 from repro.net.gateway import TcpGateway, TcpGatewayClient
 from repro.sim import Simulator
@@ -32,8 +35,9 @@ Reference, marshal, unmarshal = codec.Reference, codec.marshal, codec.unmarshal
 #: what the resolver of a differential run returns for a reference:
 #: nothing (no resolver), a hashable tuple, the bare guid (which may
 #: collide with a text key of the same mapping), a list (unhashable as
-#: a key), or a tuple until its second call raises
-MODES = (None, "tuple", "text", "list", "raise")
+#: a key), a tuple until its second call raises, or the call's number
+#: (so two resolutions of one guid land where a decode puts them)
+MODES = (None, "tuple", "text", "list", "raise", "serial")
 
 
 class Recorder:
@@ -51,6 +55,8 @@ class Recorder:
             return [guid, site]
         if self.mode == "raise" and len(self.calls) == 2:
             raise LookupError(f"no object {guid!r}")
+        if self.mode == "serial":
+            return ("call", len(self.calls))
         return ("resolved", guid, site)
 
 
@@ -169,11 +175,21 @@ def ref(guid: str, site: str = "s") -> bytes:
         b"M\x02" + ref("g1") + b"I\x02" + ref("g1") + b"I\x04",
         # {<g1>: [<g2>], "g1": <g3>}: the text key may meet the resolved one
         b"M\x02" + ref("g1") + b"L\x01" + ref("g2") + b"S\x02g1" + ref("g3"),
+        # {"a": [], "b": <g1>, "a": <g1>}: equal lists, swapped resolutions
+        b"M\x03S\x01aL\x00S\x01b" + ref("g1") + b"S\x01a" + ref("g1"),
     ],
-    ids=["repeated-key", "repeated-key-reordered", "repeated-reference-key", "key-collision"],
+    ids=[
+        "repeated-key",
+        "repeated-key-reordered",
+        "repeated-reference-key",
+        "key-collision",
+        "repeated-key-swapped",
+    ],
 )
 def test_repeated_and_colliding_keys_resolve_as_a_decode_does(body):
-    assert_memo_matches_decode(codec.MAGIC + body)
+    wire = codec.MAGIC + body
+    assert_memo_matches_decode(wire)
+    assert codec._KEPT.get(wire) is codec._UNCOPYABLE
 
 
 class CountingDecode:
@@ -212,8 +228,8 @@ def test_a_later_sighting_runs_no_decode(monkeypatch):
 def test_large_messages_and_deferred_decodes_are_never_kept(monkeypatch):
     codec._reset_fastpath_state()
     counter = CountingDecode(monkeypatch)
-    large = marshal({"blob": b"x" * codec.MEMO_MAX_BYTES})
-    assert len(large) > codec.MEMO_MAX_BYTES
+    large = marshal({"blob": b"x" * codec._MEMO_MAX_BYTES})
+    assert len(large) > codec._MEMO_MAX_BYTES
     assert min(counter.sightings(large, 4)) > 0
     small = marshal(ENVELOPES[0])
     assert min(counter.sightings(small, 4, defer_binary=True)) > 0
@@ -245,6 +261,80 @@ def test_distinct_messages_stay_under_the_caps():
     for table in tables:
         entries, retained = table.snapshot()
         assert 0 < entries <= table.cap and retained <= table.max_chars
+
+
+def retained_by_keeping(wire: bytes) -> int:
+    """The bytes the memo's tables gain when *wire* is kept (traced)."""
+    codec._reset_fastpath_state()
+    unmarshal(wire)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        unmarshal(wire)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+#: small messages that hold many objects per wire byte: empty
+#: containers, fresh ``HtmlText`` leaves, references, nesting
+DENSE = {
+    "empty-lists": [[] for _ in range(230)],
+    "empty-dicts": [{} for _ in range(230)],
+    "empty-html": [HtmlText("") for _ in range(450)],
+    "references": [Reference("g") for _ in range(230)],
+    "nested-lists": [[[[]]] for _ in range(70)],
+    "floats": [float(n) for n in range(440)],
+    **{f"envelope-{n}": envelope for n, envelope in enumerate(ENVELOPES)},
+}
+
+
+@pytest.mark.parametrize("value", DENSE.values(), ids=DENSE.keys())
+def test_a_kept_tree_retains_no_more_than_its_counted_cost(value):
+    wire = marshal(value)
+    retained = retained_by_keeping(wire)
+    entries, counted = codec._KEPT.snapshot()
+    assert entries == 1 and codec._KEPT.get(wire) is not codec._UNCOPYABLE
+    assert 0 < retained <= counted <= codec._KEPT.body_max_chars
+
+
+def test_a_tree_over_the_per_message_cost_is_decoded_each_time(monkeypatch):
+    """4 KiB of empty lists decode to about 430 KB of objects and plan:
+    the message is kept as uncopyable, so it retains its bytes only,
+    and each later sighting is one plain decode."""
+    wire = marshal([[] for _ in range(2000)])
+    assert len(wire) <= codec._MEMO_MAX_BYTES
+    assert retained_by_keeping(wire) < 2 * len(wire)
+    assert codec._KEPT.get(wire) is codec._UNCOPYABLE
+    counter = CountingDecode(monkeypatch)
+    codec._reset_fastpath_state()
+    first, second, *later = counter.sightings(wire, 5)
+    assert second == 2 * first and later == [first] * 3
+
+
+def test_dense_messages_stay_under_the_retained_bound():
+    """A peer that sends ever new dense messages twice each cycles the
+    kept table through its retained bound: the memo's traced memory
+    never passes the two tables' bounds."""
+    codec._reset_fastpath_state()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bound = codec._KEPT.max_chars + codec._SEEN.max_chars
+        for n in range(200):
+            wire = marshal([n] + [[] for _ in range(230)])
+            unmarshal(wire)
+            unmarshal(wire)
+            assert codec._KEPT.snapshot()[1] <= codec._KEPT.max_chars
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - before <= bound
+    finally:
+        tracemalloc.stop()
+    entries, counted = codec._KEPT.snapshot()
+    assert 0 < entries < 200 and counted <= codec._KEPT.max_chars
 
 
 # -- shared across gateway threads -------------------------------------------
